@@ -26,7 +26,6 @@ from .chars import (
     PrefixTable,
     PrimeModulus,
     build_modulus,
-    char_eval,
     find_primitive_root,
     interval_sum,
     is_prime,

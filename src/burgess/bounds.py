@@ -18,12 +18,13 @@ from .chars import (
     Character,
     build_modulus,
     legendre_value_array,
+    prefix_sums,
     window_sum,
 )
 from .congruence import CollisionInstance, collision_distribution
 from .errors import DegenerateParams, UnknownVariant
 from .moments import moment_sum
-from .sieve import enumerate_rough
+from .sieve import enumerate_rough, primes_below
 
 VARIANTS = ("polya_vinogradov", "grh", "mv_loglog", "burgess_classic",
             "ik_1r", "ik_12r", "refined_14r")
@@ -198,14 +199,10 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
     dist = collision_distribution(inst)
     table = chi.prefix
     exact = table.exact
-    if exact:
-        W: int | float = 0
-        for lam, c in dist.counts.items():
-            W += c * abs(window_sum(table, lam, params.V).exact_int)
-    else:
-        W = 0.0
-        for lam, c in dist.counts.items():
-            W += c * window_sum(table, lam, params.V).abs()
+    # W = sum_lam I(lam) |w(lam)|; a Python int on the exact path so that
+    # W^{2r} below is exact
+    weighted = np.abs(window_sum(table, dist.lams, params.V)) @ dist.counts
+    W = int(weighted) if exact else float(weighted)
     m_report = moment_sum(chi, params.V, r, table=table)
     lhs = W ** (2 * r)
     rhs = dist.first_moment ** (2 * r - 2) * dist.second_moment * m_report.moment
@@ -258,19 +255,25 @@ def extremal_scan(q: int, char_index: int, N: int, M_values: list[int],
                   grh_delta: float = GRH_DELTA_DEFAULT) -> ScanResult:
     """Max |short sum| over the given window starts, with per-bound ratios.
 
-    One prefix table serves every window, so each M costs O(1); all variant
-    ratios are measured against the same scan data.
+    One prefix table serves every window, read in one gather (full periods
+    drop out, so only N mod q terms remain); all variant ratios are measured
+    against the same scan data.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if not M_values:
+        raise ValueError("extremal scan needs at least one window start")
     mod = build_modulus(q)
     chi = mod.character(char_index)
-    best = -1.0
-    best_m = M_values[0] if M_values else 0
-    for m in M_values:
-        s = interval_sum_via_prefix(chi, m, N)
-        if s > best:
-            best, best_m = s, m
+    rem = N % q
+    if rem:
+        # reduced as Python ints, so starts beyond int64 are accepted
+        starts = np.array([m % q for m in M_values], dtype=np.int64)
+        mags = np.abs(window_sum(chi.prefix, starts, rem))
+    else:
+        mags = np.zeros(len(M_values))
+    i = int(mags.argmax())
+    best, best_m = float(mags[i]), M_values[i]
     ratios = {}
     for variant in VARIANTS:
         rv = None if variant in ("polya_vinogradov", "grh", "mv_loglog") else r
@@ -281,15 +284,6 @@ def extremal_scan(q: int, char_index: int, N: int, M_values: list[int],
                       argmax_M=best_m, worst_ratio=ratios)
 
 
-def interval_sum_via_prefix(chi: Character, m: int, n: int) -> float:
-    """|interval sum| through the prefix table (full periods drop out)."""
-    q = chi.q
-    rem = n % q
-    if rem == 0:
-        return 0.0
-    return window_sum(chi.prefix, m, rem).abs()
-
-
 def max_window_spread(q: int) -> float:
     """Exhaustive max |sum over (M, M+N]| for the quadratic character mod q,
     over every window start and length.
@@ -298,9 +292,7 @@ def max_window_spread(q: int) -> float:
     windows is just max(S) - min(S), since any window sum is a difference of
     two prefix values once wraparound (S_q = 0) is folded in.
     """
-    vals = legendre_value_array(q)
-    body = np.concatenate([vals[1:], vals[:1]]).astype(np.int64)
-    sums = np.concatenate([[0], np.cumsum(body)])
+    sums = prefix_sums(legendre_value_array(q))
     return float(sums.max() - sums.min())
 
 
@@ -310,16 +302,9 @@ def pv_ratio_scan(limit: int) -> tuple[float, int, list[tuple[int, float]]]:
     Returns (worst ratio, argmax prime, per-prime ratios) where the ratio is
     the exhaustive max |short sum| divided by sqrt(q) log q.
     """
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = False
     ratios = []
     worst, worst_q = -1.0, 0
-    for q in np.flatnonzero(sieve).tolist():
-        if q == 2:
-            continue
+    for q in primes_below(limit + 1)[1:]:  # odd primes: drop 2
         ratio = max_window_spread(q) / (math.sqrt(q) * math.log(q))
         ratios.append((q, ratio))
         if ratio > worst:
@@ -347,9 +332,3 @@ def nonresidue_max_gap(q: int) -> tuple[int, int]:
     runs = np.diff(edges) - 1
     best = int(runs.argmax())
     return int(runs[best]), int(edges[best]) + 1
-
-
-def best_r(N: int, q: int, r_values: list[int]) -> int:
-    """argmin of the refined shape value over a caller-supplied r range."""
-    return min(r_values,
-               key=lambda r: bound_value("refined_14r", N, q, r=r).value)

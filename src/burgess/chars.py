@@ -187,10 +187,6 @@ class CharValue:
             return -1
         raise ValueError(f"value e({self.num}/{self.den}) is not real")
 
-    @property
-    def magnitude(self) -> float:
-        return 0.0 if self.num is None else 1.0
-
 
 @dataclass(frozen=True)
 class ComplexSum:
@@ -263,12 +259,9 @@ class Character:
         """Exact {-1, 0, 1} value table; only for real characters."""
         if not self.is_real:
             raise ValueError("integer values exist only for real characters")
-        q = self.q
-        if self.is_trivial:
-            vals = np.ones(q, dtype=np.int8)
-        else:
-            # chi(n) = +1 iff dlog[n] even for the quadratic character
-            vals = np.where(self.modulus.dlog % 2 == 0, 1, -1).astype(np.int8)
+        if not self.is_trivial:
+            return legendre_value_array(self.q)
+        vals = np.ones(self.q, dtype=np.int8)
         vals[0] = 0
         return vals
 
@@ -285,11 +278,6 @@ class Character:
 
     def __repr__(self) -> str:
         return f"Character(q={self.q}, m={self.index}, order={self.order})"
-
-
-def char_eval(chi: Character, n: int) -> CharValue:
-    """Evaluate chi(n); zero when q | n, exact root of unity otherwise."""
-    return chi.value(n)
 
 
 class PrefixTable:
@@ -310,55 +298,67 @@ class PrefixTable:
         return self.chi.q
 
 
+def prefix_sums(vals: np.ndarray) -> np.ndarray:
+    """S_k = sum_{1<=n<=k} vals[n] for k in [0, q], where vals[0] = chi(q).
+
+    S_q = S_{q-1} because chi(q) = 0.  Integer value tables give exact int64
+    sums, whose S_q must vanish by orthogonality; complex tables give
+    complex128 sums.
+    """
+    q = len(vals)
+    exact = vals.dtype.kind == "i"
+    sums = np.empty(q + 1, dtype=np.int64 if exact else np.complex128)
+    sums[0] = 0
+    np.cumsum(vals[1:], dtype=sums.dtype, out=sums[1:q])
+    sums[q] = sums[q - 1]
+    if exact:
+        assert sums[q] == 0
+    return sums
+
+
 def prefix_table(chi: Character) -> PrefixTable:
     if chi.is_trivial:
         raise TrivialCharacter("prefix table requires a nontrivial character")
-    q = chi.q
     if chi.is_quadratic:
-        body = chi.values_int[1:].astype(np.int64)
-        sums = np.concatenate([[0], np.cumsum(body), [0]])
-        # chi(q) = chi(0) = 0, so S_q = S_{q-1}; orthogonality forces 0
-        sums[q] = sums[q - 1]
-        assert sums[q] == 0
-        return PrefixTable(chi, sums, exact=True)
-    body = chi.values_complex[1:]
-    sums = np.concatenate([[0j], np.cumsum(body), [0j]])
-    sums[q] = sums[q - 1]
-    return PrefixTable(chi, sums, exact=False)
+        return PrefixTable(chi, prefix_sums(chi.values_int), exact=True)
+    return PrefixTable(chi, prefix_sums(chi.values_complex), exact=False)
 
 
-def window_sum(table: PrefixTable, lam: int, v: int) -> ComplexSum:
-    """sum_{1<=j<=v} chi(lam + j) via at most two prefix differences."""
-    q = table.q
+def _check_window(q: int, v: int) -> None:
     if v > q:
         raise WindowTooLarge(f"V={v} exceeds q={q}")
     if v < 1:
         raise ValueError("window length must be >= 1")
-    a = lam % q
-    hi = a + v
+
+
+def window_sum(table: PrefixTable, lam, v: int):
+    """sum_{1<=j<=v} chi(lam + j) for an int or an int64 array of starts.
+
+    Each start is reduced to a in [1, q], the starts window_array covers, so
+    both read the same prefix entries and agree bit for bit; a window that
+    runs past q wraps with a second prefix read, S_{a+v-q} - S_a + S_q.
+    Returns int64 on the exact path and complex128 otherwise, shaped like
+    lam.
+    """
+    q = table.q
+    _check_window(q, v)
     s = table.sums
-    if hi <= q:
-        w = s[hi] - s[a]
-    else:
-        w = (s[q] - s[a]) + s[hi - q]
-    if table.exact:
-        return ComplexSum(re=float(w), im=0.0, exact_int=int(w))
-    return ComplexSum(re=float(w.real), im=float(w.imag))
+    a = (lam - 1) % q + 1
+    hi = a + v
+    wrap = hi > q
+    return s[hi - q * wrap] - s[a] + s[q] * wrap
 
 
 def window_array(table: PrefixTable, v: int) -> np.ndarray:
-    """All window sums w(lam) = sum_{j<=v} chi(lam+j) for lam in [1, q]."""
+    """window_sum over every start lam in [1, q], from two slice differences:
+    starts up to q - v read S_{lam+v} - S_lam, the rest wrap past q."""
     q = table.q
-    if v > q:
-        raise WindowTooLarge(f"V={v} exceeds q={q}")
-    if v < 1:
-        raise ValueError("window length must be >= 1")
+    _check_window(q, v)
     s = table.sums
-    lam = np.arange(1, q + 1, dtype=np.int64)
-    hi = lam + v
-    wrapped = np.where(hi <= q, hi, hi - q)
-    w = s[wrapped] - s[lam]
-    w[hi > q] += s[q]
+    w = np.empty(q, dtype=s.dtype)
+    np.subtract(s[1 + v:], s[1:q + 1 - v], out=w[:q - v])
+    np.subtract(s[1:v + 1], s[q + 1 - v:], out=w[q - v:])
+    w[q - v:] += s[q]
     return w
 
 
@@ -389,8 +389,9 @@ def interval_sum(chi: Character, m: int, n: int) -> ComplexSum:
 def legendre_value_array(q: int) -> np.ndarray:
     """Quadratic-character value table from the squares sieve, no dlog needed.
 
-    Used by whole-prime scans where building a primitive-root table per prime
-    would be wasted work; must agree with the dlog path (tested).
+    The only source of the quadratic value table: Character.values_int of the
+    Legendre character reads it, and whole-prime scans use it without
+    building a primitive-root table.
     """
     if q < 3 or not is_prime(q):
         raise CompositeModulus(f"{q} is not an odd prime")

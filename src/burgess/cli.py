@@ -33,8 +33,8 @@ SUBCOMMANDS = ("sum", "scan", "moments", "sieve", "rough", "congruence",
 # Canonical owner subcommand for every library operation; the CLI coverage
 # test checks this is a partition of the public operation registry.
 COMMAND_TABLE: dict[str, tuple[str, ...]] = {
-    "sum": ("find_primitive_root", "build_modulus", "char_eval",
-            "interval_sum", "prefix_table", "window_sum"),
+    "sum": ("find_primitive_root", "build_modulus", "interval_sum",
+            "prefix_table", "window_sum"),
     "scan": ("extremal_scan",),
     "moments": ("moment_sum", "weil_bound", "moment_check"),
     "sieve": ("build_spf", "primes_below", "mertens_product"),
@@ -277,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--V", type=str, default="auto",
                    help="window length or 'auto' for floor(r q^{1/2r})")
     p.add_argument("--parts", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
 
     p = add_parser("sieve", help="primorial primes and Mertens product")
     p.add_argument("--z", type=float, required=True)
@@ -391,8 +390,7 @@ def run_subcommand(argv: list[str]) -> tuple[int, list[dict]]:
     elif args.cmd == "moments":
         for q, m_idx, r, _, _ in _resolve_cells(args, cfg):
             report = moments.moment_check(q, m_idx, V=args.V, r=r,
-                                          parts=args.parts,
-                                          workers=args.workers)
+                                          parts=args.parts)
             rec("moments",
                 {"q": q, "char_index": m_idx, "r": r, "V": report.V},
                 {"moment": report.moment, "bound": report.bound,
@@ -542,6 +540,9 @@ def run_subcommand(argv: list[str]) -> tuple[int, list[dict]]:
                  "elapsed_s": res.elapsed},
                 {"criterion": res.passed})
 
+    if not records:
+        raise ValueError(f"{args.cmd}: the sweep resolved to no cells or "
+                         "window starts")
     records.sort(key=record_sort_key)
     failed = any(not ok for r in records
                  for ok in r["passes"].values() if ok is not None)

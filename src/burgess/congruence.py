@@ -11,7 +11,6 @@ brute-force oracle is a literal quadruple loop.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +58,12 @@ class CollisionInstance:
 
 @dataclass
 class CollisionDistribution:
+    """I(lam) as parallel int64 arrays: the distinct buckets lams, ascending,
+    and counts[i] = I(lams[i]) > 0."""
+
     instance: CollisionInstance
-    counts: dict[int, int]
+    lams: np.ndarray
+    counts: np.ndarray
     first_moment: int
     second_moment: int
 
@@ -68,21 +71,19 @@ class CollisionDistribution:
 def collision_distribution(inst: CollisionInstance) -> CollisionDistribution:
     """Bucket lam = n * u^{-1} (mod q) over the window and the rough set."""
     q, M, N = inst.q, inst.M, inst.N
-    counts: Counter[int] = Counter()
-    if N > 0:
-        residues = (M + 1 + np.arange(N, dtype=np.int64)) % q
-        for u in inst.rough:
-            if u % q == 0:
-                raise ValueError(f"multiplier {u} not invertible mod {q}")
-            ui = pow(u, -1, q)
-            lam = (residues * ui) % q
-            vals, cnt = np.unique(lam, return_counts=True)
-            for v, c in zip(vals.tolist(), cnt.tolist()):
-                counts[v] += c
-    first = sum(counts.values())
-    second = sum(c * c for c in counts.values())
-    return CollisionDistribution(instance=inst, counts=dict(counts),
-                                 first_moment=first, second_moment=second)
+    members = inst.rough.members
+    bad = members[members % q == 0]
+    if bad.size:
+        raise ValueError(f"multiplier {int(bad[0])} not invertible mod {q}")
+    inverses = np.array([pow(int(u), -1, q) for u in members], dtype=np.int64)
+    residues = (M + 1 + np.arange(N, dtype=np.int64)) % q
+    # the products are below q^2, inside int64 while q < 3*10^9
+    lams, counts = np.unique((inverses[:, None] * residues) % q,
+                             return_counts=True)
+    return CollisionDistribution(
+        instance=inst, lams=lams, counts=counts,
+        first_moment=int(counts.sum()),
+        second_moment=int(counts @ counts))
 
 
 @dataclass

@@ -10,13 +10,12 @@ what makes the inequality margin a zero-tolerance check.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chars import Character, PrefixTable, window_array
-from .errors import TrivialCharacter, WindowTooLarge
+from .errors import TrivialCharacter
 
 
 @dataclass
@@ -74,35 +73,23 @@ def _exact_chunk_moment(w: np.ndarray, V: int, r: int) -> int:
 
 
 def moment_sum(chi: Character, V: int, r: int, parts: int = 1,
-               workers: int = 1,
                table: PrefixTable | None = None) -> MomentReport:
     """The complete 2r-th moment over all q window positions.
 
     parts > 1 splits the lam-range; chunks merge by plain addition, so the
-    partitioned result is bit-identical on the exact path regardless of
-    worker count.
+    partitioned result is bit-identical on the exact path.
     """
     if chi.is_trivial:
         raise TrivialCharacter("moment requires a nontrivial character")
     if r < 1:
         raise ValueError("r must be >= 1")
     q = chi.q
-    if V > q:
-        raise WindowTooLarge(f"V={V} exceeds q={q}")
-    if V < 1:
-        raise ValueError("V must be >= 1")
     table = table if table is not None else chi.prefix
     w = window_array(table, V)
     bounds_idx = np.linspace(0, q, max(parts, 1) + 1).astype(int)
     chunks = [w[a:b] for a, b in zip(bounds_idx[:-1], bounds_idx[1:]) if b > a]
     if table.exact:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                vals = list(pool.map(lambda c: _exact_chunk_moment(c, V, r),
-                                     chunks))
-        else:
-            vals = [_exact_chunk_moment(c, V, r) for c in chunks]
-        moment: int | float = sum(vals)
+        moment: int | float = sum(_exact_chunk_moment(c, V, r) for c in chunks)
         exact = True
     else:
         mags = [np.sum((c.real ** 2 + c.imag ** 2) ** r) for c in chunks]
@@ -122,8 +109,8 @@ def auto_window(r: int, q: int) -> int:
 
 
 def moment_check(q_or_char: int | Character, char_index: int | None = None,
-                 V: int | str = "auto", r: int = 2, parts: int = 1,
-                 workers: int = 1) -> MomentReport:
+                 V: int | str = "auto", r: int = 2,
+                 parts: int = 1) -> MomentReport:
     """Moment plus bound check; adds the q^{3/2} form when V is the auto one."""
     if isinstance(q_or_char, Character):
         chi = q_or_char
@@ -135,7 +122,7 @@ def moment_check(q_or_char: int | Character, char_index: int | None = None,
     q = chi.q
     v_auto = auto_window(r, q)
     v = v_auto if V == "auto" else int(V)
-    report = moment_sum(chi, v, r, parts=parts, workers=workers)
+    report = moment_sum(chi, v, r, parts=parts)
     if v == v_auto:
         spec_bound = (2 * r) ** (2 * r) * q ** 1.5
         report.specialized_bound = spec_bound

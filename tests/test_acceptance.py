@@ -67,7 +67,7 @@ def test_criterion_7_polya_vinogradov():
 def test_criterion_8_moment_performance():
     res = _gate(acceptance.criterion_8())
     assert res.details["elapsed_s"] < 5.0
-    assert res.details["parallel_identical"]
+    assert res.details["partitioned_identical"]
 
 
 def test_criterion_9_refined_scan():

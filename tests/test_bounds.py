@@ -128,6 +128,16 @@ def test_holder_chain_complex_character(mod101):
     chi = mod101.character(4)
     rep = holder_chain(chi, 0, 6, 2)
     assert rep.passed and not rep.exact
+    direct = holder_chain_direct_w(chi, 0, 6, rep.params)
+    assert abs(rep.W - direct) <= 1e-9 * direct
+
+
+def test_holder_chain_w_is_python_int(mod10007):
+    # an int64 W would wrap in W^{2r} at q ~ 10^7 (W^4 ~ 2*10^23)
+    r = 3
+    rep = holder_chain(mod10007.legendre(), 17, 39, r)
+    assert type(rep.W) is int
+    assert rep.holder_lhs == rep.W ** (2 * r)
 
 
 def test_holder_chain_single_unit_rough(mod101):
@@ -158,6 +168,11 @@ def test_extremal_scan_fluctuation(mod101):
     assert res.max_abs_sum >= math.sqrt(10) * 0.3
     assert res.worst_ratio["polya_vinogradov"] < 1.0
     assert res.windows == 91
+
+
+def test_extremal_scan_empty_starts():
+    with pytest.raises(ValueError):
+        extremal_scan(101, 50, 10, [])
 
 
 def test_extremal_scan_conjugation_invariant():

@@ -9,12 +9,12 @@ from burgess.chars import (
     CharValue,
     ComplexSum,
     build_modulus,
-    char_eval,
     find_primitive_root,
     interval_sum,
     is_prime,
     legendre_value_array,
     prefix_table,
+    window_array,
     window_sum,
 )
 from burgess.errors import (
@@ -89,14 +89,14 @@ def test_dlog_is_bijection(mod101):
     assert sorted(int(k) for k in mod101.dlog[1:]) == list(range(100))
 
 
-def test_char_eval_euler_criterion():
+def test_value_euler_criterion():
     mod = build_modulus(7)
     chi = mod.legendre()
-    assert char_eval(chi, 3).as_int() == -1
-    assert char_eval(chi, 2).as_int() == 1
-    assert char_eval(chi, 14).is_zero
+    assert chi(3).as_int() == -1
+    assert chi(2).as_int() == 1
+    assert chi(14).is_zero
     for n in range(1, 14):
-        assert char_eval(chi, n).as_int() == euler_criterion(n, 7)
+        assert chi(n).as_int() == euler_criterion(n, 7)
 
 
 def test_char_value_forms():
@@ -106,8 +106,6 @@ def test_char_value_forms():
     assert v == CharValue(num=2, den=4)  # e(1/2) = -1
     assert v.as_int() == -1
     assert abs(v.as_complex() + 1) < 1e-12
-    assert v.magnitude == 1.0
-    assert chi.value(5).magnitude == 0.0
 
 
 def test_interval_sum_examples():
@@ -160,11 +158,13 @@ def test_prefix_final_entry_zero(mod101, mod1009):
 def test_window_sum_examples():
     mod = build_modulus(5)
     table = prefix_table(mod.legendre())
-    assert window_sum(table, 0, 2).exact_int == 0
-    assert window_sum(table, 4, 2).exact_int == 1  # wraps past q
-    assert window_sum(table, 3, 5).exact_int == 0  # full period
+    assert window_sum(table, 0, 2) == 0
+    assert window_sum(table, 4, 2) == 1  # wraps past q
+    assert window_sum(table, 3, 5) == 0  # full period
     with pytest.raises(WindowTooLarge):
         window_sum(table, 0, 6)
+    with pytest.raises(ValueError):
+        window_sum(table, np.arange(3), 0)
 
 
 def test_window_equals_interval_1000_random(mod101, mod1009):
@@ -175,8 +175,14 @@ def test_window_equals_interval_1000_random(mod101, mod1009):
         for _ in range(1000):
             lam = rng.randint(-2 * mod.q, 2 * mod.q)
             v = rng.randint(1, mod.q)
-            assert (window_sum(table, lam, v).exact_int
-                    == interval_sum(chi, lam, v).exact_int)
+            assert window_sum(table, lam, v) == interval_sum(chi, lam, v).exact_int
+        # the same kernel over an array of starts, one gather
+        lams = [rng.randint(-2 * mod.q, 2 * mod.q) for _ in range(1000)]
+        v = rng.randint(1, mod.q)
+        got = window_sum(table, np.array(lams, dtype=np.int64), v)
+        assert got.dtype == np.int64
+        assert got.tolist() == [interval_sum(chi, lam, v).exact_int
+                                for lam in lams]
 
 
 def test_window_equals_interval_complex(mod101):
@@ -184,11 +190,26 @@ def test_window_equals_interval_complex(mod101):
     chi = mod101.character(5)
     table = prefix_table(chi)
     for _ in range(200):
-        lam = rng.randint(0, 100)
+        lam = rng.randint(-202, 202)
         v = rng.randint(1, 101)
         w = window_sum(table, lam, v)
         s = interval_sum(chi, lam, v)
-        assert abs(w.as_complex() - s.as_complex()) < 1e-9 * v + 1e-12
+        assert abs(w - s.as_complex()) < 1e-9 * v + 1e-12
+    lams = [rng.randint(-202, 202) for _ in range(200)]
+    v = rng.randint(1, 101)
+    got = window_sum(table, np.array(lams, dtype=np.int64), v)
+    assert got.dtype == np.complex128
+    for w, lam in zip(got, lams):
+        assert abs(w - interval_sum(chi, lam, v).as_complex()) < 1e-9 * v + 1e-12
+
+
+def test_window_array_is_window_sum_over_all_starts(mod101):
+    q = mod101.q
+    for chi in (mod101.legendre(), mod101.character(5)):
+        table = prefix_table(chi)
+        for v in (1, q):
+            assert np.array_equal(window_array(table, v),
+                                  window_sum(table, np.arange(1, q + 1), v))
 
 
 def test_multiplicativity_exact_all_pairs_small():
@@ -264,8 +285,9 @@ def test_exact_int_tracks_re(mod101):
 
 def test_legendre_value_array_matches_dlog_path(mod101, mod1009):
     for mod in (mod101, mod1009):
-        assert np.array_equal(legendre_value_array(mod.q),
-                              mod.legendre().values_int)
+        chi = mod.legendre()
+        assert legendre_value_array(mod.q).tolist() == [
+            chi.value(n).as_int() for n in range(mod.q)]
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())

@@ -8,7 +8,7 @@ from burgess import cli
 
 # Public operations of the library, one owner subcommand each.
 OPERATION_REGISTRY = {
-    "find_primitive_root", "build_modulus", "char_eval", "interval_sum",
+    "find_primitive_root", "build_modulus", "interval_sum",
     "prefix_table", "window_sum",
     "build_spf", "primes_below", "mertens_product",
     "enumerate_rough", "count_rough_divisible", "rough_density_ratio",
@@ -140,6 +140,19 @@ def test_config_rejects_unknown_key(tmp_path):
     with pytest.raises(ValueError):
         cli.load_config(str(bad))
     assert cli.main(["scan", "--config", str(bad)]) == 2
+
+
+def test_empty_scan_exit_2(capsys):
+    assert cli.main(["scan", "--q", "101", "--M-spec", "random:0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_empty_sweep_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "none.cfg"
+    cfg.write_text("primes = 101\nchar_spec = orders-dividing:1\n")
+    for cmd in ("scan", "moments", "holder"):
+        assert cli.main([cmd, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_config_defaults_runnable(tmp_path, capsys):

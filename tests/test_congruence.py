@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -64,7 +65,6 @@ def test_no_wraparound_matches_integer_products():
     inst = make_instance(97, 0, 9, 2, 8)
     assert inst.hypotheses["UN_le_q"]
     pairs = [(n, u) for n in range(1, 10) for u in inst.rough]
-    from collections import Counter
     products = Counter(n * u for n, u in pairs)
     integer_count = sum(c * c for c in products.values())
     assert congruence_count(inst).I_value == integer_count
@@ -78,7 +78,12 @@ def test_first_moment_is_bucket_identity():
                              rng.choice([2, 3, 5]), rng.randint(1, min(9, q - 1)))
         dist = collision_distribution(inst)
         assert dist.first_moment == inst.N * inst.rough.count
-        assert sum(dist.counts.values()) == dist.first_moment
+        assert int(dist.counts.sum()) == dist.first_moment
+        # one entry per lambda bucket, as a per-pair count gives them
+        buckets = Counter((n * pow(u, -1, q)) % q
+                          for n in range(inst.M + 1, inst.M + inst.N + 1)
+                          for u in inst.rough)
+        assert dict(zip(dist.lams.tolist(), dist.counts.tolist())) == buckets
 
 
 def test_second_moment_lower_bounds():

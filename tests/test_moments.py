@@ -102,7 +102,6 @@ def test_partition_bit_identical(mod101):
     base = moment_sum(chi, 6, 2)
     for parts in (2, 3, 8):
         assert moment_sum(chi, 6, 2, parts=parts).moment == base.moment
-    assert moment_sum(chi, 6, 2, parts=4, workers=4).moment == base.moment
 
 
 def test_weil_bound_examples():
