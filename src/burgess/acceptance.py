@@ -67,13 +67,15 @@ def _timed(cid: int, name: str, fn,
 
 
 def _full_period_ok(chi: Character, starts) -> bool:
+    """Orthogonality, read off q - 1 gathered values: the sum over
+    (m, m + q - 1] misses only the residue m, so it equals -chi(m)."""
     q = chi.q
     for m in starts:
-        s = interval_sum(chi, m, q)
+        s = interval_sum(chi, m, q - 1)
         if chi.is_quadratic:
-            if s.exact_int != 0:
+            if s.exact_int != -chi(m).as_int():
                 return False
-        elif s.abs() > 1e-9 * q:
+        elif abs(s.as_complex() + chi(m).as_complex()) > 1e-9 * q:
             return False
     return True
 

@@ -30,9 +30,6 @@ from .errors import (
 
 DEFAULT_TABLE_LIMIT = 1 << 26
 
-# Relative rounding budget per summand on the floating (non-quadratic) path.
-FLOAT_EPS = 1e-9
-
 
 def table_limit() -> int:
     """Discrete-log table cap; BURGESS_TABLE_LIMIT overrides the default."""

@@ -1,21 +1,29 @@
 """Command-line front end: every library operation behind a subcommand.
 
-Records are emitted as JSON Lines by default (one record per line, schema
-field = 1) or flattened CSV with --format csv.  Identical config + seed
-produces byte-identical output apart from the timing fields.  Exit codes:
-0 success, 1 an inequality or invariant check failed, 2 invalid input.
+Each subcommand is a generator ``run_<name>(args, cfg)``, bound on its
+subparser, that yields one ``(inputs, outputs, passes)`` triple per record.
+Records are JSON Lines by default (schema field = 1), each written and
+flushed as soon as it is produced, so a crash mid-sweep keeps every finished
+record; --format csv flattens the same fields and is written at the end.
+Sweeps run in canonical (q, r, char index, M) order.  Identical config + seed
+gives byte-identical output apart from ``timings.elapsed_s``, the seconds
+spent producing that record.  Exit codes: 0 success, 1 an inequality or
+invariant check failed, 2 invalid input, 3 unexpected error (traceback on
+stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import random
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -26,27 +34,6 @@ from . import chars, congruence, moments, sieve
 from .errors import BurgessError
 
 SCHEMA = 1
-
-SUBCOMMANDS = ("sum", "scan", "moments", "sieve", "rough", "congruence",
-               "holder", "bounds", "nonresidue", "verify")
-
-# Canonical owner subcommand for every library operation; the CLI coverage
-# test checks this is a partition of the public operation registry.
-COMMAND_TABLE: dict[str, tuple[str, ...]] = {
-    "sum": ("find_primitive_root", "build_modulus", "interval_sum",
-            "prefix_table", "window_sum"),
-    "scan": ("extremal_scan",),
-    "moments": ("moment_sum", "weil_bound", "moment_check"),
-    "sieve": ("build_spf", "primes_below", "mertens_product"),
-    "rough": ("enumerate_rough", "count_rough_divisible",
-              "rough_density_ratio"),
-    "congruence": ("collision_distribution", "congruence_count",
-                   "brute_force_congruence_count", "pair_collision_count"),
-    "holder": ("holder_chain",),
-    "bounds": ("derive_params", "bound_value"),
-    "nonresidue": ("least_nonresidue", "nonresidue_max_gap"),
-    "verify": ("run_acceptance",),
-}
 
 
 @dataclass
@@ -156,14 +143,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 def jsonable(obj):
     """Coerce numpy scalars/arrays and dataclasses into JSON-safe values."""
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, np.ndarray):
-        return [jsonable(x) for x in obj.tolist()]
+        return jsonable(obj.tolist())
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -175,22 +158,10 @@ def jsonable(obj):
 
 def make_record(command: str, inputs: dict, outputs: dict, passes: dict,
                 elapsed: float, config_hash: str) -> dict:
-    return {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": command,
-        "config_hash": config_hash,
-        "inputs": jsonable(inputs),
-        "outputs": jsonable(outputs),
-        "passes": jsonable(passes),
-        "timings": {"elapsed_s": elapsed},
-    }
-
-
-def record_sort_key(rec: dict):
-    ins = rec.get("inputs", {})
-    return (ins.get("q", 0), ins.get("r", 0), ins.get("M", 0),
-            rec.get("command", ""))
+    return {"schema": SCHEMA, "version": __version__, "command": command,
+            "config_hash": config_hash, "inputs": jsonable(inputs),
+            "outputs": jsonable(outputs), "passes": jsonable(passes),
+            "timings": {"elapsed_s": elapsed}}
 
 
 def flatten_record(rec: dict, prefix: str = "") -> dict:
@@ -206,23 +177,189 @@ def flatten_record(rec: dict, prefix: str = "") -> dict:
     return flat
 
 
-def emit(records: list[dict], fmt: str, out) -> None:
-    if fmt == "jsonl":
-        for rec in records:
-            out.write(json.dumps(rec, sort_keys=True) + "\n")
-        return
+def write_csv(records: list[dict], out) -> None:
     flats = [flatten_record(r) for r in records]
     header = sorted({k for f in flats for k in f})
     writer = csv.DictWriter(out, fieldnames=header)
     writer.writeheader()
-    for f in flats:
-        writer.writerow(f)
+    writer.writerows(flats)
 
 
-def _char_for(args, mod: chars.PrimeModulus) -> chars.Character:
-    if getattr(args, "index", None) is not None:
-        return mod.character(args.index)
-    return mod.legendre()
+def _sweep_cells(args, cfg: ExperimentConfig):
+    """(q, chi-index, r, N, M-list) cells in (q, r, chi-index) order."""
+    primes = (parse_primes_spec(args.primes) if args.primes
+              else [args.q] if args.q else cfg.primes)
+    r_values = [args.r] if args.r else cfg.r_values
+    n_spec = getattr(args, "N", None) or cfg.N_spec
+    m_spec = getattr(args, "m_spec", None) or cfg.M_spec
+    char_spec = (f"index:{args.index}" if args.index is not None
+                 else "legendre" if args.legendre else cfg.char_spec)
+    for q in sorted(primes):
+        n = parse_n_spec(str(n_spec), q)
+        for r in sorted(r_values):
+            for m_idx in char_indices(char_spec, q):
+                rng = random.Random(f"{cfg.seed}:{q}:{m_idx}:{r}:{n}")
+                yield q, m_idx, r, n, parse_m_spec(m_spec, q, rng)
+
+
+def run_sum(args, cfg):
+    mod = chars.build_modulus(args.q)
+    chi = mod.legendre() if args.index is None else mod.character(args.index)
+    n = parse_n_spec(args.N if args.N is not None else str(args.q), args.q)
+    s = chars.interval_sum(chi, args.M, n)
+    yield ({"q": args.q, "char_index": chi.index, "M": args.M, "N": n},
+           {"re": s.re, "im": s.im, "exact_int": s.exact_int,
+            "abs": s.abs(), "order": chi.order},
+           {})
+
+
+def run_scan(args, cfg):
+    # M values keep their given order: argmax_M is the first tied maximum.
+    for q, m_idx, r, n, m_values in _sweep_cells(args, cfg):
+        res = bnd.extremal_scan(q, m_idx, n, m_values, r=r)
+        yield ({"q": q, "char_index": m_idx, "r": r, "N": n,
+                "M_count": len(m_values)},
+               {"windows": res.windows, "max_abs_sum": res.max_abs_sum,
+                "argmax_M": res.argmax_M, "worst_ratio": res.worst_ratio},
+               {"pv_below_one": res.worst_ratio["polya_vinogradov"] < 1.0})
+
+
+def run_moments(args, cfg):
+    for q, m_idx, r, _, _ in _sweep_cells(args, cfg):
+        report = moments.moment_check(q, m_idx, V=args.V, r=r,
+                                      parts=args.parts)
+        yield ({"q": q, "char_index": m_idx, "r": r, "V": report.V},
+               {"moment": report.moment, "bound": report.bound,
+                "margin": report.margin, "exact": report.exact,
+                "specialized_bound": report.specialized_bound},
+               {"moment_le_bound": report.passed,
+                "specialized": report.specialized_passed})
+
+
+def run_sieve(args, cfg):
+    mv = sieve.mertens_product(args.z)
+    out = {"primes": sieve.primes_below(args.z),
+           "primorial": sieve.primorial(args.z),
+           "mertens": mv.value,
+           "mertens_exact": str(mv.exact) if mv.exact is not None else None}
+    if args.spf is not None:
+        table = sieve.build_spf(max(args.spf, 2))
+        out["spf_n"] = args.spf
+        out["spf"] = table.smallest_factor(args.spf)
+    yield {"z": args.z}, out, {}
+
+
+def run_rough(args, cfg):
+    rs = sieve.enumerate_rough(args.z, args.U)
+    out = {"count": rs.count,
+           "members_head": [int(x) for x in rs.members[:50]]}
+    passes = {}
+    if args.t is not None:
+        out["divisible_by_t"] = sieve.count_rough_divisible(
+            args.z, args.U, args.t, rough=rs)
+        out["t"] = args.t
+    if args.ratio:
+        ratio = sieve.rough_density_ratio(
+            args.z, args.U, C=args.C if args.C is not None else cfg.C)
+        out["density_ratio"] = ratio
+        passes["ratio_in_bracket"] = 0.3 <= ratio <= 3.0
+    yield {"z": args.z, "U": args.U}, out, passes
+
+
+def run_congruence(args, cfg):
+    if (args.u1 is None) != (args.u2 is None):
+        raise ValueError("--u1 and --u2 must be given together")
+    n = parse_n_spec(args.N if args.N is not None else "q^0.45", args.q)
+    if args.u1 is not None:
+        count = congruence.pair_collision_count(args.u1, args.u2,
+                                                args.M, n, args.q)
+        yield ({"q": args.q, "M": args.M, "N": n,
+                "u1": args.u1, "u2": args.u2},
+               {"pair_count": count}, {})
+        return
+    params = bnd.resolve_params(n, args.q, 2)
+    z = args.z if args.z is not None else (cfg.z or params.z)
+    u = args.U if args.U is not None else (cfg.U or params.U)
+    rs = sieve.enumerate_rough(z, u)
+    inst = congruence.CollisionInstance(
+        q=args.q, M=args.M, N=n, rough=rs,
+        A=args.A if args.A is not None else cfg.A)
+    report = congruence.congruence_count(inst)
+    dist = congruence.collision_distribution(inst)
+    passes = {"first_moment_identity": dist.first_moment == n * rs.count,
+              "second_moment_identity":
+              dist.second_moment == report.I_value}
+    if args.brute:
+        passes["oracle_match"] = (
+            congruence.brute_force_congruence_count(inst) == report.I_value)
+    yield ({"q": args.q, "M": args.M, "N": n, "z": z, "U": u, "A": inst.A},
+           {"I_value": report.I_value, "diagonal": report.diagonal,
+            "bound": report.bound, "ratio": report.ratio,
+            "rough_count": rs.count,
+            "hypotheses": inst.hypotheses,
+            "in_hypothesis": report.in_hypothesis},
+           passes)
+
+
+def run_holder(args, cfg):
+    overrides = {k: getattr(args, k) if getattr(args, k) is not None
+                 else getattr(cfg, k) for k in ("z", "U", "V")}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    for q, m_idx, r, n, m_values in _sweep_cells(args, cfg):
+        override = None
+        if overrides:
+            override = dataclasses.replace(
+                bnd.resolve_params(n, q, r), **overrides,
+                degenerate=False, source="override")
+        chi = chars.build_modulus(q).character(m_idx)
+        for m in sorted(m_values):
+            report = bnd.holder_chain(chi, m, n, r, params=override, A=cfg.A)
+            p = report.params
+            outputs = {"U": p.U, "V": p.V, "z": p.z, "params_source": p.source}
+            outputs.update({k: getattr(report, k) for k in (
+                "rough_count", "W", "first_moment", "second_moment",
+                "moment2r", "holder_lhs", "holder_rhs", "exact")})
+            yield ({"q": q, "char_index": m_idx, "r": r, "N": n, "M": m},
+                   outputs, {"holder": report.passed})
+
+
+def run_bounds(args, cfg):
+    n = parse_n_spec(args.N if args.N is not None else "q^0.5", args.q)
+    params = bnd.derive_params(n, args.q, args.r)
+    values = {}
+    for name in bnd.VARIANTS if args.variant == "all" else (args.variant,):
+        rv = None if name in ("polya_vinogradov", "grh",
+                              "mv_loglog") else args.r
+        values[name] = bnd.bound_value(
+            name, n, args.q, r=rv, grh_delta=args.grh_delta).value
+    ordered = [values[v] for v in
+               ("refined_14r", "ik_12r", "ik_1r", "burgess_classic")
+               if v in values]
+    yield ({"q": args.q, "N": n, "r": args.r, "grh_delta": args.grh_delta},
+           {"U": params.U, "V": params.V, "z": params.z,
+            "degenerate": params.degenerate,
+            "in_refined_range": params.in_refined_range,
+            "bounds": values},
+           {"variant_ordering":
+            all(a <= b for a, b in zip(ordered, ordered[1:]))})
+
+
+def run_nonresidue(args, cfg):
+    least = bnd.least_nonresidue(args.q)
+    gap, start = bnd.nonresidue_max_gap(args.q)
+    yield ({"q": args.q},
+           {"least": least, "max_gap": gap, "gap_start": start},
+           {"least_within_first_gap": least <= start + gap})
+
+
+def run_verify(args, cfg):
+    from . import acceptance
+    for res in acceptance.run_suite(args.suite):
+        print(acceptance.format_line(res), file=sys.stderr)
+        yield ({"suite": args.suite, "criterion": res.cid},
+               {"name": res.name, "details": res.details,
+                "elapsed_s": res.elapsed},
+               {"criterion": res.passed})
 
 
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
@@ -238,8 +375,19 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "N" in names:
         p.add_argument("--N", type=str, default=None,
                        help="window length, absolute or q-power like q^0.4")
-    if "r" in names:
-        p.add_argument("--r", type=int, default=2)
+
+
+def _add_sweep(p: argparse.ArgumentParser, windows: bool = True) -> None:
+    """Cell arguments of scan/moments/holder; unset ones come from --config."""
+    p.add_argument("--primes", type=str, default=None,
+                   help="comma list or a..b range of primes (default: --q)")
+    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--r", type=int, default=None,
+                   help="moment exponent (default: config r_values)")
+    _add_common(p, "char", *(("N",) if windows else ()))
+    if windows:
+        p.add_argument("--M-spec", dest="m_spec", type=str, default=None,
+                       help="list, a..b[:step], or random:k starts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,34 +404,31 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config seed")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, run, **kw):
+        p = sub.add_parser(name, parents=[common], **kw)
+        p.set_defaults(run=run)
+        return p
 
-    p = add_parser("sum", help="one short interval sum")
+    p = add_parser("sum", run_sum, help="one short interval sum")
     _add_common(p, "q", "char", "M", "N")
 
-    p = add_parser("scan", help="max |sum| over many window starts")
-    p.add_argument("--primes", type=str, default=None,
-                   help="comma list or a..b range of primes (default: --q)")
-    p.add_argument("--q", type=int, default=None)
-    _add_common(p, "char", "N", "r")
-    p.add_argument("--M-spec", dest="m_spec", type=str, default=None,
-                   help="list, a..b[:step], or random:k starts")
+    p = add_parser("scan", run_scan, help="max |sum| over many window starts")
+    _add_sweep(p)
 
-    p = add_parser("moments", help="complete 2r-th moment and its bound")
-    p.add_argument("--primes", type=str, default=None)
-    p.add_argument("--q", type=int, default=None)
-    _add_common(p, "char", "r")
+    p = add_parser("moments", run_moments,
+                   help="complete 2r-th moment and its bound")
+    _add_sweep(p, windows=False)
     p.add_argument("--V", type=str, default="auto",
                    help="window length or 'auto' for floor(r q^{1/2r})")
     p.add_argument("--parts", type=int, default=1)
 
-    p = add_parser("sieve", help="primorial primes and Mertens product")
+    p = add_parser("sieve", run_sieve,
+                   help="primorial primes and Mertens product")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--spf", type=int, default=None,
                    help="also build an spf table and report spf(n)")
 
-    p = add_parser("rough", help="z-rough set over [1, U]")
+    p = add_parser("rough", run_rough, help="z-rough set over [1, U]")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--U", type=int, required=True)
     p.add_argument("--t", type=int, default=None,
@@ -292,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report count * log z / U under the z^C <= U guard")
     p.add_argument("--C", type=float, default=None)
 
-    p = add_parser("congruence", help="collision count over a window")
+    p = add_parser("congruence", run_congruence,
+                   help="collision count over a window")
     _add_common(p, "q", "M", "N")
     p.add_argument("--z", type=float, default=None)
     p.add_argument("--U", type=int, default=None)
@@ -303,255 +449,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u2", type=int, default=None,
                    help="with --u1: pairwise collision count instead")
 
-    p = add_parser("holder", help="the averaging inequality chain")
-    p.add_argument("--primes", type=str, default=None)
-    p.add_argument("--q", type=int, default=None)
-    _add_common(p, "char", "N", "r")
-    p.add_argument("--M-spec", dest="m_spec", type=str, default=None)
+    p = add_parser("holder", run_holder,
+                   help="the averaging inequality chain")
+    _add_sweep(p)
     p.add_argument("--z", type=float, default=None)
     p.add_argument("--U", type=int, default=None)
     p.add_argument("--V", type=int, default=None)
 
-    p = add_parser("bounds", help="comparison bound shape values")
-    _add_common(p, "q", "N", "r")
+    p = add_parser("bounds", run_bounds, help="comparison bound shape values")
+    _add_common(p, "q", "N")
+    p.add_argument("--r", type=int, default=2)
     p.add_argument("--variant", default="all",
                    choices=("all",) + bnd.VARIANTS)
     p.add_argument("--grh-delta", type=float, default=bnd.GRH_DELTA_DEFAULT)
 
-    p = add_parser("nonresidue", help="least nonresidue and longest run")
+    p = add_parser("nonresidue", run_nonresidue,
+                   help="least nonresidue and longest run")
     p.add_argument("--q", type=int, required=True)
 
-    p = add_parser("verify", help="run the acceptance suite")
+    p = add_parser("verify", run_verify, help="run the acceptance suite")
     p.add_argument("--suite", choices=("small", "full"), default="small")
     return ap
 
 
-def _resolve_cells(args, cfg: ExperimentConfig):
-    """(q, chi-index, r, N, M-list) cells for sweep subcommands."""
-    if getattr(args, "primes", None):
-        primes = parse_primes_spec(args.primes)
-    elif getattr(args, "q", None):
-        primes = [args.q]
-    else:
-        primes = cfg.primes
-    r_values = [args.r] if getattr(args, "r", None) else cfg.r_values
-    n_spec = getattr(args, "N", None) or cfg.N_spec
-    m_spec = getattr(args, "m_spec", None) or cfg.M_spec
-    if getattr(args, "index", None) is not None:
-        char_spec = f"index:{args.index}"
-    elif getattr(args, "legendre", False):
-        char_spec = "legendre"
-    else:
-        char_spec = cfg.char_spec
-    for q in primes:
-        n = parse_n_spec(str(n_spec), q)
-        for m_idx in char_indices(char_spec, q):
-            for r in r_values:
-                rng = random.Random(f"{cfg.seed}:{q}:{m_idx}:{r}:{n}")
-                yield q, m_idx, r, n, parse_m_spec(m_spec, q, rng)
-
-
 def run_subcommand(argv: list[str]) -> tuple[int, list[dict]]:
-    """Execute one subcommand: run the mapped operations, write the records
-    in the selected format, and return (exit code, records)."""
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one subcommand, streaming its records; return (code, records)."""
+    args = build_parser().parse_args(argv)
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg.seed = args.seed
     chash = cfg.hash()
     records: list[dict] = []
-    t0 = time.perf_counter()
-
-    def rec(command, inputs, outputs, passes=None):
-        records.append(make_record(command, inputs, outputs, passes or {},
-                                   time.perf_counter() - t0, chash))
-
-    if args.cmd == "sum":
-        mod = chars.build_modulus(args.q)
-        chi = _char_for(args, mod)
-        n = parse_n_spec(args.N if args.N is not None else str(args.q), args.q)
-        s = chars.interval_sum(chi, args.M, n)
-        rec("sum",
-            {"q": args.q, "char_index": chi.index, "M": args.M, "N": n},
-            {"re": s.re, "im": s.im, "exact_int": s.exact_int,
-             "abs": s.abs(), "order": chi.order})
-
-    elif args.cmd == "scan":
-        for q, m_idx, r, n, m_values in _resolve_cells(args, cfg):
-            res = bnd.extremal_scan(q, m_idx, n, m_values, r=r)
-            rec("scan",
-                {"q": q, "char_index": m_idx, "r": r, "N": n,
-                 "M_count": len(m_values)},
-                {"windows": res.windows, "max_abs_sum": res.max_abs_sum,
-                 "argmax_M": res.argmax_M, "worst_ratio": res.worst_ratio},
-                {"pv_below_one": res.worst_ratio["polya_vinogradov"] < 1.0})
-
-    elif args.cmd == "moments":
-        for q, m_idx, r, _, _ in _resolve_cells(args, cfg):
-            report = moments.moment_check(q, m_idx, V=args.V, r=r,
-                                          parts=args.parts)
-            rec("moments",
-                {"q": q, "char_index": m_idx, "r": r, "V": report.V},
-                {"moment": report.moment, "bound": report.bound,
-                 "margin": report.margin, "exact": report.exact,
-                 "specialized_bound": report.specialized_bound},
-                {"moment_le_bound": report.passed,
-                 "specialized": report.specialized_passed})
-
-    elif args.cmd == "sieve":
-        ps = sieve.primes_below(args.z)
-        mv = sieve.mertens_product(args.z)
-        out = {"primes": ps, "primorial": sieve.primorial(args.z),
-               "mertens": mv.value,
-               "mertens_exact": str(mv.exact) if mv.exact is not None else None}
-        if args.spf is not None:
-            table = sieve.build_spf(max(args.spf, 2))
-            out["spf_n"] = args.spf
-            out["spf"] = table.smallest_factor(args.spf)
-        rec("sieve", {"z": args.z}, out)
-
-    elif args.cmd == "rough":
-        rs = sieve.enumerate_rough(args.z, args.U)
-        out = {"count": rs.count,
-               "members_head": [int(x) for x in rs.members[:50]]}
-        passes = {}
-        if args.t is not None:
-            out["divisible_by_t"] = sieve.count_rough_divisible(
-                args.z, args.U, args.t, rough=rs)
-            out["t"] = args.t
-        if args.ratio:
-            ratio = sieve.rough_density_ratio(
-                args.z, args.U, C=args.C if args.C is not None else cfg.C)
-            out["density_ratio"] = ratio
-            passes["ratio_in_bracket"] = 0.3 <= ratio <= 3.0
-        rec("rough", {"z": args.z, "U": args.U}, out, passes)
-
-    elif args.cmd == "congruence":
-        if (args.u1 is None) != (args.u2 is None):
-            ap.error("--u1 and --u2 must be given together")
-        n = parse_n_spec(args.N if args.N is not None else "q^0.45", args.q)
-        if args.u1 is not None:
-            count = congruence.pair_collision_count(args.u1, args.u2,
-                                                    args.M, n, args.q)
-            rec("congruence",
-                {"q": args.q, "M": args.M, "N": n,
-                 "u1": args.u1, "u2": args.u2},
-                {"pair_count": count})
-        else:
-            params = bnd.resolve_params(n, args.q, 2)
-            z = args.z if args.z is not None else (cfg.z or params.z)
-            u = args.U if args.U is not None else (cfg.U or params.U)
-            rs = sieve.enumerate_rough(z, u)
-            inst = congruence.CollisionInstance(
-                q=args.q, M=args.M, N=n, rough=rs,
-                A=args.A if args.A is not None else cfg.A)
-            report = congruence.congruence_count(inst)
-            dist = congruence.collision_distribution(inst)
-            passes = {"first_moment_identity":
-                      dist.first_moment == n * rs.count,
-                      "second_moment_identity":
-                      dist.second_moment == report.I_value}
-            if args.brute:
-                passes["oracle_match"] = (
-                    congruence.brute_force_congruence_count(inst)
-                    == report.I_value)
-            rec("congruence",
-                {"q": args.q, "M": args.M, "N": n, "z": z, "U": u,
-                 "A": inst.A},
-                {"I_value": report.I_value, "diagonal": report.diagonal,
-                 "bound": report.bound, "ratio": report.ratio,
-                 "rough_count": rs.count,
-                 "hypotheses": inst.hypotheses,
-                 "in_hypothesis": report.in_hypothesis},
-                passes)
-
-    elif args.cmd == "holder":
-        for q, m_idx, r, n, m_values in _resolve_cells(args, cfg):
-            override = None
-            z_o = args.z if args.z is not None else cfg.z
-            u_o = args.U if args.U is not None else cfg.U
-            v_o = args.V if args.V is not None else cfg.V
-            if z_o is not None or u_o is not None or v_o is not None:
-                base = bnd.resolve_params(n, q, r)
-                override = bnd.BurgessParams(
-                    N=n, q=q, r=r,
-                    U=u_o if u_o is not None else base.U,
-                    V=v_o if v_o is not None else base.V,
-                    z=z_o if z_o is not None else base.z,
-                    degenerate=False,
-                    in_refined_range=base.in_refined_range,
-                    source="override")
-            mod = chars.build_modulus(q)
-            chi = mod.character(m_idx)
-            for m in m_values:
-                report = bnd.holder_chain(chi, m, n, r, params=override,
-                                          A=cfg.A)
-                rec("holder",
-                    {"q": q, "char_index": m_idx, "r": r, "N": n, "M": m},
-                    {"U": report.params.U, "V": report.params.V,
-                     "z": report.params.z,
-                     "params_source": report.params.source,
-                     "rough_count": report.rough_count, "W": report.W,
-                     "first_moment": report.first_moment,
-                     "second_moment": report.second_moment,
-                     "moment2r": report.moment2r,
-                     "holder_lhs": report.holder_lhs,
-                     "holder_rhs": report.holder_rhs,
-                     "exact": report.exact},
-                    {"holder": report.passed})
-
-    elif args.cmd == "bounds":
-        n = parse_n_spec(args.N if args.N is not None else "q^0.5", args.q)
-        params = bnd.derive_params(n, args.q, args.r)
-        out = {"U": params.U, "V": params.V, "z": params.z,
-               "degenerate": params.degenerate,
-               "in_refined_range": params.in_refined_range,
-               "bounds": {}}
-        names = bnd.VARIANTS if args.variant == "all" else (args.variant,)
-        for name in names:
-            rv = None if name in ("polya_vinogradov", "grh",
-                                  "mv_loglog") else args.r
-            out["bounds"][name] = bnd.bound_value(
-                name, n, args.q, r=rv, grh_delta=args.grh_delta).value
-        ordered = [out["bounds"][v] for v in
-                   ("refined_14r", "ik_12r", "ik_1r", "burgess_classic")
-                   if v in out["bounds"]]
-        passes = {"variant_ordering":
-                  all(a <= b for a, b in zip(ordered, ordered[1:]))}
-        rec("bounds", {"q": args.q, "N": n, "r": args.r,
-                       "grh_delta": args.grh_delta}, out, passes)
-
-    elif args.cmd == "nonresidue":
-        least = bnd.least_nonresidue(args.q)
-        gap, start = bnd.nonresidue_max_gap(args.q)
-        rec("nonresidue", {"q": args.q},
-            {"least": least, "max_gap": gap, "gap_start": start},
-            {"least_within_first_gap": least <= start + gap})
-
-    elif args.cmd == "verify":
-        from . import acceptance
-        results = acceptance.run_suite(args.suite)
-        for res in results:
-            print(acceptance.format_line(res), file=sys.stderr)
-            rec("verify",
-                {"suite": args.suite, "criterion": res.cid},
-                {"name": res.name, "details": res.details,
-                 "elapsed_s": res.elapsed},
-                {"criterion": res.passed})
-
-    if not records:
-        raise ValueError(f"{args.cmd}: the sweep resolved to no cells or "
-                         "window starts")
-    records.sort(key=record_sort_key)
+    out = None  # opened at the first record; a run with none writes none
+    try:
+        t0 = time.perf_counter()
+        for inputs, outputs, passes in args.run(args, cfg):
+            records.append(make_record(args.cmd, inputs, outputs, passes,
+                                       time.perf_counter() - t0, chash))
+            if out is None:
+                out = (sys.stdout if args.output == "-"
+                       else open(args.output, "w"))
+            if args.format == "jsonl":
+                out.write(json.dumps(records[-1], sort_keys=True) + "\n")
+                out.flush()
+            t0 = time.perf_counter()
+        if not records:
+            raise ValueError(f"{args.cmd}: the sweep resolved to no cells or "
+                             "window starts")
+        if args.format == "csv":
+            write_csv(records, out)
+    finally:
+        if out not in (None, sys.stdout):
+            out.close()
     failed = any(not ok for r in records
                  for ok in r["passes"].values() if ok is not None)
-    out = sys.stdout if args.output == "-" else open(args.output, "w")
-    try:
-        emit(records, args.format, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return (1 if failed else 0), records
 
 
@@ -564,6 +515,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BurgessError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     return code
 
 

@@ -34,12 +34,6 @@ class SpfTable:
             raise ValueError(f"{n} outside table range [2, {self.limit}]")
         return int(self.spf[n])
 
-    def is_rough(self, n: int, z: float) -> bool:
-        """True iff n has no prime factor below z (always true for n = 1)."""
-        if n == 1:
-            return True
-        return self.smallest_factor(n) >= z
-
 
 def build_spf(limit: int) -> SpfTable:
     """Sieve the smallest-prime-factor table up to limit."""

@@ -6,18 +6,21 @@ import pytest
 
 from burgess import cli
 
-# Public operations of the library, one owner subcommand each.
-OPERATION_REGISTRY = {
-    "find_primitive_root", "build_modulus", "interval_sum",
-    "prefix_table", "window_sum",
-    "build_spf", "primes_below", "mertens_product",
-    "enumerate_rough", "count_rough_divisible", "rough_density_ratio",
-    "collision_distribution", "congruence_count",
-    "brute_force_congruence_count", "pair_collision_count",
-    "moment_sum", "weil_bound", "moment_check",
-    "derive_params", "bound_value", "holder_chain", "extremal_scan",
-    "least_nonresidue", "nonresidue_max_gap",
-    "run_acceptance",
+# One small-q invocation per subcommand (the README examples, scaled down).
+SMOKE_ARGV = {
+    "sum": ["--q", "101", "--legendre", "--M", "0", "--N", "101"],
+    "scan": ["--q", "1009", "--N", "q^0.4", "--M-spec", "random:5"],
+    "moments": ["--q", "101", "--legendre", "--r", "2", "--V", "auto"],
+    "sieve": ["--z", "11"],
+    "rough": ["--z", "10", "--U", "10000", "--t", "11", "--ratio",
+              "--C", "4"],
+    "congruence": ["--q", "1009", "--M", "0", "--N", "q^0.45",
+                   "--brute-force"],
+    "holder": ["--q", "1009", "--r", "2", "--N", "q^0.4",
+               "--M-spec", "random:3"],
+    "bounds": ["--q", "1009", "--N", "500", "--r", "2"],
+    "nonresidue": ["--q", "1009"],
+    "verify": ["--suite", "small"],
 }
 
 
@@ -50,6 +53,7 @@ def test_invalid_input_exit_2():
     assert cli.main(["sum", "--q", "12", "--M", "0", "--N", "5"]) == 2
     assert cli.main(["sum"]) == 2  # missing --q
     assert cli.main(["bounds", "--q", "101", "--variant", "bogus"]) == 2
+    assert cli.main(["congruence", "--q", "101", "--u1", "3"]) == 2
 
 
 def test_verify_small_suite(capsys):
@@ -60,14 +64,13 @@ def test_verify_small_suite(capsys):
     assert criteria == sorted(criteria)
 
 
-def test_every_subcommand_exists():
-    assert set(cli.COMMAND_TABLE) == set(cli.SUBCOMMANDS)
-
-
-def test_command_table_partitions_registry():
-    owned = [op for ops in cli.COMMAND_TABLE.values() for op in ops]
-    assert len(owned) == len(set(owned))  # exactly one subcommand each
-    assert set(owned) == OPERATION_REGISTRY
+@pytest.mark.parametrize("name", sorted(SMOKE_ARGV))
+def test_subcommand_smoke(name, capsys):
+    code, records, out = run([name] + SMOKE_ARGV[name], capsys)
+    assert code == 0
+    assert records
+    assert all(r["command"] == name for r in records)
+    assert [json.loads(line) for line in out.splitlines()] == records
 
 
 def test_determinism_modulo_timings(capsys):
@@ -106,13 +109,33 @@ def test_csv_and_jsonl_schema_parity(capsys):
     assert set(row) == set(flat)
 
 
-def test_records_sorted_on_q_r_m(capsys):
+def test_records_sorted_on_q_r_m(tmp_path, capsys):
     argv = ["holder", "--primes", "1009,101", "--r", "2",
             "--N", "q^0.4", "--M-spec", "5,1", "--V", "6"]
     _, records, _ = run(argv, capsys)
     keys = [(r["inputs"]["q"], r["inputs"]["r"], r["inputs"]["M"])
             for r in records]
     assert keys == sorted(keys)
+    # several characters per q: grouped by character within each (q, r)
+    cfg = tmp_path / "cubic.cfg"
+    cfg.write_text("char_spec = orders-dividing:3\n")
+    _, records, _ = run(["holder", "--config", str(cfg),
+                         "--primes", "1009,103"] + argv[3:], capsys)
+    keys = [tuple(r["inputs"][k] for k in ("q", "r", "char_index", "M"))
+            for r in records]
+    assert keys == sorted(keys)
+    assert {k[:3] for k in keys} == {(103, 2, 34), (103, 2, 68),
+                                     (1009, 2, 336), (1009, 2, 672)}
+    assert len(keys) == 8
+
+
+def test_config_r_values_reach_sweeps(tmp_path, capsys):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("primes = 101\nr_values = 3,2\nM_spec = 1,5\n")
+    for cmd in ("scan", "moments", "holder"):
+        _, records, _ = run([cmd, "--config", str(cfg)], capsys)
+        rs = [r["inputs"]["r"] for r in records]
+        assert list(dict.fromkeys(rs)) == [2, 3], cmd
 
 
 def test_config_file_roundtrip(tmp_path, capsys):
@@ -196,6 +219,27 @@ def test_failed_check_maps_to_exit_1(monkeypatch, capsys):
     assert records[0]["passes"]["criterion"] is False
 
 
+def test_crash_exit_3_keeps_streamed_records(tmp_path, monkeypatch, capsys):
+    real = cli.bnd.holder_chain
+    calls = []
+
+    def crash_on_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise AssertionError("planted failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.bnd, "holder_chain", crash_on_second)
+    out = tmp_path / "res.jsonl"
+    code = cli.main(["holder", "--q", "1009", "--M-spec", "1,5,9",
+                     "--output", str(out)])
+    assert code == 3
+    assert "AssertionError: planted failure" in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["inputs"]["M"] == 1
+
+
 def test_output_file(tmp_path, capsys):
     out = tmp_path / "res.jsonl"
     code, _ = cli.run_subcommand(
@@ -204,3 +248,7 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     rec = json.loads(out.read_text().strip())
     assert rec["outputs"]["least"] == 2  # 101 = 5 mod 8, so 2 is an NR
+    # invalid input fails before the first record: no file is written
+    bad = tmp_path / "bad.jsonl"
+    assert cli.main(["sum", "--q", "12", "--output", str(bad)]) == 2
+    assert not bad.exists()
