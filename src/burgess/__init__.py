@@ -22,7 +22,6 @@ from .bounds import (
 from .chars import (
     CharValue,
     Character,
-    ComplexSum,
     PrefixTable,
     PrimeModulus,
     build_modulus,

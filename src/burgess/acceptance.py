@@ -32,12 +32,16 @@ from .congruence import (
     congruence_count,
 )
 from .moments import auto_window, moment_sum
-from .sieve import enumerate_rough, mertens_product, rough_density_ratio
+from .sieve import (
+    enumerate_rough,
+    mertens_product,
+    primes_below,
+    rough_density_ratio,
+)
 
 SUITE_SEED = 101009
 
-PRIMES_SMALL = [q for q in range(3, 98)
-                if all(q % p for p in range(2, q))]
+PRIMES_SMALL = primes_below(98)[1:]
 
 
 @dataclass
@@ -73,9 +77,9 @@ def _full_period_ok(chi: Character, starts) -> bool:
     for m in starts:
         s = interval_sum(chi, m, q - 1)
         if chi.is_quadratic:
-            if s.exact_int != -chi(m).as_int():
+            if s != -chi(m).as_int():
                 return False
-        elif abs(s.as_complex() + chi(m).as_complex()) > 1e-9 * q:
+        elif abs(s + chi(m).as_complex()) > 1e-9 * q:
             return False
     return True
 
@@ -83,7 +87,7 @@ def _full_period_ok(chi: Character, starts) -> bool:
 def _char_algebra_ok(chi: Character, pairs: int,
                      rng: random.Random) -> bool:
     q = chi.q
-    frac = chi.fractions
+    frac = chi.fractions()
     d = chi.order
     # order identity on every point: d * frac = 0 mod (q-1)
     if int(np.count_nonzero((d * frac[1:]) % (q - 1))) != 0:
@@ -326,26 +330,24 @@ def criterion_9(primes=(101, 1009, 10007), m_count=20) -> CriterionResult:
     return _timed(9, "refined-shape scan regression", run)
 
 
-def run_suite(suite: str = "full") -> list[CriterionResult]:
+def run_suite(suite: str = "full"):
+    """Yield each criterion's result as soon as it finishes."""
     if suite == "small":
-        return [
-            criterion_1(primes=(101,)),
-            criterion_2(primes=(101,)),
-            criterion_3(count=40),
-            criterion_4(primes=(101,), m_count=5),
-            criterion_5(U_values=(10 ** 4,)),
-            criterion_6(),
-            criterion_7(limit=500),
-            criterion_9(primes=(101,), m_count=5),
-        ]
-    return [
-        criterion_1(),
-        criterion_2(),
-        criterion_3(),
-        criterion_4(),
-        criterion_5(),
-        criterion_6(),
-        criterion_7(),
-        criterion_8(),
-        criterion_9(),
-    ]
+        yield criterion_1(primes=(101,))
+        yield criterion_2(primes=(101,))
+        yield criterion_3(count=40)
+        yield criterion_4(primes=(101,), m_count=5)
+        yield criterion_5(U_values=(10 ** 4,))
+        yield criterion_6()
+        yield criterion_7(limit=500)
+        yield criterion_9(primes=(101,), m_count=5)
+        return
+    yield criterion_1()
+    yield criterion_2()
+    yield criterion_3()
+    yield criterion_4()
+    yield criterion_5()
+    yield criterion_6()
+    yield criterion_7()
+    yield criterion_8()
+    yield criterion_9()

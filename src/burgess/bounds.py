@@ -223,18 +223,13 @@ def holder_chain_direct_w(chi: Character, M: int, N: int,
     cross-check for the lambda-collected form."""
     rough = enumerate_rough(params.z, params.U)
     q = chi.q
-    exact = chi.is_quadratic
-    total: int | float = 0 if exact else 0.0
+    vals = chi.values()
+    scalar = int if chi.is_quadratic else complex
+    total: int | float = 0 if chi.is_quadratic else 0.0
     for n in range(M + 1, M + N + 1):
         for u in rough:
-            if exact:
-                s = sum(int(chi.values_int[(n + u * v) % q])
-                        for v in range(1, params.V + 1))
-                total += abs(s)
-            else:
-                c = sum(complex(chi.values_complex[(n + u * v) % q])
-                        for v in range(1, params.V + 1))
-                total += abs(c)
+            total += abs(sum(scalar(vals[(n + u * v) % q])
+                             for v in range(1, params.V + 1)))
     return total
 
 

@@ -8,8 +8,10 @@ accumulated.  Quadratic (Legendre) characters additionally get an exact
 integer summation path, which makes every inequality involving them
 checkable with zero tolerance.
 
-Everything here is immutable after construction and safe to share across
-threads; sums and window reads are pure.
+A modulus builds its O(q) discrete-log table on first read; the quadratic
+value table comes from the squares, so quadratic-only work never builds it.
+A character caches only its prefix table.  interval_sum returns a Python
+int on the real path and a complex number otherwise, as window_sum does.
 """
 
 from __future__ import annotations
@@ -29,12 +31,24 @@ from .errors import (
 )
 
 DEFAULT_TABLE_LIMIT = 1 << 26
+# Below 2^31 the int64 products cur * base (_dlog_table), index * dlog
+# (fractions) and k * k (legendre_value_array) cannot overflow.
+TABLE_CEILING = 1 << 31
 
 
-def table_limit() -> int:
-    """Discrete-log table cap; BURGESS_TABLE_LIMIT overrides the default."""
+def check_table_size(q: int) -> None:
+    """Refuse a q-sized table above the cap before it is allocated.
+
+    BURGESS_TABLE_LIMIT overrides the default cap; an override at or above
+    the ceiling is refused too.
+    """
     raw = os.environ.get("BURGESS_TABLE_LIMIT")
-    return int(raw) if raw else DEFAULT_TABLE_LIMIT
+    limit = int(raw) if raw else DEFAULT_TABLE_LIMIT
+    if limit >= TABLE_CEILING:
+        raise TableLimitExceeded(
+            f"table limit {limit} not below the ceiling 2^31")
+    if q > limit:
+        raise TableLimitExceeded(f"q={q} exceeds table limit {limit}")
 
 
 def is_prime(n: int) -> bool:
@@ -97,7 +111,7 @@ def _dlog_table(q: int, g: int) -> np.ndarray:
     pos = 0
     while pos < q - 1:
         cnt = min(block, q - 1 - pos)
-        # cur, base < q <= 2^26 so the product stays inside int64
+        # cur, base < q < 2^31 so the product stays inside int64
         powers = (cur * base[:cnt]) % q
         dlog[powers] = np.arange(pos, pos + cnt, dtype=np.int64)
         cur = (cur * step) % q
@@ -107,11 +121,22 @@ def _dlog_table(q: int, g: int) -> np.ndarray:
 
 @dataclass
 class PrimeModulus:
-    """A prime q with its smallest primitive root and full dlog table."""
+    """A prime q with its smallest primitive root; dlog is built on first
+    read."""
 
     q: int
     g: int
-    dlog: np.ndarray
+
+    @cached_property
+    def dlog(self) -> np.ndarray:
+        """dlog[n] = k with g^k = n (mod q), checked to be a bijection
+        [1, q-1] -> [0, q-2] every time it is built."""
+        dlog = _dlog_table(self.q, self.g)
+        if int(dlog[1:].min()) < 0:
+            raise AssertionError("dlog table not surjective; g is not primitive")
+        if int(dlog[1]) != 0 or int(dlog[self.g]) != 1:
+            raise AssertionError("dlog table anchors wrong")
+        return dlog
 
     def dlog_of(self, n: int) -> int:
         n %= self.q
@@ -131,26 +156,18 @@ class PrimeModulus:
         return f"PrimeModulus(q={self.q}, g={self.g})"
 
 
-def build_modulus(q: int, limit: int | None = None) -> PrimeModulus:
+def build_modulus(q: int) -> PrimeModulus:
     """Construct the evaluation backbone for all characters mod q.
 
-    Certifies primality, finds the smallest primitive root, fills the dlog
-    table and verifies it is a bijection [1, q-1] -> [0, q-2].
+    Certifies primality, checks the table cap and finds the smallest
+    primitive root; the dlog table waits for its first read.
     """
     if q < 3:
         raise ValueError("modulus must be a prime >= 3")
     if not is_prime(q):
         raise CompositeModulus(f"{q} is not prime")
-    cap = table_limit() if limit is None else limit
-    if q > cap:
-        raise TableLimitExceeded(f"q={q} exceeds table limit {cap}")
-    g = find_primitive_root(q)
-    dlog = _dlog_table(q, g)
-    if int(dlog[1:].min()) < 0:
-        raise AssertionError("dlog table not surjective; g is not primitive")
-    if int(dlog[1]) != 0 or int(dlog[g]) != 1:
-        raise AssertionError("dlog table anchors wrong")
-    return PrimeModulus(q=q, g=g, dlog=dlog)
+    check_table_size(q)
+    return PrimeModulus(q=q, g=find_primitive_root(q))
 
 
 @dataclass(frozen=True)
@@ -185,21 +202,6 @@ class CharValue:
         raise ValueError(f"value e({self.num}/{self.den}) is not real")
 
 
-@dataclass(frozen=True)
-class ComplexSum:
-    """A character sum; exact_int is present on the quadratic path."""
-
-    re: float
-    im: float
-    exact_int: int | None = None
-
-    def abs(self) -> float:
-        return math.hypot(self.re, self.im)
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
 class Character:
     """The index-m character mod q: g^k -> e(mk/(q-1))."""
 
@@ -226,10 +228,6 @@ class Character:
     def is_quadratic(self) -> bool:
         return self.q > 2 and self.index == (self.q - 1) // 2
 
-    @property
-    def is_real(self) -> bool:
-        return self.order <= 2
-
     def conjugate(self) -> "Character":
         return Character(self.modulus, (-self.index) % (self.q - 1))
 
@@ -244,29 +242,26 @@ class Character:
     def __call__(self, n: int) -> CharValue:
         return self.value(n)
 
-    @cached_property
     def fractions(self) -> np.ndarray:
         """frac[n] = num of chi(n) for n in [1, q-1]; frac[0] = -1 sentinel."""
         frac = (self.index * self.modulus.dlog) % (self.q - 1)
         frac[0] = -1
         return frac
 
-    @cached_property
-    def values_int(self) -> np.ndarray:
-        """Exact {-1, 0, 1} value table; only for real characters."""
-        if not self.is_real:
-            raise ValueError("integer values exist only for real characters")
-        if not self.is_trivial:
-            return legendre_value_array(self.q)
-        vals = np.ones(self.q, dtype=np.int8)
-        vals[0] = 0
-        return vals
+    def values(self) -> np.ndarray:
+        """Value table chi(n) for n in [0, q-1], rebuilt on every call.
 
-    @cached_property
-    def values_complex(self) -> np.ndarray:
-        frac = self.fractions.astype(np.float64)
-        vals = np.exp(2j * np.pi * frac / (self.q - 1))
-        vals[0] = 0j
+        Exact int8 {-1, 0, 1} for real characters, complex128 otherwise;
+        the dtype picks the exact path, as in prefix_sums.
+        """
+        if self.is_quadratic:
+            return legendre_value_array(self.q)
+        if self.is_trivial:
+            vals = np.ones(self.q, dtype=np.int8)
+        else:
+            vals = np.exp(2j * np.pi * self.fractions().astype(np.float64)
+                          / (self.q - 1))
+        vals[0] = 0
         return vals
 
     @cached_property
@@ -285,10 +280,10 @@ class PrefixTable:
     the period with at most two table lookups.
     """
 
-    def __init__(self, chi: Character, sums: np.ndarray, exact: bool):
+    def __init__(self, chi: Character, sums: np.ndarray):
         self.chi = chi
         self.sums = sums
-        self.exact = exact
+        self.exact = sums.dtype.kind == "i"
 
     @property
     def q(self) -> int:
@@ -316,9 +311,7 @@ def prefix_sums(vals: np.ndarray) -> np.ndarray:
 def prefix_table(chi: Character) -> PrefixTable:
     if chi.is_trivial:
         raise TrivialCharacter("prefix table requires a nontrivial character")
-    if chi.is_quadratic:
-        return PrefixTable(chi, prefix_sums(chi.values_int), exact=True)
-    return PrefixTable(chi, prefix_sums(chi.values_complex), exact=False)
+    return PrefixTable(chi, prefix_sums(chi.values()))
 
 
 def _check_window(q: int, v: int) -> None:
@@ -359,39 +352,32 @@ def window_array(table: PrefixTable, v: int) -> np.ndarray:
     return w
 
 
-def interval_sum(chi: Character, m: int, n: int) -> ComplexSum:
-    """sum_{m < k <= m+n} chi(k); exact integer accumulation when real."""
+def interval_sum(chi: Character, m: int, n: int) -> int | complex:
+    """sum_{m < k <= m+n} chi(k): a Python int when chi is real (exact
+    integer accumulation), a complex number otherwise."""
     if n < 0:
         raise ValueError("interval length must be >= 0")
     q = chi.q
-    rem = n % q
     if chi.is_trivial:
         # principal character: count integers in the range coprime to q
-        count = n - ((m + n) // q - m // q)
-        return ComplexSum(re=float(count), im=0.0,
-                          exact_int=count if chi.is_real else None)
+        return n - ((m + n) // q - m // q)
+    vals = chi.values()
+    idx = (m + 1 + np.arange(n % q, dtype=np.int64)) % q  # full periods vanish
     if chi.is_quadratic:
-        total = 0  # full periods vanish by orthogonality
-        if rem:
-            idx = (m + 1 + np.arange(rem, dtype=np.int64)) % q
-            total = int(chi.values_int[idx].astype(np.int64).sum())
-        return ComplexSum(re=float(total), im=0.0, exact_int=total)
-    total = 0j
-    if rem:
-        idx = (m + 1 + np.arange(rem, dtype=np.int64)) % q
-        total = complex(chi.values_complex[idx].sum())
-    return ComplexSum(re=total.real, im=total.imag)
+        return int(vals[idx].sum(dtype=np.int64))
+    return complex(vals[idx].sum())
 
 
 def legendre_value_array(q: int) -> np.ndarray:
     """Quadratic-character value table from the squares sieve, no dlog needed.
 
-    The only source of the quadratic value table: Character.values_int of the
+    The only source of the quadratic value table: Character.values of the
     Legendre character reads it, and whole-prime scans use it without
     building a primitive-root table.
     """
     if q < 3 or not is_prime(q):
         raise CompositeModulus(f"{q} is not an odd prime")
+    check_table_size(q)
     vals = np.full(q, -1, dtype=np.int8)
     vals[0] = 0
     k = np.arange(1, (q - 1) // 2 + 1, dtype=np.int64)

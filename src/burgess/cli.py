@@ -187,9 +187,11 @@ def write_csv(records: list[dict], out) -> None:
 
 def _sweep_cells(args, cfg: ExperimentConfig):
     """(q, chi-index, r, N, M-list) cells in (q, r, chi-index) order."""
-    primes = (parse_primes_spec(args.primes) if args.primes
-              else [args.q] if args.q else cfg.primes)
-    r_values = [args.r] if args.r else cfg.r_values
+    spec = args.primes if args.primes is not None else args.q
+    primes = cfg.primes if spec is None else parse_primes_spec(str(spec))
+    r_values = [args.r] if args.r is not None else cfg.r_values
+    if any(r < 1 for r in r_values):
+        raise ValueError("r must be >= 1")
     n_spec = getattr(args, "N", None) or cfg.N_spec
     m_spec = getattr(args, "m_spec", None) or cfg.M_spec
     char_spec = (f"index:{args.index}" if args.index is not None
@@ -207,9 +209,11 @@ def run_sum(args, cfg):
     chi = mod.legendre() if args.index is None else mod.character(args.index)
     n = parse_n_spec(args.N if args.N is not None else str(args.q), args.q)
     s = chars.interval_sum(chi, args.M, n)
+    c = complex(s)
     yield ({"q": args.q, "char_index": chi.index, "M": args.M, "N": n},
-           {"re": s.re, "im": s.im, "exact_int": s.exact_int,
-            "abs": s.abs(), "order": chi.order},
+           {"re": c.real, "im": c.imag,
+            "exact_int": s if isinstance(s, int) else None,
+            "abs": abs(c), "order": chi.order},
            {})
 
 

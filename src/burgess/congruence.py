@@ -20,6 +20,14 @@ from .chars import is_prime
 from .sieve import RoughSet
 
 BRUTE_FORCE_GUARD = 10_000
+# Products of two residues below q stay inside int64 while q <= this.
+MAX_INT64_Q = math.isqrt(2 ** 63 - 1)  # 3,037,000,499
+
+
+def _check_int64_q(q: int) -> None:
+    if q > MAX_INT64_Q:
+        raise InstanceTooLarge(
+            f"q={q} above {MAX_INT64_Q}: residue products overflow int64")
 
 
 @dataclass
@@ -40,6 +48,7 @@ class CollisionInstance:
     hypotheses: dict[str, bool] = field(init=False)
 
     def __post_init__(self):
+        _check_int64_q(self.q)
         if not is_prime(self.q):
             raise ValueError(f"q={self.q} is not prime")
         if self.N < 0:
@@ -77,7 +86,7 @@ def collision_distribution(inst: CollisionInstance) -> CollisionDistribution:
         raise ValueError(f"multiplier {int(bad[0])} not invertible mod {q}")
     inverses = np.array([pow(int(u), -1, q) for u in members], dtype=np.int64)
     residues = (M + 1 + np.arange(N, dtype=np.int64)) % q
-    # the products are below q^2, inside int64 while q < 3*10^9
+    # the products are below q^2, inside int64 (q <= MAX_INT64_Q)
     lams, counts = np.unique((inverses[:, None] * residues) % q,
                              return_counts=True)
     return CollisionDistribution(
@@ -135,6 +144,7 @@ def brute_force_congruence_count(inst: CollisionInstance) -> int:
 
 def pair_collision_count(u1: int, u2: int, M: int, N: int, q: int) -> int:
     """Count pairs (n1, n2) in (M, M+N]^2 with n1*u1 = n2*u2 (mod q)."""
+    _check_int64_q(q)
     if u1 < 1 or u2 < 1:
         raise ValueError("multipliers must be >= 1")
     if u1 % q == 0 or u2 % q == 0:

@@ -10,7 +10,7 @@ class CompositeModulus(BurgessError):
 
 
 class TableLimitExceeded(BurgessError):
-    """Requested discrete-log table is larger than the configured cap."""
+    """A q-sized table above the configured cap, or a cap at its ceiling."""
 
 
 class TrivialCharacter(BurgessError):
@@ -30,7 +30,7 @@ class GuardViolated(BurgessError):
 
 
 class InstanceTooLarge(BurgessError):
-    """Brute-force oracle refused: instance above its safety guard."""
+    """Instance above a guard: brute-force size or int64 residue products."""
 
 
 class DegenerateParams(BurgessError):

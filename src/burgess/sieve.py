@@ -56,12 +56,8 @@ def primes_below(z: float) -> list[int]:
     if z <= 2:
         return []
     hi = math.ceil(z) - 1 if float(z).is_integer() else math.floor(z)
-    sieve = np.ones(hi + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(hi) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = False
-    return [int(p) for p in np.flatnonzero(sieve)]
+    n = np.arange(2, hi + 1, dtype=np.int64)
+    return n[build_spf(hi).spf[2:] == n].tolist()  # a prime is its own spf
 
 
 def primorial(z: float) -> int:

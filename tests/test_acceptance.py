@@ -77,5 +77,6 @@ def test_criterion_9_refined_scan():
 
 @pytest.mark.parametrize("suite", ["small"])
 def test_suite_runner_aggregates(suite):
-    results = acceptance.run_suite(suite)
+    results = list(acceptance.run_suite(suite))
+    assert [r.cid for r in results] == [1, 2, 3, 4, 5, 6, 7, 9]
     assert all(r.passed for r in results)

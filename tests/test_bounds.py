@@ -20,8 +20,10 @@ from burgess.bounds import (
     pv_ratio_scan,
     resolve_params,
 )
+from burgess import bounds
 from burgess.chars import build_modulus
 from burgess.errors import DegenerateParams, UnknownVariant
+from burgess.moments import moment_check
 
 ORDERED_VARIANTS = ("refined_14r", "ik_12r", "ik_1r", "burgess_classic")
 
@@ -233,3 +235,21 @@ def test_uv_budget_property(n, q, r):
     p = derive_params(n, q, r)
     assert 16 * p.U * p.V <= n
     assert p.degenerate == (p.U < 2)
+
+
+def test_legendre_work_builds_no_dlog(monkeypatch):
+    # the quadratic values come from the squares, so no dlog table is read
+    mod = build_modulus(10007)
+    chi = mod.legendre()
+    assert holder_chain(chi, 17, int(10007 ** 0.4), 2).passed
+    assert moment_check(chi, r=2).passed
+    assert "dlog" not in vars(chi.modulus)
+    built = []
+
+    def spy(q):
+        built.append(build_modulus(q))
+        return built[-1]
+
+    monkeypatch.setattr(bounds, "build_modulus", spy)
+    extremal_scan(10007, 5003, 40, [0, 17, 900])
+    assert len(built) == 1 and "dlog" not in vars(built[0])

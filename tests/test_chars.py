@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from burgess.chars import (
     CharValue,
-    ComplexSum,
+    PrimeModulus,
     build_modulus,
     find_primitive_root,
     interval_sum,
@@ -70,11 +70,12 @@ def test_build_modulus_dlog_example():
     assert mod3.dlog_of(1) == 0 and mod3.dlog_of(2) == 1
 
 
-def test_build_modulus_rejects_composite_and_oversize():
+def test_build_modulus_rejects_composite_and_oversize(monkeypatch):
+    monkeypatch.delenv("BURGESS_TABLE_LIMIT", raising=False)
     with pytest.raises(CompositeModulus):
         build_modulus(2 ** 26 + 1)
-    with pytest.raises(TableLimitExceeded):
-        build_modulus(101, limit=50)
+    with pytest.raises(TableLimitExceeded):  # the first prime above 2^26
+        build_modulus(67108879)
 
 
 def test_table_limit_env_override(monkeypatch):
@@ -83,6 +84,53 @@ def test_table_limit_env_override(monkeypatch):
         build_modulus(101)
     monkeypatch.setenv("BURGESS_TABLE_LIMIT", "200")
     assert build_modulus(101).q == 101
+    # the same cap covers the quadratic value table
+    monkeypatch.setenv("BURGESS_TABLE_LIMIT", "1000")
+    with pytest.raises(TableLimitExceeded):
+        legendre_value_array(1009)
+    assert len(legendre_value_array(997)) == 997
+    # q < 2^31 keeps the int64 products of the table code exact
+    for cap in (2 ** 31, 2 ** 40):
+        monkeypatch.setenv("BURGESS_TABLE_LIMIT", str(cap))
+        with pytest.raises(TableLimitExceeded):
+            build_modulus(101)
+        with pytest.raises(TableLimitExceeded):
+            legendre_value_array(101)
+    monkeypatch.setenv("BURGESS_TABLE_LIMIT", str(2 ** 31 - 1))
+    assert build_modulus(101).q == 101
+
+
+def test_dlog_built_on_first_read():
+    mod = build_modulus(101)
+    assert "dlog" not in vars(mod)
+    assert mod.dlog_of(mod.g) == 1
+    assert "dlog" in vars(mod)
+
+
+def test_planted_non_primitive_root_fails_on_first_read():
+    mod = PrimeModulus(q=101, g=4)  # 4 = 2^2 has order 50, not 100
+    for _ in range(2):  # a failed build is not cached
+        with pytest.raises(AssertionError):
+            mod.dlog
+    assert "dlog" not in vars(mod)
+
+
+def test_character_caches_only_its_prefix(mod101):
+    for m in (50, 5):
+        chi = mod101.character(m)
+        chi.fractions()
+        chi.values()
+        assert vars(chi) == {"modulus": mod101, "index": m}
+        table = chi.prefix
+        assert vars(chi) == {"modulus": mod101, "index": m, "prefix": table}
+
+
+def test_values_dtype_picks_exact_path(mod101):
+    assert mod101.character(0).values().dtype == np.int8
+    assert mod101.legendre().values().dtype == np.int8
+    assert mod101.character(5).values().dtype == np.complex128
+    assert prefix_table(mod101.legendre()).exact
+    assert not prefix_table(mod101.character(5)).exact
 
 
 def test_dlog_is_bijection(mod101):
@@ -111,9 +159,9 @@ def test_char_value_forms():
 def test_interval_sum_examples():
     mod = build_modulus(7)
     chi = mod.legendre()
-    assert interval_sum(chi, 0, 7).exact_int == 0
-    assert interval_sum(chi, 0, 3).exact_int == 1
-    assert interval_sum(chi, 0, 0).exact_int == 0
+    assert interval_sum(chi, 0, 7) == 0
+    assert interval_sum(chi, 0, 3) == 1
+    assert interval_sum(chi, 0, 0) == 0
 
 
 def test_interval_sum_matches_per_term(mod101):
@@ -123,13 +171,13 @@ def test_interval_sum_matches_per_term(mod101):
         m = rng.randint(-300, 300)
         n = rng.randint(0, 250)
         direct = sum(euler_criterion(k, 101) for k in range(m + 1, m + n + 1))
-        assert interval_sum(chi, m, n).exact_int == direct
+        assert interval_sum(chi, m, n) == direct
 
 
 def test_interval_sum_trivial_character(mod101):
     chi0 = mod101.character(0)
     s = interval_sum(chi0, 0, 101)
-    assert s.re == 100.0  # all but the multiple of q
+    assert s == 100 and isinstance(s, int)  # all but the multiple of q
 
 
 def test_prefix_table_example():
@@ -175,14 +223,13 @@ def test_window_equals_interval_1000_random(mod101, mod1009):
         for _ in range(1000):
             lam = rng.randint(-2 * mod.q, 2 * mod.q)
             v = rng.randint(1, mod.q)
-            assert window_sum(table, lam, v) == interval_sum(chi, lam, v).exact_int
+            assert window_sum(table, lam, v) == interval_sum(chi, lam, v)
         # the same kernel over an array of starts, one gather
         lams = [rng.randint(-2 * mod.q, 2 * mod.q) for _ in range(1000)]
         v = rng.randint(1, mod.q)
         got = window_sum(table, np.array(lams, dtype=np.int64), v)
         assert got.dtype == np.int64
-        assert got.tolist() == [interval_sum(chi, lam, v).exact_int
-                                for lam in lams]
+        assert got.tolist() == [interval_sum(chi, lam, v) for lam in lams]
 
 
 def test_window_equals_interval_complex(mod101):
@@ -194,13 +241,13 @@ def test_window_equals_interval_complex(mod101):
         v = rng.randint(1, 101)
         w = window_sum(table, lam, v)
         s = interval_sum(chi, lam, v)
-        assert abs(w - s.as_complex()) < 1e-9 * v + 1e-12
+        assert abs(w - s) < 1e-9 * v + 1e-12
     lams = [rng.randint(-202, 202) for _ in range(200)]
     v = rng.randint(1, 101)
     got = window_sum(table, np.array(lams, dtype=np.int64), v)
     assert got.dtype == np.complex128
     for w, lam in zip(got, lams):
-        assert abs(w - interval_sum(chi, lam, v).as_complex()) < 1e-9 * v + 1e-12
+        assert abs(w - interval_sum(chi, lam, v)) < 1e-9 * v + 1e-12
 
 
 def test_window_array_is_window_sum_over_all_starts(mod101):
@@ -217,7 +264,7 @@ def test_multiplicativity_exact_all_pairs_small():
         mod = build_modulus(q)
         for m in range(1, q - 1):
             chi = mod.character(m)
-            frac = chi.fractions
+            frac = chi.fractions()
             for a in range(1, q):
                 for b in range(1, q):
                     assert frac[a * b % q] == (frac[a] + frac[b]) % (q - 1)
@@ -227,7 +274,7 @@ def test_multiplicativity_all_pairs_q101(mod101):
     a = np.arange(1, 101, dtype=np.int64)
     prod_idx = np.outer(a, a) % 101
     for m in (1, 2, 17, 50, 99):
-        frac = mod101.character(m).fractions
+        frac = mod101.character(m).fractions()
         assert np.array_equal(frac[prod_idx],
                               (frac[a][:, None] + frac[a][None, :]) % 100)
 
@@ -240,9 +287,9 @@ def test_orthogonality_every_start(mod101):
         for start in range(-5, 106):
             s = interval_sum(chi, start, 100)
             if chi.is_quadratic:
-                assert s.exact_int == -chi(start).as_int()
+                assert s == -chi(start).as_int()
             else:
-                err = abs(s.as_complex() + chi(start).as_complex())
+                err = abs(s + chi(start).as_complex())
                 assert err <= 1e-9 * 101
 
 
@@ -251,7 +298,7 @@ def test_order_invariant(mod101):
         chi = mod101.character(m)
         d = chi.order
         assert 100 % d == 0
-        frac = chi.fractions
+        frac = chi.fractions()
         assert not np.any((d * frac[1:]) % 100)
 
 
@@ -276,14 +323,15 @@ def test_triangle_inequality_bound(mod101):
     for _ in range(100):
         m, n = rng.randint(-50, 50), rng.randint(0, 150)
         nonzero = sum(1 for k in range(m + 1, m + n + 1) if k % 101 != 0)
-        assert interval_sum(chi, m, n).abs() <= nonzero + 1e-9
+        assert abs(interval_sum(chi, m, n)) <= nonzero + 1e-9
 
 
 def test_exact_int_tracks_re(mod101):
-    chi = mod101.legendre()
-    s = interval_sum(chi, 3, 57)
-    assert s.exact_int is not None
-    assert abs(s.re - s.exact_int) <= 1e-9 * 57
+    # the real path returns an exact Python int, not a float or complex
+    s = interval_sum(mod101.legendre(), 3, 57)
+    assert type(s) is int
+    assert s == sum(euler_criterion(k, 101) for k in range(4, 61))
+    assert type(interval_sum(mod101.character(5), 3, 57)) is complex
 
 
 def test_legendre_value_array_matches_dlog_path(mod101, mod1009):
@@ -310,9 +358,3 @@ def test_value_multiplicativity_property(q, data):
 def test_is_prime_against_factor_scan(n):
     naive = n >= 2 and all(n % d for d in range(2, int(math.isqrt(n)) + 1))
     assert is_prime(n) == naive
-
-
-def test_complex_sum_helpers():
-    s = ComplexSum(re=3.0, im=4.0)
-    assert s.abs() == 5.0
-    assert s.as_complex() == 3 + 4j

@@ -56,6 +56,47 @@ def test_invalid_input_exit_2():
     assert cli.main(["congruence", "--q", "101", "--u1", "3"]) == 2
 
 
+def test_zero_r_and_q_exit_2(capsys):
+    # neither flag is replaced by its config default
+    assert cli.main(["moments", "--q", "101", "--r", "0"]) == 2
+    assert cli.main(["moments", "--q", "0"]) == 2
+    assert cli.main(["scan", "--q", "0"]) == 2
+    assert cli.main(["holder", "--q", "101", "--r", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_table_cap_covers_every_table(monkeypatch, capsys):
+    monkeypatch.setenv("BURGESS_TABLE_LIMIT", "1000")
+    assert cli.main(["moments", "--q", "1009"]) == 2
+    assert cli.main(["nonresidue", "--q", "1009"]) == 2
+    monkeypatch.setenv("BURGESS_TABLE_LIMIT", str(2 ** 31))
+    assert cli.main(["nonresidue", "--q", "101"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_congruence_overflow_modulus_exit_2(capsys):
+    q = 4294967311
+    assert cli.main(["congruence", "--q", str(q), "--M", str(q - 200),
+                     "--N", "150", "--z", "2", "--U", "40",
+                     "--brute-force"]) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
+def test_verify_streams_records_before_a_crash(tmp_path, monkeypatch,
+                                               capsys):
+    from burgess import acceptance
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("planted failure")
+
+    monkeypatch.setattr(acceptance, "criterion_2", boom)
+    out = tmp_path / "verify.jsonl"
+    assert cli.main(["verify", "--suite", "small", "--output", str(out)]) == 3
+    assert "RuntimeError: planted failure" in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert [json.loads(line)["inputs"]["criterion"] for line in lines] == [1]
+
+
 def test_verify_small_suite(capsys):
     code, records, _ = run(["verify", "--suite", "small"], capsys)
     assert code == 0

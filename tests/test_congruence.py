@@ -202,3 +202,19 @@ def test_oracle_equivalence_property(q, m, n, z, data):
     assert report.I_value == brute
     assert dist.second_moment == report.I_value
     assert dist.first_moment == n * inst.rough.count
+
+
+def test_int64_overflow_moduli_refused():
+    # q = 4294967311 > 3,037,000,499: n * u^{-1} mod q overflows int64, and
+    # the fast second moment read 11914 where the oracle counts 17648
+    big = 4294967311
+    with pytest.raises(InstanceTooLarge):
+        make_instance(big, big - 200, 150, 2, 40)
+    with pytest.raises(InstanceTooLarge):
+        pair_collision_count(3, 7, big - 200, 150, big)
+    # the largest admissible prime still agrees with the oracle
+    q = 3037000493
+    inst = make_instance(q, q - 200, 40, 2, 12)
+    assert congruence_count(inst).I_value == brute_force_congruence_count(inst)
+    assert congruence_count(make_instance(q, q - 200, 150, 2, 40)).I_value \
+        == 17648

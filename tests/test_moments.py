@@ -22,14 +22,14 @@ def mod101():
 def naive_moment(chi, v, r):
     """Double loop straight from the definition."""
     q = chi.q
+    vals = chi.values()
     total = 0 if chi.is_quadratic else 0.0
     for lam in range(1, q + 1):
         if chi.is_quadratic:
-            w = sum(int(chi.values_int[(lam + j) % q]) for j in range(1, v + 1))
+            w = sum(int(vals[(lam + j) % q]) for j in range(1, v + 1))
             total += w ** (2 * r)
         else:
-            w = sum(complex(chi.values_complex[(lam + j) % q])
-                    for j in range(1, v + 1))
+            w = sum(complex(vals[(lam + j) % q]) for j in range(1, v + 1))
             total += abs(w) ** (2 * r)
     return total
 
