@@ -203,9 +203,13 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
     # W^{2r} below is exact
     weighted = np.abs(window_sum(table, dist.lams, params.V)) @ dist.counts
     W = int(weighted) if exact else float(weighted)
-    m_report = moment_sum(chi, params.V, r, table=table)
+    # the complete moment does not depend on M: one per (chi, V, r)
+    key = (params.V, r)
+    if key not in chi.moments:
+        chi.moments[key] = moment_sum(chi, params.V, r, table=table).moment
+    moment = chi.moments[key]
     lhs = W ** (2 * r)
-    rhs = dist.first_moment ** (2 * r - 2) * dist.second_moment * m_report.moment
+    rhs = dist.first_moment ** (2 * r - 2) * dist.second_moment * moment
     if exact:
         passed = lhs <= rhs
     else:
@@ -213,7 +217,7 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
     return HolderChainReport(
         params=params, char_index=chi.index, M=M, N=N, r=r,
         rough_count=rough.count, W=W, first_moment=dist.first_moment,
-        second_moment=dist.second_moment, moment2r=m_report.moment,
+        second_moment=dist.second_moment, moment2r=moment,
         holder_lhs=lhs, holder_rhs=rhs, exact=exact, passed=passed)
 
 

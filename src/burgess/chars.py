@@ -9,9 +9,15 @@ integer summation path, which makes every inequality involving them
 checkable with zero tolerance.
 
 A modulus builds its O(q) discrete-log table on first read; the quadratic
-value table comes from the squares, so quadratic-only work never builds it.
-A character caches only its prefix table.  interval_sum returns a Python
-int on the real path and a complex number otherwise, as window_sum does.
+value table comes from the squares and a single quadratic value from Euler's
+criterion, so quadratic-only work never builds it.  An order-d character
+takes only d values: a complex value table is a gather from a d-entry table
+of roots of unity, and interval_sum evaluates the same root formula on the
+interval's residues alone.  A character caches only its prefix table and
+its complete moments (one scalar per (V, r)); a prefix table holds no
+reference to its character, so both are freed with the character's last
+reference.  interval_sum returns a Python int on the real path and a
+complex number otherwise, as window_sum does.
 """
 
 from __future__ import annotations
@@ -236,7 +242,10 @@ class Character:
         n %= q
         if n == 0:
             return CharValue(None, q - 1)
-        num = (self.index * int(self.modulus.dlog[n])) % (q - 1)
+        if self.is_quadratic:  # Euler's criterion, no dlog table
+            num = 0 if pow(n, (q - 1) // 2, q) == 1 else (q - 1) // 2
+        else:
+            num = (self.index * int(self.modulus.dlog[n])) % (q - 1)
         return CharValue(num, q - 1)
 
     def __call__(self, n: int) -> CharValue:
@@ -248,25 +257,49 @@ class Character:
         frac[0] = -1
         return frac
 
+    def _root_classes(self, dlog: np.ndarray) -> tuple[np.ndarray, int]:
+        """(c, s) with chi(n) = e(c s/(q-1)) for the discrete logs dlog[n].
+
+        s = gcd(index, q-1), so c lies in [0, d) for the order d = (q-1)/s
+        and c s = index * dlog mod (q-1) is the numerator fractions() holds.
+        """
+        s = math.gcd(self.index, self.q - 1)
+        return ((self.index // s) * dlog) % ((self.q - 1) // s), s
+
+    def _roots(self, classes: np.ndarray, s: int) -> np.ndarray:
+        """e(c s/(q-1)) for root classes c: the one formula for a complex
+        value, evaluated on the same float input c s for every caller."""
+        return np.exp(2j * np.pi * (classes * s).astype(np.float64)
+                      / (self.q - 1))
+
     def values(self) -> np.ndarray:
         """Value table chi(n) for n in [0, q-1], rebuilt on every call.
 
         Exact int8 {-1, 0, 1} for real characters, complex128 otherwise;
-        the dtype picks the exact path, as in prefix_sums.
+        the dtype picks the exact path, as in prefix_sums.  A complex table
+        gathers from the d roots of unity of chi's order, so it costs d
+        exponentials, not q.
         """
         if self.is_quadratic:
             return legendre_value_array(self.q)
         if self.is_trivial:
             vals = np.ones(self.q, dtype=np.int8)
         else:
-            vals = np.exp(2j * np.pi * self.fractions().astype(np.float64)
-                          / (self.q - 1))
+            classes, s = self._root_classes(self.modulus.dlog)
+            d = (self.q - 1) // s
+            vals = self._roots(np.arange(d, dtype=np.int64), s)[classes]
         vals[0] = 0
         return vals
 
     @cached_property
     def prefix(self) -> "PrefixTable":
         return prefix_table(self)
+
+    @cached_property
+    def moments(self) -> dict[tuple[int, int], int | float]:
+        """Complete 2r-th moments over the prefix table, keyed (V, r);
+        holder_chain fills it and reuses each across window starts."""
+        return {}
 
     def __repr__(self) -> str:
         return f"Character(q={self.q}, m={self.index}, order={self.order})"
@@ -280,14 +313,13 @@ class PrefixTable:
     the period with at most two table lookups.
     """
 
-    def __init__(self, chi: Character, sums: np.ndarray):
-        self.chi = chi
+    def __init__(self, sums: np.ndarray):
         self.sums = sums
         self.exact = sums.dtype.kind == "i"
 
     @property
     def q(self) -> int:
-        return self.chi.q
+        return len(self.sums) - 1
 
 
 def prefix_sums(vals: np.ndarray) -> np.ndarray:
@@ -311,7 +343,7 @@ def prefix_sums(vals: np.ndarray) -> np.ndarray:
 def prefix_table(chi: Character) -> PrefixTable:
     if chi.is_trivial:
         raise TrivialCharacter("prefix table requires a nontrivial character")
-    return PrefixTable(chi, prefix_sums(chi.values()))
+    return PrefixTable(prefix_sums(chi.values()))
 
 
 def _check_window(q: int, v: int) -> None:
@@ -361,11 +393,13 @@ def interval_sum(chi: Character, m: int, n: int) -> int | complex:
     if chi.is_trivial:
         # principal character: count integers in the range coprime to q
         return n - ((m + n) // q - m // q)
-    vals = chi.values()
     idx = (m + 1 + np.arange(n % q, dtype=np.int64)) % q  # full periods vanish
     if chi.is_quadratic:
-        return int(vals[idx].sum(dtype=np.int64))
-    return complex(vals[idx].sum())
+        return int(chi.values()[idx].sum(dtype=np.int64))
+    # only the interval's residues: the values() formula on their classes
+    vals = chi._roots(*chi._root_classes(chi.modulus.dlog[idx]))
+    vals[idx == 0] = 0
+    return complex(vals.sum())
 
 
 def legendre_value_array(q: int) -> np.ndarray:

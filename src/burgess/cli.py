@@ -282,8 +282,9 @@ def run_congruence(args, cfg):
                {"pair_count": count}, {})
         return
     params = bnd.resolve_params(n, args.q, 2)
-    z = args.z if args.z is not None else (cfg.z or params.z)
-    u = args.U if args.U is not None else (cfg.U or params.U)
+    # the first one set wins, so a config U = 0 is refused, not replaced
+    z = next(x for x in (args.z, cfg.z, params.z) if x is not None)
+    u = next(x for x in (args.U, cfg.U, params.U) if x is not None)
     rs = sieve.enumerate_rough(z, u)
     inst = congruence.CollisionInstance(
         q=args.q, M=args.M, N=n, rough=rs,

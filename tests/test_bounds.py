@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +24,7 @@ from burgess.bounds import (
 from burgess import bounds
 from burgess.chars import build_modulus
 from burgess.errors import DegenerateParams, UnknownVariant
-from burgess.moments import moment_check
+from burgess.moments import moment_check, moment_sum
 
 ORDERED_VARIANTS = ("refined_14r", "ik_12r", "ik_1r", "burgess_classic")
 
@@ -132,6 +133,30 @@ def test_holder_chain_complex_character(mod101):
     assert rep.passed and not rep.exact
     direct = holder_chain_direct_w(chi, 0, 6, rep.params)
     assert abs(rep.W - direct) <= 1e-9 * direct
+
+
+def test_holder_chain_reuses_moment(monkeypatch, mod10007):
+    calls = []
+
+    def spy(chi, V, r, *a, **k):
+        calls.append((V, r))
+        return moment_sum(chi, V, r, *a, **k)
+
+    monkeypatch.setattr(bounds, "moment_sum", spy)
+    n = int(10007 ** 0.4)
+    for chi in (mod10007.legendre(), mod10007.character(5)):
+        calls.clear()
+        reps = [holder_chain(chi, m, n, r) for r in (2, 3)
+                for m in (0, 17, 900)]
+        assert len(calls) == len(set(calls)) == 2
+        # the cache keeps one scalar per (V, r), no array
+        assert set(chi.moments) == set(calls)
+        assert not any(isinstance(v, np.ndarray) for v in chi.moments.values())
+        for rep in reps:  # the same numbers as a character with no cache
+            fresh = holder_chain(mod10007.character(chi.index), rep.M, n,
+                                 rep.r)
+            assert fresh.moment2r == rep.moment2r
+            assert fresh.holder_rhs == rep.holder_rhs
 
 
 def test_holder_chain_w_is_python_int(mod10007):

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -125,6 +127,47 @@ def test_character_caches_only_its_prefix(mod101):
         assert vars(chi) == {"modulus": mod101, "index": m, "prefix": table}
 
 
+def bits(x):
+    """The raw IEEE bits of complex values, so -0.0 and 0.0 differ."""
+    return np.atleast_1d(np.asarray(x, dtype=np.complex128)).view(np.int64)
+
+
+@pytest.mark.parametrize("q", [101, 1009, 10007])
+def test_complex_values_from_roots_bit_identical(q):
+    # the d-entry root table gives the bits of q direct exponentials
+    mod = build_modulus(q)
+    orders = [d for d in (3, 4, 6, q - 1) if (q - 1) % d == 0]
+    indices = [(q - 1) // d for d in orders] + [2]  # index 2: gcd 2, d > 6
+    assert math.gcd(2, q - 1) == 2 and (q - 1) // 2 > 6
+    for m in indices:
+        chi = mod.character(m)
+        want = np.exp(2j * np.pi * chi.fractions().astype(np.float64)
+                      / (q - 1))
+        want[0] = 0
+        got = chi.values()
+        assert np.array_equal(bits(got), bits(want)), m
+        assert len(np.unique(got[1:])) == chi.order
+
+
+def test_prefix_table_freed_with_its_character(mod101):
+    gc.disable()
+    try:
+        for m in (5, 50):
+            chi = mod101.character(m)
+            ref = weakref.ref(chi.prefix)
+            del chi  # no reference cycle: freed without the collector
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_prefix_table_holds_no_character(mod101):
+    table = prefix_table(mod101.character(5))
+    assert not hasattr(table, "chi")
+    assert set(vars(table)) == {"sums", "exact"}
+    assert table.q == 101
+
+
 def test_values_dtype_picks_exact_path(mod101):
     assert mod101.character(0).values().dtype == np.int8
     assert mod101.legendre().values().dtype == np.int8
@@ -145,6 +188,20 @@ def test_value_euler_criterion():
     assert chi(14).is_zero
     for n in range(1, 14):
         assert chi(n).as_int() == euler_criterion(n, 7)
+
+
+def test_quadratic_value_reads_no_dlog():
+    chi = build_modulus(10007).legendre()
+    assert chi.value(3).as_int() == euler_criterion(3, 10007)
+    assert "dlog" not in vars(chi.modulus)
+
+
+def test_quadratic_value_equals_dlog_value(mod101):
+    chi = mod101.legendre()
+    for n in range(-101, 202):
+        want = (CharValue(None, 100) if n % 101 == 0 else
+                CharValue(50 * mod101.dlog_of(n) % 100, 100))
+        assert chi.value(n) == want
 
 
 def test_char_value_forms():
@@ -172,6 +229,20 @@ def test_interval_sum_matches_per_term(mod101):
         n = rng.randint(0, 250)
         direct = sum(euler_criterion(k, 101) for k in range(m + 1, m + n + 1))
         assert interval_sum(chi, m, n) == direct
+
+
+def test_interval_sum_complex_reads_interval_bit_identical(mod1009):
+    q = mod1009.q
+    for m in (1, 5, 336):
+        chi = mod1009.character(m)
+        vals = chi.values()
+        for start, n in ((0, 0), (0, 1), (-7, 10), (1000, 30), (3, q - 1),
+                         (0, q), (-5, q + 17), (2 * q + 3, 3 * q + 500)):
+            idx = (start + 1 + np.arange(n % q, dtype=np.int64)) % q
+            got = interval_sum(chi, start, n)
+            assert type(got) is complex
+            want = complex(vals[idx].sum())
+            assert np.array_equal(bits(got), bits(want)), (m, start, n)
 
 
 def test_interval_sum_trivial_character(mod101):
@@ -336,9 +407,9 @@ def test_exact_int_tracks_re(mod101):
 
 def test_legendre_value_array_matches_dlog_path(mod101, mod1009):
     for mod in (mod101, mod1009):
-        chi = mod.legendre()
-        assert legendre_value_array(mod.q).tolist() == [
-            chi.value(n).as_int() for n in range(mod.q)]
+        # chi(g^k) = (-1)^k
+        assert legendre_value_array(mod.q).tolist() == [0] + [
+            1 - 2 * (int(k) % 2) for k in mod.dlog[1:]]
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())

@@ -219,6 +219,19 @@ def test_empty_sweep_exit_2(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_congruence_config_zero_u_exit_2(tmp_path, capsys):
+    # a config U = 0 reaches enumerate_rough instead of the derived U
+    cfg = tmp_path / "u0.cfg"
+    cfg.write_text("U = 0\n")
+    argv = ["congruence", "--q", "10007", "--M", "0", "--N", "q^0.45",
+            "--config", str(cfg)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
+    cfg.write_text("U = 40\n")
+    _, records, _ = run(argv, capsys)
+    assert records[0]["inputs"]["U"] == 40
+
+
 def test_config_defaults_runnable(tmp_path, capsys):
     empty = tmp_path / "empty.cfg"
     empty.write_text("\n")
