@@ -87,19 +87,20 @@ def _full_period_ok(chi: Character, starts) -> bool:
 def _char_algebra_ok(chi: Character, pairs: int,
                      rng: random.Random) -> bool:
     q = chi.q
-    frac = chi.fractions()
+    c = chi.classes().astype(np.int64)  # int8 classes overflow when added
     d = chi.order
-    # order identity on every point: d * frac = 0 mod (q-1)
-    if int(np.count_nonzero((d * frac[1:]) % (q - 1))) != 0:
+    # order: every value is a d-th root of unity and chi(g) a primitive one
+    if not (0 <= c[1:].min() and c[1:].max() < d
+            and math.gcd(int(c[chi.modulus.g]), d) == 1):
         return False
     if pairs >= (q - 1) ** 2:  # exhaustive multiplicativity
         a = np.arange(1, q, dtype=np.int64)
-        prod_frac = frac[np.outer(a, a) % q]
-        sum_frac = (frac[a][:, None] + frac[a][None, :]) % (q - 1)
-        return bool(np.array_equal(prod_frac, sum_frac))
+        prod_c = c[np.outer(a, a) % q]
+        sum_c = (c[a][:, None] + c[a][None, :]) % d
+        return bool(np.array_equal(prod_c, sum_c))
     for _ in range(pairs):
         a, b = rng.randrange(1, q), rng.randrange(1, q)
-        if frac[a * b % q] != (frac[a] + frac[b]) % (q - 1):
+        if c[a * b % q] != (c[a] + c[b]) % d:
             return False
     return True
 
@@ -128,7 +129,7 @@ def criterion_1(primes=(101, 1009, 10007)) -> CriterionResult:
                 conj = chi.conjugate()
                 for n in (2, 3, q - 1):
                     v, w = chi.value(n), conj.value(n)
-                    if (v.num + w.num) % (q - 1) != 0:
+                    if (v.num + w.num) % v.den != 0:
                         ok = False
                 details["checked"] += 1
         return ok and details["checked"] > 0, details

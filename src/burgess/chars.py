@@ -1,29 +1,29 @@
 """Multiplicative characters modulo a prime, with an exact value algebra.
 
 A character is addressed by its index m against the smallest primitive root
-g of q: the index-m character maps g^k to e(mk/(q-1)).  Values are kept as
-exact fractions a/(q-1) of a full turn, so multiplicativity and order
-identities are integer statements; floating point enters only when sums are
-accumulated.  Quadratic (Legendre) characters additionally get an exact
-integer summation path, which makes every inequality involving them
-checkable with zero tolerance.
+g of q: the index-m character maps g^k to e(mk/(q-1)).  A character of order
+d takes only d values, kept as exact fractions c/d of a full turn (c in
+[0, d)), so multiplicativity and order identities are integer statements;
+floating point enters only when sums are accumulated.  Quadratic (Legendre)
+characters additionally get an exact integer summation path, which makes
+every inequality involving them checkable with zero tolerance.
 
-A modulus builds its O(q) discrete-log table on first read; the quadratic
-value table comes from the squares and a single quadratic value from Euler's
-criterion, so quadratic-only work never builds it.  An order-d character
-takes only d values: a complex value table is a gather from a d-entry table
-of roots of unity, and interval_sum evaluates the same root formula on the
-interval's residues alone.  A character caches only its prefix table and
-its complete moments (one scalar per (V, r)); a prefix table holds no
-reference to its character, so both are freed with the character's last
-reference.  interval_sum returns a Python int on the real path and a
-complex number otherwise, as window_sum does.
+A modulus holds no table: its class table c(n) = dlog(n) mod d (d = q-1
+gives the full discrete log) is rebuilt and checked on every read.  Single
+values come from the order-d Euler criterion and the quadratic value table
+from the squares, so neither builds one.  A complex value table gathers d
+roots of unity by the class table; interval_sum evaluates the same root
+formula on the interval's classes alone, returning a Python int on the real
+path and a complex number otherwise, as window_sum does.  A character caches
+only its prefix table and its complete moments (one scalar per (V, r)); a
+prefix table holds no reference to its character, so both are freed with
+the character's last reference.
 """
-
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,8 +37,8 @@ from .errors import (
 )
 
 DEFAULT_TABLE_LIMIT = 1 << 26
-# Below 2^31 the int64 products cur * base (_dlog_table), index * dlog
-# (fractions) and k * k (legendre_value_array) cannot overflow.
+# Below 2^31 the int64 products cur * base (_power_blocks) and k * k
+# (legendre_value_array) cannot overflow, and every class fits in int32.
 TABLE_CEILING = 1 << 31
 
 
@@ -103,52 +103,44 @@ def find_primitive_root(q: int) -> int:
     raise AssertionError("no primitive root found; q cannot be prime")
 
 
-def _dlog_table(q: int, g: int) -> np.ndarray:
-    """dlog[n] = k with g^k = n (mod q), built in O(q) by blocked powers."""
-    dlog = np.full(q, -1, dtype=np.int64)
-    block = min(q - 1, 1 << 13)
-    base = np.empty(block, dtype=np.int64)
-    x = 1
-    for k in range(block):
-        base[k] = x
-        x = (x * g) % q
-    step = x  # g^block
-    cur = 1
-    pos = 0
-    while pos < q - 1:
-        cnt = min(block, q - 1 - pos)
-        # cur, base < q < 2^31 so the product stays inside int64
-        powers = (cur * base[:cnt]) % q
-        dlog[powers] = np.arange(pos, pos + cnt, dtype=np.int64)
+def _power_blocks(base: int, count: int, q: int
+                  ) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (pos, powers) with powers[j] = base^(pos + j) mod q, int64
+    blocks covering the exponents [0, count) in order."""
+    block = min(count, 1 << 13)
+    first = np.ones(block, dtype=np.int64)
+    k, x = 1, base % q  # first[:k] holds base^0 .. base^(k-1); x = base^k
+    while k < block:  # doubling; every factor is below q < 2^31
+        n = min(k, block - k)
+        first[k:k + n] = (first[:n] * x) % q
+        k, x = k + n, (x * x) % q
+    step, cur = pow(base, block, q), 1
+    for pos in range(0, count, block):
+        yield pos, (cur * first[:count - pos]) % q
         cur = (cur * step) % q
-        pos += cnt
-    return dlog
 
 
 @dataclass
 class PrimeModulus:
-    """A prime q with its smallest primitive root; dlog is built on first
-    read."""
+    """A prime q with its smallest primitive root g."""
 
     q: int
     g: int
 
-    @cached_property
-    def dlog(self) -> np.ndarray:
-        """dlog[n] = k with g^k = n (mod q), checked to be a bijection
-        [1, q-1] -> [0, q-2] every time it is built."""
-        dlog = _dlog_table(self.q, self.g)
-        if int(dlog[1:].min()) < 0:
-            raise AssertionError("dlog table not surjective; g is not primitive")
-        if int(dlog[1]) != 0 or int(dlog[self.g]) != 1:
-            raise AssertionError("dlog table anchors wrong")
-        return dlog
-
-    def dlog_of(self, n: int) -> int:
-        n %= self.q
-        if n == 0:
-            raise ValueError(f"{n} is divisible by {self.q}")
-        return int(self.dlog[n])
+    def classes(self, d: int) -> np.ndarray:
+        """c[n] = dlog(n) mod d for n in [1, q-1], c[0] = -1, for d | q-1, in
+        the smallest signed dtype holding -d; every build checks that each
+        residue is reached (g is primitive) and c[1] = 0, c[g] = 1 mod d."""
+        q, g = self.q, self.g
+        c = np.full(q, -1, dtype=np.min_scalar_type(-d))
+        for pos, powers in _power_blocks(g, q - 1, q):
+            k = np.arange(pos, pos + len(powers), dtype=np.int32)
+            c[powers] = k if pos + len(powers) <= d else k % d
+        if int(c[1:].min()) < 0:
+            raise AssertionError("class table not surjective; g is not primitive")
+        if int(c[1]) != 0 or int(c[g]) != 1 % d:
+            raise AssertionError("class table anchors wrong")
+        return c
 
     def character(self, index: int) -> "Character":
         return Character(self, index % (self.q - 1))
@@ -158,15 +150,12 @@ class PrimeModulus:
             raise ValueError("no quadratic character mod 2")
         return Character(self, (self.q - 1) // 2)
 
-    def __repr__(self) -> str:  # keep reprs short; the table is large
-        return f"PrimeModulus(q={self.q}, g={self.g})"
-
 
 def build_modulus(q: int) -> PrimeModulus:
     """Construct the evaluation backbone for all characters mod q.
 
     Certifies primality, checks the table cap and finds the smallest
-    primitive root; the dlog table waits for its first read.
+    primitive root; class tables are built by each read.
     """
     if q < 3:
         raise ValueError("modulus must be a prime >= 3")
@@ -180,8 +169,8 @@ def build_modulus(q: int) -> PrimeModulus:
 class CharValue:
     """A character value: zero, or the root of unity e(num/den).
 
-    den is always q-1.  num is None exactly when the argument was divisible
-    by q.
+    den is the character's order d and num its class in [0, d).  num is
+    None exactly when the argument was divisible by q.
     """
 
     num: int | None
@@ -238,56 +227,62 @@ class Character:
         return Character(self.modulus, (-self.index) % (self.q - 1))
 
     def value(self, n: int) -> CharValue:
-        q = self.q
+        """chi(n) by the order-d Euler criterion: n^((q-1)/d) = h^j for
+        h = g^((q-1)/d) and j = dlog(n) mod d, found among the d powers of
+        h, so no q-sized table is built."""
+        q, d = self.q, self.order
         n %= q
         if n == 0:
-            return CharValue(None, q - 1)
-        if self.is_quadratic:  # Euler's criterion, no dlog table
-            num = 0 if pow(n, (q - 1) // 2, q) == 1 else (q - 1) // 2
-        else:
-            num = (self.index * int(self.modulus.dlog[n])) % (q - 1)
-        return CharValue(num, q - 1)
+            return CharValue(None, d)
+        e = (q - 1) // d
+        t = pow(n, e, q)
+        for pos, powers in _power_blocks(pow(self.modulus.g, e, q), d, q):
+            hit = np.flatnonzero(powers == t)
+            if hit.size:
+                return CharValue(self._class_of(pos + int(hit[0])), d)
+        raise AssertionError(f"{t} is not a power of g^{e}; g is not primitive")
 
     def __call__(self, n: int) -> CharValue:
         return self.value(n)
 
-    def fractions(self) -> np.ndarray:
-        """frac[n] = num of chi(n) for n in [1, q-1]; frac[0] = -1 sentinel."""
-        frac = (self.index * self.modulus.dlog) % (self.q - 1)
-        frac[0] = -1
-        return frac
+    def _class_of(self, j):
+        """chi's class m' j mod d at the dlog class j (an int or int64
+        array), for m' = index // gcd(index, q-1): chi(g^j) = e(m' j/d)."""
+        d = self.order
+        return ((self.index // ((self.q - 1) // d)) * j) % d
 
-    def _root_classes(self, dlog: np.ndarray) -> tuple[np.ndarray, int]:
-        """(c, s) with chi(n) = e(c s/(q-1)) for the discrete logs dlog[n].
-
-        s = gcd(index, q-1), so c lies in [0, d) for the order d = (q-1)/s
-        and c s = index * dlog mod (q-1) is the numerator fractions() holds.
-        """
-        s = math.gcd(self.index, self.q - 1)
-        return ((self.index // s) * dlog) % ((self.q - 1) // s), s
-
-    def _roots(self, classes: np.ndarray, s: int) -> np.ndarray:
-        """e(c s/(q-1)) for root classes c: the one formula for a complex
-        value, evaluated on the same float input c s for every caller."""
-        return np.exp(2j * np.pi * (classes * s).astype(np.float64)
+    def _roots(self, j: np.ndarray) -> np.ndarray:
+        """chi(g^j) = e(k s/(q-1)) for int64 dlog classes j, chi's classes k
+        and s = (q-1)/d: the one complex-value formula, one float input."""
+        s = (self.q - 1) // self.order
+        return np.exp(2j * np.pi * (self._class_of(j) * s).astype(np.float64)
                       / (self.q - 1))
+
+    def classes(self) -> np.ndarray:
+        """c[n] in [0, d) with chi(n) = e(c[n]/d) for n in [1, q-1] and
+        c[0] = -1, in the dtype of the modulus's class table; upcast before
+        adding two classes, as int8 overflows."""
+        table = self.modulus.classes(self.order)
+        c = self._class_of(np.arange(self.order)).astype(table.dtype)[table]
+        c[0] = -1
+        return c
 
     def values(self) -> np.ndarray:
         """Value table chi(n) for n in [0, q-1], rebuilt on every call.
 
         Exact int8 {-1, 0, 1} for real characters, complex128 otherwise;
         the dtype picks the exact path, as in prefix_sums.  A complex table
-        gathers from the d roots of unity of chi's order, so it costs d
-        exponentials, not q.
+        gathers the d roots of unity of chi's order by the class table, so
+        it costs d exponentials, not q.
         """
         if self.is_quadratic:
             return legendre_value_array(self.q)
         if self.is_trivial:
             vals = np.ones(self.q, dtype=np.int8)
         else:
-            classes, s = self._root_classes(self.modulus.dlog)
-            d = (self.q - 1) // s
-            vals = self._roots(np.arange(d, dtype=np.int64), s)[classes]
+            d = self.order
+            vals = self._roots(np.arange(d, dtype=np.int64))[
+                self.modulus.classes(d)]
         vals[0] = 0
         return vals
 
@@ -397,13 +392,13 @@ def interval_sum(chi: Character, m: int, n: int) -> int | complex:
     if chi.is_quadratic:
         return int(chi.values()[idx].sum(dtype=np.int64))
     # only the interval's residues: the values() formula on their classes
-    vals = chi._roots(*chi._root_classes(chi.modulus.dlog[idx]))
+    vals = chi._roots(chi.modulus.classes(chi.order)[idx].astype(np.int64))
     vals[idx == 0] = 0
     return complex(vals.sum())
 
 
 def legendre_value_array(q: int) -> np.ndarray:
-    """Quadratic-character value table from the squares sieve, no dlog needed.
+    """Quadratic-character value table from the squares, no class table.
 
     The only source of the quadratic value table: Character.values of the
     Legendre character reads it, and whole-prime scans use it without

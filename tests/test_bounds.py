@@ -22,7 +22,7 @@ from burgess.bounds import (
     resolve_params,
 )
 from burgess import bounds
-from burgess.chars import build_modulus
+from burgess.chars import PrimeModulus, build_modulus
 from burgess.errors import DegenerateParams, UnknownVariant
 from burgess.moments import moment_check, moment_sum
 
@@ -263,12 +263,16 @@ def test_uv_budget_property(n, q, r):
 
 
 def test_legendre_work_builds_no_dlog(monkeypatch):
-    # the quadratic values come from the squares, so no dlog table is read
+    # the quadratic values come from the squares and single values from the
+    # order-d Euler criterion, so no class table is ever built
+    def no_table(self, d):
+        raise AssertionError(f"class table mod {d} built")
+
+    monkeypatch.setattr(PrimeModulus, "classes", no_table)
     mod = build_modulus(10007)
     chi = mod.legendre()
     assert holder_chain(chi, 17, int(10007 ** 0.4), 2).passed
     assert moment_check(chi, r=2).passed
-    assert "dlog" not in vars(chi.modulus)
     built = []
 
     def spy(q):
@@ -277,4 +281,13 @@ def test_legendre_work_builds_no_dlog(monkeypatch):
 
     monkeypatch.setattr(bounds, "build_modulus", spy)
     extremal_scan(10007, 5003, 40, [0, 17, 900])
-    assert len(built) == 1 and "dlog" not in vars(built[0])
+    assert len(built) == 1
+    q = 10000141
+    big = build_modulus(q)
+    for d in (2, 3):
+        e = (q - 1) // d
+        chi = big.character(e)  # chi(g^k) = e(k/d)
+        assert chi.order == d
+        for n in (2, 3, -5, q - 1):
+            v = chi.value(n)
+            assert v.den == d and pow(n, e, q) == pow(big.g, e * v.num, q)

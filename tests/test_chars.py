@@ -66,10 +66,19 @@ def test_find_primitive_root_order_is_full():
 
 
 def test_build_modulus_dlog_example():
-    mod = build_modulus(7)
-    assert [mod.dlog_of(n) for n in range(1, 7)] == [0, 2, 1, 4, 5, 3]
-    mod3 = build_modulus(3)
-    assert mod3.dlog_of(1) == 0 and mod3.dlog_of(2) == 1
+    mod = build_modulus(7)  # g = 3; the full dlog is the d = q-1 class table
+    assert mod.classes(6).tolist() == [-1, 0, 2, 1, 4, 5, 3]
+    assert mod.classes(3).tolist() == [-1, 0, 2, 1, 1, 2, 0]
+    assert mod.classes(2).tolist() == [-1, 0, 0, 1, 0, 1, 1]
+    assert build_modulus(3).classes(2).tolist() == [-1, 0, 1]
+
+
+def test_class_table_dtype_holds_minus_d():
+    assert build_modulus(1009).classes(3).dtype == np.int8
+    assert build_modulus(1009).classes(1008).dtype == np.int16
+    q = 40009  # above 32769, so q - 1 needs int32
+    assert is_prime(q)
+    assert build_modulus(q).classes(q - 1).dtype == np.int32
 
 
 def test_build_modulus_rejects_composite_and_oversize(monkeypatch):
@@ -102,25 +111,35 @@ def test_table_limit_env_override(monkeypatch):
     assert build_modulus(101).q == 101
 
 
-def test_dlog_built_on_first_read():
+def test_modulus_holds_no_table():
     mod = build_modulus(101)
-    assert "dlog" not in vars(mod)
-    assert mod.dlog_of(mod.g) == 1
-    assert "dlog" in vars(mod)
+    for m in (50, 5):
+        chi = mod.character(m)
+        chi.prefix
+        chi.value(3)
+        assert vars(mod) == {"q": 101, "g": 2}
 
 
 def test_planted_non_primitive_root_fails_on_first_read():
     mod = PrimeModulus(q=101, g=4)  # 4 = 2^2 has order 50, not 100
-    for _ in range(2):  # a failed build is not cached
+    for _ in range(2):  # every read checks its table
         with pytest.raises(AssertionError):
-            mod.dlog
-    assert "dlog" not in vars(mod)
+            mod.classes(100)
+    assert vars(mod) == {"q": 101, "g": 4}
+
+
+def test_planted_root_caught_by_surjectivity_alone():
+    # 2 has order 51 mod 103: the anchors c[1] = 0, c[2] = 1 mod 3 hold,
+    # but half the residues are never reached
+    assert pow(2, 51, 103) == 1
+    with pytest.raises(AssertionError, match="surjective"):
+        PrimeModulus(q=103, g=2).classes(3)
 
 
 def test_character_caches_only_its_prefix(mod101):
     for m in (50, 5):
         chi = mod101.character(m)
-        chi.fractions()
+        chi.classes()
         chi.values()
         assert vars(chi) == {"modulus": mod101, "index": m}
         table = chi.prefix
@@ -141,8 +160,9 @@ def test_complex_values_from_roots_bit_identical(q):
     assert math.gcd(2, q - 1) == 2 and (q - 1) // 2 > 6
     for m in indices:
         chi = mod.character(m)
-        want = np.exp(2j * np.pi * chi.fractions().astype(np.float64)
-                      / (q - 1))
+        s = (q - 1) // chi.order  # oracle float input: class * s
+        want = np.exp(2j * np.pi * (chi.classes().astype(np.int64) * s)
+                      .astype(np.float64) / (q - 1))
         want[0] = 0
         got = chi.values()
         assert np.array_equal(bits(got), bits(want)), m
@@ -177,7 +197,7 @@ def test_values_dtype_picks_exact_path(mod101):
 
 
 def test_dlog_is_bijection(mod101):
-    assert sorted(int(k) for k in mod101.dlog[1:]) == list(range(100))
+    assert sorted(mod101.classes(100)[1:].tolist()) == list(range(100))
 
 
 def test_value_euler_criterion():
@@ -190,25 +210,38 @@ def test_value_euler_criterion():
         assert chi(n).as_int() == euler_criterion(n, 7)
 
 
-def test_quadratic_value_reads_no_dlog():
+def test_quadratic_value_reads_no_dlog(monkeypatch):
+    def no_table(self, d):
+        raise AssertionError("class table built")
+
+    monkeypatch.setattr(PrimeModulus, "classes", no_table)
     chi = build_modulus(10007).legendre()
     assert chi.value(3).as_int() == euler_criterion(3, 10007)
-    assert "dlog" not in vars(chi.modulus)
 
 
-def test_quadratic_value_equals_dlog_value(mod101):
-    chi = mod101.legendre()
-    for n in range(-101, 202):
-        want = (CharValue(None, 100) if n % 101 == 0 else
-                CharValue(50 * mod101.dlog_of(n) % 100, 100))
-        assert chi.value(n) == want
+def test_quadratic_value_equals_dlog_value():
+    # the order-d Euler criterion agrees with the class table, for every
+    # character; at q = 1009 a sample of n keeps it to ~33k value calls
+    rng = random.Random(11)
+    for q in (101, 103, 1009):
+        mod = build_modulus(q)
+        ns = range(-q, 2 * q)
+        if q == 1009:
+            ns = [-q, 0, q] + rng.sample(ns, 30)
+        for m in range(q - 1):
+            chi = mod.character(m)
+            c = chi.classes()
+            for n in ns:
+                want = (CharValue(None, chi.order) if n % q == 0 else
+                        CharValue(int(c[n % q]), chi.order))
+                assert chi.value(n) == want, (q, m, n)
 
 
 def test_char_value_forms():
     mod = build_modulus(5)
     chi = mod.legendre()
     v = chi.value(2)
-    assert v == CharValue(num=2, den=4)  # e(1/2) = -1
+    assert v == CharValue(num=1, den=2)  # e(1/2) = -1
     assert v.as_int() == -1
     assert abs(v.as_complex() + 1) < 1e-12
 
@@ -335,19 +368,20 @@ def test_multiplicativity_exact_all_pairs_small():
         mod = build_modulus(q)
         for m in range(1, q - 1):
             chi = mod.character(m)
-            frac = chi.fractions()
+            c = chi.classes().astype(np.int64)
             for a in range(1, q):
                 for b in range(1, q):
-                    assert frac[a * b % q] == (frac[a] + frac[b]) % (q - 1)
+                    assert c[a * b % q] == (c[a] + c[b]) % chi.order
 
 
 def test_multiplicativity_all_pairs_q101(mod101):
     a = np.arange(1, 101, dtype=np.int64)
     prod_idx = np.outer(a, a) % 101
     for m in (1, 2, 17, 50, 99):
-        frac = mod101.character(m).fractions()
-        assert np.array_equal(frac[prod_idx],
-                              (frac[a][:, None] + frac[a][None, :]) % 100)
+        chi = mod101.character(m)
+        c = chi.classes().astype(np.int64)  # int8 sums would overflow
+        assert np.array_equal(c[prod_idx],
+                              (c[a][:, None] + c[a][None, :]) % chi.order)
 
 
 def test_orthogonality_every_start(mod101):
@@ -369,8 +403,9 @@ def test_order_invariant(mod101):
         chi = mod101.character(m)
         d = chi.order
         assert 100 % d == 0
-        frac = chi.fractions()
-        assert not np.any((d * frac[1:]) % 100)
+        c = chi.classes()
+        assert c[0] == -1 and c[1:].min() == 0 and c[1:].max() < d
+        assert math.gcd(int(c[mod101.g]), d) == 1  # chi(g) has order d
 
 
 def test_quadratic_iff_half_index(mod101):
@@ -409,7 +444,7 @@ def test_legendre_value_array_matches_dlog_path(mod101, mod1009):
     for mod in (mod101, mod1009):
         # chi(g^k) = (-1)^k
         assert legendre_value_array(mod.q).tolist() == [0] + [
-            1 - 2 * (int(k) % 2) for k in mod.dlog[1:]]
+            1 - 2 * k for k in mod.classes(2)[1:].tolist()]
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())
@@ -421,7 +456,7 @@ def test_value_multiplicativity_property(q, data):
     b = data.draw(st.integers(min_value=1, max_value=q - 1))
     chi = mod.character(m)
     va, vb, vab = chi.value(a), chi.value(b), chi.value(a * b)
-    assert vab.num == (va.num + vb.num) % (q - 1)
+    assert vab.num == (va.num + vb.num) % chi.order
 
 
 @given(st.integers(min_value=0, max_value=3000))
