@@ -17,6 +17,7 @@ import numpy as np
 from .chars import (
     Character,
     build_modulus,
+    lattice_norm,
     legendre_value_array,
     prefix_sums,
     window_sum,
@@ -160,13 +161,23 @@ def bound_value(variant: str, N: int, q: int, r: int | None = None,
     return BoundReport(variant, core * logq ** power, N, q, r=r)
 
 
+# Fractional bits of the certificate for W^{2r} <= rhs on the rank-2 path.
+CERT_BITS = 20
+
+
 @dataclass
 class HolderChainReport:
     """Every quantity in the one-step averaging inequality, plus the verdict.
 
     W is the doubly averaged absolute window sum; the chain asserts
-    W^{2r} <= (sum I)^{2r-2} * (sum I^2) * (moment sum).  On the quadratic
-    path all six quantities are integers and the comparison is exact.
+    W^{2r} <= (sum I)^{2r-2} * (sum I^2) * (moment sum).  path says how the
+    verdict was reached.  On the quadratic path all six quantities are
+    integers and the comparison is exact ("exact").  For characters of
+    order 3, 4 and 6 the moment and rhs are exact integers and W, a sum of
+    square roots of integer norms, is a float; the verdict is certified in
+    integers from an upper bound on W ("certified") and falls back to the
+    float comparison only when that is inconclusive ("float"), as it always
+    does for characters of other orders.
     """
 
     params: BurgessParams
@@ -183,6 +194,7 @@ class HolderChainReport:
     holder_rhs: int | float
     exact: bool
     passed: bool
+    path: str
 
 
 def holder_chain(chi: Character, M: int, N: int, r: int,
@@ -198,11 +210,16 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
     inst = CollisionInstance(q=q, M=M, N=N, rough=rough, A=A)
     dist = collision_distribution(inst)
     table = chi.prefix
-    exact = table.exact
-    # W = sum_lam I(lam) |w(lam)|; a Python int on the exact path so that
+    w = window_sum(table, dist.lams, params.V)
+    # W = sum_lam I(lam) |w(lam)|; a Python int on the rank-1 path so that
     # W^{2r} below is exact
-    weighted = np.abs(window_sum(table, dist.lams, params.V)) @ dist.counts
-    W = int(weighted) if exact else float(weighted)
+    if table.rank == 1:
+        W: int | float = int(lattice_norm(table, w) @ dist.counts)
+    elif table.rank == 2:
+        norm = lattice_norm(table, w)
+        W = float(np.sqrt(norm) @ dist.counts)
+    else:
+        W = float(np.abs(w) @ dist.counts)
     # the complete moment does not depend on M: one per (chi, V, r)
     key = (params.V, r)
     if key not in chi.moments:
@@ -210,15 +227,36 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
     moment = chi.moments[key]
     lhs = W ** (2 * r)
     rhs = dist.first_moment ** (2 * r - 2) * dist.second_moment * moment
-    if exact:
-        passed = lhs <= rhs
+    if table.rank == 1:
+        passed, path = lhs <= rhs, "exact"
+    elif table.rank == 2 and _certified(norm, dist.counts, r, rhs):
+        passed, path = True, "certified"
     else:
-        passed = lhs <= rhs * (1 + 1e-9)
+        passed, path = lhs <= rhs * (1 + 1e-9), "float"
     return HolderChainReport(
         params=params, char_index=chi.index, M=M, N=N, r=r,
         rough_count=rough.count, W=W, first_moment=dist.first_moment,
         second_moment=dist.second_moment, moment2r=moment,
-        holder_lhs=lhs, holder_rhs=rhs, exact=exact, passed=passed)
+        holder_lhs=lhs, holder_rhs=rhs, exact=table.rank == 1,
+        passed=passed, path=path)
+
+
+def _certified(norm: np.ndarray, counts: np.ndarray, r: int,
+               rhs: int) -> bool:
+    """Whether W^{2r} <= rhs follows, in integers, from the upper bound
+    2^k W+ = sum c ceil(2^k sqrt(norm)) >= 2^k W with k = CERT_BITS;
+    False when inconclusive, including when int64 would not hold it."""
+    k = CERT_BITS
+    if norm.size == 0 or int(norm.max()) >= 1 << (62 - 2 * k):
+        return False
+    m = norm << (2 * k)  # below 2^62, so every square below stays in int64
+    x = np.sqrt(m).astype(np.int64)  # floor(sqrt(m)), give or take one
+    x -= x * x > m
+    x += (x + 1) * (x + 1) <= m
+    ceil = x + (x * x < m)
+    if int(counts.sum()) * int(ceil.max()) >= 1 << 63:
+        return False
+    return int(ceil @ counts) ** (2 * r) <= rhs << (2 * r * k)
 
 
 def holder_chain_direct_w(chi: Character, M: int, N: int,
@@ -268,11 +306,15 @@ def extremal_scan(q: int, char_index: int, N: int, M_values: list[int],
     if rem:
         # reduced as Python ints, so starts beyond int64 are accepted
         starts = np.array([m % q for m in M_values], dtype=np.int64)
-        mags = np.abs(window_sum(chi.prefix, starts, rem))
+        table = chi.prefix
+        w = window_sum(table, starts, rem)
+        mags = lattice_norm(table, w) if table.exact else np.abs(w)
+        i = int(mags.argmax())
+        best = (math.sqrt(int(mags[i])) if table.rank == 2
+                else float(mags[i]))
     else:
-        mags = np.zeros(len(M_values))
-    i = int(mags.argmax())
-    best, best_m = float(mags[i]), M_values[i]
+        i, best = 0, 0.0
+    best_m = M_values[i]
     ratios = {}
     for variant in VARIANTS:
         rv = None if variant in ("polya_vinogradov", "grh", "mv_loglog") else r

@@ -4,20 +4,27 @@ A character is addressed by its index m against the smallest primitive root
 g of q: the index-m character maps g^k to e(mk/(q-1)).  A character of order
 d takes only d values, kept as exact fractions c/d of a full turn (c in
 [0, d)), so multiplicativity and order identities are integer statements;
-floating point enters only when sums are accumulated.  Quadratic (Legendre)
-characters additionally get an exact integer summation path, which makes
-every inequality involving them checkable with zero tolerance.
+floating point enters only when sums are accumulated, and not even there
+for the prefix tables and window sums of characters of order 2, 3, 4 and 6.
+Quadratic (Legendre) characters get an exact integer path throughout,
+which makes every inequality involving them checkable with zero tolerance.
 
 A modulus holds no table: its class table c(n) = dlog(n) mod d (d = q-1
 gives the full discrete log) is rebuilt and checked on every read.  Single
-values come from the order-d Euler criterion and the quadratic value table
-from the squares, so neither builds one.  A complex value table gathers d
-roots of unity by the class table; interval_sum evaluates the same root
-formula on the interval's classes alone, returning a Python int on the real
-path and a complex number otherwise, as window_sum does.  A character caches
-only its prefix table and its complete moments (one scalar per (V, r)); a
-prefix table holds no reference to its character, so both are freed with
-the character's last reference.
+values come from the order-d Euler criterion (baby-step giant-step in the
+order-d subgroup) and the quadratic value table from the squares, so
+neither builds one.  A complex value table gathers d roots of unity by the
+class table; interval_sum evaluates the same root formula on the interval's
+classes alone, returning a Python int on the real path and a complex number
+otherwise.
+
+Characters of order 2, 3, 4 and 6 take their values in a lattice of rank 1
+or 2 (LATTICE), so their prefix tables are exact int32 coordinates and a
+window sum is an integer (rank 1) or an integer pair (rank 2) with an exact
+integer norm; only characters of other orders use complex128 tables.  A
+character caches only its prefix table and its complete moments (one scalar
+per (V, r)); a prefix table holds no reference to its character, so both
+are freed with the character's last reference.
 """
 from __future__ import annotations
 
@@ -38,8 +45,24 @@ from .errors import (
 
 DEFAULT_TABLE_LIMIT = 1 << 26
 # Below 2^31 the int64 products cur * base (_power_blocks) and k * k
-# (legendre_value_array) cannot overflow, and every class fits in int32.
+# (legendre_value_array) cannot overflow, and every class and every
+# coordinate of a prefix sum (|S_k| < q) fits in int32.
 TABLE_CEILING = 1 << 31
+# Length of the blocks that q-length passes are cut into, so that their
+# temporaries stay small and in cache.
+BLOCK = 1 << 16
+
+# The values e(c/d) of a character of order d in {2, 3, 4, 6} lie in a
+# lattice: Z for d = 2, Z[omega] (omega = e(1/3)) for d = 3 and 6, Z[i]
+# for d = 4.  Row k, column c is the k-th coordinate of e(c/d) in the basis
+# (1,), (1, omega) or (1, i).  The squared norm of a + b*omega is
+# a^2 - ab + b^2, that of a + b*i is a^2 + b^2 (lattice_norm).
+LATTICE = {
+    2: ((1, -1),),
+    3: ((1, 0, -1), (0, 1, -1)),
+    4: ((1, 0, -1, 0), (0, 1, 0, -1)),
+    6: ((1, 1, 0, -1, -1, 0), (0, 1, 1, 0, -1, -1)),
+}
 
 
 def check_table_size(q: int) -> None:
@@ -228,19 +251,28 @@ class Character:
 
     def value(self, n: int) -> CharValue:
         """chi(n) by the order-d Euler criterion: n^((q-1)/d) = h^j for
-        h = g^((q-1)/d) and j = dlog(n) mod d, found among the d powers of
-        h, so no q-sized table is built."""
+        h = g^((q-1)/d) and j = dlog(n) mod d, found by baby-step giant-step
+        as j = i m + k with m = isqrt(d-1) + 1, in O(sqrt(d)) steps and no
+        q-sized table."""
         q, d = self.q, self.order
         n %= q
         if n == 0:
             return CharValue(None, d)
         e = (q - 1) // d
-        t = pow(n, e, q)
-        for pos, powers in _power_blocks(pow(self.modulus.g, e, q), d, q):
-            hit = np.flatnonzero(powers == t)
-            if hit.size:
-                return CharValue(self._class_of(pos + int(hit[0])), d)
-        raise AssertionError(f"{t} is not a power of g^{e}; g is not primitive")
+        h = pow(self.modulus.g, e, q)
+        m = math.isqrt(d - 1) + 1
+        baby, x = {}, 1
+        for k in range(m):
+            baby.setdefault(x, k)
+            x = x * h % q
+        giant, t = pow(h, -m, q), pow(n, e, q)
+        for i in range(m):
+            k = baby.get(t)
+            if k is not None:
+                return CharValue(self._class_of(i * m + k), d)
+            t = t * giant % q
+        raise AssertionError(
+            f"{n}^{e} is not a power of g^{e}; g is not primitive")
 
     def __call__(self, n: int) -> CharValue:
         return self.value(n)
@@ -286,6 +318,26 @@ class Character:
         vals[0] = 0
         return vals
 
+    def coordinates(self) -> np.ndarray:
+        """chi(n) for n in [0, q-1] as int8 coordinates in its LATTICE
+        basis, for orders 2, 3, 4 and 6: the value table itself, shape (q,),
+        for the real character; shape (2, q) for the others, gathered by the
+        class table from the d columns of LATTICE."""
+        if self.is_quadratic:
+            return legendre_value_array(self.q)
+        d = self.order
+        if d not in LATTICE:
+            raise ValueError(f"order {d} has no integer coordinates")
+        table = self.modulus.classes(d)
+        # column j: the coordinates of chi(g^j) for the dlog class j
+        cols = np.array(LATTICE[d], dtype=np.int8)[
+            :, self._class_of(np.arange(d))]
+        coords = np.empty((len(cols), self.q), dtype=np.int8)
+        for row, col in zip(coords, cols):
+            row[:] = col[table]  # row by row: a 2-D gather is twice as slow
+        coords[:, 0] = 0
+        return coords
+
     @cached_property
     def prefix(self) -> "PrefixTable":
         return prefix_table(self)
@@ -303,42 +355,59 @@ class Character:
 class PrefixTable:
     """Cumulative sums S_k = sum_{n<=k} chi(n) for k in [0, q].
 
-    Exact int64 for quadratic characters, complex128 otherwise.  S_q = 0 for
-    every nontrivial character, which is what lets window sums wrap around
-    the period with at most two table lookups.
+    For a character of order d in LATTICE the sums are exact int32
+    coordinates in its lattice basis, shape (q+1,) at rank 1 (the real
+    character) and (2, q+1) at rank 2 (orders 3, 4 and 6); |S_k| < q < 2^31
+    bounds every coordinate.  Other orders get complex128 sums of shape
+    (q+1,).  S_q = 0 for every nontrivial character, which is what lets
+    window sums wrap around the period with at most two table lookups.
     """
 
-    def __init__(self, sums: np.ndarray):
+    def __init__(self, sums: np.ndarray, order: int):
         self.sums = sums
-        self.exact = sums.dtype.kind == "i"
+        self.order = order
 
     @property
     def q(self) -> int:
-        return len(self.sums) - 1
+        return self.sums.shape[-1] - 1
+
+    @property
+    def exact(self) -> bool:
+        return self.order in LATTICE
+
+    @property
+    def rank(self) -> int:
+        """Lattice rank of the values: 1 or 2, 0 for a complex table."""
+        return len(LATTICE.get(self.order, ()))
 
 
 def prefix_sums(vals: np.ndarray) -> np.ndarray:
-    """S_k = sum_{1<=n<=k} vals[n] for k in [0, q], where vals[0] = chi(q).
+    """S_k = sum_{1<=n<=k} vals[..., n] for k in [0, q] along the last
+    axis, where vals[..., 0] = chi(q).
 
-    S_q = S_{q-1} because chi(q) = 0.  Integer value tables give exact int64
+    S_q = S_{q-1} because chi(q) = 0.  Integer value tables give exact int32
     sums, whose S_q must vanish by orthogonality; complex tables give
-    complex128 sums.
+    complex128 sums.  The values are copied into the table and summed in
+    place, so no q-length temporary is made.
     """
-    q = len(vals)
+    q = vals.shape[-1]
     exact = vals.dtype.kind == "i"
-    sums = np.empty(q + 1, dtype=np.int64 if exact else np.complex128)
-    sums[0] = 0
-    np.cumsum(vals[1:], dtype=sums.dtype, out=sums[1:q])
-    sums[q] = sums[q - 1]
+    sums = np.empty(vals.shape[:-1] + (q + 1,),
+                    dtype=np.int32 if exact else np.complex128)
+    sums[..., 0] = 0
+    sums[..., 1:q] = vals[..., 1:]
+    np.cumsum(sums[..., 1:q], axis=-1, out=sums[..., 1:q])
+    sums[..., q] = sums[..., q - 1]
     if exact:
-        assert sums[q] == 0
+        assert not sums[..., q].any()
     return sums
 
 
 def prefix_table(chi: Character) -> PrefixTable:
     if chi.is_trivial:
         raise TrivialCharacter("prefix table requires a nontrivial character")
-    return PrefixTable(prefix_sums(chi.values()))
+    vals = chi.coordinates() if chi.order in LATTICE else chi.values()
+    return PrefixTable(prefix_sums(vals), chi.order)
 
 
 def _check_window(q: int, v: int) -> None:
@@ -353,9 +422,10 @@ def window_sum(table: PrefixTable, lam, v: int):
 
     Each start is reduced to a in [1, q], the starts window_array covers, so
     both read the same prefix entries and agree bit for bit; a window that
-    runs past q wraps with a second prefix read, S_{a+v-q} - S_a + S_q.
-    Returns int64 on the exact path and complex128 otherwise, shaped like
-    lam.
+    runs past q wraps with a second prefix read, S_{a+v-q} - S_a + S_q
+    (S_q = 0 exactly on an integer table).  Returns int32 shaped like lam at
+    rank 1, int32 coordinate pairs of shape (2,) + lam's shape at rank 2,
+    and complex128 shaped like lam otherwise.
     """
     q = table.q
     _check_window(q, v)
@@ -363,20 +433,45 @@ def window_sum(table: PrefixTable, lam, v: int):
     a = (lam - 1) % q + 1
     hi = a + v
     wrap = hi > q
-    return s[hi - q * wrap] - s[a] + s[q] * wrap
+    w = np.take(s, hi - q * wrap, axis=-1) - np.take(s, a, axis=-1)
+    if not table.exact:
+        w = w + s[q] * wrap
+    return w
 
 
-def window_array(table: PrefixTable, v: int) -> np.ndarray:
-    """window_sum over every start lam in [1, q], from two slice differences:
-    starts up to q - v read S_{lam+v} - S_lam, the rest wrap past q."""
+def window_array(table: PrefixTable, v: int, lo: int = 0,
+                 hi: int | None = None) -> np.ndarray:
+    """window_sum over the starts lam in (lo, hi], by default every start in
+    [1, q], from two slice differences: starts up to q - v read
+    S_{lam+v} - S_lam, the rest wrap past q.  moment_sum reads the
+    lam-range through it block by block."""
     q = table.q
     _check_window(q, v)
+    hi = q if hi is None else hi
     s = table.sums
-    w = np.empty(q, dtype=s.dtype)
-    np.subtract(s[1 + v:], s[1:q + 1 - v], out=w[:q - v])
-    np.subtract(s[1:v + 1], s[q + 1 - v:], out=w[q - v:])
-    w[q - v:] += s[q]
+    cut = min(max(q - v, lo), hi)  # starts in (lo, cut] do not wrap
+    w = np.empty(s.shape[:-1] + (hi - lo,), dtype=s.dtype)
+    np.subtract(s[..., lo + 1 + v:cut + 1 + v], s[..., lo + 1:cut + 1],
+                out=w[..., :cut - lo])
+    np.subtract(s[..., cut + 1 + v - q:hi + 1 + v - q], s[..., cut + 1:hi + 1],
+                out=w[..., cut - lo:])
+    if not table.exact:
+        w[cut - lo:] += s[q]
     return w
+
+
+def lattice_norm(table: PrefixTable, w: np.ndarray) -> np.ndarray:
+    """The integer that exact paths key window sums w on: |w| at rank 1,
+    int32, and the squared norm |w|^2 at rank 2, int64 (a^2 - ab + b^2 in
+    the basis (1, omega), a^2 + b^2 in the basis (1, i)).  For windows of
+    length V it is at most V^rank, and |w|^(2r) is its power 2r / rank."""
+    if table.rank == 1:
+        return np.abs(w)
+    a, b = w.astype(np.int64)
+    norm = a * a + b * b
+    if table.order != 4:
+        norm -= a * b
+    return norm
 
 
 def interval_sum(chi: Character, m: int, n: int) -> int | complex:
@@ -409,6 +504,8 @@ def legendre_value_array(q: int) -> np.ndarray:
     check_table_size(q)
     vals = np.full(q, -1, dtype=np.int8)
     vals[0] = 0
-    k = np.arange(1, (q - 1) // 2 + 1, dtype=np.int64)
-    vals[(k * k) % q] = 1
+    half = (q - 1) // 2
+    for lo in range(1, half + 1, BLOCK):  # int64 squares one block at a time
+        k = np.arange(lo, min(lo + BLOCK, half + 1), dtype=np.int64)
+        vals[k * k % q] = 1
     return vals

@@ -1,10 +1,13 @@
 """Complete 2r-th moments of windowed character sums and their bound.
 
 The moment sum_{lam=1..q} |sum_{v<=V} chi(lam+v)|^{2r} is computed in one
-O(q) pass over the prefix table.  On the quadratic path the window values
-are small integers, so the whole moment reduces to a bincount over at most
-2V+1 distinct values followed by an exact big-integer combination; that is
-what makes the inequality margin a zero-tolerance check.
+O(q) pass over the prefix table, in blocks of BLOCK window starts sliced
+from it, so no q-length window array is made.  For characters of order 2,
+3, 4 and 6 the window sums are lattice points with an exact integer norm
+of at most V^rank (chars.lattice_norm), so the moment reduces to a
+bincount of the norms followed by an exact big-integer combination; that is
+what makes the inequality margin a zero-tolerance check.  Characters of
+other orders sum |w|^{2r} in double precision block by block.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chars import Character, PrefixTable, window_array
+from .chars import BLOCK, Character, PrefixTable, lattice_norm, window_array
 from .errors import TrivialCharacter
 
 
@@ -62,22 +65,21 @@ def _leq_with_overflow(moment: int | float, bound: float, r: int, V: int,
     return _log_of(moment) <= weil_bound_log(r, V, q)
 
 
-def _exact_chunk_moment(w: np.ndarray, V: int, r: int) -> int:
-    """Exact sum of w^{2r} for an int64 window chunk with |w| <= V."""
-    counts = np.bincount(w + V, minlength=2 * V + 1)
-    total = 0
-    for idx in np.flatnonzero(counts):
-        val = int(idx) - V
-        total += int(counts[idx]) * val ** (2 * r)
-    return total
+def _power_sum(keys: np.ndarray, counts: np.ndarray, p: int) -> int:
+    """sum count * key^p over paired arrays, in Python ints."""
+    return sum(c * k ** p for k, c in zip(keys.tolist(), counts.tolist()))
 
 
 def moment_sum(chi: Character, V: int, r: int, parts: int = 1,
                table: PrefixTable | None = None) -> MomentReport:
     """The complete 2r-th moment over all q window positions.
 
-    parts > 1 splits the lam-range; chunks merge by plain addition, so the
-    partitioned result is bit-identical on the exact path.
+    An exact table gives a Python int: the bincount of the lattice norms
+    when their V^rank + 1 bins fit in q + 1, otherwise (a caller-given V
+    with V^2 > q) each block's distinct norms by np.unique.  parts > 1
+    splits the lam-range, each part read in its own blocks; parts merge by
+    plain addition, so the partitioned result is bit-identical on the exact
+    path.
     """
     if chi.is_trivial:
         raise TrivialCharacter("moment requires a nontrivial character")
@@ -85,16 +87,28 @@ def moment_sum(chi: Character, V: int, r: int, parts: int = 1,
         raise ValueError("r must be >= 1")
     q = chi.q
     table = table if table is not None else chi.prefix
-    w = window_array(table, V)
-    bounds_idx = np.linspace(0, q, max(parts, 1) + 1).astype(int)
-    chunks = [w[a:b] for a, b in zip(bounds_idx[:-1], bounds_idx[1:]) if b > a]
-    if table.exact:
-        moment: int | float = sum(_exact_chunk_moment(c, V, r) for c in chunks)
-        exact = True
+    edges = np.linspace(0, q, max(parts, 1) + 1).astype(int)
+    blocks = (window_array(table, V, a, min(a + BLOCK, hi))
+              for lo, hi in zip(edges[:-1], edges[1:])
+              for a in range(lo, hi, BLOCK))
+    exact = table.exact
+    if not exact:
+        moment: int | float = float(sum(
+            np.sum((w.real ** 2 + w.imag ** 2) ** r) for w in blocks))
     else:
-        mags = [np.sum((c.real ** 2 + c.imag ** 2) ** r) for c in chunks]
-        moment = float(sum(mags))
-        exact = False
+        power = 2 * r // table.rank
+        if V ** table.rank <= q:
+            # zeroed pages that no norm reaches are never touched
+            counts = np.zeros(V ** table.rank + 1, dtype=np.int64)
+            for w in blocks:
+                c = np.bincount(lattice_norm(table, w))
+                counts[:len(c)] += c
+            keys = np.flatnonzero(counts)
+            moment = _power_sum(keys, counts[keys], power)
+        else:
+            moment = sum(_power_sum(*np.unique(lattice_norm(table, w),
+                                               return_counts=True), power)
+                         for w in blocks)
     bound = weil_bound(r, V, q)
     passed = _leq_with_overflow(moment, bound, r, V, q)
     margin = bound - moment if math.isfinite(bound) else math.inf

@@ -22,7 +22,8 @@ from burgess.bounds import (
     resolve_params,
 )
 from burgess import bounds
-from burgess.chars import PrimeModulus, build_modulus
+from burgess.acceptance import holder_cells
+from burgess.chars import PrimeModulus, build_modulus, interval_sum
 from burgess.errors import DegenerateParams, UnknownVariant
 from burgess.moments import moment_check, moment_sum
 
@@ -113,7 +114,7 @@ def test_variant_ordering_chain():
 def test_holder_chain_passes(mod101):
     chi = mod101.legendre()
     rep = holder_chain(chi, 0, 50, 2)
-    assert rep.passed and rep.exact
+    assert rep.passed and rep.exact and rep.path == "exact"
     assert rep.first_moment == 50 * rep.rough_count
     assert rep.holder_lhs == rep.W ** 4
     assert rep.holder_rhs == (rep.first_moment ** 2 * rep.second_moment
@@ -130,9 +131,60 @@ def test_holder_chain_collected_equals_direct(mod101, mod10007):
 def test_holder_chain_complex_character(mod101):
     chi = mod101.character(4)
     rep = holder_chain(chi, 0, 6, 2)
-    assert rep.passed and not rep.exact
+    assert rep.passed and not rep.exact and rep.path == "float"
     direct = holder_chain_direct_w(chi, 0, 6, rep.params)
     assert abs(rep.W - direct) <= 1e-9 * direct
+
+
+def test_certificate_concludes_on_order_3_chain_cells():
+    # criterion 4's cells with the order-3 character (3 | q - 1)
+    for q, r, n, m_values in holder_cells(primes=(1009, 10009)):
+        chi = build_modulus(q).character((q - 1) // 3)
+        for m in m_values:
+            rep = holder_chain(chi, m, n, r)
+            assert rep.passed and rep.path == "certified", (q, r, m)
+            assert not rep.exact and type(rep.W) is float
+            assert type(rep.moment2r) is int and type(rep.holder_rhs) is int
+            direct = holder_chain_direct_w(chi, m, n, rep.params)
+            assert abs(rep.W - direct) <= 1e-9 * direct
+
+
+def test_certificate_rounds_up():
+    # perfect-square norms: W = 1*3 + 2*2 + 3*1 + 12*2 = 34 exactly
+    norm = np.array([0, 1, 4, 9, 144], dtype=np.int64)
+    counts = np.array([5, 3, 2, 1, 2], dtype=np.int64)
+    for r in (2, 3):
+        assert bounds._certified(norm, counts, r, 34 ** (2 * r))
+        assert not bounds._certified(norm, counts, r, 34 ** (2 * r) - 1)
+    # W = sqrt(2): the upper bound exceeds it, so W^4 = 4 is not certified
+    two, one = np.array([2], dtype=np.int64), np.array([1], dtype=np.int64)
+    assert not bounds._certified(two, one, 2, 4)
+    assert bounds._certified(two, one, 2, 5)
+    # a norm whose shifted square would leave int64: inconclusive
+    assert not bounds._certified(np.array([1 << 22], dtype=np.int64), one,
+                                 2, 10 ** 100)
+
+
+def test_holder_chain_falls_back_to_float(monkeypatch):
+    monkeypatch.setattr(bounds, "_certified", lambda *a: False)
+    chi = build_modulus(1009).character(336)
+    rep = holder_chain(chi, 5, 15, 2)
+    assert rep.passed and rep.path == "float"
+
+
+def test_extremal_scan_lattice_norms():
+    # order 3: the maximum is the square root of the largest integer norm
+    q, n = 1009, 17
+    starts = list(range(0, q, 3))
+    res = extremal_scan(q, 336, n, starts)
+    mags = [abs(interval_sum(build_modulus(q).character(336), m, n))
+            for m in starts]
+    best = max(range(len(starts)), key=lambda i: round(mags[i] ** 2))
+    assert res.argmax_M == starts[best]
+    assert res.max_abs_sum == math.sqrt(round(mags[best] ** 2))
+    conj = extremal_scan(q, 672, n, starts)  # conjugate: the same norms
+    assert (conj.max_abs_sum, conj.argmax_M) == (res.max_abs_sum,
+                                                 res.argmax_M)
 
 
 def test_holder_chain_reuses_moment(monkeypatch, mod10007):

@@ -184,16 +184,24 @@ def test_prefix_table_freed_with_its_character(mod101):
 def test_prefix_table_holds_no_character(mod101):
     table = prefix_table(mod101.character(5))
     assert not hasattr(table, "chi")
-    assert set(vars(table)) == {"sums", "exact"}
+    assert set(vars(table)) == {"sums", "order"}
     assert table.q == 101
 
 
-def test_values_dtype_picks_exact_path(mod101):
+def test_values_dtype_picks_exact_path(mod101, mod1009):
     assert mod101.character(0).values().dtype == np.int8
     assert mod101.legendre().values().dtype == np.int8
     assert mod101.character(5).values().dtype == np.complex128
     assert prefix_table(mod101.legendre()).exact
     assert not prefix_table(mod101.character(5)).exact
+    # orders 3, 4 and 6: int32 coordinate pairs, 8 bytes per residue
+    for d in (3, 4, 6):
+        table = prefix_table(mod1009.character(1008 // d))
+        assert table.exact and table.rank == 2
+        assert table.sums.dtype == np.int32 and table.sums.shape == (2, 1010)
+    assert prefix_table(mod101.legendre()).sums.shape == (102,)
+    with pytest.raises(ValueError):
+        mod101.character(5).coordinates()
 
 
 def test_dlog_is_bijection(mod101):
@@ -235,6 +243,18 @@ def test_quadratic_value_equals_dlog_value():
                 want = (CharValue(None, chi.order) if n % q == 0 else
                         CharValue(int(c[n % q]), chi.order))
                 assert chi.value(n) == want, (q, m, n)
+
+
+def test_value_full_order_is_discrete_log():
+    # index 1 has order q - 1, so chi(n) = e(dlog(n)/(q-1)) and g^num = n;
+    # baby-step giant-step takes O(sqrt(q)) steps per value
+    q = 10000019
+    mod = build_modulus(q)
+    chi = mod.character(1)
+    rng = random.Random(5)
+    for n in [1, mod.g, q - 1] + [rng.randrange(1, q) for _ in range(20)]:
+        v = chi.value(n)
+        assert v.den == q - 1 and pow(mod.g, v.num, q) == n
 
 
 def test_char_value_forms():
@@ -332,7 +352,7 @@ def test_window_equals_interval_1000_random(mod101, mod1009):
         lams = [rng.randint(-2 * mod.q, 2 * mod.q) for _ in range(1000)]
         v = rng.randint(1, mod.q)
         got = window_sum(table, np.array(lams, dtype=np.int64), v)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         assert got.tolist() == [interval_sum(chi, lam, v) for lam in lams]
 
 
@@ -441,7 +461,8 @@ def test_exact_int_tracks_re(mod101):
 
 
 def test_legendre_value_array_matches_dlog_path(mod101, mod1009):
-    for mod in (mod101, mod1009):
+    # 131101: the squares take two blocks
+    for mod in (mod101, mod1009, build_modulus(131101)):
         # chi(g^k) = (-1)^k
         assert legendre_value_array(mod.q).tolist() == [0] + [
             1 - 2 * k for k in mod.classes(2)[1:].tolist()]

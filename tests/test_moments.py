@@ -1,9 +1,19 @@
+import cmath
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burgess.chars import build_modulus
+from burgess.chars import (
+    BLOCK,
+    build_modulus,
+    lattice_norm,
+    prefix_table,
+    window_array,
+    window_sum,
+)
 from burgess.errors import TrivialCharacter, WindowTooLarge
 from burgess.moments import (
     auto_window,
@@ -12,6 +22,11 @@ from burgess.moments import (
     weil_bound,
     weil_bound_log,
 )
+
+# e(1/d) in Z[omega] (omega = e(1/3); d = 3, 6) or in Z[i] (d = 4), as the
+# pair (a, b) for a + b*beta, and beta itself as a complex number
+ROOT = {3: (0, 1), 4: (0, 1), 6: (1, 1)}
+BETA = {3: cmath.exp(2j * math.pi / 3), 4: 1j, 6: cmath.exp(2j * math.pi / 3)}
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +47,119 @@ def naive_moment(chi, v, r):
             w = sum(complex(vals[(lam + j) % q]) for j in range(1, v + 1))
             total += abs(w) ** (2 * r)
     return total
+
+
+def lattice_mul(d, x, y):
+    (a, b), (c, e) = x, y
+    if d == 4:  # i^2 = -1
+        return a * c - b * e, a * e + b * c
+    return a * c - b * e, a * e + b * c - b * e  # omega^2 = -1 - omega
+
+
+def oracle_pairs(chi):
+    """chi(n) for n in [0, q) as Python-int pairs: the power e(1/d)^c of
+    the single value chi(n) = e(c/d), multiplied out in the ring."""
+    d = chi.order
+    powers = [(1, 0)]
+    for _ in range(d - 1):
+        powers.append(lattice_mul(d, powers[-1], ROOT[d]))
+    return [(0, 0) if v.is_zero else powers[v.num]
+            for v in map(chi.value, range(chi.q))]
+
+
+def oracle_norm(d, a, b):
+    return a * a + b * b if d == 4 else a * a - a * b + b * b
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_lattice_path_matches_integer_oracle(d):
+    q = 1009
+    mod = build_modulus(q)
+    for m in ((q - 1) // d, (q - 1) // d * (d - 1)):  # chi and its conjugate
+        chi = mod.character(m)
+        assert chi.order == d
+        vals = oracle_pairs(chi)
+        table = prefix_table(chi)
+        assert table.rank == 2 and table.sums.dtype == np.int32
+        for v in (1, 7, 31, 40):  # 40^2 > q: the per-block np.unique path
+            windows = []
+            for lam in range(1, q + 1):
+                terms = [vals[(lam + j) % q] for j in range(1, v + 1)]
+                windows.append((sum(t[0] for t in terms),
+                                sum(t[1] for t in terms)))
+            got = window_array(table, v)
+            assert got.dtype == np.int32 and got.shape == (2, q)
+            assert list(zip(*got.tolist())) == windows
+            lams = np.arange(-q, 2 * q, 13, dtype=np.int64)
+            assert list(zip(*window_sum(table, lams, v).tolist())) == [
+                windows[(lam - 1) % q] for lam in lams.tolist()]
+            norms = [oracle_norm(d, a, b) for a, b in windows]
+            assert all(round(abs(a + b * BETA[d]) ** 2) == n
+                       for (a, b), n in zip(windows, norms))
+            assert lattice_norm(table, got).tolist() == norms
+            for r in (1, 2, 3):
+                moment = moment_sum(chi, v, r).moment
+                assert type(moment) is int
+                assert moment == sum(n ** r for n in norms), (m, v, r)
+
+
+def test_moment_is_int_for_lattice_orders():
+    q = 1009
+    mod = build_modulus(q)
+    for d in (2, 3, 4, 6):
+        rep = moment_sum(mod.character((q - 1) // d), 11, 2)
+        assert type(rep.moment) is int and rep.exact
+    assert type(moment_sum(mod.character(1), 11, 2).moment) is float
+
+
+def test_blocks_match_one_shot_above_block():
+    # q > 2 BLOCK: two full blocks and a partial one, 12 | q - 1
+    q = 131101
+    assert q > 2 * BLOCK and (q - 1) % 12 == 0
+    mod = build_modulus(q)
+    for d in (2, 3, 4, 5):
+        chi = mod.character((q - 1) // d)
+        table = chi.prefix
+        for v in (300, 70000):  # 70000 > BLOCK: wrapping starts span blocks
+            w = window_sum(table, np.arange(1, q + 1, dtype=np.int64), v)
+            assert np.array_equal(window_array(table, v), w)
+            for lo, hi in ((0, 1), (BLOCK - 1, BLOCK + 1),
+                           (q - v - 5, q - v + 5), (q - 3, q)):
+                assert np.array_equal(window_array(table, v, lo, hi),
+                                      w[..., lo:hi])
+            for r in (2, 3):
+                if table.exact:
+                    keys, counts = np.unique(lattice_norm(table, w),
+                                             return_counts=True)
+                    power = 2 * r // table.rank
+                    want = sum(int(c) * int(k) ** power
+                               for k, c in zip(keys, counts))
+                else:
+                    want = float(np.sum(np.abs(w) ** (2 * r)))
+                for parts in (1, 3):
+                    got = moment_sum(chi, v, r, parts=parts).moment
+                    if table.exact:
+                        assert got == want, (d, v, r, parts)
+                    else:
+                        assert abs(got - want) <= 1e-12 * want
+
+
+def test_wide_window_allocates_no_square_bins():
+    # V^2 > q: each block's norms are counted by np.unique, so none of the
+    # V^2 + 1 bins (8 MB here) is allocated
+    q, v = 1009, 1000
+    chi = build_modulus(q).character((q - 1) // 3)
+    table = chi.prefix
+    w = window_array(table, v)
+    keys, counts = np.unique(lattice_norm(table, w), return_counts=True)
+    tracemalloc.start()
+    try:
+        moment = moment_sum(chi, v, 2).moment
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (v * v + 1) * 8 // 10
+    assert moment == sum(int(c) * int(k) ** 2 for k, c in zip(keys, counts))
 
 
 def test_moment_example_q5():
