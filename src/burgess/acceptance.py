@@ -24,7 +24,7 @@ from .bounds import (
     pv_ratio_scan,
     resolve_params,
 )
-from .chars import Character, build_modulus, interval_sum
+from .chars import LATTICE, Character, build_modulus, interval_sum
 from .congruence import (
     CollisionInstance,
     brute_force_congruence_count,
@@ -72,14 +72,18 @@ def _timed(cid: int, name: str, fn,
 
 def _full_period_ok(chi: Character, starts) -> bool:
     """Orthogonality, read off q - 1 gathered values: the sum over
-    (m, m + q - 1] misses only the residue m, so it equals -chi(m)."""
-    q = chi.q
+    (m, m + q - 1] misses only the residue m, so it equals -chi(m); exactly
+    for orders 2, 3, 4 and 6, whose sums are integers or LATTICE points."""
+    q, d = chi.q, chi.order
     for m in starts:
-        s = interval_sum(chi, m, q - 1)
+        s, v = interval_sum(chi, m, q - 1), chi(m)
         if chi.is_quadratic:
-            if s != -chi(m).as_int():
-                return False
-        elif abs(s + chi(m).as_complex()) > 1e-9 * q:
+            ok = s == -v.as_int()
+        elif d in LATTICE:
+            ok = s == tuple(0 if v.is_zero else -c[v.num] for c in LATTICE[d])
+        else:
+            ok = abs(s + v.as_complex()) <= 1e-9 * q
+        if not ok:
             return False
     return True
 

@@ -19,7 +19,6 @@ from .chars import (
     build_modulus,
     lattice_norm,
     legendre_value_array,
-    prefix_sums,
     window_sum,
 )
 from .congruence import CollisionInstance, collision_distribution
@@ -333,7 +332,7 @@ def max_window_spread(q: int) -> float:
     windows is just max(S) - min(S), since any window sum is a difference of
     two prefix values once wraparound (S_q = 0) is folded in.
     """
-    sums = prefix_sums(legendre_value_array(q))
+    sums = np.cumsum(legendre_value_array(q), dtype=np.int32)  # S_0..S_{q-1}
     return float(sums.max() - sums.min())
 
 

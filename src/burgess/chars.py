@@ -3,28 +3,24 @@
 A character is addressed by its index m against the smallest primitive root
 g of q: the index-m character maps g^k to e(mk/(q-1)).  A character of order
 d takes only d values, kept as exact fractions c/d of a full turn (c in
-[0, d)), so multiplicativity and order identities are integer statements;
-floating point enters only when sums are accumulated, and not even there
-for the prefix tables and window sums of characters of order 2, 3, 4 and 6.
-Quadratic (Legendre) characters get an exact integer path throughout,
-which makes every inequality involving them checkable with zero tolerance.
-
-A modulus holds no table: its class table c(n) = dlog(n) mod d (d = q-1
-gives the full discrete log) is rebuilt and checked on every read.  Single
-values come from the order-d Euler criterion (baby-step giant-step in the
-order-d subgroup) and the quadratic value table from the squares, so
-neither builds one.  A complex value table gathers d roots of unity by the
-class table; interval_sum evaluates the same root formula on the interval's
-classes alone, returning a Python int on the real path and a complex number
-otherwise.
-
+[0, d)), so multiplicativity and order identities are integer statements.
 Characters of order 2, 3, 4 and 6 take their values in a lattice of rank 1
-or 2 (LATTICE), so their prefix tables are exact int32 coordinates and a
-window sum is an integer (rank 1) or an integer pair (rank 2) with an exact
-integer norm; only characters of other orders use complex128 tables.  A
-character caches only its prefix table and its complete moments (one scalar
-per (V, r)); a prefix table holds no reference to its character, so both
-are freed with the character's last reference.
+or 2 (LATTICE): their prefix tables are exact int32 coordinates, and a
+window or interval sum is an integer or an integer pair with an exact
+integer norm, so every inequality involving them is checkable with zero
+tolerance.  Only characters of other orders use complex128.
+
+A modulus holds no table: its class table c(n) = dlog(n) mod d is rebuilt
+and checked on every read, the classes sliced from one ramp when d <=
+POWER_BLOCK.  Single values come from the order-d Euler criterion and the
+quadratic value table from the squares, so neither builds one.  A prefix
+table reads the class table in BLOCK slices and gathers each slice's
+payload (d LATTICE columns or d roots of unity) straight into the table,
+then sums it in place: nothing q-wide is made beside the table and the
+class table.  interval_sum gathers the same payload by the interval's
+classes alone.  A character caches only its prefix table and its complete
+moments (one scalar per (V, r)); a prefix table holds no reference to its
+character, so both are freed with the character's last reference.
 """
 from __future__ import annotations
 
@@ -51,6 +47,7 @@ TABLE_CEILING = 1 << 31
 # Length of the blocks that q-length passes are cut into, so that their
 # temporaries stay small and in cache.
 BLOCK = 1 << 16
+POWER_BLOCK = 1 << 13  # the blocks of powers of g class tables are built from
 
 # The values e(c/d) of a character of order d in {2, 3, 4, 6} lie in a
 # lattice: Z for d = 2, Z[omega] (omega = e(1/3)) for d = 3 and 6, Z[i]
@@ -129,8 +126,8 @@ def find_primitive_root(q: int) -> int:
 def _power_blocks(base: int, count: int, q: int
                   ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (pos, powers) with powers[j] = base^(pos + j) mod q, int64
-    blocks covering the exponents [0, count) in order."""
-    block = min(count, 1 << 13)
+    blocks of POWER_BLOCK covering the exponents [0, count) in order."""
+    block = min(count, POWER_BLOCK)
     first = np.ones(block, dtype=np.int64)
     k, x = 1, base % q  # first[:k] holds base^0 .. base^(k-1); x = base^k
     while k < block:  # doubling; every factor is below q < 2^31
@@ -153,12 +150,19 @@ class PrimeModulus:
     def classes(self, d: int) -> np.ndarray:
         """c[n] = dlog(n) mod d for n in [1, q-1], c[0] = -1, for d | q-1, in
         the smallest signed dtype holding -d; every build checks that each
-        residue is reached (g is primitive) and c[1] = 0, c[g] = 1 mod d."""
+        residue is reached (g is primitive) and c[1] = 0, c[g] = 1 mod d.
+        For d <= POWER_BLOCK the classes pos, pos + 1, ... mod d of a block
+        of powers g^pos, ... are a slice of one ramp arange(...) % d."""
         q, g = self.q, self.g
         c = np.full(q, -1, dtype=np.min_scalar_type(-d))
+        if d <= POWER_BLOCK:
+            ramp = (np.arange(POWER_BLOCK + d) % d).astype(c.dtype)
         for pos, powers in _power_blocks(g, q - 1, q):
-            k = np.arange(pos, pos + len(powers), dtype=np.int32)
-            c[powers] = k if pos + len(powers) <= d else k % d
+            if d <= POWER_BLOCK:
+                c[powers] = ramp[pos % d:pos % d + len(powers)]
+            else:
+                k = np.arange(pos, pos + len(powers), dtype=np.int32)
+                c[powers] = k if pos + len(powers) <= d else k % d
         if int(c[1:].min()) < 0:
             raise AssertionError("class table not surjective; g is not primitive")
         if int(c[1]) != 0 or int(c[g]) != 1 % d:
@@ -300,13 +304,9 @@ class Character:
         return c
 
     def values(self) -> np.ndarray:
-        """Value table chi(n) for n in [0, q-1], rebuilt on every call.
-
-        Exact int8 {-1, 0, 1} for real characters, complex128 otherwise;
-        the dtype picks the exact path, as in prefix_sums.  A complex table
-        gathers the d roots of unity of chi's order by the class table, so
-        it costs d exponentials, not q.
-        """
+        """Value table chi(n) for n in [0, q-1], rebuilt on every call:
+        exact int8 {-1, 0, 1} for real characters, otherwise complex128,
+        the d roots of unity of chi's order gathered by the class table."""
         if self.is_quadratic:
             return legendre_value_array(self.q)
         if self.is_trivial:
@@ -317,26 +317,6 @@ class Character:
                 self.modulus.classes(d)]
         vals[0] = 0
         return vals
-
-    def coordinates(self) -> np.ndarray:
-        """chi(n) for n in [0, q-1] as int8 coordinates in its LATTICE
-        basis, for orders 2, 3, 4 and 6: the value table itself, shape (q,),
-        for the real character; shape (2, q) for the others, gathered by the
-        class table from the d columns of LATTICE."""
-        if self.is_quadratic:
-            return legendre_value_array(self.q)
-        d = self.order
-        if d not in LATTICE:
-            raise ValueError(f"order {d} has no integer coordinates")
-        table = self.modulus.classes(d)
-        # column j: the coordinates of chi(g^j) for the dlog class j
-        cols = np.array(LATTICE[d], dtype=np.int8)[
-            :, self._class_of(np.arange(d))]
-        coords = np.empty((len(cols), self.q), dtype=np.int8)
-        for row, col in zip(coords, cols):
-            row[:] = col[table]  # row by row: a 2-D gather is twice as slow
-        coords[:, 0] = 0
-        return coords
 
     @cached_property
     def prefix(self) -> "PrefixTable":
@@ -381,33 +361,35 @@ class PrefixTable:
         return len(LATTICE.get(self.order, ()))
 
 
-def prefix_sums(vals: np.ndarray) -> np.ndarray:
-    """S_k = sum_{1<=n<=k} vals[..., n] for k in [0, q] along the last
-    axis, where vals[..., 0] = chi(q).
-
-    S_q = S_{q-1} because chi(q) = 0.  Integer value tables give exact int32
-    sums, whose S_q must vanish by orthogonality; complex tables give
-    complex128 sums.  The values are copied into the table and summed in
-    place, so no q-length temporary is made.
-    """
-    q = vals.shape[-1]
-    exact = vals.dtype.kind == "i"
-    sums = np.empty(vals.shape[:-1] + (q + 1,),
-                    dtype=np.int32 if exact else np.complex128)
-    sums[..., 0] = 0
-    sums[..., 1:q] = vals[..., 1:]
-    np.cumsum(sums[..., 1:q], axis=-1, out=sums[..., 1:q])
-    sums[..., q] = sums[..., q - 1]
-    if exact:
-        assert not sums[..., q].any()
-    return sums
-
-
 def prefix_table(chi: Character) -> PrefixTable:
+    """Gather chi's d LATTICE columns (int32) or d roots (complex128) by
+    BLOCK slices of the class table straight into the table, then sum it in
+    place; the quadratic character's values come from the squares instead.
+    S_q = S_{q-1} as chi(q) = 0, and S_q = 0 is checked on integer tables."""
     if chi.is_trivial:
         raise TrivialCharacter("prefix table requires a nontrivial character")
-    vals = chi.coordinates() if chi.order in LATTICE else chi.values()
-    return PrefixTable(prefix_sums(vals), chi.order)
+    q, d = chi.q, chi.order
+    # chi(n) itself from the squares, or the classes to gather it by
+    src = (legendre_value_array(q) if chi.is_quadratic
+           else chi.modulus.classes(d))
+    # column j: chi(g^j) for the dlog class j, one row per coordinate
+    j = np.arange(d, dtype=np.int64)
+    cols = (np.array(LATTICE[d], dtype=np.int32)[:, chi._class_of(j)]
+            if d in LATTICE else chi._roots(j)[None])
+    sums = np.empty((len(cols), q + 1), dtype=cols.dtype)
+    if chi.is_quadratic:
+        sums[0, 1:q] = src[1:]
+    else:
+        for lo in range(1, q, BLOCK):
+            block = src[lo:min(lo + BLOCK, q)]
+            for row, col in zip(sums, cols):
+                # every class of n >= 1 is in [0, d): "clip" skips the check
+                np.take(col, block, out=row[lo:lo + len(block)], mode="clip")
+    sums[:, 0] = 0
+    np.cumsum(sums[:, 1:q], axis=-1, out=sums[:, 1:q])
+    sums[:, q] = sums[:, q - 1]
+    assert d not in LATTICE or not sums[:, q].any()
+    return PrefixTable(sums if len(cols) == 2 else sums[0], d)
 
 
 def _check_window(q: int, v: int) -> None:
@@ -460,23 +442,29 @@ def window_array(table: PrefixTable, v: int, lo: int = 0,
     return w
 
 
-def lattice_norm(table: PrefixTable, w: np.ndarray) -> np.ndarray:
+def lattice_norm(table: PrefixTable, w: np.ndarray,
+                 v: int | None = None) -> np.ndarray:
     """The integer that exact paths key window sums w on: |w| at rank 1,
-    int32, and the squared norm |w|^2 at rank 2, int64 (a^2 - ab + b^2 in
-    the basis (1, omega), a^2 + b^2 in the basis (1, i)).  For windows of
-    length V it is at most V^rank, and |w|^(2r) is its power 2r / rank."""
+    int32, and the squared norm |w|^2 at rank 2 (a^2 - ab + b^2 in the
+    basis (1, omega), a^2 + b^2 in the basis (1, i)).  For windows of
+    length V it is at most V^rank, and |w|^(2r) is its power 2r / rank.
+    Rank-2 norms are int64, or int32 for windows of a given length v with
+    2v^2 < 2^31, as |a|, |b| <= v and the norm <= v^2 keep them in range."""
     if table.rank == 1:
         return np.abs(w)
-    a, b = w.astype(np.int64)
+    small = v is not None and 2 * v * v < 1 << 31
+    a, b = w.astype(np.int32 if small else np.int64, copy=False)
     norm = a * a + b * b
     if table.order != 4:
         norm -= a * b
     return norm
 
 
-def interval_sum(chi: Character, m: int, n: int) -> int | complex:
+def interval_sum(chi: Character, m: int, n: int
+                 ) -> int | tuple[int, int] | complex:
     """sum_{m < k <= m+n} chi(k): a Python int when chi is real (exact
-    integer accumulation), a complex number otherwise."""
+    integer accumulation), its Python-int coordinates (a, b) in the LATTICE
+    basis for orders 3, 4 and 6, a complex number otherwise."""
     if n < 0:
         raise ValueError("interval length must be >= 0")
     q = chi.q
@@ -486,10 +474,20 @@ def interval_sum(chi: Character, m: int, n: int) -> int | complex:
     idx = (m + 1 + np.arange(n % q, dtype=np.int64)) % q  # full periods vanish
     if chi.is_quadratic:
         return int(chi.values()[idx].sum(dtype=np.int64))
-    # only the interval's residues: the values() formula on their classes
-    vals = chi._roots(chi.modulus.classes(chi.order)[idx].astype(np.int64))
+    d = chi.order
+    j = chi.modulus.classes(d)[idx].astype(np.int64)
+    if d in LATTICE:  # column c of LATTICE counted once per chi(k) = e(c/d)
+        counts = np.bincount(chi._class_of(j[idx != 0]), minlength=d)
+        return tuple(map(int, np.array(LATTICE[d]) @ counts))
+    vals = chi._roots(j)  # the values() formula
     vals[idx == 0] = 0
     return complex(vals.sum())
+
+
+def lattice_complex(d: int, coords: tuple[int, int]) -> complex:
+    """a + b*i (order 4) or a + b*omega (orders 3, 6) at coordinates (a, b)."""
+    return coords[0] + coords[1] * (1j if d == 4 else
+                                    complex(-0.5, math.sqrt(3) / 2))
 
 
 def legendre_value_array(q: int) -> np.ndarray:

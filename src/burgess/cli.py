@@ -209,7 +209,8 @@ def run_sum(args, cfg):
     chi = mod.legendre() if args.index is None else mod.character(args.index)
     n = parse_n_spec(args.N if args.N is not None else str(args.q), args.q)
     s = chars.interval_sum(chi, args.M, n)
-    c = complex(s)
+    c = (chars.lattice_complex(chi.order, s) if isinstance(s, tuple)
+         else complex(s))
     yield ({"q": args.q, "char_index": chi.index, "M": args.M, "N": n},
            {"re": c.real, "im": c.imag,
             "exact_int": s if isinstance(s, int) else None,
@@ -323,7 +324,7 @@ def run_holder(args, cfg):
             outputs = {"U": p.U, "V": p.V, "z": p.z, "params_source": p.source}
             outputs.update({k: getattr(report, k) for k in (
                 "rough_count", "W", "first_moment", "second_moment",
-                "moment2r", "holder_lhs", "holder_rhs", "exact")})
+                "moment2r", "holder_lhs", "holder_rhs", "exact", "path")})
             yield ({"q": q, "char_index": m_idx, "r": r, "N": n, "M": m},
                    outputs, {"holder": report.passed})
 

@@ -4,8 +4,9 @@ The moment sum_{lam=1..q} |sum_{v<=V} chi(lam+v)|^{2r} is computed in one
 O(q) pass over the prefix table, in blocks of BLOCK window starts sliced
 from it, so no q-length window array is made.  For characters of order 2,
 3, 4 and 6 the window sums are lattice points with an exact integer norm
-of at most V^rank (chars.lattice_norm), so the moment reduces to a
-bincount of the norms followed by an exact big-integer combination; that is
+of at most V^rank (chars.lattice_norm, computed in int32 while 2V^2 <
+2^31), so the moment reduces to a bincount of the norms followed by an
+exact big-integer combination; that is
 what makes the inequality margin a zero-tolerance check.  Characters of
 other orders sum |w|^{2r} in double precision block by block.
 """
@@ -101,7 +102,7 @@ def moment_sum(chi: Character, V: int, r: int, parts: int = 1,
             # zeroed pages that no norm reaches are never touched
             counts = np.zeros(V ** table.rank + 1, dtype=np.int64)
             for w in blocks:
-                c = np.bincount(lattice_norm(table, w))
+                c = np.bincount(lattice_norm(table, w, V))
                 counts[:len(c)] += c
             keys = np.flatnonzero(counts)
             moment = _power_sum(keys, counts[keys], power)

@@ -172,16 +172,32 @@ def test_holder_chain_falls_back_to_float(monkeypatch):
     assert rep.passed and rep.path == "float"
 
 
+def test_certificate_gets_int64_norms(monkeypatch):
+    # _certified shifts norms left by 2 CERT_BITS, which int32 would wrap
+    seen = []
+
+    def spy(norm, *a):
+        seen.append(norm.dtype)
+        return real(norm, *a)
+
+    real = bounds._certified
+    monkeypatch.setattr(bounds, "_certified", spy)
+    rep = holder_chain(build_modulus(1009).character(336), 5, 15, 2)
+    assert rep.path == "certified" and seen == [np.int64]
+
+
 def test_extremal_scan_lattice_norms():
     # order 3: the maximum is the square root of the largest integer norm
     q, n = 1009, 17
     starts = list(range(0, q, 3))
     res = extremal_scan(q, 336, n, starts)
-    mags = [abs(interval_sum(build_modulus(q).character(336), m, n))
-            for m in starts]
-    best = max(range(len(starts)), key=lambda i: round(mags[i] ** 2))
+    chi = build_modulus(q).character(336)
+    # exact Z[omega] coordinates (a, b): the norm is a^2 - ab + b^2
+    norms = [a * a - a * b + b * b
+             for a, b in (interval_sum(chi, m, n) for m in starts)]
+    best = max(range(len(starts)), key=norms.__getitem__)
     assert res.argmax_M == starts[best]
-    assert res.max_abs_sum == math.sqrt(round(mags[best] ** 2))
+    assert res.max_abs_sum == math.sqrt(norms[best])
     conj = extremal_scan(q, 672, n, starts)  # conjugate: the same norms
     assert (conj.max_abs_sum, conj.argmax_M) == (res.max_abs_sum,
                                                  res.argmax_M)

@@ -1,19 +1,25 @@
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burgess import acceptance
 from burgess.chars import (
+    BLOCK,
+    LATTICE,
+    POWER_BLOCK,
     CharValue,
     PrimeModulus,
     build_modulus,
     find_primitive_root,
     interval_sum,
     is_prime,
+    lattice_complex,
     legendre_value_array,
     prefix_table,
     window_array,
@@ -200,8 +206,77 @@ def test_values_dtype_picks_exact_path(mod101, mod1009):
         assert table.exact and table.rank == 2
         assert table.sums.dtype == np.int32 and table.sums.shape == (2, 1010)
     assert prefix_table(mod101.legendre()).sums.shape == (102,)
-    with pytest.raises(ValueError):
-        mod101.character(5).coordinates()
+
+
+def scatter_classes(mod, d):
+    """k mod d at g^k for k in [0, q-2], -1 at 0: one power at a time."""
+    c = np.full(mod.q, -1, dtype=np.int64)
+    x = 1
+    for k in range(mod.q - 1):
+        c[x] = k % d
+        x = x * mod.g % mod.q
+    return c
+
+
+def test_classes_ramp_matches_plain_scatter():
+    # q - 1 = 32796 spans five 2^13 blocks of powers; 2^13 mod d != 0 for
+    # d = 3, 6, 5466; 8199 and q - 1 lie above the ramp
+    mod = build_modulus(32797)
+    assert (mod.q - 1) // POWER_BLOCK >= 4
+    for d in (2, 3, 4, 6, 5466, 8199, mod.q - 1):
+        assert (mod.q - 1) % d == 0
+        got = mod.classes(d)
+        assert got.dtype == np.min_scalar_type(-d)
+        assert np.array_equal(got, scatter_classes(mod, d)), d
+
+
+def gathered_prefix(chi):
+    """The prefix table summed from a q-wide value table: the LATTICE
+    columns (int64) or chi.values(), gathered by the class table."""
+    q, d = chi.q, chi.order
+    if d in LATTICE:
+        j = chi.modulus.classes(d).astype(np.int64)
+        vals = np.array(LATTICE[d], dtype=np.int64)[:, chi._class_of(j)]
+        vals[:, 0] = 0
+    else:
+        vals = chi.values()[None]
+    sums = np.zeros((len(vals), q + 1), dtype=vals.dtype)
+    sums[:, 1:q] = np.cumsum(vals[:, 1:], axis=-1)
+    sums[:, q] = sums[:, q - 1]
+    return sums if d in LATTICE else sums[0]
+
+
+@pytest.mark.parametrize("q", [1009, 32797, 131101])
+def test_blocked_prefix_bit_identical(q):
+    # 131101: the classes take two BLOCK slices
+    mod = build_modulus(q)
+    orders = [d for d in (3, 4, 6, 5, 12, q - 1) if (q - 1) % d == 0]
+    for m in [(q - 1) // d for d in orders] + [2, 7]:
+        chi = mod.character(m)
+        got, want = prefix_table(chi).sums, gathered_prefix(chi)
+        assert got.dtype == (np.int32 if chi.order in LATTICE
+                             else np.complex128)
+        assert got.shape == want.shape
+        if got.dtype == np.int32:
+            assert np.array_equal(got, want), m
+        else:
+            assert np.array_equal(bits(got), bits(want)), m
+
+
+def test_prefix_build_holds_table_classes_and_a_block():
+    # beside the 8q-byte table only the int8 class table (q bytes) and
+    # O(BLOCK) temporaries; the q-wide coordinates a gather of the whole
+    # class table makes would add 2q bytes more
+    q = 1000003
+    chi = build_modulus(q).character((q - 1) // 3)
+    tracemalloc.start()
+    try:
+        table = prefix_table(chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.sums.nbytes == 8 * (q + 1)
+    assert peak <= table.sums.nbytes + q + 10 * BLOCK
 
 
 def test_dlog_is_bijection(mod101):
@@ -286,7 +361,7 @@ def test_interval_sum_matches_per_term(mod101):
 
 def test_interval_sum_complex_reads_interval_bit_identical(mod1009):
     q = mod1009.q
-    for m in (1, 5, 336):
+    for m in (1, 5):  # orders 1008; order 3 (m = 336) takes the exact path
         chi = mod1009.character(m)
         vals = chi.values()
         for start, n in ((0, 0), (0, 1), (-7, 10), (1000, 30), (3, q - 1),
@@ -296,6 +371,43 @@ def test_interval_sum_complex_reads_interval_bit_identical(mod1009):
             assert type(got) is complex
             want = complex(vals[idx].sum())
             assert np.array_equal(bits(got), bits(want)), (m, start, n)
+
+
+def lattice_oracle(chi, m, n):
+    """sum over (m, m+n] of chi(k)'s LATTICE column, from single values."""
+    cols = [(0, 0) if v.is_zero else tuple(c[v.num] for c in LATTICE[v.den])
+            for v in map(chi.value, range(m + 1, m + n + 1))]
+    return tuple(map(sum, zip(*cols))) if cols else (0, 0)
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_interval_sum_lattice_orders_exact(mod1009, d):
+    q = mod1009.q
+    rng = random.Random(d)
+    for chi in (mod1009.character(1008 // d),
+                mod1009.character(1008 // d).conjugate()):
+        vals = chi.values()
+        cells = [(0, 0), (0, 1), (-7, 10), (1000, 30), (3, q - 1), (0, q),
+                 (-5, q + 17)] + [(rng.randint(-2 * q, 2 * q),
+                                   rng.randint(0, 2 * q)) for _ in range(20)]
+        for start, n in cells:
+            got = interval_sum(chi, start, n)
+            assert type(got) is tuple and all(type(x) is int for x in got)
+            assert got == lattice_oracle(chi, start, n % q), (start, n)
+            idx = (start + 1 + np.arange(n % q, dtype=np.int64)) % q
+            want = complex(vals[idx].sum())
+            assert abs(lattice_complex(d, got) - want) <= 1e-9 * q
+
+
+def test_orthogonality_exact_for_lattice_orders(mod1009):
+    # the q - 1 values after m sum to exactly minus chi(m)'s column
+    for d in (3, 4, 6):
+        chi = mod1009.character(1008 // d)
+        for m in (0, 1, 2, 500, 1008, -3):
+            s = interval_sum(chi, m, 1008)
+            want = lattice_oracle(chi, m - 1, 1)
+            assert s == (-want[0], -want[1])
+        assert acceptance._full_period_ok(chi, range(-3, 1010))
 
 
 def test_interval_sum_trivial_character(mod101):

@@ -170,6 +170,32 @@ def test_records_sorted_on_q_r_m(tmp_path, capsys):
     assert len(keys) == 8
 
 
+def test_holder_record_says_which_path(capsys):
+    # order 3 (index 336): certified; the Legendre character: exact
+    code, records, _ = run(["holder", "--q", "1009", "--index", "336",
+                            "--r", "2", "--N", "q^0.4", "--M-spec", "1,5"],
+                           capsys)
+    assert code == 0 and len(records) == 2
+    for rec in records:
+        assert rec["outputs"]["path"] == "certified"
+        assert rec["outputs"]["exact"] is False
+        assert type(rec["outputs"]["moment2r"]) is int
+    _, records, _ = run(["holder", "--q", "1009", "--legendre", "--r", "2",
+                         "--N", "q^0.4", "--M-spec", "1"], capsys)
+    assert records[0]["outputs"]["path"] == "exact"
+
+
+def test_sum_lattice_order_keeps_its_keys(capsys):
+    # order 4 at q = 1009: exact Z[i] coordinates, reported as re and im
+    code, records, _ = run(["sum", "--q", "1009", "--index", "252",
+                            "--M", "3", "--N", "100"], capsys)
+    out = records[0]["outputs"]
+    assert code == 0
+    assert set(out) == {"re", "im", "exact_int", "abs", "order"}
+    assert out["exact_int"] is None and out["order"] == 4
+    assert out["re"] == int(out["re"]) and out["im"] == int(out["im"])
+
+
 def test_config_r_values_reach_sweeps(tmp_path, capsys):
     cfg = tmp_path / "r.cfg"
     cfg.write_text("primes = 101\nr_values = 3,2\nM_spec = 1,5\n")

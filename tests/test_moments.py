@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from burgess.chars import (
     BLOCK,
+    LATTICE,
     build_modulus,
     lattice_norm,
     prefix_table,
@@ -101,6 +102,31 @@ def test_lattice_path_matches_integer_oracle(d):
                 moment = moment_sum(chi, v, r).moment
                 assert type(moment) is int
                 assert moment == sum(n ** r for n in norms), (m, v, r)
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_lattice_norm_int32_guard(d):
+    # window sums of v values, from the class counts of v terms: 2v^2 < 2^31
+    # holds at v = 32767 (int32 norms) and fails at v = 32768 (int64), where
+    # the all-omega^2 window (-v, -v) of order 3 gives a^2 + b^2 = 2^31
+    chi = build_modulus(1009).character(1008 // d)
+    table = prefix_table(chi)
+    cols = np.array(LATTICE[d], dtype=np.int64)
+    rng = np.random.default_rng(d)
+    for v, dtype in ((32767, np.int32), (32768, np.int64)):
+        counts = np.concatenate([
+            v * np.eye(d, dtype=np.int64),  # every term in one class
+            rng.multinomial(v, [1 / (d + 1)] * (d + 1), 500)[:, :d]])
+        w = (cols @ counts.T).astype(np.int32)
+        assert np.abs(w).max() <= v
+        want = lattice_norm(table, w)
+        assert want.dtype == np.int64
+        assert want.tolist() == [oracle_norm(d, a, b)
+                                 for a, b in zip(*w.tolist())]
+        got = lattice_norm(table, w, v)
+        assert got.dtype == dtype and np.array_equal(got, want), v
+        if v == 32768 and d != 4:  # the int32 form would wrap here
+            assert (w[0] * w[0] + w[1] * w[1]).min() < 0
 
 
 def test_moment_is_int_for_lattice_orders():
