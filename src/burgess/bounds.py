@@ -330,10 +330,16 @@ def max_window_spread(q: int) -> float:
 
     For a real character the prefix sums are integers and the max over all
     windows is just max(S) - min(S), since any window sum is a difference of
-    two prefix values once wraparound (S_q = 0) is folded in.
+    two prefix values once wraparound (S_q = 0) is folded in.  Half the
+    table suffices: chi(q-n) = chi(-1) chi(n) and S_{q-1} = 0 give
+    S_{q-1-k} = -chi(-1) S_k, so S_{h..q-1} mirror S_{0..h} for h = (q-1)/2.
+    For q = 1 (mod 4), chi(-1) = 1 and the values are +-S_k, whose spread
+    is 2 max(max S, -min S); for q = 3 (mod 4) they repeat S_k.
     """
-    sums = np.cumsum(legendre_value_array(q), dtype=np.int32)  # S_0..S_{q-1}
-    return float(sums.max() - sums.min())
+    h = (q - 1) // 2
+    sums = np.cumsum(legendre_value_array(q)[:h + 1], dtype=np.int32)
+    hi, lo = int(sums.max()), int(sums.min())
+    return float(2 * max(hi, -lo) if q % 4 == 1 else hi - lo)
 
 
 def pv_ratio_scan(limit: int) -> tuple[float, int, list[tuple[int, float]]]:

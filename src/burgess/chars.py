@@ -18,9 +18,11 @@ table reads the class table in BLOCK slices and gathers each slice's
 payload (d LATTICE columns or d roots of unity) straight into the table,
 then sums it in place: nothing q-wide is made beside the table and the
 class table.  interval_sum gathers the same payload by the interval's
-classes alone.  A character caches only its prefix table and its complete
-moments (one scalar per (V, r)); a prefix table holds no reference to its
-character, so both are freed with the character's last reference.
+classes alone, from single values when the interval is short.  Arrays are
+reduced mod q by reduce_mod, a floor division about twice as fast as %.
+A character caches only its prefix table and its complete moments (one
+scalar per (V, r)); a prefix table holds no reference to its character,
+so both are freed with the character's last reference.
 """
 from __future__ import annotations
 
@@ -123,6 +125,18 @@ def find_primitive_root(q: int) -> int:
     raise AssertionError("no primitive root found; q cannot be prime")
 
 
+def reduce_mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q for an integer array x that the caller gives up, reduced in
+    place and returned: x - (x // q) q, with no temporary beyond the
+    quotient.  With a scalar divisor NumPy does // by a precomputed
+    multiplier but % by hardware division, so this is about twice as fast
+    as x % q, and for q > 0 it gives the same values in [0, q)."""
+    quot = x // q
+    quot *= q
+    x -= quot
+    return x
+
+
 def _power_blocks(base: int, count: int, q: int
                   ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (pos, powers) with powers[j] = base^(pos + j) mod q, int64
@@ -132,11 +146,11 @@ def _power_blocks(base: int, count: int, q: int
     k, x = 1, base % q  # first[:k] holds base^0 .. base^(k-1); x = base^k
     while k < block:  # doubling; every factor is below q < 2^31
         n = min(k, block - k)
-        first[k:k + n] = (first[:n] * x) % q
+        first[k:k + n] = reduce_mod(first[:n] * x, q)
         k, x = k + n, (x * x) % q
     step, cur = pow(base, block, q), 1
     for pos in range(0, count, block):
-        yield pos, (cur * first[:count - pos]) % q
+        yield pos, reduce_mod(cur * first[:count - pos], q)
         cur = (cur * step) % q
 
 
@@ -287,12 +301,11 @@ class Character:
         d = self.order
         return ((self.index // ((self.q - 1) // d)) * j) % d
 
-    def _roots(self, j: np.ndarray) -> np.ndarray:
-        """chi(g^j) = e(k s/(q-1)) for int64 dlog classes j, chi's classes k
-        and s = (q-1)/d: the one complex-value formula, one float input."""
+    def _roots(self, k: np.ndarray) -> np.ndarray:
+        """e(k s/(q-1)) for int64 classes k of chi and s = (q-1)/d: the one
+        complex-value formula, one float input."""
         s = (self.q - 1) // self.order
-        return np.exp(2j * np.pi * (self._class_of(j) * s).astype(np.float64)
-                      / (self.q - 1))
+        return np.exp(2j * np.pi * (k * s).astype(np.float64) / (self.q - 1))
 
     def classes(self) -> np.ndarray:
         """c[n] in [0, d) with chi(n) = e(c[n]/d) for n in [1, q-1] and
@@ -313,7 +326,7 @@ class Character:
             vals = np.ones(self.q, dtype=np.int8)
         else:
             d = self.order
-            vals = self._roots(np.arange(d, dtype=np.int64))[
+            vals = self._roots(self._class_of(np.arange(d, dtype=np.int64)))[
                 self.modulus.classes(d)]
         vals[0] = 0
         return vals
@@ -373,9 +386,9 @@ def prefix_table(chi: Character) -> PrefixTable:
     src = (legendre_value_array(q) if chi.is_quadratic
            else chi.modulus.classes(d))
     # column j: chi(g^j) for the dlog class j, one row per coordinate
-    j = np.arange(d, dtype=np.int64)
-    cols = (np.array(LATTICE[d], dtype=np.int32)[:, chi._class_of(j)]
-            if d in LATTICE else chi._roots(j)[None])
+    k = chi._class_of(np.arange(d, dtype=np.int64))
+    cols = (np.array(LATTICE[d], dtype=np.int32)[:, k]
+            if d in LATTICE else chi._roots(k)[None])
     sums = np.empty((len(cols), q + 1), dtype=cols.dtype)
     if chi.is_quadratic:
         sums[0, 1:q] = src[1:]
@@ -464,22 +477,31 @@ def interval_sum(chi: Character, m: int, n: int
                  ) -> int | tuple[int, int] | complex:
     """sum_{m < k <= m+n} chi(k): a Python int when chi is real (exact
     integer accumulation), its Python-int coordinates (a, b) in the LATTICE
-    basis for orders 3, 4 and 6, a complex number otherwise."""
+    basis for orders 3, 4 and 6, a complex number otherwise.
+
+    The L = n mod q terms left after the full periods are read from a
+    q-wide table (the squares, or the class table) unless L (isqrt(d-1)+1)
+    <= isqrt(q): then the O(sqrt(d)) Euler criterion per term is cheaper,
+    and Character.value gives each class with no table at all."""
     if n < 0:
         raise ValueError("interval length must be >= 0")
     q = chi.q
     if chi.is_trivial:
         # principal character: count integers in the range coprime to q
         return n - ((m + n) // q - m // q)
-    idx = (m + 1 + np.arange(n % q, dtype=np.int64)) % q  # full periods vanish
-    if chi.is_quadratic:
-        return int(chi.values()[idx].sum(dtype=np.int64))
+    idx = reduce_mod(m + 1 + np.arange(n % q, dtype=np.int64), q)
     d = chi.order
-    j = chi.modulus.classes(d)[idx].astype(np.int64)
+    if len(idx) * (math.isqrt(d - 1) + 1) <= math.isqrt(q):
+        c = np.array([chi.value(int(k)).num if k else 0 for k in idx],
+                     dtype=np.int64)
+    elif chi.is_quadratic:
+        return int(chi.values()[idx].sum(dtype=np.int64))
+    else:
+        c = chi._class_of(chi.modulus.classes(d)[idx].astype(np.int64))
     if d in LATTICE:  # column c of LATTICE counted once per chi(k) = e(c/d)
-        counts = np.bincount(chi._class_of(j[idx != 0]), minlength=d)
-        return tuple(map(int, np.array(LATTICE[d]) @ counts))
-    vals = chi._roots(j)  # the values() formula
+        coords = np.array(LATTICE[d]) @ np.bincount(c[idx != 0], minlength=d)
+        return int(coords[0]) if d == 2 else tuple(map(int, coords))
+    vals = chi._roots(c)  # the values() formula
     vals[idx == 0] = 0
     return complex(vals.sum())
 
@@ -505,5 +527,6 @@ def legendre_value_array(q: int) -> np.ndarray:
     half = (q - 1) // 2
     for lo in range(1, half + 1, BLOCK):  # int64 squares one block at a time
         k = np.arange(lo, min(lo + BLOCK, half + 1), dtype=np.int64)
-        vals[k * k % q] = 1
+        k *= k
+        vals[reduce_mod(k, q)] = 1
     return vals

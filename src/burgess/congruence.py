@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InstanceTooLarge
-from .chars import is_prime
+from .chars import is_prime, reduce_mod
 from .sieve import RoughSet
 
 BRUTE_FORCE_GUARD = 10_000
@@ -85,9 +85,9 @@ def collision_distribution(inst: CollisionInstance) -> CollisionDistribution:
     if bad.size:
         raise ValueError(f"multiplier {int(bad[0])} not invertible mod {q}")
     inverses = np.array([pow(int(u), -1, q) for u in members], dtype=np.int64)
-    residues = (M + 1 + np.arange(N, dtype=np.int64)) % q
+    residues = reduce_mod(M + 1 + np.arange(N, dtype=np.int64), q)
     # the products are below q^2, inside int64 (q <= MAX_INT64_Q)
-    lams, counts = np.unique((inverses[:, None] * residues) % q,
+    lams, counts = np.unique(reduce_mod(inverses[:, None] * residues, q),
                              return_counts=True)
     return CollisionDistribution(
         instance=inst, lams=lams, counts=counts,

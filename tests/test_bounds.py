@@ -23,7 +23,13 @@ from burgess.bounds import (
 )
 from burgess import bounds
 from burgess.acceptance import holder_cells
-from burgess.chars import PrimeModulus, build_modulus, interval_sum
+from burgess.chars import (
+    PrimeModulus,
+    build_modulus,
+    interval_sum,
+    is_prime,
+    legendre_value_array,
+)
 from burgess.errors import DegenerateParams, UnknownVariant
 from burgess.moments import moment_check, moment_sum
 
@@ -281,6 +287,16 @@ def test_max_window_spread_small():
     # q=5 prefix sums [0,1,0,-1,0,0]: spread 2
     assert max_window_spread(5) == 2.0
     assert max_window_spread(3) == 1.0
+
+
+def test_max_window_spread_folds_full_table():
+    # half the prefix table gives the spread of the whole one, for q = 1
+    # and q = 3 (mod 4) alike
+    primes = [q for q in range(3, 3000, 2) if is_prime(q)]
+    assert {q % 4 for q in primes} == {1, 3}
+    for q in primes:
+        sums = np.cumsum(legendre_value_array(q), dtype=np.int64)
+        assert max_window_spread(q) == float(sums.max() - sums.min()), q
 
 
 def test_pv_scan_regression():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burgess import acceptance
+from burgess import chars as chars_module
 from burgess.chars import (
     BLOCK,
     LATTICE,
@@ -22,6 +23,7 @@ from burgess.chars import (
     lattice_complex,
     legendre_value_array,
     prefix_table,
+    reduce_mod,
     window_array,
     window_sum,
 )
@@ -414,6 +416,61 @@ def test_interval_sum_trivial_character(mod101):
     chi0 = mod101.character(0)
     s = interval_sum(chi0, 0, 101)
     assert s == 100 and isinstance(s, int)  # all but the multiple of q
+
+
+def forbid_tables(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("q-wide table built")
+
+    monkeypatch.setattr(chars_module, "legendre_value_array", no_table)
+    monkeypatch.setattr(PrimeModulus, "classes", no_table)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_short_interval_sum_builds_no_table(monkeypatch, d):
+    # at q = 10009, L (isqrt(d-1)+1) <= isqrt(q) = 100 allows L <= limit
+    q = 10009
+    chi = build_modulus(q).character((q - 1) // d)
+    limit = math.isqrt(q) // (math.isqrt(d - 1) + 1)
+    cells = [(0, 1), (-7, limit), (q - 5, 12), (3 * q - 1, q + 4),
+             (123, limit), (q - limit, 2 * q + limit), (17, q)]
+    table = chi.prefix
+    want = []
+    for m, n in cells:  # the table path, before tables are forbidden
+        w = (window_sum(table, m, n % q) if n % q
+             else np.zeros(table.sums.shape[:-1], dtype=np.int32))
+        want.append(int(w) if d == 2 else tuple(map(int, w)))
+    forbid_tables(monkeypatch)
+    for (m, n), w in zip(cells, want):
+        got = interval_sum(chi, m, n)
+        assert got == w and type(got) is type(w), (m, n)
+        if d > 2:
+            assert all(type(x) is int for x in got)
+    with pytest.raises(AssertionError, match="table built"):
+        interval_sum(chi, 0, limit + 1)
+
+
+def test_short_interval_sum_complex_bit_identical(monkeypatch):
+    q = 10009
+    chi = build_modulus(q).character(139)  # order 72: up to 100 // 9 terms
+    vals = chi.values()
+    cells = [(0, 11), (q - 4, 9), (-1, 5), (2 * q + 7, q + 3), (5, 0)]
+    want = [complex(vals[(m + 1 + np.arange(n % q)) % q].sum())
+            for m, n in cells]
+    forbid_tables(monkeypatch)
+    for (m, n), w in zip(cells, want):
+        got = interval_sum(chi, m, n)
+        assert type(got) is complex
+        assert np.array_equal(bits(got), bits(w)), (m, n)
+
+
+def test_reduce_mod_equals_remainder():
+    rng = np.random.default_rng(3)
+    near = (1 << 31) - 1 - rng.integers(0, 1 << 10, 4096)  # residues < 2^31
+    for q in (3, 20011, 10000141, (1 << 31) - 1, 3037000493):
+        for x in (rng.integers(-(1 << 62), 1 << 62, 4096),
+                  near * near[::-1], -near * near, rng.integers(-q, q, 4096)):
+            assert np.array_equal(reduce_mod(x.copy(), q), x % q), q
 
 
 def test_prefix_table_example():
