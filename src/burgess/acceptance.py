@@ -18,6 +18,7 @@ import numpy as np
 
 from . import baselines
 from .bounds import (
+    REFINEMENT_ORDER,
     bound_value,
     extremal_scan,
     holder_chain,
@@ -31,7 +32,7 @@ from .congruence import (
     collision_distribution,
     congruence_count,
 )
-from .moments import auto_window, moment_sum
+from .moments import moment_check, moment_sum
 from .sieve import (
     enumerate_rough,
     mertens_product,
@@ -152,17 +153,14 @@ def criterion_2(primes=(101, 1009, 10007)) -> CriterionResult:
                 chis.append(mod.character((q - 1) // 3))  # order 3
             for chi in chis:
                 for r in (1, 2, 3):
-                    v = auto_window(r, q)
                     t0 = time.perf_counter()
-                    rep = moment_sum(chi, v, r)
+                    rep = moment_check(chi, r=r)  # V auto: both bounds
                     dt = time.perf_counter() - t0
-                    spec_bound = (2 * r) ** (2 * r) * q ** 1.5
-                    cell_ok = (rep.passed and rep.margin >= 0
-                               and rep.moment <= spec_bound and dt < 10.0)
+                    cell_ok = rep.passed and rep.margin >= 0 and dt < 10.0
                     ok = ok and cell_ok
-                    cells.append({"q": q, "m": chi.index, "r": r, "V": v,
+                    cells.append({"q": q, "m": chi.index, "r": r, "V": rep.V,
                                   "moment": rep.moment, "bound": rep.bound,
-                                  "specialized_bound": spec_bound,
+                                  "specialized_bound": rep.specialized_bound,
                                   "ok": cell_ok})
         return ok, {"cells": cells}
     return _timed(2, "moment bound exact verification", run)
@@ -200,12 +198,12 @@ def criterion_3(count=200) -> CriterionResult:
     return _timed(3, "congruence oracle equivalence", run)
 
 
-def holder_cells(primes=(101, 1009, 10007), r_values=(2, 3), m_count=20):
-    """The criterion-4 cell list: (q, r, N, seeded M values)."""
+def holder_cells(primes=(101, 1009, 10007), m_count=20):
+    """The criterion-4 cell list: (q, r, N, seeded M values), r in {2, 3}."""
     cells = []
     for q in primes:
         n = int(q ** 0.4)
-        for r in r_values:
+        for r in (2, 3):
             rng = random.Random(f"{SUITE_SEED}:holder:{q}:{r}")
             cells.append((q, r, n, [rng.randrange(q) for _ in range(m_count)]))
     return cells
@@ -293,9 +291,10 @@ def criterion_7(limit=10 ** 4) -> CriterionResult:
                   limit_s=60.0)
 
 
-def criterion_8(q=10 ** 6 + 3) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """O(q) moment pass at scale; partitioned run bit-identical."""
     def run():
+        q = 10 ** 6 + 3
         mod = build_modulus(q)
         chi = mod.legendre()
         _ = chi.prefix  # table build outside the timed window pass
@@ -320,8 +319,7 @@ def criterion_9(primes=(101, 1009, 10007), m_count=20) -> CriterionResult:
                 res = extremal_scan(q, (q - 1) // 2, n, m_values, r=r)
                 worst = max(worst, res.worst_ratio["refined_14r"])
                 vals = [bound_value(v, n, q, r=r).value
-                        for v in ("refined_14r", "ik_12r", "ik_1r",
-                                  "burgess_classic")]
+                        for v in REFINEMENT_ORDER]
                 ordering_ok &= all(a <= b for a, b in zip(vals, vals[1:]))
             return worst, ordering_ok
         worst1, ord1 = sweep()

@@ -23,11 +23,14 @@ from .chars import (
 )
 from .congruence import CollisionInstance, collision_distribution
 from .errors import DegenerateParams, UnknownVariant
-from .moments import moment_sum
+from .moments import auto_window, moment_sum
 from .sieve import enumerate_rough, primes_below
 
 VARIANTS = ("polya_vinogradov", "grh", "mv_loglog", "burgess_classic",
             "ik_1r", "ik_12r", "refined_14r")
+# The r-dependent variants from the sharpest shape value to the weakest; at
+# every (N, q, r) their shape values ascend in this order.
+REFINEMENT_ORDER = ("refined_14r", "ik_12r", "ik_1r", "burgess_classic")
 
 GRH_DELTA_DEFAULT = 0.05  # computable stand-in for the o(1) exponent
 
@@ -72,6 +75,20 @@ def _z_from_u(U: int) -> float:
     return math.exp(math.sqrt(math.log(U))) if U >= 2 else 1.0
 
 
+def _params(N: int, q: int, r: int, source: str, rule) -> BurgessParams:
+    """Checks r >= 2 and N >= 1 before U = rule() is taken; V comes from
+    auto_window, z = exp(sqrt(log U)) from U."""
+    if r < 2:
+        raise ValueError("r must be >= 2 for the averaging parameters")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    U = rule()
+    return BurgessParams(
+        N=N, q=q, r=r, U=U, V=auto_window(r, q), z=_z_from_u(U),
+        degenerate=U < 2, in_refined_range=N ** (4 * r) <= q ** (2 * r + 1),
+        source=source)
+
+
 def derive_params(N: int, q: int, r: int) -> BurgessParams:
     """Exact floors U = floor(N / (16 r q^{1/2r})), V = floor(r q^{1/2r}).
 
@@ -79,18 +96,9 @@ def derive_params(N: int, q: int, r: int) -> BurgessParams:
     depend on floating-point rounding.  U < 2 is flagged degenerate, not an
     error: sweeps over N must keep going.
     """
-    if r < 2:
-        raise ValueError("r must be >= 2 for the averaging parameters")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    k = 2 * r
-    V = iroot(r ** k * q, k)
     # (16 r U)^{2r} * q <= N^{2r}  <=>  U <= N / (16 r q^{1/2r})
-    U = iroot(N ** k // q, k) // (16 * r)
-    z = _z_from_u(U)
-    return BurgessParams(
-        N=N, q=q, r=r, U=U, V=V, z=z, degenerate=U < 2,
-        in_refined_range=N ** (4 * r) <= q ** (2 * r + 1), source="derived")
+    return _params(N, q, r, "derived",
+                   lambda: iroot(N ** (2 * r) // q, 2 * r) // (16 * r))
 
 
 def feasible_params(N: int, q: int, r: int) -> BurgessParams:
@@ -100,17 +108,8 @@ def feasible_params(N: int, q: int, r: int) -> BurgessParams:
     q^{1/2r} divisor only leaves room asymptotically), so verification runs
     use the largest U for which the collision-count hypotheses still hold.
     """
-    if r < 2:
-        raise ValueError("r must be >= 2 for the averaging parameters")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    k = 2 * r
-    V = iroot(r ** k * q, k)
-    U = min(N, q // N) if N <= q else 0
-    z = _z_from_u(U)
-    return BurgessParams(
-        N=N, q=q, r=r, U=U, V=V, z=z, degenerate=U < 2,
-        in_refined_range=N ** (4 * r) <= q ** (2 * r + 1), source="fallback")
+    return _params(N, q, r, "fallback",
+                   lambda: min(N, q // N) if N <= q else 0)
 
 
 def resolve_params(N: int, q: int, r: int,
@@ -136,7 +135,8 @@ class BoundReport:
 
 def bound_value(variant: str, N: int, q: int, r: int | None = None,
                 grh_delta: float = GRH_DELTA_DEFAULT) -> BoundReport:
-    """Shape value (implied constant 1) of one comparison bound."""
+    """Shape value (implied constant 1) of one comparison bound; the
+    polya_vinogradov, grh and mv_loglog values ignore r."""
     if q < 3:
         raise ValueError("q must be >= 3")
     if variant not in VARIANTS:
@@ -222,7 +222,7 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
     # the complete moment does not depend on M: one per (chi, V, r)
     key = (params.V, r)
     if key not in chi.moments:
-        chi.moments[key] = moment_sum(chi, params.V, r, table=table).moment
+        chi.moments[key] = moment_sum(chi, params.V, r).moment
     moment = chi.moments[key]
     lhs = W ** (2 * r)
     rhs = dist.first_moment ** (2 * r - 2) * dist.second_moment * moment
@@ -287,8 +287,7 @@ class ScanResult:
 
 
 def extremal_scan(q: int, char_index: int, N: int, M_values: list[int],
-                  r: int = 2,
-                  grh_delta: float = GRH_DELTA_DEFAULT) -> ScanResult:
+                  r: int = 2) -> ScanResult:
     """Max |short sum| over the given window starts, with per-bound ratios.
 
     One prefix table serves every window, read in one gather (full periods
@@ -316,8 +315,7 @@ def extremal_scan(q: int, char_index: int, N: int, M_values: list[int],
     best_m = M_values[i]
     ratios = {}
     for variant in VARIANTS:
-        rv = None if variant in ("polya_vinogradov", "grh", "mv_loglog") else r
-        b = bound_value(variant, N, q, r=rv, grh_delta=grh_delta).value
+        b = bound_value(variant, N, q, r=r).value
         ratios[variant] = best / b if b > 0 else math.inf
     return ScanResult(q=q, N=N, r=r, char_index=char_index,
                       windows=len(M_values), max_abs_sum=best,

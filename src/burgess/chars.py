@@ -64,12 +64,18 @@ LATTICE = {
 }
 
 
-def check_table_size(q: int) -> None:
-    """Refuse a q-sized table above the cap before it is allocated.
+def certify_modulus(q: int) -> None:
+    """Refuse a modulus before any q-sized table is allocated: q at or above
+    the 2^31 ceiling, then a composite q, then q above the table cap.  The
+    ceiling comes first, so a huge q is refused before trial division.
 
     BURGESS_TABLE_LIMIT overrides the default cap; an override at or above
     the ceiling is refused too.
     """
+    if q >= TABLE_CEILING:
+        raise TableLimitExceeded(f"q={q} not below the ceiling 2^31")
+    if not is_prime(q):
+        raise CompositeModulus(f"{q} is not prime")
     raw = os.environ.get("BURGESS_TABLE_LIMIT")
     limit = int(raw) if raw else DEFAULT_TABLE_LIMIT
     if limit >= TABLE_CEILING:
@@ -200,9 +206,7 @@ def build_modulus(q: int) -> PrimeModulus:
     """
     if q < 3:
         raise ValueError("modulus must be a prime >= 3")
-    if not is_prime(q):
-        raise CompositeModulus(f"{q} is not prime")
-    check_table_size(q)
+    certify_modulus(q)
     return PrimeModulus(q=q, g=find_primitive_root(q))
 
 
@@ -519,9 +523,9 @@ def legendre_value_array(q: int) -> np.ndarray:
     Legendre character reads it, and whole-prime scans use it without
     building a primitive-root table.
     """
-    if q < 3 or not is_prime(q):
+    if q < 3:
         raise CompositeModulus(f"{q} is not an odd prime")
-    check_table_size(q)
+    certify_modulus(q)
     vals = np.full(q, -1, dtype=np.int8)
     vals[0] = 0
     half = (q - 1) // 2

@@ -77,8 +77,7 @@ def parse_primes_spec(text: str) -> list[int]:
         vals = [v for v in vals if chars.is_prime(v)]
     else:
         for v in vals:
-            if not chars.is_prime(v):
-                raise ValueError(f"{v} is not prime")
+            chars.certify_modulus(v)
     return vals
 
 
@@ -230,9 +229,9 @@ def run_scan(args, cfg):
 
 
 def run_moments(args, cfg):
+    v = next(x for x in (args.V, cfg.V, "auto") if x is not None)
     for q, m_idx, r, _, _ in _sweep_cells(args, cfg):
-        report = moments.moment_check(q, m_idx, V=args.V, r=r,
-                                      parts=args.parts)
+        report = moments.moment_check(q, m_idx, V=v, r=r)
         yield ({"q": q, "char_index": m_idx, "r": r, "V": report.V},
                {"moment": report.moment, "bound": report.bound,
                 "margin": report.margin, "exact": report.exact,
@@ -282,11 +281,8 @@ def run_congruence(args, cfg):
                 "u1": args.u1, "u2": args.u2},
                {"pair_count": count}, {})
         return
-    params = bnd.resolve_params(n, args.q, 2)
-    # the first one set wins, so a config U = 0 is refused, not replaced
-    z = next(x for x in (args.z, cfg.z, params.z) if x is not None)
-    u = next(x for x in (args.U, cfg.U, params.U) if x is not None)
-    rs = sieve.enumerate_rough(z, u)
+    params = _averaging_params(args, cfg, n, args.q, 2)
+    rs = sieve.enumerate_rough(params.z, params.U)
     inst = congruence.CollisionInstance(
         q=args.q, M=args.M, N=n, rough=rs,
         A=args.A if args.A is not None else cfg.A)
@@ -298,7 +294,8 @@ def run_congruence(args, cfg):
     if args.brute:
         passes["oracle_match"] = (
             congruence.brute_force_congruence_count(inst) == report.I_value)
-    yield ({"q": args.q, "M": args.M, "N": n, "z": z, "U": u, "A": inst.A},
+    yield ({"q": args.q, "M": args.M, "N": n, "z": params.z, "U": params.U,
+            "A": inst.A},
            {"I_value": report.I_value, "diagonal": report.diagonal,
             "bound": report.bound, "ratio": report.ratio,
             "rough_count": rs.count,
@@ -307,19 +304,26 @@ def run_congruence(args, cfg):
            passes)
 
 
-def run_holder(args, cfg):
-    overrides = {k: getattr(args, k) if getattr(args, k) is not None
-                 else getattr(cfg, k) for k in ("z", "U", "V")}
+def _averaging_params(args, cfg, n: int, q: int, r: int) -> bnd.BurgessParams:
+    """resolve_params with z, U and V each laid over it (source "override")
+    from its flag, else its config value; the first one set wins, so a
+    config U = 0 is refused downstream, not replaced by the derived U."""
+    params = bnd.resolve_params(n, q, r)
+    overrides = {k: next((x for x in (getattr(args, k, None), getattr(cfg, k))
+                          if x is not None), None) for k in ("z", "U", "V")}
     overrides = {k: v for k, v in overrides.items() if v is not None}
+    if not overrides:
+        return params
+    return dataclasses.replace(params, **overrides, degenerate=False,
+                               source="override")
+
+
+def run_holder(args, cfg):
     for q, m_idx, r, n, m_values in _sweep_cells(args, cfg):
-        override = None
-        if overrides:
-            override = dataclasses.replace(
-                bnd.resolve_params(n, q, r), **overrides,
-                degenerate=False, source="override")
+        params = _averaging_params(args, cfg, n, q, r)
         chi = chars.build_modulus(q).character(m_idx)
         for m in sorted(m_values):
-            report = bnd.holder_chain(chi, m, n, r, params=override, A=cfg.A)
+            report = bnd.holder_chain(chi, m, n, r, params=params, A=cfg.A)
             p = report.params
             outputs = {"U": p.U, "V": p.V, "z": p.z, "params_source": p.source}
             outputs.update({k: getattr(report, k) for k in (
@@ -334,13 +338,9 @@ def run_bounds(args, cfg):
     params = bnd.derive_params(n, args.q, args.r)
     values = {}
     for name in bnd.VARIANTS if args.variant == "all" else (args.variant,):
-        rv = None if name in ("polya_vinogradov", "grh",
-                              "mv_loglog") else args.r
         values[name] = bnd.bound_value(
-            name, n, args.q, r=rv, grh_delta=args.grh_delta).value
-    ordered = [values[v] for v in
-               ("refined_14r", "ik_12r", "ik_1r", "burgess_classic")
-               if v in values]
+            name, n, args.q, r=args.r, grh_delta=args.grh_delta).value
+    ordered = [values[v] for v in bnd.REFINEMENT_ORDER if v in values]
     yield ({"q": args.q, "N": n, "r": args.r, "grh_delta": args.grh_delta},
            {"U": params.U, "V": params.V, "z": params.z,
             "degenerate": params.degenerate,
@@ -424,9 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("moments", run_moments,
                    help="complete 2r-th moment and its bound")
     _add_sweep(p, windows=False)
-    p.add_argument("--V", type=str, default="auto",
-                   help="window length or 'auto' for floor(r q^{1/2r})")
-    p.add_argument("--parts", type=int, default=1)
+    p.add_argument("--V", type=str, default=None,
+                   help="window length or 'auto' for floor(r q^{1/2r}) "
+                   "(default: config V, else auto)")
 
     p = add_parser("sieve", run_sieve,
                    help="primorial primes and Mertens product")

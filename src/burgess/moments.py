@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chars import BLOCK, Character, PrefixTable, lattice_norm, window_array
+from .chars import BLOCK, Character, lattice_norm, window_array
 from .errors import TrivialCharacter
 
 
@@ -71,8 +71,8 @@ def _power_sum(keys: np.ndarray, counts: np.ndarray, p: int) -> int:
     return sum(c * k ** p for k, c in zip(keys.tolist(), counts.tolist()))
 
 
-def moment_sum(chi: Character, V: int, r: int, parts: int = 1,
-               table: PrefixTable | None = None) -> MomentReport:
+def moment_sum(chi: Character, V: int, r: int, parts: int = 1
+               ) -> MomentReport:
     """The complete 2r-th moment over all q window positions.
 
     An exact table gives a Python int: the bincount of the lattice norms
@@ -87,7 +87,7 @@ def moment_sum(chi: Character, V: int, r: int, parts: int = 1,
     if r < 1:
         raise ValueError("r must be >= 1")
     q = chi.q
-    table = table if table is not None else chi.prefix
+    table = chi.prefix
     edges = np.linspace(0, q, max(parts, 1) + 1).astype(int)
     blocks = (window_array(table, V, a, min(a + BLOCK, hi))
               for lo, hi in zip(edges[:-1], edges[1:])
@@ -124,9 +124,8 @@ def auto_window(r: int, q: int) -> int:
 
 
 def moment_check(q_or_char: int | Character, char_index: int | None = None,
-                 V: int | str = "auto", r: int = 2,
-                 parts: int = 1) -> MomentReport:
-    """Moment plus bound check; adds the q^{3/2} form when V is the auto one."""
+                 V: int | str = "auto", r: int = 2) -> MomentReport:
+    """Moment plus bound check; adds (2r)^{2r} q^{3/2} at the auto V."""
     if isinstance(q_or_char, Character):
         chi = q_or_char
     else:
@@ -137,7 +136,7 @@ def moment_check(q_or_char: int | Character, char_index: int | None = None,
     q = chi.q
     v_auto = auto_window(r, q)
     v = v_auto if V == "auto" else int(V)
-    report = moment_sum(chi, v, r, parts=parts)
+    report = moment_sum(chi, v, r)
     if v == v_auto:
         spec_bound = (2 * r) ** (2 * r) * q ** 1.5
         report.specialized_bound = spec_bound

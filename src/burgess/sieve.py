@@ -108,17 +108,13 @@ class RoughSet:
         return iter(int(u) for u in self.members)
 
 
-def enumerate_rough(z: float, U: int, spf: SpfTable | None = None) -> RoughSet:
+def enumerate_rough(z: float, U: int) -> RoughSet:
     """The z-rough set over [1, U] by a single pass over the spf table."""
     if z <= 1:
         raise ValueError("sieve level z must be > 1")
     if U < 1:
         raise ValueError("U must be >= 1")
-    if spf is None:
-        spf = build_spf(max(U, 2))
-    if U > spf.limit:
-        raise LimitTooLarge(f"U={U} beyond spf table limit {spf.limit}")
-    keep = spf.spf[1: U + 1] >= z
+    keep = build_spf(max(U, 2)).spf[1: U + 1] >= z
     keep[0] = True  # n = 1 is coprime to everything
     members = np.flatnonzero(keep).astype(np.int64) + 1
     return RoughSet(z=float(z), U=U, members=members)
@@ -134,8 +130,7 @@ def count_rough_divisible(z: float, U: int, t: int,
     return int(np.count_nonzero(rough.members % t == 0))
 
 
-def rough_density_ratio(z: float, U: int, C: float = 10.0,
-                        spf: SpfTable | None = None) -> float:
+def rough_density_ratio(z: float, U: int, C: float = 10.0) -> float:
     """|rough set| * log z / U, the measured constant of the cardinality law.
 
     Guarded by z^C <= U so the reading is taken where the sieve has room;
@@ -149,5 +144,5 @@ def rough_density_ratio(z: float, U: int, C: float = 10.0,
         violated = True
     if violated:
         raise GuardViolated(f"z^{C:g} exceeds U = {U}")
-    rough = enumerate_rough(z, U, spf=spf)
+    rough = enumerate_rough(z, U)
     return rough.count * math.log(z) / U

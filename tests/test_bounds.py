@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from burgess import baselines
 from burgess.bounds import (
+    REFINEMENT_ORDER,
+    VARIANTS,
     BurgessParams,
     bound_value,
     derive_params,
@@ -31,7 +33,8 @@ from burgess.chars import (
     legendre_value_array,
 )
 from burgess.errors import DegenerateParams, UnknownVariant
-from burgess.moments import moment_check, moment_sum
+from burgess.moments import auto_window, moment_check, moment_sum
+from burgess.sieve import primes_below
 
 ORDERED_VARIANTS = ("refined_14r", "ik_12r", "ik_1r", "burgess_classic")
 
@@ -115,6 +118,34 @@ def test_variant_ordering_chain():
         r = rng.randint(2, 4)
         vals = [bound_value(v, n, q, r=r).value for v in ORDERED_VARIANTS]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+def test_params_window_is_auto_window():
+    # V has one home: both constructors must agree with moments.auto_window
+    for q in primes_below(2000)[1:]:
+        for r in (2, 3, 4):
+            v = auto_window(r, q)
+            for n in (1, iroot(q, 2), q):
+                assert derive_params(n, q, r).V == v, (n, q, r)
+                assert feasible_params(n, q, r).V == v, (n, q, r)
+
+
+def test_rless_variants_ignore_r():
+    rless = set(VARIANTS) - set(REFINEMENT_ORDER)
+    assert rless == {"polya_vinogradov", "grh", "mv_loglog"}
+    for q in (101, 10007, 999983):
+        for n in (1, 40, q):
+            for v in rless:
+                assert bound_value(v, n, q) == bound_value(v, n, q, r=3)
+
+
+def test_refinement_order_ascends():
+    for q in (101, 1009, 10007, 999983):
+        for n in (1, iroot(q, 4), iroot(q, 2), q):
+            for r in (2, 3, 5):
+                vals = [bound_value(v, n, q, r=r).value
+                        for v in REFINEMENT_ORDER]
+                assert vals == sorted(vals), (n, q, r)
 
 
 def test_holder_chain_passes(mod101):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -256,6 +257,40 @@ def test_congruence_config_zero_u_exit_2(tmp_path, capsys):
     cfg.write_text("U = 40\n")
     _, records, _ = run(argv, capsys)
     assert records[0]["inputs"]["U"] == 40
+
+
+def test_config_v_reaches_holder_and_moments(tmp_path, capsys):
+    cfg = tmp_path / "v.cfg"
+    cfg.write_text("V = 7\n")
+    holder = ["holder", "--q", "1009", "--legendre", "--r", "2",
+              "--N", "q^0.4", "--M-spec", "1", "--config", str(cfg)]
+    _, records, _ = run(holder, capsys)
+    assert records[0]["outputs"]["V"] == 7
+    assert records[0]["outputs"]["params_source"] == "override"
+    _, records, _ = run(holder + ["--V", "9"], capsys)  # the flag wins
+    assert records[0]["outputs"]["V"] == 9
+    moments = ["moments", "--q", "1009", "--legendre"]
+    _, from_cfg, _ = run(moments + ["--config", str(cfg)], capsys)
+    _, from_flag, _ = run(moments + ["--V", "7"], capsys)
+    for records in (from_cfg, from_flag):
+        assert records[0]["inputs"]["V"] == 7
+        assert records[0]["outputs"]["specialized_bound"] is None
+    assert from_cfg[0]["outputs"] == from_flag[0]["outputs"]
+    _, records, _ = run(moments + ["--config", str(cfg), "--V", "auto"],
+                        capsys)
+    assert records[0]["inputs"]["V"] == 11
+
+
+def test_modulus_above_ceiling_refused_at_once(capsys):
+    q = str(2 ** 61 - 1)  # prime: trial division would run for minutes
+    for argv in (["sum", "--q", q], ["moments", "--q", q],
+                 ["nonresidue", "--q", q]):
+        t0 = time.perf_counter()
+        assert cli.main(argv) == 2, argv
+        assert time.perf_counter() - t0 < 2.0, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ceiling" in captured.err
 
 
 def test_config_defaults_runnable(tmp_path, capsys):
