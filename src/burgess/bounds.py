@@ -16,9 +16,11 @@ import numpy as np
 
 from .chars import (
     Character,
+    PrimeModulus,
     build_modulus,
     lattice_norm,
     legendre_value_array,
+    prefix_table,
     window_sum,
 )
 from .congruence import CollisionInstance, collision_distribution
@@ -211,14 +213,15 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
     table = chi.prefix
     w = window_sum(table, dist.lams, params.V)
     # W = sum_lam I(lam) |w(lam)|; a Python int on the rank-1 path so that
-    # W^{2r} below is exact
+    # W^{2r} below is exact; float sums are a pairwise np.sum on one thread,
+    # where a float @ would go to threaded BLAS
     if table.rank == 1:
         W: int | float = int(lattice_norm(table, w) @ dist.counts)
     elif table.rank == 2:
         norm = lattice_norm(table, w)
-        W = float(np.sqrt(norm) @ dist.counts)
+        W = float((np.sqrt(norm) * dist.counts).sum())
     else:
-        W = float(np.abs(w) @ dist.counts)
+        W = float((np.abs(w) * dist.counts).sum())
     # the complete moment does not depend on M: one per (chi, V, r)
     key = (params.V, r)
     if key not in chi.moments:
@@ -328,16 +331,15 @@ def max_window_spread(q: int) -> float:
 
     For a real character the prefix sums are integers and the max over all
     windows is just max(S) - min(S), since any window sum is a difference of
-    two prefix values once wraparound (S_q = 0) is folded in.  Half the
-    table suffices: chi(q-n) = chi(-1) chi(n) and S_{q-1} = 0 give
-    S_{q-1-k} = -chi(-1) S_k, so S_{h..q-1} mirror S_{0..h} for h = (q-1)/2.
-    For q = 1 (mod 4), chi(-1) = 1 and the values are +-S_k, whose spread
-    is 2 max(max S, -min S); for q = 3 (mod 4) they repeat S_k.
+    two prefix values once wraparound (S_q = 0) is folded in.  The prefix
+    table stores S_0 .. S_h and the rest are sign * S_k (PrefixTable.sign):
+    for q = 1 (mod 4) the values are +-S_k, whose spread is
+    2 max(max S, -min S); for q = 3 (mod 4) they repeat S_k.  q is
+    certified by legendre_value_array, so the modulus is taken unchecked.
     """
-    h = (q - 1) // 2
-    sums = np.cumsum(legendre_value_array(q)[:h + 1], dtype=np.int32)
-    hi, lo = int(sums.max()), int(sums.min())
-    return float(2 * max(hi, -lo) if q % 4 == 1 else hi - lo)
+    table = prefix_table(PrimeModulus(q).legendre())
+    hi, lo = int(table.sums.max()), int(table.sums.min())
+    return float(hi - lo if table.sign > 0 else 2 * max(hi, -lo))
 
 
 def pv_ratio_scan(limit: int) -> tuple[float, int, list[tuple[int, float]]]:

@@ -10,19 +10,28 @@ window or interval sum is an integer or an integer pair with an exact
 integer norm, so every inequality involving them is checkable with zero
 tolerance.  Only characters of other orders use complex128.
 
+Every table covers half the period.  As g^h = -1 for h = (q-1)/2, n and
+q - n have dlogs h apart, so chi(q - n) = chi(-1) chi(n), and for a
+nontrivial chi the prefix sums obey S_k = -chi(-1) S_{q-1-k}.  A class
+table therefore holds n in [0, h], built from the powers g^0 .. g^(h-1)
+alone, and a prefix table holds S_0 .. S_h; PrefixTable.at reads the rest
+of the period as a mirror image, and window_sum and window_array read
+through it.  chi(-1) = (-1)^m needs no table.
+
 A modulus holds no table: its class table c(n) = dlog(n) mod d is rebuilt
 and checked on every read, the classes sliced from one ramp when d <=
-POWER_BLOCK.  Single values come from the order-d Euler criterion and the
-quadratic value table from the squares, so neither builds one.  A prefix
-table reads the class table in BLOCK slices and gathers each slice's
-payload (d LATTICE columns or d roots of unity) straight into the table,
-then sums it in place: nothing q-wide is made beside the table and the
-class table.  interval_sum gathers the same payload by the interval's
-classes alone, from single values when the interval is short.  Arrays are
-reduced mod q by reduce_mod, a floor division about twice as fast as %.
-A character caches only its prefix table and its complete moments (one
-scalar per (V, r)); a prefix table holds no reference to its character,
-so both are freed with the character's last reference.
+POWER_BLOCK, and g itself is found on its first read.  Single values come
+from the order-d Euler criterion and the quadratic value table from the
+squares, so neither builds a class table or finds g.  A prefix table reads
+the class table in BLOCK slices and gathers each slice's payload (d
+LATTICE columns or d roots of unity) straight into the table, then sums it
+in place: nothing is made beside the table and the class table but one
+slice.  interval_sum gathers the same payload by the interval's classes
+alone, from single values when the interval is short.  Arrays are reduced
+mod q by reduce_mod, a floor division about twice as fast as %.  A
+character caches only its prefix table and its complete moments (one
+scalar per (V, r)); a prefix table holds no reference to its character, so
+both are freed with the character's last reference.
 """
 from __future__ import annotations
 
@@ -68,14 +77,20 @@ def certify_modulus(q: int) -> None:
     """Refuse a modulus before any q-sized table is allocated: q at or above
     the 2^31 ceiling, then a composite q, then q above the table cap.  The
     ceiling comes first, so a huge q is refused before trial division.
+    """
+    if q < TABLE_CEILING and not is_prime(q):
+        raise CompositeModulus(f"{q} is not prime")
+    check_table_size(q)
+
+
+def check_table_size(q: int) -> None:
+    """Refuse q at or above the 2^31 ceiling, then q above the table cap.
 
     BURGESS_TABLE_LIMIT overrides the default cap; an override at or above
     the ceiling is refused too.
     """
     if q >= TABLE_CEILING:
         raise TableLimitExceeded(f"q={q} not below the ceiling 2^31")
-    if not is_prime(q):
-        raise CompositeModulus(f"{q} is not prime")
     raw = os.environ.get("BURGESS_TABLE_LIMIT")
     limit = int(raw) if raw else DEFAULT_TABLE_LIMIT
     if limit >= TABLE_CEILING:
@@ -160,32 +175,53 @@ def _power_blocks(base: int, count: int, q: int
         cur = (cur * step) % q
 
 
-@dataclass
 class PrimeModulus:
-    """A prime q with its smallest primitive root g."""
+    """A prime q; its smallest primitive root g is found on first read,
+    unless given."""
 
-    q: int
-    g: int
+    def __init__(self, q: int, g: int | None = None):
+        self.q = q
+        if g is not None:
+            self.g = g
+
+    @cached_property
+    def g(self) -> int:
+        return find_primitive_root(self.q)
 
     def classes(self, d: int) -> np.ndarray:
-        """c[n] = dlog(n) mod d for n in [1, q-1], c[0] = -1, for d | q-1, in
-        the smallest signed dtype holding -d; every build checks that each
-        residue is reached (g is primitive) and c[1] = 0, c[g] = 1 mod d.
-        For d <= POWER_BLOCK the classes pos, pos + 1, ... mod d of a block
-        of powers g^pos, ... are a slice of one ramp arange(...) % d."""
+        """c[n] = dlog(n) mod d for n in [1, h], h = (q-1)/2, and c[0] = -1,
+        for d | q-1, in the smallest signed dtype holding -d.
+
+        Only the powers g^k, k in [0, h), are taken: g^k <= h writes k at
+        n = g^k, a larger one writes k + h at n = q - g^k = g^(k+h).  Every
+        build checks that g^h = -1 and each n in [1, h] is reached, which
+        together say g is primitive, and the anchors c[1] = 0 and the class
+        of g.  For d <= POWER_BLOCK the classes of a block of powers g^pos,
+        ... are a slice of one ramp arange(...) % d."""
         q, g = self.q, self.g
-        c = np.full(q, -1, dtype=np.min_scalar_type(-d))
+        h = (q - 1) // 2
+        shift = h % d  # 0 for odd d, which divides h
+        c = np.full(h + 1, -1, dtype=np.min_scalar_type(-d))
         if d <= POWER_BLOCK:
-            ramp = (np.arange(POWER_BLOCK + d) % d).astype(c.dtype)
-        for pos, powers in _power_blocks(g, q - 1, q):
+            ramp = (np.arange(POWER_BLOCK + 2 * d) % d).astype(c.dtype)
+        for pos, powers in _power_blocks(g, h, q):
+            n = q - powers
+            np.minimum(n, powers, out=n)
             if d <= POWER_BLOCK:
-                c[powers] = ramp[pos % d:pos % d + len(powers)]
+                j = pos % d
+                k = ramp[j:j + len(powers)]
+                if shift:
+                    k = np.where(powers > h,
+                                 ramp[j + shift:j + shift + len(powers)], k)
             else:
-                k = np.arange(pos, pos + len(powers), dtype=np.int32)
-                c[powers] = k if pos + len(powers) <= d else k % d
-        if int(c[1:].min()) < 0:
+                k = np.arange(pos, pos + len(powers), dtype=np.int64)
+                k += (powers > h) * shift
+                k %= d
+            c[n] = k
+        if pow(g, h, q) != q - 1 or int(c[1:].min()) < 0:
             raise AssertionError("class table not surjective; g is not primitive")
-        if int(c[1]) != 0 or int(c[g]) != 1 % d:
+        want = (1 + (shift if g > h else 0)) % d
+        if int(c[1]) != 0 or int(c[min(g, q - g)]) != want:
             raise AssertionError("class table anchors wrong")
         return c
 
@@ -201,13 +237,13 @@ class PrimeModulus:
 def build_modulus(q: int) -> PrimeModulus:
     """Construct the evaluation backbone for all characters mod q.
 
-    Certifies primality, checks the table cap and finds the smallest
-    primitive root; class tables are built by each read.
+    Certifies primality and checks the table cap; the smallest primitive
+    root is found when first read, and class tables are built by each read.
     """
     if q < 3:
         raise ValueError("modulus must be a prime >= 3")
     certify_modulus(q)
-    return PrimeModulus(q=q, g=find_primitive_root(q))
+    return PrimeModulus(q)
 
 
 @dataclass(frozen=True)
@@ -275,13 +311,13 @@ class Character:
         """chi(n) by the order-d Euler criterion: n^((q-1)/d) = h^j for
         h = g^((q-1)/d) and j = dlog(n) mod d, found by baby-step giant-step
         as j = i m + k with m = isqrt(d-1) + 1, in O(sqrt(d)) steps and no
-        q-sized table."""
+        q-sized table.  For d = 2, h = -1 whatever g is, so g is not read."""
         q, d = self.q, self.order
         n %= q
         if n == 0:
             return CharValue(None, d)
         e = (q - 1) // d
-        h = pow(self.modulus.g, e, q)
+        h = q - 1 if d == 2 else pow(self.modulus.g, e, q)
         m = math.isqrt(d - 1) + 1
         baby, x = {}, 1
         for k in range(m):
@@ -314,9 +350,15 @@ class Character:
     def classes(self) -> np.ndarray:
         """c[n] in [0, d) with chi(n) = e(c[n]/d) for n in [1, q-1] and
         c[0] = -1, in the dtype of the modulus's class table; upcast before
-        adding two classes, as int8 overflows."""
-        table = self.modulus.classes(self.order)
-        c = self._class_of(np.arange(self.order)).astype(table.dtype)[table]
+        adding two classes, as int8 overflows.  n > h reads the half class
+        table at q - n, whose dlog is h less."""
+        q, d = self.q, self.order
+        half = self.modulus.classes(d)
+        h = len(half) - 1
+        j = np.arange(d)
+        c = np.empty(q, dtype=half.dtype)
+        c[:h + 1] = self._class_of(j).astype(half.dtype)[half]
+        c[h + 1:] = self._class_of(j + h).astype(half.dtype)[half[h:0:-1]]
         c[0] = -1
         return c
 
@@ -329,9 +371,8 @@ class Character:
         if self.is_trivial:
             vals = np.ones(self.q, dtype=np.int8)
         else:
-            d = self.order
-            vals = self._roots(self._class_of(np.arange(d, dtype=np.int64)))[
-                self.modulus.classes(d)]
+            vals = self._roots(np.arange(self.order, dtype=np.int64))[
+                self.classes()]
         vals[0] = 0
         return vals
 
@@ -350,14 +391,17 @@ class Character:
 
 
 class PrefixTable:
-    """Cumulative sums S_k = sum_{n<=k} chi(n) for k in [0, q].
+    """Cumulative sums S_k = sum_{n<=k} chi(n), stored for k in [0, h],
+    h = (q-1)/2; at reads every k in [0, q].
 
     For a character of order d in LATTICE the sums are exact int32
-    coordinates in its lattice basis, shape (q+1,) at rank 1 (the real
-    character) and (2, q+1) at rank 2 (orders 3, 4 and 6); |S_k| < q < 2^31
+    coordinates in its lattice basis, shape (h+1,) at rank 1 (the real
+    character) and (2, h+1) at rank 2 (orders 3, 4 and 6); |S_k| < q < 2^31
     bounds every coordinate.  Other orders get complex128 sums of shape
-    (q+1,).  S_q = 0 for every nontrivial character, which is what lets
-    window sums wrap around the period with at most two table lookups.
+    (h+1,).  The rest of the period mirrors the stored half: S_k = sign *
+    S_{q-1-k} for h < k <= q-1, with sign = -chi(-1), and S_q = S_0 = 0,
+    which is what lets window sums wrap around the period with at most two
+    reads.  chi(-1) = (-1)^((q-1)/d), so the order says it.
     """
 
     def __init__(self, sums: np.ndarray, order: int):
@@ -365,8 +409,17 @@ class PrefixTable:
         self.order = order
 
     @property
-    def q(self) -> int:
+    def h(self) -> int:
         return self.sums.shape[-1] - 1
+
+    @property
+    def q(self) -> int:
+        return 2 * self.h + 1
+
+    @property
+    def sign(self) -> int:
+        """-chi(-1): S_k = sign * S_{q-1-k}."""
+        return 1 if (self.q - 1) // self.order % 2 else -1
 
     @property
     def exact(self) -> bool:
@@ -377,36 +430,46 @@ class PrefixTable:
         """Lattice rank of the values: 1 or 2, 0 for a complex table."""
         return len(LATTICE.get(self.order, ()))
 
+    def at(self, k):
+        """S_k for an int or an int64 array k of indices in [0, q], shaped
+        like sums with its last axis replaced by k's shape: k > h reads the
+        stored entry q-1-k, times sign, and k = q reads S_0."""
+        q = self.q
+        s = np.take(self.sums, np.maximum(np.minimum(k, q - 1 - k), 0),
+                    axis=-1)
+        return s if self.sign > 0 else np.where(np.asarray(k) > self.h, -s, s)
+
 
 def prefix_table(chi: Character) -> PrefixTable:
-    """Gather chi's d LATTICE columns (int32) or d roots (complex128) by
-    BLOCK slices of the class table straight into the table, then sum it in
-    place; the quadratic character's values come from the squares instead.
-    S_q = S_{q-1} as chi(q) = 0, and S_q = 0 is checked on integer tables."""
+    """S_0 .. S_h: gather chi's d LATTICE columns (int32) or d roots
+    (complex128) by BLOCK slices of the half class table straight into the
+    table, then sum it in place; the quadratic character's values come from
+    the squares instead.  For an even chi, S_h = -S_h, so S_h = 0 is
+    checked on integer tables."""
     if chi.is_trivial:
         raise TrivialCharacter("prefix table requires a nontrivial character")
     q, d = chi.q, chi.order
-    # chi(n) itself from the squares, or the classes to gather it by
-    src = (legendre_value_array(q) if chi.is_quadratic
-           else chi.modulus.classes(d))
-    # column j: chi(g^j) for the dlog class j, one row per coordinate
-    k = chi._class_of(np.arange(d, dtype=np.int64))
-    cols = (np.array(LATTICE[d], dtype=np.int32)[:, k]
-            if d in LATTICE else chi._roots(k)[None])
-    sums = np.empty((len(cols), q + 1), dtype=cols.dtype)
+    h = (q - 1) // 2
     if chi.is_quadratic:
-        sums[0, 1:q] = src[1:]
+        sums = np.cumsum(legendre_value_array(q)[:h + 1], dtype=np.int32)
+        table = PrefixTable(sums, d)
     else:
-        for lo in range(1, q, BLOCK):
-            block = src[lo:min(lo + BLOCK, q)]
+        classes = chi.modulus.classes(d)
+        # column j: chi(g^j) for the dlog class j, one row per coordinate
+        k = chi._class_of(np.arange(d, dtype=np.int64))
+        cols = (np.array(LATTICE[d], dtype=np.int32)[:, k]
+                if d in LATTICE else chi._roots(k)[None])
+        sums = np.empty((len(cols), h + 1), dtype=cols.dtype)
+        for lo in range(1, h + 1, BLOCK):
+            block = classes[lo:lo + BLOCK]
             for row, col in zip(sums, cols):
                 # every class of n >= 1 is in [0, d): "clip" skips the check
                 np.take(col, block, out=row[lo:lo + len(block)], mode="clip")
-    sums[:, 0] = 0
-    np.cumsum(sums[:, 1:q], axis=-1, out=sums[:, 1:q])
-    sums[:, q] = sums[:, q - 1]
-    assert d not in LATTICE or not sums[:, q].any()
-    return PrefixTable(sums if len(cols) == 2 else sums[0], d)
+        sums[:, 0] = 0
+        np.cumsum(sums[:, 1:], axis=-1, out=sums[:, 1:])
+        table = PrefixTable(sums if len(cols) == 2 else sums[0], d)
+    assert not table.exact or table.sign > 0 or not table.sums[..., h].any()
+    return table
 
 
 def _check_window(q: int, v: int) -> None:
@@ -419,43 +482,37 @@ def _check_window(q: int, v: int) -> None:
 def window_sum(table: PrefixTable, lam, v: int):
     """sum_{1<=j<=v} chi(lam + j) for an int or an int64 array of starts.
 
-    Each start is reduced to a in [1, q], the starts window_array covers, so
-    both read the same prefix entries and agree bit for bit; a window that
-    runs past q wraps with a second prefix read, S_{a+v-q} - S_a + S_q
-    (S_q = 0 exactly on an integer table).  Returns int32 shaped like lam at
-    rank 1, int32 coordinate pairs of shape (2,) + lam's shape at rank 2,
-    and complex128 shaped like lam otherwise.
+    Each start is reduced to a in [1, q], the starts window_array covers,
+    and the window read as S_b - S_a through PrefixTable.at, where b = a + v
+    less q when the window runs past q (S_q = 0).  Returns int32 shaped like
+    lam at rank 1, int32 coordinate pairs of shape (2,) + lam's shape at
+    rank 2, and complex128 shaped like lam otherwise.
     """
     q = table.q
     _check_window(q, v)
-    s = table.sums
     a = (lam - 1) % q + 1
-    hi = a + v
-    wrap = hi > q
-    w = np.take(s, hi - q * wrap, axis=-1) - np.take(s, a, axis=-1)
-    if not table.exact:
-        w = w + s[q] * wrap
-    return w
+    b = a + v
+    b = b - q * (b > q)
+    return table.at(b) - table.at(a)
 
 
 def window_array(table: PrefixTable, v: int, lo: int = 0,
                  hi: int | None = None) -> np.ndarray:
     """window_sum over the starts lam in (lo, hi], by default every start in
-    [1, q], from two slice differences: starts up to q - v read
-    S_{lam+v} - S_lam, the rest wrap past q.  moment_sum reads the
-    lam-range through it block by block."""
+    [1, q]: starts up to h - v are a slice difference S_{lam+v} - S_lam
+    inside the stored half, the rest are read by window_sum.  moment_sum
+    reads its lam-range through it block by block."""
     q = table.q
     _check_window(q, v)
     hi = q if hi is None else hi
     s = table.sums
-    cut = min(max(q - v, lo), hi)  # starts in (lo, cut] do not wrap
+    cut = min(max(table.h - v, lo), hi)  # starts in (lo, cut] end by h
     w = np.empty(s.shape[:-1] + (hi - lo,), dtype=s.dtype)
     np.subtract(s[..., lo + 1 + v:cut + 1 + v], s[..., lo + 1:cut + 1],
                 out=w[..., :cut - lo])
-    np.subtract(s[..., cut + 1 + v - q:hi + 1 + v - q], s[..., cut + 1:hi + 1],
-                out=w[..., cut - lo:])
-    if not table.exact:
-        w[cut - lo:] += s[q]
+    if cut < hi:
+        w[..., cut - lo:] = window_sum(
+            table, np.arange(cut + 1, hi + 1, dtype=np.int64), v)
     return w
 
 
@@ -484,9 +541,10 @@ def interval_sum(chi: Character, m: int, n: int
     basis for orders 3, 4 and 6, a complex number otherwise.
 
     The L = n mod q terms left after the full periods are read from a
-    q-wide table (the squares, or the class table) unless L (isqrt(d-1)+1)
-    <= isqrt(q): then the O(sqrt(d)) Euler criterion per term is cheaper,
-    and Character.value gives each class with no table at all."""
+    q-wide table (the squares, or Character.classes) unless
+    L (isqrt(d-1)+1) <= isqrt(q): then the O(sqrt(d)) Euler criterion per
+    term is cheaper, and Character.value gives each class with no table at
+    all."""
     if n < 0:
         raise ValueError("interval length must be >= 0")
     q = chi.q
@@ -501,7 +559,7 @@ def interval_sum(chi: Character, m: int, n: int
     elif chi.is_quadratic:
         return int(chi.values()[idx].sum(dtype=np.int64))
     else:
-        c = chi._class_of(chi.modulus.classes(d)[idx].astype(np.int64))
+        c = chi.classes()[idx].astype(np.int64)
     if d in LATTICE:  # column c of LATTICE counted once per chi(k) = e(c/d)
         coords = np.array(LATTICE[d]) @ np.bincount(c[idx != 0], minlength=d)
         return int(coords[0]) if d == 2 else tuple(map(int, coords))

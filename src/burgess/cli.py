@@ -61,24 +61,35 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def parse_range(text: str) -> range:
+    """Inclusive a..b range, with an optional :step, not yet listed."""
+    span, _, step = text.strip().partition(":")
+    lo, hi = span.split("..")
+    return range(int(lo), int(hi) + 1, int(step) if step else 1)
+
+
 def parse_int_list(text: str) -> list[int]:
     """Comma list or inclusive a..b range, with an optional :step."""
-    text = text.strip()
     if ".." in text:
-        span, _, step = text.partition(":")
-        lo, hi = span.split("..")
-        return list(range(int(lo), int(hi) + 1, int(step) if step else 1))
+        return list(parse_range(text))
     return [int(x) for x in text.split(",") if x.strip()]
 
 
 def parse_primes_spec(text: str) -> list[int]:
-    vals = parse_int_list(text)
-    if ".." in text:
-        vals = [v for v in vals if chars.is_prime(v)]
-    else:
+    """Comma list of primes, each certified, or the primes of an a..b[:step]
+    range, ascending: the range's top is checked against the ceiling and the
+    table cap before one sieve of [a, b] lists them."""
+    if ".." not in text:
+        vals = parse_int_list(text)
         for v in vals:
             chars.certify_modulus(v)
-    return vals
+        return vals
+    span = parse_range(text)
+    if not span:
+        return []
+    lo, hi = sorted((span[0], span[-1]))
+    chars.check_table_size(hi)
+    return [p for p in sieve.primes_between(lo, hi) if p in span]
 
 
 def parse_n_spec(text: str, q: int) -> int:

@@ -1,14 +1,17 @@
 """Complete 2r-th moments of windowed character sums and their bound.
 
 The moment sum_{lam=1..q} |sum_{v<=V} chi(lam+v)|^{2r} is computed in one
-O(q) pass over the prefix table, in blocks of BLOCK window starts sliced
-from it, so no q-length window array is made.  For characters of order 2,
-3, 4 and 6 the window sums are lattice points with an exact integer norm
-of at most V^rank (chars.lattice_norm, computed in int32 while 2V^2 <
-2^31), so the moment reduces to a bincount of the norms followed by an
-exact big-integer combination; that is
-what makes the inequality margin a zero-tolerance check.  Characters of
-other orders sum |w|^{2r} in double precision block by block.
+pass over the stored half of the prefix table, in blocks of BLOCK window
+starts sliced from it, so no q-length window array is made.  The window at
+lam and the one at q-1-V-lam are mirror images (chi(q-n) = chi(-1) chi(n)),
+so for V < h = (q-1)/2 the starts (0, h-V], whose windows lie inside the
+stored half, are counted twice and the 2V+1 starts left are read once.
+For characters of order 2, 3, 4 and 6 the window sums are lattice points
+with an exact integer norm of at most V^rank (chars.lattice_norm, computed
+in int32 while 2V^2 < 2^31), so the moment reduces to a bincount of the
+norms followed by an exact big-integer combination; that is what makes the
+inequality margin a zero-tolerance check.  Characters of other orders sum
+|w|^{2r} in double precision block by block.
 """
 
 from __future__ import annotations
@@ -78,9 +81,9 @@ def moment_sum(chi: Character, V: int, r: int, parts: int = 1
     An exact table gives a Python int: the bincount of the lattice norms
     when their V^rank + 1 bins fit in q + 1, otherwise (a caller-given V
     with V^2 > q) each block's distinct norms by np.unique.  parts > 1
-    splits the lam-range, each part read in its own blocks; parts merge by
-    plain addition, so the partitioned result is bit-identical on the exact
-    path.
+    splits the lam-range that is counted twice, each part read in its own
+    blocks; parts merge by plain addition, so the partitioned result is
+    bit-identical on the exact path.
     """
     if chi.is_trivial:
         raise TrivialCharacter("moment requires a nontrivial character")
@@ -88,28 +91,36 @@ def moment_sum(chi: Character, V: int, r: int, parts: int = 1
         raise ValueError("r must be >= 1")
     q = chi.q
     table = chi.prefix
-    edges = np.linspace(0, q, max(parts, 1) + 1).astype(int)
-    blocks = (window_array(table, V, a, min(a + BLOCK, hi))
-              for lo, hi in zip(edges[:-1], edges[1:])
-              for a in range(lo, hi, BLOCK))
+    h = table.h
+    # (weight, lo, hi): the starts (lo, hi], each standing for weight windows
+    if V < h:  # (0, h-V] and their mirrors [h, q-2-V]; then the rest
+        edges = np.linspace(0, h - V, max(parts, 1) + 1).astype(int)
+        spans = [(2, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        spans += [(1, h - V, h - 1), (1, q - 2 - V, q)]
+    else:
+        edges = np.linspace(0, q, max(parts, 1) + 1).astype(int)
+        spans = [(1, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    blocks = ((weight, window_array(table, V, a, min(a + BLOCK, hi)))
+              for weight, lo, hi in spans for a in range(lo, hi, BLOCK))
     exact = table.exact
     if not exact:
         moment: int | float = float(sum(
-            np.sum((w.real ** 2 + w.imag ** 2) ** r) for w in blocks))
+            weight * np.sum((w.real ** 2 + w.imag ** 2) ** r)
+            for weight, w in blocks))
     else:
         power = 2 * r // table.rank
         if V ** table.rank <= q:
             # zeroed pages that no norm reaches are never touched
             counts = np.zeros(V ** table.rank + 1, dtype=np.int64)
-            for w in blocks:
+            for weight, w in blocks:
                 c = np.bincount(lattice_norm(table, w, V))
-                counts[:len(c)] += c
+                counts[:len(c)] += weight * c
             keys = np.flatnonzero(counts)
             moment = _power_sum(keys, counts[keys], power)
         else:
-            moment = sum(_power_sum(*np.unique(lattice_norm(table, w),
-                                               return_counts=True), power)
-                         for w in blocks)
+            moment = sum(weight * _power_sum(
+                *np.unique(lattice_norm(table, w), return_counts=True), power)
+                for weight, w in blocks)
     bound = weil_bound(r, V, q)
     passed = _leq_with_overflow(moment, bound, r, V, q)
     margin = bound - moment if math.isfinite(bound) else math.inf

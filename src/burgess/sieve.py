@@ -60,6 +60,18 @@ def primes_below(z: float) -> list[int]:
     return n[build_spf(hi).spf[2:] == n].tolist()  # a prime is its own spf
 
 
+def primes_between(lo: int, hi: int) -> list[int]:
+    """All primes p with lo <= p <= hi, by one sieve of the segment [lo, hi]
+    with the primes up to sqrt(hi); memory is one byte per member."""
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    keep = np.ones(hi - lo + 1, dtype=bool)
+    for p in primes_below(math.isqrt(hi) + 1):
+        keep[max(p * p, -(-lo // p) * p) - lo::p] = False
+    return (np.flatnonzero(keep) + lo).tolist()
+
+
 def primorial(z: float) -> int:
     """Product of all primes below z (exact big integer; empty product = 1)."""
     return math.prod(primes_below(z))

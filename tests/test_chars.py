@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burgess import acceptance
+from burgess import acceptance, bounds
 from burgess import chars as chars_module
 from burgess.chars import (
     BLOCK,
@@ -33,6 +33,7 @@ from burgess.errors import (
     TrivialCharacter,
     WindowTooLarge,
 )
+from oracles import all_windows, full_prefix, scatter_classes
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 101]
 
@@ -75,10 +76,13 @@ def test_find_primitive_root_order_is_full():
 
 def test_build_modulus_dlog_example():
     mod = build_modulus(7)  # g = 3; the full dlog is the d = q-1 class table
-    assert mod.classes(6).tolist() == [-1, 0, 2, 1, 4, 5, 3]
-    assert mod.classes(3).tolist() == [-1, 0, 2, 1, 1, 2, 0]
-    assert mod.classes(2).tolist() == [-1, 0, 0, 1, 0, 1, 1]
-    assert build_modulus(3).classes(2).tolist() == [-1, 0, 1]
+    # class tables hold n in [0, h], h = 3; the index-1 character's classes
+    # are the full dlog mod 6
+    assert mod.character(1).classes().tolist() == [-1, 0, 2, 1, 4, 5, 3]
+    assert mod.classes(6).tolist() == [-1, 0, 2, 1]
+    assert mod.classes(3).tolist() == [-1, 0, 2, 1]
+    assert mod.classes(2).tolist() == [-1, 0, 0, 1]
+    assert build_modulus(3).classes(2).tolist() == [-1, 0]
 
 
 def test_class_table_dtype_holds_minus_d():
@@ -125,7 +129,8 @@ def test_modulus_holds_no_table():
         chi = mod.character(m)
         chi.prefix
         chi.value(3)
-        assert vars(mod) == {"q": 101, "g": 2}
+        # g is cached once read; the Legendre character (m = 50) never reads it
+        assert vars(mod) == ({"q": 101} if m == 50 else {"q": 101, "g": 2})
 
 
 def test_planted_non_primitive_root_fails_on_first_read():
@@ -206,18 +211,8 @@ def test_values_dtype_picks_exact_path(mod101, mod1009):
     for d in (3, 4, 6):
         table = prefix_table(mod1009.character(1008 // d))
         assert table.exact and table.rank == 2
-        assert table.sums.dtype == np.int32 and table.sums.shape == (2, 1010)
-    assert prefix_table(mod101.legendre()).sums.shape == (102,)
-
-
-def scatter_classes(mod, d):
-    """k mod d at g^k for k in [0, q-2], -1 at 0: one power at a time."""
-    c = np.full(mod.q, -1, dtype=np.int64)
-    x = 1
-    for k in range(mod.q - 1):
-        c[x] = k % d
-        x = x * mod.g % mod.q
-    return c
+        assert table.sums.dtype == np.int32 and table.sums.shape == (2, 505)
+    assert prefix_table(mod101.legendre()).sums.shape == (51,)
 
 
 def test_classes_ramp_matches_plain_scatter():
@@ -229,23 +224,8 @@ def test_classes_ramp_matches_plain_scatter():
         assert (mod.q - 1) % d == 0
         got = mod.classes(d)
         assert got.dtype == np.min_scalar_type(-d)
-        assert np.array_equal(got, scatter_classes(mod, d)), d
-
-
-def gathered_prefix(chi):
-    """The prefix table summed from a q-wide value table: the LATTICE
-    columns (int64) or chi.values(), gathered by the class table."""
-    q, d = chi.q, chi.order
-    if d in LATTICE:
-        j = chi.modulus.classes(d).astype(np.int64)
-        vals = np.array(LATTICE[d], dtype=np.int64)[:, chi._class_of(j)]
-        vals[:, 0] = 0
-    else:
-        vals = chi.values()[None]
-    sums = np.zeros((len(vals), q + 1), dtype=vals.dtype)
-    sums[:, 1:q] = np.cumsum(vals[:, 1:], axis=-1)
-    sums[:, q] = sums[:, q - 1]
-    return sums if d in LATTICE else sums[0]
+        h = (mod.q - 1) // 2
+        assert np.array_equal(got, scatter_classes(mod, d)[:h + 1]), d
 
 
 @pytest.mark.parametrize("q", [1009, 32797, 131101])
@@ -253,9 +233,10 @@ def test_blocked_prefix_bit_identical(q):
     # 131101: the classes take two BLOCK slices
     mod = build_modulus(q)
     orders = [d for d in (3, 4, 6, 5, 12, q - 1) if (q - 1) % d == 0]
+    h = (q - 1) // 2
     for m in [(q - 1) // d for d in orders] + [2, 7]:
         chi = mod.character(m)
-        got, want = prefix_table(chi).sums, gathered_prefix(chi)
+        got, want = prefix_table(chi).sums, full_prefix(chi)[..., :h + 1]
         assert got.dtype == (np.int32 if chi.order in LATTICE
                              else np.complex128)
         assert got.shape == want.shape
@@ -266,9 +247,9 @@ def test_blocked_prefix_bit_identical(q):
 
 
 def test_prefix_build_holds_table_classes_and_a_block():
-    # beside the 8q-byte table only the int8 class table (q bytes) and
-    # O(BLOCK) temporaries; the q-wide coordinates a gather of the whole
-    # class table makes would add 2q bytes more
+    # beside the 8(h+1)-byte half table only the int8 half class table
+    # (h+1 bytes) and O(BLOCK) temporaries; the coordinates a gather of the
+    # whole class table makes would add 2(h+1) bytes more
     q = 1000003
     chi = build_modulus(q).character((q - 1) // 3)
     tracemalloc.start()
@@ -277,12 +258,86 @@ def test_prefix_build_holds_table_classes_and_a_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.sums.nbytes == 8 * (q + 1)
-    assert peak <= table.sums.nbytes + q + 10 * BLOCK
+    h = (q - 1) // 2
+    assert table.sums.nbytes == 8 * (h + 1)
+    assert peak <= table.sums.nbytes + (h + 1) + 10 * BLOCK
+
+
+# q = 1 and q = 3 (mod 4); 1008 = 16 * 63 and 1062 = 2 * 9 * 59, so the
+# orders below include even and odd characters of every kind
+MIRROR_CELLS = [(1009, (2, 3, 4, 6, 16, 63)), (1063, (2, 3, 6, 9, 59))]
+
+
+@pytest.mark.parametrize("q, orders", MIRROR_CELLS)
+def test_mirrored_accessor_matches_full_oracle(q, orders):
+    mod = build_modulus(q)
+    h = (q - 1) // 2
+    signs = set()
+    for d in orders:
+        chi = mod.character((q - 1) // d * (d - 1 if d > 2 else 1))
+        assert chi.order == d
+        table = prefix_table(chi)
+        want = full_prefix(chi)
+        assert table.sign == -chi(-1).as_complex().real
+        signs.add(table.sign)
+        got = table.at(np.arange(q + 1, dtype=np.int64))
+        assert got.shape == want.shape
+        assert [table.at(k).tolist() for k in (0, h, h + 1, q - 1, q)] == [
+            got[..., k].tolist() for k in (0, h, h + 1, q - 1, q)]
+        if table.exact:
+            assert got.dtype == np.int32 and np.array_equal(got, want), d
+        else:  # the stored half bit for bit, the mirrored half to rounding
+            assert np.array_equal(bits(got[:h + 1]), bits(want[:h + 1]))
+            assert np.abs(got - want).max() <= 1e-12 * q, d
+    assert signs == {-1, 1}
+
+
+@pytest.mark.parametrize("q, orders", MIRROR_CELLS)
+def test_window_sum_straddling_h_and_q(q, orders):
+    mod = build_modulus(q)
+    h = (q - 1) // 2
+    for d in orders:
+        chi = mod.character((q - 1) // d)
+        table = prefix_table(chi)
+        full = full_prefix(chi)
+        for v in (1, 2, 7, h - 1, h, h + 1, q - 1, q):
+            want = all_windows(full, v)
+            lams = np.array([s + t for s in (0, h - v, h, q - v, q, 2 * q)
+                             for t in range(-3, 4)], dtype=np.int64)
+            got = window_sum(table, lams, v)
+            ref = want[..., lams % q]
+            if table.exact:
+                assert np.array_equal(got, ref), (d, v)
+                assert [window_sum(table, int(m), v).tolist()
+                        for m in lams] == ref.T.tolist()
+            else:
+                assert np.abs(got - ref).max() <= 1e-12 * q, (d, v)
+            assert np.array_equal(window_array(table, v),
+                                  window_sum(table, np.arange(1, q + 1), v))
+
+
+def test_legendre_paths_find_no_primitive_root(monkeypatch):
+    def no_root(q):
+        raise AssertionError("primitive root searched")
+
+    monkeypatch.setattr(chars_module, "find_primitive_root", no_root)
+    for q in (10007, 10009):
+        mod = build_modulus(q)
+        chi = mod.legendre()
+        assert prefix_table(chi).sums[-1] == int(
+            np.sum(legendre_value_array(q)[:(q - 1) // 2 + 1]))
+        bounds.extremal_scan(q, (q - 1) // 2, 100, [0, 5, q - 3])
+        bounds.max_window_spread(q)
+        assert [chi(n).as_int() for n in range(-3, 40)] == [
+            euler_criterion(n, q) for n in range(-3, 40)]
+        assert vars(mod) == {"q": q}
+    with pytest.raises(AssertionError, match="primitive root"):
+        build_modulus(10007).character(3).prefix
 
 
 def test_dlog_is_bijection(mod101):
-    assert sorted(mod101.classes(100)[1:].tolist()) == list(range(100))
+    assert sorted(mod101.character(1).classes()[1:].tolist()) == list(
+        range(100))
 
 
 def test_value_euler_criterion():
@@ -476,7 +531,8 @@ def test_reduce_mod_equals_remainder():
 def test_prefix_table_example():
     mod = build_modulus(5)
     table = prefix_table(mod.legendre())
-    assert table.sums.tolist() == [0, 1, 0, -1, 0, 0]
+    assert table.sums.tolist() == [0, 1, 0]
+    assert table.at(np.arange(6)).tolist() == [0, 1, 0, -1, 0, 0]
 
 
 def test_prefix_table_requires_nontrivial(mod101):
@@ -489,11 +545,8 @@ def test_prefix_final_entry_zero(mod101, mod1009):
         q = mod.q
         for m in (1, 2, (q - 1) // 2, q - 2):
             table = prefix_table(mod.character(m))
-            final = table.sums[q]
-            if table.exact:
-                assert final == 0
-            else:
-                assert abs(final) <= 1e-9 * q
+            for final in (table.at(q), table.at(q - 1)):
+                assert final.tolist() == (0 if final.ndim == 0 else [0, 0])
 
 
 def test_window_sum_examples():
@@ -634,7 +687,7 @@ def test_legendre_value_array_matches_dlog_path(mod101, mod1009):
     for mod in (mod101, mod1009, build_modulus(131101)):
         # chi(g^k) = (-1)^k
         assert legendre_value_array(mod.q).tolist() == [0] + [
-            1 - 2 * k for k in mod.classes(2)[1:].tolist()]
+            1 - 2 * k for k in mod.legendre().classes()[1:].tolist()]
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from burgess import cli
+from burgess import chars, cli
+from burgess.errors import TableLimitExceeded
 
 # One small-q invocation per subcommand (the README examples, scaled down).
 SMOKE_ARGV = {
@@ -116,10 +117,16 @@ def test_subcommand_smoke(name, capsys):
 
 
 def test_determinism_modulo_timings(capsys):
-    argv = ["scan", "--q", "101", "--N", "q^0.4", "--M-spec", "random:6",
-            "--seed", "99"]
-    _, rec1, out1 = run(argv, capsys)
-    _, rec2, out2 = run(argv, capsys)
+    # holder and moments sweeps too: two r values per character share the
+    # moment cache in holder; 1020 = 4 * 3 * 5 * 17, so index 204 is order 5
+    # (float tables, mirrored complex entries) and 340 order 3 (lattice)
+    sweeps = [["scan", "--q", "101", "--N", "q^0.4", "--M-spec", "random:6"]]
+    for index in ("204", "340"):
+        sweeps.append(["holder", "--q", "1021", "--index", index,
+                       "--N", "q^0.6", "--M-spec", "random:3"])
+        sweeps.append(["moments", "--q", "1021", "--index", index])
+    sweeps.append(["holder", "--q", "1021", "--legendre", "--N", "q^0.6",
+                   "--M-spec", "random:3"])
 
     def strip(lines):
         cleaned = []
@@ -129,7 +136,12 @@ def test_determinism_modulo_timings(capsys):
             cleaned.append(json.dumps(d, sort_keys=True))
         return cleaned
 
-    assert strip(out1) == strip(out2)
+    for argv in sweeps:
+        argv = argv + ["--seed", "99"]
+        code1, rec1, out1 = run(argv, capsys)
+        code2, rec2, out2 = run(argv, capsys)
+        assert code1 == code2 == 0 and rec1, argv
+        assert strip(out1) == strip(out2), argv
 
 
 def test_seed_changes_random_windows(capsys):
@@ -291,6 +303,29 @@ def test_modulus_above_ceiling_refused_at_once(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "ceiling" in captured.err
+
+
+def test_prime_range_above_ceiling_refused_before_listing(capsys):
+    # the range is refused by its top alone: it is never listed
+    argv = ["scan", "--primes", "2305843009213693951..2305843009213693961",
+            "--N", "5", "--M-spec", "1"]
+    t0 = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - t0 < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ceiling" in captured.err
+
+
+def test_prime_range_from_one_sieve(monkeypatch):
+    spans = ["1..200", "1000..1100:3", "100..1:-7", "7..7", "8..10",
+             "10..5", "2..2"]
+    want = {t: sorted(p for p in cli.parse_range(t) if chars.is_prime(p))
+            for t in spans}
+    monkeypatch.setattr(chars, "is_prime", None)  # no trial division
+    for t in spans:
+        assert cli.parse_primes_spec(t) == want[t], t
+    with pytest.raises(TableLimitExceeded):  # above the cap, not listed
+        cli.parse_primes_spec("1000000000..1000100000")
 
 
 def test_config_defaults_runnable(tmp_path, capsys):

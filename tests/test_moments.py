@@ -23,6 +23,7 @@ from burgess.moments import (
     weil_bound,
     weil_bound_log,
 )
+from oracles import brute_moment
 
 # e(1/d) in Z[omega] (omega = e(1/3); d = 3, 6) or in Z[i] (d = 4), as the
 # pair (a, b) for a + b*beta, and beta itself as a complex number
@@ -308,3 +309,21 @@ def test_moment_naive_property(q, r, data):
     v = data.draw(st.integers(min_value=1, max_value=q))
     chi = build_modulus(q).legendre()
     assert moment_sum(chi, v, r).moment == naive_moment(chi, v, r)
+
+
+@pytest.mark.parametrize("q, orders", [(1009, (2, 3, 4, 6, 16)),
+                                       (10007, (2, 5003))])
+def test_half_moment_equals_all_starts(q, orders):
+    # twice the starts inside the stored half plus the 2V+1 others equals
+    # the sum over all q starts of the full-period oracle
+    mod = build_modulus(q)
+    for d in orders:
+        chi = mod.character((q - 1) // d)
+        for v in (1, 2, 7, 63, 64):
+            for r in (2, 3):
+                got = moment_sum(chi, v, r).moment
+                want = brute_moment(chi, v, r)
+                if type(want) is int:
+                    assert type(got) is int and got == want, (d, v, r)
+                else:
+                    assert abs(got - want) <= 1e-12 * want, (d, v, r)
