@@ -63,7 +63,7 @@ def measure_divisible_count_constant() -> float:
                     continue
                 if z >= (u_cap / t) ** DIVISIBLE_COUNT_A:
                     continue
-                cnt = count_rough_divisible(z, u_cap, t, rough=rough)
+                cnt = count_rough_divisible(rough, t)
                 worst = max(worst, cnt * t / (u_cap * vz))
     return worst
 

@@ -202,8 +202,10 @@ class PrimeModulus:
         h = (q - 1) // 2
         shift = h % d  # 0 for odd d, which divides h
         c = np.full(h + 1, -1, dtype=np.min_scalar_type(-d))
-        if d <= POWER_BLOCK:
-            ramp = (np.arange(POWER_BLOCK + 2 * d) % d).astype(c.dtype)
+        if d <= POWER_BLOCK:  # in a dtype holding k + shift < 2d
+            ramp = np.arange(POWER_BLOCK + d) % d
+            ramp = ramp.astype(np.min_scalar_type(-2 * d))
+            lift, wrap = ramp.dtype.type(shift), ramp.dtype.type(d)
         for pos, powers in _power_blocks(g, h, q):
             n = q - powers
             np.minimum(n, powers, out=n)
@@ -211,8 +213,8 @@ class PrimeModulus:
                 j = pos % d
                 k = ramp[j:j + len(powers)]
                 if shift:
-                    k = np.where(powers > h,
-                                 ramp[j + shift:j + shift + len(powers)], k)
+                    k = k + lift * (powers > h)
+                    k -= wrap * (k >= d)
             else:
                 k = np.arange(pos, pos + len(powers), dtype=np.int64)
                 k += (powers > h) * shift

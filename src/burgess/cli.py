@@ -270,8 +270,7 @@ def run_rough(args, cfg):
            "members_head": [int(x) for x in rs.members[:50]]}
     passes = {}
     if args.t is not None:
-        out["divisible_by_t"] = sieve.count_rough_divisible(
-            args.z, args.U, args.t, rough=rs)
+        out["divisible_by_t"] = sieve.count_rough_divisible(rs, args.t)
         out["t"] = args.t
     if args.ratio:
         ratio = sieve.rough_density_ratio(

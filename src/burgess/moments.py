@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,23 +51,14 @@ def weil_bound(r: int, V: int, q: int) -> float:
         return math.inf
 
 
-def weil_bound_log(r: int, V: int, q: int) -> float:
-    """log of the bound, always representable; used when the value overflows."""
-    t1 = r * math.log(2 * r) + r * math.log(V) + math.log(q)
-    t2 = math.log(2 * r) + 2 * r * math.log(V) + 0.5 * math.log(q)
-    hi, lo = max(t1, t2), min(t1, t2)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
-def _log_of(x: int | float) -> float:
-    return math.log(x) if x > 0 else -math.inf
-
-
-def _leq_with_overflow(moment: int | float, bound: float, r: int, V: int,
-                       q: int) -> bool:
-    if math.isfinite(bound):
-        return moment <= bound
-    return _log_of(moment) <= weil_bound_log(r, V, q)
+def _leq_root(x: int | float, a: int, b: int, q: int) -> bool:
+    """x <= a + b sqrt(q), decided exactly as x - a <= 0 or (x - a)^2 <=
+    b^2 q; a float x is read as its exact rational, and inf fails."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            return False
+        x = Fraction(x)
+    return x - a <= 0 or (x - a) ** 2 <= b * b * q
 
 
 def _power_sum(keys: np.ndarray, counts: np.ndarray, p: int) -> int:
@@ -74,16 +66,13 @@ def _power_sum(keys: np.ndarray, counts: np.ndarray, p: int) -> int:
     return sum(c * k ** p for k, c in zip(keys.tolist(), counts.tolist()))
 
 
-def moment_sum(chi: Character, V: int, r: int, parts: int = 1
-               ) -> MomentReport:
-    """The complete 2r-th moment over all q window positions.
+def moment_sum(chi: Character, V: int, r: int) -> MomentReport:
+    """The complete 2r-th moment over all q window positions, with the
+    Weil-bound verdict decided exactly.
 
     An exact table gives a Python int: the bincount of the lattice norms
     when their V^rank + 1 bins fit in q + 1, otherwise (a caller-given V
-    with V^2 > q) each block's distinct norms by np.unique.  parts > 1
-    splits the lam-range that is counted twice, each part read in its own
-    blocks; parts merge by plain addition, so the partitioned result is
-    bit-identical on the exact path.
+    with V^2 > q) each block's distinct norms by np.unique.
     """
     if chi.is_trivial:
         raise TrivialCharacter("moment requires a nontrivial character")
@@ -94,12 +83,9 @@ def moment_sum(chi: Character, V: int, r: int, parts: int = 1
     h = table.h
     # (weight, lo, hi): the starts (lo, hi], each standing for weight windows
     if V < h:  # (0, h-V] and their mirrors [h, q-2-V]; then the rest
-        edges = np.linspace(0, h - V, max(parts, 1) + 1).astype(int)
-        spans = [(2, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        spans += [(1, h - V, h - 1), (1, q - 2 - V, q)]
+        spans = [(2, 0, h - V), (1, h - V, h - 1), (1, q - 2 - V, q)]
     else:
-        edges = np.linspace(0, q, max(parts, 1) + 1).astype(int)
-        spans = [(1, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        spans = [(1, 0, q)]
     blocks = ((weight, window_array(table, V, a, min(a + BLOCK, hi)))
               for weight, lo, hi in spans for a in range(lo, hi, BLOCK))
     exact = table.exact
@@ -122,7 +108,8 @@ def moment_sum(chi: Character, V: int, r: int, parts: int = 1
                 *np.unique(lattice_norm(table, w), return_counts=True), power)
                 for weight, w in blocks)
     bound = weil_bound(r, V, q)
-    passed = _leq_with_overflow(moment, bound, r, V, q)
+    passed = _leq_root(moment, (2 * r) ** r * V ** r * q,
+                       2 * r * V ** (2 * r), q)
     margin = bound - moment if math.isfinite(bound) else math.inf
     return MomentReport(q=q, V=V, r=r, char_index=chi.index, moment=moment,
                         bound=bound, margin=margin, exact=exact, passed=passed)
@@ -151,8 +138,7 @@ def moment_check(q_or_char: int | Character, char_index: int | None = None,
     if v == v_auto:
         spec_bound = (2 * r) ** (2 * r) * q ** 1.5
         report.specialized_bound = spec_bound
-        report.specialized_passed = (
-            report.moment <= spec_bound if math.isfinite(spec_bound)
-            else _log_of(report.moment) <= 2 * r * math.log(2 * r) + 1.5 * math.log(q))
+        report.specialized_passed = _leq_root(report.moment, 0,
+                                              (2 * r) ** (2 * r) * q, q)
         report.passed = report.passed and report.specialized_passed
     return report

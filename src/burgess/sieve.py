@@ -1,9 +1,12 @@
-"""Rough numbers, primorials and the Mertens product.
+"""Primes, rough numbers, primorials and the Mertens product.
 
-The z-rough set over [1, U] is the set of integers with no prime factor
-below z, equivalently coprime to the primorial of z.  Membership is decided
-through a smallest-prime-factor table rather than big-integer gcds, which
-makes the test O(1) per candidate and the enumeration O(U).
+Primes are sieved in one place, primes_between: a byte per member of the
+segment [lo, hi], struck by the primes up to sqrt(hi), which it lists by
+the same sieve.  Everything else reads its primes from it: the primes
+below z, the z-rough set over [1, U] (a byte mask of [1, U] struck by the
+primes below z, which is how the set is defined), and the
+smallest-prime-factor table, which only `burgess sieve --spf` reads.
+Each refuses more than SIEVE_LIMIT numbers before allocating.
 """
 
 from __future__ import annotations
@@ -16,10 +19,34 @@ import numpy as np
 
 from .errors import GuardViolated, LimitTooLarge
 
-DEFAULT_SPF_LIMIT = 1 << 27
+SIEVE_LIMIT = 1 << 27
 
 # Exact rationals are kept while the product has few factors.
 EXACT_MERTENS_MAX_W = 100.0
+
+
+def _check_limit(n: int) -> None:
+    if n > SIEVE_LIMIT:
+        raise LimitTooLarge(f"sieve of {n} numbers above cap {SIEVE_LIMIT}")
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """All primes p with lo <= p <= hi, by one sieve of the segment [lo, hi]
+    with the primes up to sqrt(hi), listed by a sieve of [2, sqrt(hi)];
+    memory is one byte per member."""
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    _check_limit(hi - lo + 1)
+    keep = np.ones(hi - lo + 1, dtype=bool)
+    for p in primes_between(2, math.isqrt(hi)):
+        keep[max(p * p, -(-lo // p) * p) - lo::p] = False
+    return (np.flatnonzero(keep) + lo).tolist()
+
+
+def primes_below(z: float) -> list[int]:
+    """All primes p < z, the canonical factored form of the primorial."""
+    return primes_between(2, math.ceil(z) - 1)
 
 
 @dataclass
@@ -36,40 +63,17 @@ class SpfTable:
 
 
 def build_spf(limit: int) -> SpfTable:
-    """Sieve the smallest-prime-factor table up to limit."""
+    """The smallest-prime-factor table up to limit: each n starts as
+    itself, and the primes up to sqrt(limit), largest first, write
+    themselves over their multiples from p^2, so the smallest one stays."""
     if limit < 2:
         raise LimitTooLarge(f"limit {limit} below the smallest sieve domain")
-    if limit > DEFAULT_SPF_LIMIT:
-        raise LimitTooLarge(f"limit {limit} above cap {DEFAULT_SPF_LIMIT}")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p::p]
-            sl[sl == 0] = p
-    rest = spf[2:] == 0  # untouched entries are primes > sqrt(limit)
-    spf[2:][rest] = np.arange(2, limit + 1, dtype=np.int64)[rest]
+    _check_limit(limit)
+    spf = np.arange(limit + 1, dtype=np.int64)
+    for p in reversed(primes_between(2, math.isqrt(limit))):
+        spf[p * p::p] = p
+    spf[:2] = 0
     return SpfTable(limit=limit, spf=spf)
-
-
-def primes_below(z: float) -> list[int]:
-    """All primes p < z, the canonical factored form of the primorial."""
-    if z <= 2:
-        return []
-    hi = math.ceil(z) - 1 if float(z).is_integer() else math.floor(z)
-    n = np.arange(2, hi + 1, dtype=np.int64)
-    return n[build_spf(hi).spf[2:] == n].tolist()  # a prime is its own spf
-
-
-def primes_between(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, by one sieve of the segment [lo, hi]
-    with the primes up to sqrt(hi); memory is one byte per member."""
-    lo = max(lo, 2)
-    if hi < lo:
-        return []
-    keep = np.ones(hi - lo + 1, dtype=bool)
-    for p in primes_below(math.isqrt(hi) + 1):
-        keep[max(p * p, -(-lo // p) * p) - lo::p] = False
-    return (np.flatnonzero(keep) + lo).tolist()
 
 
 def primorial(z: float) -> int:
@@ -121,24 +125,24 @@ class RoughSet:
 
 
 def enumerate_rough(z: float, U: int) -> RoughSet:
-    """The z-rough set over [1, U] by a single pass over the spf table."""
+    """The z-rough set over [1, U]: strike the multiples of each prime
+    below z from a mask of [1, U]; primes above U divide no member."""
     if z <= 1:
         raise ValueError("sieve level z must be > 1")
     if U < 1:
         raise ValueError("U must be >= 1")
-    keep = build_spf(max(U, 2)).spf[1: U + 1] >= z
-    keep[0] = True  # n = 1 is coprime to everything
+    _check_limit(U)
+    keep = np.ones(U, dtype=bool)  # keep[i] is n = i + 1
+    for p in primes_below(min(z, U + 1)):
+        keep[p - 1::p] = False
     members = np.flatnonzero(keep).astype(np.int64) + 1
     return RoughSet(z=float(z), U=U, members=members)
 
 
-def count_rough_divisible(z: float, U: int, t: int,
-                          rough: RoughSet | None = None) -> int:
-    """How many members of the z-rough set over [1, U] are divisible by t."""
+def count_rough_divisible(rough: RoughSet, t: int) -> int:
+    """How many members of the rough set are divisible by t."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    if rough is None:
-        rough = enumerate_rough(z, U)
     return int(np.count_nonzero(rough.members % t == 0))
 
 

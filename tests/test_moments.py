@@ -16,13 +16,7 @@ from burgess.chars import (
     window_sum,
 )
 from burgess.errors import TrivialCharacter, WindowTooLarge
-from burgess.moments import (
-    auto_window,
-    moment_check,
-    moment_sum,
-    weil_bound,
-    weil_bound_log,
-)
+from burgess.moments import auto_window, moment_check, moment_sum, weil_bound
 from oracles import brute_moment
 
 # e(1/d) in Z[omega] (omega = e(1/3); d = 3, 6) or in Z[i] (d = 4), as the
@@ -163,12 +157,11 @@ def test_blocks_match_one_shot_above_block():
                                for k, c in zip(keys, counts))
                 else:
                     want = float(np.sum(np.abs(w) ** (2 * r)))
-                for parts in (1, 3):
-                    got = moment_sum(chi, v, r, parts=parts).moment
-                    if table.exact:
-                        assert got == want, (d, v, r, parts)
-                    else:
-                        assert abs(got - want) <= 1e-12 * want
+                got = moment_sum(chi, v, r).moment
+                if table.exact:
+                    assert got == want, (d, v, r)
+                else:
+                    assert abs(got - want) <= 1e-12 * want
 
 
 def test_wide_window_allocates_no_square_bins():
@@ -252,13 +245,6 @@ def test_margin_nonnegative_everywhere(mod101):
                 assert rep.margin >= 0
 
 
-def test_partition_bit_identical(mod101):
-    chi = mod101.legendre()
-    base = moment_sum(chi, 6, 2)
-    for parts in (2, 3, 8):
-        assert moment_sum(chi, 6, 2, parts=parts).moment == base.moment
-
-
 def test_weil_bound_examples():
     assert abs(weil_bound(1, 1, 5) - (10 + 2 * math.sqrt(5))) < 1e-12
     want = 16 * 36 * 101 + 4 * 1296 * math.sqrt(101)
@@ -267,10 +253,23 @@ def test_weil_bound_examples():
         weil_bound(1, 0, 5)
 
 
-def test_weil_bound_log_consistent():
-    for r, v, q in ((1, 3, 101), (2, 6, 1009), (3, 13, 10007)):
-        assert abs(weil_bound_log(r, v, q)
-                   - math.log(weil_bound(r, v, q))) < 1e-9
+def test_verdict_exact_where_weil_bound_overflows(mod101):
+    # a + b sqrt(q) with a = (2r)^r V^r q, b = 2r V^(2r): the moment m
+    # passes iff m - a <= isqrt(b^2 q), an integer comparison
+    r, v, q = 100, 50, 101
+    assert weil_bound(r, v, q) == math.inf
+    rep = moment_sum(mod101.legendre(), v, r)
+    a, b = (2 * r) ** r * v ** r * q, 2 * r * v ** (2 * r)
+    assert rep.exact and isinstance(rep.moment, int)
+    assert rep.passed == (rep.moment - a <= math.isqrt(b * b * q))
+    # an order-5 float moment is compared as its exact rational, and one
+    # that overflows to inf fails
+    chi = mod101.character(20)
+    rep = moment_sum(chi, v, r)
+    assert math.isfinite(rep.moment) and rep.moment < a and rep.passed
+    with np.errstate(over="ignore"):
+        rep = moment_sum(chi, v, 4 * r)
+    assert rep.moment == math.inf and not rep.passed
 
 
 def test_errors(mod101):

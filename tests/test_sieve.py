@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from burgess import baselines
+from burgess.chars import is_prime
 from burgess.errors import GuardViolated, LimitTooLarge
 from burgess.sieve import (
     build_spf,
@@ -12,9 +15,23 @@ from burgess.sieve import (
     enumerate_rough,
     mertens_product,
     primes_below,
+    primes_between,
     primorial,
     rough_density_ratio,
 )
+
+
+def _peak_bytes(fn, *args):
+    """Peak traced allocation while fn(*args) runs or raises."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+    except LimitTooLarge:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
 
 
 def test_build_spf_examples():
@@ -29,6 +46,15 @@ def test_build_spf_rejects_bad_limits():
         build_spf(1)
     with pytest.raises(LimitTooLarge):
         build_spf(2 ** 40)
+
+
+def test_build_spf_equals_reference_loop():
+    limit = 3000
+    want = [0, 0] + [next(p for p in range(2, n + 1) if n % p == 0)
+                     for n in range(2, limit + 1)]
+    for n in (2, 3, 4, 48, 49, 50, limit):
+        assert build_spf(n).spf.tolist() == want[:n + 1]
+    assert build_spf(limit).spf.dtype == np.int64
 
 
 def test_spf_invariants():
@@ -51,6 +77,33 @@ def test_primes_below_examples():
 def test_primes_below_strict_inequality():
     assert primes_below(7) == [2, 3, 5]
     assert primes_below(7.0001) == [2, 3, 5, 7]
+
+
+@given(st.integers(-3, 3000), st.integers(-3, 3000))
+@settings(max_examples=200, deadline=None)
+def test_primes_between_matches_trial_division(lo, hi):
+    assert primes_between(lo, hi) == [n for n in range(lo, hi + 1)
+                                      if is_prime(n)]
+
+
+def test_primes_between_edges():
+    for lo in (-1, 0, 1, 2):
+        for hi in range(-1, 5):
+            assert primes_between(lo, hi) == [p for p in (2, 3) if p <= hi]
+    assert primes_between(4, 4) == []
+    assert primes_between(10, 9) == []
+    assert primes_between(97, 97) == [97]
+    assert primes_below(1.5) == primes_below(-5) == []
+
+
+def test_sieves_refuse_before_allocating():
+    for fn, args in ((primes_below, (2 ** 28,)),
+                     (primes_between, (0, 2 ** 28)),
+                     (enumerate_rough, (3, 2 ** 28)),
+                     (build_spf, (2 ** 28,))):
+        with pytest.raises(LimitTooLarge):
+            fn(*args)
+        assert _peak_bytes(fn, *args) < 1 << 16
 
 
 def test_mertens_examples():
@@ -105,17 +158,26 @@ def test_rough_always_contains_one():
     assert 1 in set(enumerate_rough(97, 100))
 
 
+def test_rough_lists_no_primes_above_U():
+    # only the primes up to U are read, not the primes below z
+    assert _peak_bytes(enumerate_rough, 1e9, 10) < 1 << 16
+    rough = enumerate_rough(1e9, 10)
+    assert list(rough) == [1] and rough.members.dtype == np.int64
+
+
 def test_count_rough_divisible_examples():
-    assert count_rough_divisible(3, 20, 5) == 2   # {5, 15}
     rough = enumerate_rough(3, 20)
-    assert count_rough_divisible(3, 20, 1) == rough.count
-    assert count_rough_divisible(3, 20, 2) == 0
+    assert count_rough_divisible(rough, 5) == 2   # {5, 15}
+    assert count_rough_divisible(rough, 1) == rough.count
+    assert count_rough_divisible(rough, 2) == 0
+    with pytest.raises(ValueError):
+        count_rough_divisible(rough, 0)
 
 
 def test_count_divisible_zero_when_t_shares_sieve_factor():
     for z, t in ((5, 6), (5, 10), (7, 15), (11, 22)):
         if t > 1 and math.gcd(t, primorial(z)) > 1:
-            assert count_rough_divisible(z, 10 ** 3, t) == 0
+            assert count_rough_divisible(enumerate_rough(z, 10 ** 3), t) == 0
 
 
 def test_count_divisible_matches_filter():
@@ -123,7 +185,7 @@ def test_count_divisible_matches_filter():
     members = list(rough)
     for t in (1, 7, 11, 49, 77, 500):
         direct = sum(1 for u in members if u % t == 0)
-        assert count_rough_divisible(5, 2000, t, rough=rough) == direct
+        assert count_rough_divisible(rough, t) == direct
 
 
 def test_density_ratio_guard_and_value():
