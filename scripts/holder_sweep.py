@@ -52,7 +52,7 @@ def main() -> int:
             worst_w = max(worst_w, rep.W)
             if rep.holder_lhs > 0:
                 min_slack = min(min_slack, rep.holder_rhs / rep.holder_lhs)
-        refined = bound_value("refined_14r", n, args.q, r=args.r).value
+        refined = bound_value("refined_14r", n, args.q, r=args.r)
         avg = worst_w / (rep.rough_count * params.V)
         rows.append({"a": a, "N": n, "U": params.U, "V": params.V,
                      "z": params.z, "max_W": worst_w, "min_slack": min_slack,

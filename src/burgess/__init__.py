@@ -6,7 +6,6 @@ inequality chain, all with brute-force oracles and a reproducible CLI.
 """
 
 from .bounds import (
-    BoundReport,
     BurgessParams,
     HolderChainReport,
     ScanResult,

@@ -324,8 +324,7 @@ def criterion_9(primes=(101, 1009, 10007), m_count=20) -> CriterionResult:
             for q, r, n, m_values in holder_cells(primes, m_count=m_count):
                 res = extremal_scan(q, (q - 1) // 2, n, m_values, r=r)
                 worst = max(worst, res.worst_ratio["refined_14r"])
-                vals = [bound_value(v, n, q, r=r).value
-                        for v in REFINEMENT_ORDER]
+                vals = [bound_value(v, n, q, r=r) for v in REFINEMENT_ORDER]
                 ordering_ok &= all(a <= b for a, b in zip(vals, vals[1:]))
             return worst, ordering_ok
         worst1, ord1 = sweep()

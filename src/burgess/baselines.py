@@ -93,7 +93,7 @@ def measure_holder_c0_standin() -> float:
     worst = -math.inf
     for q, r, n, m_values in holder_cells():
         chi = build_modulus(q).legendre()
-        refined = bound_value("refined_14r", n, q, r=r).value
+        refined = bound_value("refined_14r", n, q, r=r)
         for m in m_values:
             rep = holder_chain(chi, m, n, r)
             worst = max(worst, rep.W / (rep.rough_count * rep.params.V)

@@ -37,18 +37,41 @@ REFINEMENT_ORDER = ("refined_14r", "ik_12r", "ik_1r", "burgess_classic")
 GRH_DELTA_DEFAULT = 0.05  # computable stand-in for the o(1) exponent
 
 
+def _pow_le(x: int, k: int, n: int) -> bool:
+    """x^k <= n, read off bounds a 2^e <= x^k <= b 2^e carried to p bits
+    through the square-and-multiply chain when they settle it, else from
+    x^k itself, so a root with few bits and a large k, as in
+    auto_window(10^5, q), costs no power of n's size."""
+    p = 64 + 2 * k.bit_length()  # relative error grows about k-fold
+    a = b = x
+    e = 0
+    for bit in bin(k)[3:]:
+        a, b, e = a * a, b * b, 2 * e
+        if bit == "1":
+            a, b = a * x, b * x
+        s = max(0, b.bit_length() - p)
+        a, b, e = a >> s, -(-b >> s), e + s
+    top = n >> e
+    if b <= top:
+        return True
+    if a > top:
+        return False
+    return x ** k <= n
+
+
 def iroot(n: int, k: int) -> int:
-    """Largest integer x with x^k <= n (n >= 0)."""
+    """Largest integer x with x^k <= n (n >= 0), by bisection in integers
+    alone, so exact for any n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return 0
-    x = int(round(n ** (1.0 / k)))
-    while x > 0 and x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    lo, hi = 0, 1 << -(-n.bit_length() // k)  # lo^k <= n < hi^k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _pow_le(mid, k, n):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass
@@ -125,18 +148,8 @@ def resolve_params(N: int, q: int, r: int,
     return feasible_params(N, q, r)
 
 
-@dataclass
-class BoundReport:
-    variant: str
-    value: float
-    N: int
-    q: int
-    r: int | None = None
-    grh_delta: float | None = None
-
-
 def bound_value(variant: str, N: int, q: int, r: int | None = None,
-                grh_delta: float = GRH_DELTA_DEFAULT) -> BoundReport:
+                grh_delta: float = GRH_DELTA_DEFAULT) -> float:
     """Shape value (implied constant 1) of one comparison bound; the
     polya_vinogradov, grh and mv_loglog values ignore r."""
     if q < 3:
@@ -145,12 +158,11 @@ def bound_value(variant: str, N: int, q: int, r: int | None = None,
         raise UnknownVariant(f"unknown bound variant {variant!r}")
     logq = math.log(q)
     if variant == "polya_vinogradov":
-        return BoundReport(variant, math.sqrt(q) * logq, N, q)
+        return math.sqrt(q) * logq
     if variant == "mv_loglog":
-        return BoundReport(variant, math.sqrt(q) * math.log(logq), N, q)
+        return math.sqrt(q) * math.log(logq)
     if variant == "grh":
-        return BoundReport(variant, math.sqrt(N) * q ** grh_delta, N, q,
-                           grh_delta=grh_delta)
+        return math.sqrt(N) * q ** grh_delta
     if r is None:
         raise ValueError(f"variant {variant} needs r")
     min_r = 1 if variant == "burgess_classic" else 2
@@ -159,7 +171,7 @@ def bound_value(variant: str, N: int, q: int, r: int | None = None,
     core = N ** (1 - 1 / r) * q ** ((r + 1) / (4 * r * r))
     power = {"burgess_classic": 1.0, "ik_1r": 1 / r,
              "ik_12r": 1 / (2 * r), "refined_14r": 1 / (4 * r)}[variant]
-    return BoundReport(variant, core * logq ** power, N, q, r=r)
+    return core * logq ** power
 
 
 # Fractional bits of the certificate for W^{2r} <= rhs on the rank-2 path.
@@ -199,8 +211,7 @@ class HolderChainReport:
 
 
 def holder_chain(chi: Character, M: int, N: int, r: int,
-                 params: BurgessParams | None = None,
-                 A: float = 0.1) -> HolderChainReport:
+                 params: BurgessParams | None = None) -> HolderChainReport:
     """Compute W by lambda-collection and verify the chain inequality."""
     q = chi.q
     params = resolve_params(N, q, r, params)
@@ -208,8 +219,8 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
         raise DegenerateParams(
             f"U={params.U} leaves no room for averaging (N={N}, q={q}, r={r})")
     rough = enumerate_rough(params.z, params.U)
-    inst = CollisionInstance(q=q, M=M, N=N, rough=rough, A=A)
-    dist = collision_distribution(inst)
+    dist = collision_distribution(
+        CollisionInstance(q=q, M=M, N=N, rough=rough))
     table = chi.prefix
     w = window_sum(table, dist.lams, params.V)
     # W = sum_lam I(lam) |w(lam)|; a Python int on the rank-1 path so that
@@ -261,22 +272,6 @@ def _certified(norm: np.ndarray, counts: np.ndarray, r: int,
     return int(ceil @ counts) ** (2 * r) <= rhs << (2 * r * k)
 
 
-def holder_chain_direct_w(chi: Character, M: int, N: int,
-                          params: BurgessParams) -> int | float:
-    """W by the literal triple sum, term by term; the small-instance
-    cross-check for the lambda-collected form."""
-    rough = enumerate_rough(params.z, params.U)
-    q = chi.q
-    vals = chi.values()
-    scalar = int if chi.is_quadratic else complex
-    total: int | float = 0 if chi.is_quadratic else 0.0
-    for n in range(M + 1, M + N + 1):
-        for u in rough:
-            total += abs(sum(scalar(vals[(n + u * v) % q])
-                             for v in range(1, params.V + 1)))
-    return total
-
-
 @dataclass
 class ScanResult:
     q: int
@@ -318,7 +313,7 @@ def extremal_scan(q: int, char_index: int, N: int, M_values: list[int],
     best_m = M_values[i]
     ratios = {}
     for variant in VARIANTS:
-        b = bound_value(variant, N, q, r=r).value
+        b = bound_value(variant, N, q, r=r)
         ratios[variant] = best / b if b > 0 else math.inf
     return ScanResult(q=q, N=N, r=r, char_index=char_index,
                       windows=len(M_values), max_abs_sum=best,

@@ -364,20 +364,6 @@ class Character:
         c[0] = -1
         return c
 
-    def values(self) -> np.ndarray:
-        """Value table chi(n) for n in [0, q-1], rebuilt on every call:
-        exact int8 {-1, 0, 1} for real characters, otherwise complex128,
-        the d roots of unity of chi's order gathered by the class table."""
-        if self.is_quadratic:
-            return legendre_value_array(self.q)
-        if self.is_trivial:
-            vals = np.ones(self.q, dtype=np.int8)
-        else:
-            vals = self._roots(np.arange(self.order, dtype=np.int64))[
-                self.classes()]
-        vals[0] = 0
-        return vals
-
     @cached_property
     def prefix(self) -> "PrefixTable":
         return prefix_table(self)
@@ -553,19 +539,20 @@ def interval_sum(chi: Character, m: int, n: int
     if chi.is_trivial:
         # principal character: count integers in the range coprime to q
         return n - ((m + n) // q - m // q)
-    idx = reduce_mod(m + 1 + np.arange(n % q, dtype=np.int64), q)
+    # m is reduced as a Python int, so starts beyond int64 are accepted
+    idx = reduce_mod(m % q + 1 + np.arange(n % q, dtype=np.int64), q)
     d = chi.order
     if len(idx) * (math.isqrt(d - 1) + 1) <= math.isqrt(q):
         c = np.array([chi.value(int(k)).num if k else 0 for k in idx],
                      dtype=np.int64)
     elif chi.is_quadratic:
-        return int(chi.values()[idx].sum(dtype=np.int64))
+        return int(legendre_value_array(q)[idx].sum(dtype=np.int64))
     else:
         c = chi.classes()[idx].astype(np.int64)
     if d in LATTICE:  # column c of LATTICE counted once per chi(k) = e(c/d)
         coords = np.array(LATTICE[d]) @ np.bincount(c[idx != 0], minlength=d)
         return int(coords[0]) if d == 2 else tuple(map(int, coords))
-    vals = chi._roots(c)  # the values() formula
+    vals = chi._roots(c)
     vals[idx == 0] = 0
     return complex(vals.sum())
 
@@ -579,9 +566,9 @@ def lattice_complex(d: int, coords: tuple[int, int]) -> complex:
 def legendre_value_array(q: int) -> np.ndarray:
     """Quadratic-character value table from the squares, no class table.
 
-    The only source of the quadratic value table: Character.values of the
-    Legendre character reads it, and whole-prime scans use it without
-    building a primitive-root table.
+    The only source of the quadratic value table: the quadratic prefix
+    table, long quadratic interval sums and whole-prime scans read it
+    without building a primitive-root table.
     """
     if q < 3:
         raise CompositeModulus(f"{q} is not an odd prime")

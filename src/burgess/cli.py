@@ -333,7 +333,7 @@ def run_holder(args, cfg):
         params = _averaging_params(args, cfg, n, q, r)
         chi = chars.build_modulus(q).character(m_idx)
         for m in sorted(m_values):
-            report = bnd.holder_chain(chi, m, n, r, params=params, A=cfg.A)
+            report = bnd.holder_chain(chi, m, n, r, params=params)
             p = report.params
             outputs = {"U": p.U, "V": p.V, "z": p.z, "params_source": p.source}
             outputs.update({k: getattr(report, k) for k in (
@@ -349,7 +349,7 @@ def run_bounds(args, cfg):
     values = {}
     for name in bnd.VARIANTS if args.variant == "all" else (args.variant,):
         values[name] = bnd.bound_value(
-            name, n, args.q, r=args.r, grh_delta=args.grh_delta).value
+            name, n, args.q, r=args.r, grh_delta=args.grh_delta)
     ordered = [values[v] for v in bnd.REFINEMENT_ORDER if v in values]
     yield ({"q": args.q, "N": n, "r": args.r, "grh_delta": args.grh_delta},
            {"U": params.U, "V": params.V, "z": params.z,

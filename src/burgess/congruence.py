@@ -70,7 +70,6 @@ class CollisionDistribution:
     """I(lam) as parallel int64 arrays: the distinct buckets lams, ascending,
     and counts[i] = I(lams[i]) > 0."""
 
-    instance: CollisionInstance
     lams: np.ndarray
     counts: np.ndarray
     first_moment: int
@@ -85,19 +84,18 @@ def collision_distribution(inst: CollisionInstance) -> CollisionDistribution:
     if bad.size:
         raise ValueError(f"multiplier {int(bad[0])} not invertible mod {q}")
     inverses = np.array([pow(int(u), -1, q) for u in members], dtype=np.int64)
-    residues = reduce_mod(M + 1 + np.arange(N, dtype=np.int64), q)
+    # M is reduced as a Python int, so starts beyond int64 are accepted
+    residues = reduce_mod(M % q + 1 + np.arange(N, dtype=np.int64), q)
     # the products are below q^2, inside int64 (q <= MAX_INT64_Q)
     lams, counts = np.unique(reduce_mod(inverses[:, None] * residues, q),
                              return_counts=True)
     return CollisionDistribution(
-        instance=inst, lams=lams, counts=counts,
-        first_moment=int(counts.sum()),
+        lams=lams, counts=counts, first_moment=int(counts.sum()),
         second_moment=int(counts @ counts))
 
 
 @dataclass
 class CongruenceReport:
-    instance: CollisionInstance
     I_value: int
     diagonal: int
     bound: float
@@ -119,7 +117,7 @@ def congruence_count(inst: CollisionInstance) -> CongruenceReport:
     bound = collision_count_bound(inst.N, inst.rough.count,
                                   inst.rough.U, inst.rough.z)
     ratio = dist.second_moment / bound if bound not in (0, math.inf) else 0.0
-    return CongruenceReport(instance=inst, I_value=dist.second_moment,
+    return CongruenceReport(I_value=dist.second_moment,
                             diagonal=diagonal, bound=bound, ratio=ratio,
                             in_hypothesis=inst.in_hypothesis)
 
@@ -151,6 +149,7 @@ def pair_collision_count(u1: int, u2: int, M: int, N: int, q: int) -> int:
         raise ValueError("multipliers must be invertible mod q")
     if N <= 0:
         return 0
+    M %= q  # shifts both n1 and n2 by a multiple of q; fits int64 after
     k = (u1 % q) * pow(u2 % q, -1, q) % q
     n1 = M + 1 + np.arange(N, dtype=np.int64)
     c = (n1 % q) * k % q

@@ -136,9 +136,12 @@ def moment_check(q_or_char: int | Character, char_index: int | None = None,
     v = v_auto if V == "auto" else int(V)
     report = moment_sum(chi, v, r)
     if v == v_auto:
-        spec_bound = (2 * r) ** (2 * r) * q ** 1.5
+        c = (2 * r) ** (2 * r)
+        try:
+            spec_bound = c * q ** 1.5
+        except OverflowError:  # c past the double range
+            spec_bound = math.inf
         report.specialized_bound = spec_bound
-        report.specialized_passed = _leq_root(report.moment, 0,
-                                              (2 * r) ** (2 * r) * q, q)
+        report.specialized_passed = _leq_root(report.moment, 0, c * q, q)
         report.passed = report.passed and report.specialized_passed
     return report

@@ -45,7 +45,10 @@ def primes_between(lo: int, hi: int) -> list[int]:
 
 
 def primes_below(z: float) -> list[int]:
-    """All primes p < z, the canonical factored form of the primorial."""
+    """All primes p < z, the canonical factored form of the primorial; a
+    non-finite z is refused."""
+    if not math.isfinite(z):
+        raise LimitTooLarge(f"sieve level z={z} is not finite")
     return primes_between(2, math.ceil(z) - 1)
 
 

@@ -1,13 +1,16 @@
-"""Full-period oracles for the half-period tables of burgess.chars.
+"""Full-period oracles for the half-period tables of burgess.chars, and
+the literal triple sum for W.
 
 Each oracle walks the whole period the slow, direct way: classes from one
-power of g at a time, prefix sums from a q-wide value table, window sums
-and moments from every window start.  Nothing here reads a half table.
+power of g at a time, a q-wide value table, prefix sums from it, window
+sums and moments from every window start, and W term by term.  Nothing
+here reads a half table.
 """
 
 import numpy as np
 
-from burgess.chars import LATTICE
+from burgess.chars import LATTICE, legendre_value_array
+from burgess.sieve import enumerate_rough
 
 
 def scatter_classes(mod, d):
@@ -18,6 +21,34 @@ def scatter_classes(mod, d):
         c[x] = k % d
         x = x * mod.g % mod.q
     return c
+
+
+def value_table(chi):
+    """chi(n) for n in [0, q-1]: exact int8 {-1, 0, 1} for real characters
+    (the squares for the quadratic one), otherwise complex128, the d roots
+    of unity of chi's order gathered by Character.classes."""
+    if chi.is_quadratic:
+        return legendre_value_array(chi.q)
+    if chi.is_trivial:
+        vals = np.ones(chi.q, dtype=np.int8)
+    else:
+        vals = chi._roots(np.arange(chi.order, dtype=np.int64))[chi.classes()]
+    vals[0] = 0
+    return vals
+
+
+def direct_w(chi, M, N, params):
+    """W = sum over n in (M, M+N] and z-rough u of |sum_{v<=V} chi(n + uv)|,
+    term by term: a Python int for the quadratic character, else a float."""
+    q, vals = chi.q, value_table(chi)
+    rough = enumerate_rough(params.z, params.U)
+    scalar = int if chi.is_quadratic else complex
+    total = 0 if chi.is_quadratic else 0.0
+    for n in range(M + 1, M + N + 1):
+        for u in rough:
+            total += abs(sum(scalar(vals[(n + u * v) % q])
+                             for v in range(1, params.V + 1)))
+    return total
 
 
 def full_prefix(chi):

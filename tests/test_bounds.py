@@ -15,7 +15,6 @@ from burgess.bounds import (
     extremal_scan,
     feasible_params,
     holder_chain,
-    holder_chain_direct_w,
     iroot,
     least_nonresidue,
     max_window_spread,
@@ -35,6 +34,7 @@ from burgess.chars import (
 from burgess.errors import DegenerateParams, UnknownVariant
 from burgess.moments import auto_window, moment_check, moment_sum
 from burgess.sieve import primes_below
+from oracles import direct_w
 
 ORDERED_VARIANTS = ("refined_14r", "ik_12r", "ik_1r", "burgess_classic")
 
@@ -50,10 +50,14 @@ def mod10007():
 
 
 def test_iroot():
-    for n in list(range(0, 200)) + [10 ** 12, 10 ** 12 + 1]:
-        for k in (2, 3, 4, 6):
+    # 10^400 + j has no float; its roots are exact all the same
+    big = [10 ** 400 + j for j in range(-2, 3)]
+    for n in list(range(0, 200)) + [10 ** 12, 10 ** 12 + 1] + big:
+        for k in (1, 2, 3, 4, 6, 7, 400, 1330, 200000):
             r = iroot(n, k)
             assert r ** k <= n < (r + 1) ** k
+    assert iroot(10 ** 400, 2) == 10 ** 200 == iroot(10 ** 400 - 1, 2) + 1
+    assert iroot(10 ** 400, 400) == 10 == iroot(10 ** 400 - 1, 400) + 1
 
 
 def test_derive_params_example():
@@ -97,17 +101,17 @@ def test_feasible_params_respect_collision_hypotheses():
 
 def test_bound_value_examples():
     pv = bound_value("polya_vinogradov", 1, 10007)
-    assert abs(pv.value - math.sqrt(10007) * math.log(10007)) < 1e-9
+    assert abs(pv - math.sqrt(10007) * math.log(10007)) < 1e-9
     n = iroot(10007, 2)
     ref = bound_value("refined_14r", n, 10007, r=2)
     want = n ** 0.5 * 10007 ** (3 / 16) * math.log(10007) ** 0.125
-    assert abs(ref.value - want) < 1e-9
+    assert abs(ref - want) < 1e-9
     with pytest.raises(UnknownVariant):
         bound_value("nope", 10, 101, r=2)
     with pytest.raises(ValueError):
         bound_value("ik_1r", 10, 101, r=1)
-    assert bound_value("burgess_classic", 10, 101, r=1).value > 0
-    assert bound_value("grh", 100, 101).grh_delta == 0.05
+    assert bound_value("burgess_classic", 10, 101, r=1) > 0
+    assert bound_value("grh", 100, 101) == 10 * 101 ** 0.05
 
 
 def test_variant_ordering_chain():
@@ -116,7 +120,7 @@ def test_variant_ordering_chain():
         q = rng.choice([3, 5, 101, 1009, 10007, 999983])
         n = rng.randint(1, int(math.isqrt(q)) + 5)
         r = rng.randint(2, 4)
-        vals = [bound_value(v, n, q, r=r).value for v in ORDERED_VARIANTS]
+        vals = [bound_value(v, n, q, r=r) for v in ORDERED_VARIANTS]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
@@ -143,8 +147,7 @@ def test_refinement_order_ascends():
     for q in (101, 1009, 10007, 999983):
         for n in (1, iroot(q, 4), iroot(q, 2), q):
             for r in (2, 3, 5):
-                vals = [bound_value(v, n, q, r=r).value
-                        for v in REFINEMENT_ORDER]
+                vals = [bound_value(v, n, q, r=r) for v in REFINEMENT_ORDER]
                 assert vals == sorted(vals), (n, q, r)
 
 
@@ -162,14 +165,14 @@ def test_holder_chain_collected_equals_direct(mod101, mod10007):
     for mod, n in ((mod101, 6), (mod10007, 39)):
         chi = mod.legendre()
         rep = holder_chain(chi, 3, n, 2)
-        assert rep.W == holder_chain_direct_w(chi, 3, n, rep.params)
+        assert rep.W == direct_w(chi, 3, n, rep.params)
 
 
 def test_holder_chain_complex_character(mod101):
     chi = mod101.character(4)
     rep = holder_chain(chi, 0, 6, 2)
     assert rep.passed and not rep.exact and rep.path == "float"
-    direct = holder_chain_direct_w(chi, 0, 6, rep.params)
+    direct = direct_w(chi, 0, 6, rep.params)
     assert abs(rep.W - direct) <= 1e-9 * direct
 
 
@@ -182,7 +185,7 @@ def test_certificate_concludes_on_order_3_chain_cells():
             assert rep.passed and rep.path == "certified", (q, r, m)
             assert not rep.exact and type(rep.W) is float
             assert type(rep.moment2r) is int and type(rep.holder_rhs) is int
-            direct = holder_chain_direct_w(chi, m, n, rep.params)
+            direct = direct_w(chi, m, n, rep.params)
             assert abs(rep.W - direct) <= 1e-9 * direct
 
 

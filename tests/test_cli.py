@@ -58,6 +58,40 @@ def test_invalid_input_exit_2():
     assert cli.main(["congruence", "--q", "101", "--u1", "3"]) == 2
 
 
+BIG_M = 10 ** 20  # a window start beyond int64
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("moments --q 10007 --legendre --r 100", 0),
+    ("holder --q 10007 --r 100", 0),
+    ("bounds --q 10007 --r 100000", 0),
+    ("sieve --z inf", 2),
+    (f"sum --q 101 --M {BIG_M} --N 5", 0),
+    (f"holder --q 10007 --M-spec {BIG_M}", 0),
+    (f"congruence --q 10007 --M {BIG_M}", 0),
+    (f"congruence --q 10007 --M {BIG_M} --u1 2 --u2 3", 0),
+])
+def test_large_inputs_exit_code(argv, code, capsys):
+    # huge r, an infinite z and starts past int64 are results or refusals
+    assert cli.main(argv.split()) == code
+
+
+@pytest.mark.parametrize("argv", [
+    "sum --q 101 --N 5 --M {}",
+    "sum --q 101 --N 50 --M {}",
+    "sum --q 101 --index 5 --N 50 --M {}",
+    "holder --q 10007 --M-spec {}",
+    "congruence --q 10007 --M {}",
+    "congruence --q 10007 --u1 2 --u2 3 --M {}",
+])
+def test_start_beyond_int64_reads_as_its_residue(argv, capsys):
+    q = int(argv.split()[2])
+    _, (big,), _ = run(argv.format(BIG_M).split(), capsys)
+    _, (small,), _ = run(argv.format(BIG_M % q).split(), capsys)
+    assert big["outputs"] == small["outputs"]
+    assert big["passes"] == small["passes"]
+
+
 def test_zero_r_and_q_exit_2(capsys):
     # neither flag is replaced by its config default
     assert cli.main(["moments", "--q", "101", "--r", "0"]) == 2

@@ -17,7 +17,7 @@ from burgess.chars import (
 )
 from burgess.errors import TrivialCharacter, WindowTooLarge
 from burgess.moments import auto_window, moment_check, moment_sum, weil_bound
-from oracles import brute_moment
+from oracles import brute_moment, value_table
 
 # e(1/d) in Z[omega] (omega = e(1/3); d = 3, 6) or in Z[i] (d = 4), as the
 # pair (a, b) for a + b*beta, and beta itself as a complex number
@@ -33,7 +33,7 @@ def mod101():
 def naive_moment(chi, v, r):
     """Double loop straight from the definition."""
     q = chi.q
-    vals = chi.values()
+    vals = value_table(chi)
     total = 0 if chi.is_quadratic else 0.0
     for lam in range(1, q + 1):
         if chi.is_quadratic:
@@ -295,6 +295,10 @@ def test_moment_check_specialized():
     assert rep.specialized_passed
     off = moment_check(101, r=2, V=5)
     assert off.specialized_bound is None
+    # (2r)^{2r} = 200^200 is past the double range; the verdict stays exact
+    big = moment_check(10007, r=100, V="auto")
+    assert big.specialized_bound == math.inf == big.bound
+    assert big.specialized_passed and big.passed and type(big.moment) is int
 
 
 def test_moment_check_trivial_character_errors():

@@ -97,7 +97,7 @@ def test_primes_between_edges():
 
 
 def test_sieves_refuse_before_allocating():
-    for fn, args in ((primes_below, (2 ** 28,)),
+    for fn, args in ((primes_below, (2 ** 28,)), (primes_below, (math.inf,)),
                      (primes_between, (0, 2 ** 28)),
                      (enumerate_rough, (3, 2 ** 28)),
                      (build_spf, (2 ** 28,))):
