@@ -37,28 +37,6 @@ REFINEMENT_ORDER = ("refined_14r", "ik_12r", "ik_1r", "burgess_classic")
 GRH_DELTA_DEFAULT = 0.05  # computable stand-in for the o(1) exponent
 
 
-def _pow_le(x: int, k: int, n: int) -> bool:
-    """x^k <= n, read off bounds a 2^e <= x^k <= b 2^e carried to p bits
-    through the square-and-multiply chain when they settle it, else from
-    x^k itself, so a root with few bits and a large k, as in
-    auto_window(10^5, q), costs no power of n's size."""
-    p = 64 + 2 * k.bit_length()  # relative error grows about k-fold
-    a = b = x
-    e = 0
-    for bit in bin(k)[3:]:
-        a, b, e = a * a, b * b, 2 * e
-        if bit == "1":
-            a, b = a * x, b * x
-        s = max(0, b.bit_length() - p)
-        a, b, e = a >> s, -(-b >> s), e + s
-    top = n >> e
-    if b <= top:
-        return True
-    if a > top:
-        return False
-    return x ** k <= n
-
-
 def iroot(n: int, k: int) -> int:
     """Largest integer x with x^k <= n (n >= 0), by bisection in integers
     alone, so exact for any n."""
@@ -67,7 +45,7 @@ def iroot(n: int, k: int) -> int:
     lo, hi = 0, 1 << -(-n.bit_length() // k)  # lo^k <= n < hi^k
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _pow_le(mid, k, n):
+        if mid ** k <= n:
             lo = mid
         else:
             hi = mid

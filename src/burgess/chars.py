@@ -158,6 +158,12 @@ def reduce_mod(x: np.ndarray, q: int) -> np.ndarray:
     return x
 
 
+def window_residues(m: int, n: int, q: int) -> np.ndarray:
+    """The residues mod q of m+1, ..., m+n as int64.  m is reduced as a
+    Python int first, so a start of any size is accepted."""
+    return reduce_mod(m % q + 1 + np.arange(n, dtype=np.int64), q)
+
+
 def _power_blocks(base: int, count: int, q: int
                   ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (pos, powers) with powers[j] = base^(pos + j) mod q, int64
@@ -539,8 +545,7 @@ def interval_sum(chi: Character, m: int, n: int
     if chi.is_trivial:
         # principal character: count integers in the range coprime to q
         return n - ((m + n) // q - m // q)
-    # m is reduced as a Python int, so starts beyond int64 are accepted
-    idx = reduce_mod(m % q + 1 + np.arange(n % q, dtype=np.int64), q)
+    idx = window_residues(m, n % q, q)
     d = chi.order
     if len(idx) * (math.isqrt(d - 1) + 1) <= math.isqrt(q):
         c = np.array([chi.value(int(k)).num if k else 0 for k in idx],

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InstanceTooLarge
-from .chars import is_prime, reduce_mod
+from .chars import is_prime, reduce_mod, window_residues
 from .sieve import RoughSet
 
 BRUTE_FORCE_GUARD = 10_000
@@ -84,8 +84,7 @@ def collision_distribution(inst: CollisionInstance) -> CollisionDistribution:
     if bad.size:
         raise ValueError(f"multiplier {int(bad[0])} not invertible mod {q}")
     inverses = np.array([pow(int(u), -1, q) for u in members], dtype=np.int64)
-    # M is reduced as a Python int, so starts beyond int64 are accepted
-    residues = reduce_mod(M % q + 1 + np.arange(N, dtype=np.int64), q)
+    residues = window_residues(M, N, q)
     # the products are below q^2, inside int64 (q <= MAX_INT64_Q)
     lams, counts = np.unique(reduce_mod(inverses[:, None] * residues, q),
                              return_counts=True)
@@ -149,10 +148,10 @@ def pair_collision_count(u1: int, u2: int, M: int, N: int, q: int) -> int:
         raise ValueError("multipliers must be invertible mod q")
     if N <= 0:
         return 0
-    M %= q  # shifts both n1 and n2 by a multiple of q; fits int64 after
     k = (u1 % q) * pow(u2 % q, -1, q) % q
-    n1 = M + 1 + np.arange(N, dtype=np.int64)
-    c = (n1 % q) * k % q
-    # integers n2 = c (mod q) with M < n2 <= M+N
-    cnt = (M + N - c) // q - (M - c) // q
+    n1 = window_residues(M, N, q)
+    c = n1 * k % q
+    # integers n2 = c (mod q) with M < n2 <= M+N: M+1+o, M+1+o+q, ...
+    o = (c - n1[0]) % q
+    cnt = (N - 1 - o) // q + 1
     return int(cnt.sum())
