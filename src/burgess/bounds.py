@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .chars import (
     Character,
-    PrimeModulus,
     build_modulus,
     lattice_norm,
     legendre_value_array,
-    prefix_table,
     window_sum,
 )
 from .congruence import CollisionInstance, collision_distribution
@@ -140,16 +139,31 @@ def bound_value(variant: str, N: int, q: int, r: int | None = None,
     if variant == "mv_loglog":
         return math.sqrt(q) * math.log(logq)
     if variant == "grh":
-        return math.sqrt(N) * q ** grh_delta
+        try:
+            return math.sqrt(N) * q ** grh_delta
+        except OverflowError:  # N past the double range
+            return _exp(math.log(N) / 2 + grh_delta * logq)
     if r is None:
         raise ValueError(f"variant {variant} needs r")
     min_r = 1 if variant == "burgess_classic" else 2
     if r < min_r:
         raise ValueError(f"variant {variant} needs r >= {min_r}")
-    core = N ** (1 - 1 / r) * q ** ((r + 1) / (4 * r * r))
     power = {"burgess_classic": 1.0, "ik_1r": 1 / r,
              "ik_12r": 1 / (2 * r), "refined_14r": 1 / (4 * r)}[variant]
+    try:
+        core = N ** (1 - 1 / r) * q ** ((r + 1) / (4 * r * r))
+    except OverflowError:  # N past the double range
+        return _exp((1 - 1 / r) * math.log(N) + (r + 1) / (4 * r * r) * logq
+                    + power * math.log(logq))
     return core * logq ** power
+
+
+def _exp(x: float) -> float:
+    """e^x, inf past the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 # Fractional bits of the certificate for W^{2r} <= rhs on the rank-2 path.
@@ -216,20 +230,40 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
     if key not in chi.moments:
         chi.moments[key] = moment_sum(chi, params.V, r).moment
     moment = chi.moments[key]
-    lhs = W ** (2 * r)
-    rhs = dist.first_moment ** (2 * r - 2) * dist.second_moment * moment
+    base = dist.first_moment ** (2 * r - 2) * dist.second_moment
+    try:
+        lhs = W ** (2 * r)
+    except OverflowError:  # a float W^{2r} past the double range
+        lhs = math.inf
+    try:
+        rhs = base * moment
+    except OverflowError:  # a float moment times an int past the range
+        rhs = math.inf
     if table.rank == 1:
         passed, path = lhs <= rhs, "exact"
     elif table.rank == 2 and _certified(norm, dist.counts, r, rhs):
         passed, path = True, "certified"
     else:
-        passed, path = lhs <= rhs * (1 + 1e-9), "float"
+        passed, path = _float_leq(W, r, base, moment), "float"
     return HolderChainReport(
         params=params, char_index=chi.index, M=M, N=N, r=r,
         rough_count=rough.count, W=W, first_moment=dist.first_moment,
         second_moment=dist.second_moment, moment2r=moment,
         holder_lhs=lhs, holder_rhs=rhs, exact=table.rank == 1,
         passed=passed, path=path)
+
+
+def _float_leq(W: float, r: int, base: int, moment: int | float) -> bool:
+    """W^{2r} <= base moment (1 + 1e-9) in doubles; where a double would
+    overflow (W^{2r}, or an int past the double range), the same comparison
+    in exact rationals, an inf float moment admitting any W."""
+    try:
+        return W ** (2 * r) <= base * moment * (1 + 1e-9)
+    except OverflowError:
+        if moment == math.inf:
+            return True
+        return (Fraction(W) ** (2 * r)
+                <= base * Fraction(moment) * Fraction(1 + 1e-9))
 
 
 def _certified(norm: np.ndarray, counts: np.ndarray, r: int,
@@ -304,15 +338,21 @@ def max_window_spread(q: int) -> float:
 
     For a real character the prefix sums are integers and the max over all
     windows is just max(S) - min(S), since any window sum is a difference of
-    two prefix values once wraparound (S_q = 0) is folded in.  The prefix
-    table stores S_0 .. S_h and the rest are sign * S_k (PrefixTable.sign):
-    for q = 1 (mod 4) the values are +-S_k, whose spread is
-    2 max(max S, -min S); for q = 3 (mod 4) they repeat S_k.  q is
-    certified by legendre_value_array, so the modulus is taken unchecked.
+    two prefix values once wraparound (S_q = 0) is folded in.  On [0, h]
+    S is a +-1 walk read off the residues r_1 < ... < r_R in [1, h] with no
+    prefix table: its maximum is 2j - r_j at some residue r_j, its minimum
+    2j - 1 - r_j just before one or S_h = 2R - h at the end.  The rest of
+    the period is S_{q-1-k} = -chi(-1) S_k (PrefixTable.sign): for q = 1
+    (mod 4) the values are +-S_k, whose spread is 2 max(max S, -min S); for
+    q = 3 (mod 4) they repeat S_k.
     """
-    table = prefix_table(PrimeModulus(q).legendre())
-    hi, lo = int(table.sums.max()), int(table.sums.min())
-    return float(hi - lo if table.sign > 0 else 2 * max(hi, -lo))
+    vals = legendre_value_array(q)
+    h = len(vals) - 1
+    res = np.flatnonzero(vals > 0)  # r_1 = 1 < ... < r_R
+    walk = np.arange(2, 2 * len(res) + 1, 2) - res  # S at each r_j
+    hi = int(walk.max())
+    lo = min(int(walk.min()) - 1, 2 * len(res) - h)
+    return float(hi - lo if q % 4 == 3 else 2 * max(hi, -lo))
 
 
 def pv_ratio_scan(limit: int) -> tuple[float, int, list[tuple[int, float]]]:
@@ -344,10 +384,13 @@ def least_nonresidue(q: int) -> int:
 
 def nonresidue_max_gap(q: int) -> tuple[int, int]:
     """Longest run of consecutive n in [1, q-1] avoiding nonresidues, and
-    where it starts."""
+    where it starts.  The half value table gives the nonresidues n <= h;
+    n > h is one exactly when chi(q-n) = -chi(-1)."""
     vals = legendre_value_array(q)
-    positions = np.flatnonzero(vals[1:] == -1) + 1
-    edges = np.concatenate([[0], positions, [q]])
+    h = len(vals) - 1
+    low = np.flatnonzero(vals == -1)
+    high = q - np.flatnonzero(vals == -(-1) ** h)[::-1]
+    edges = np.concatenate([[0], low, high, [q]])
     runs = np.diff(edges) - 1
     best = int(runs.argmax())
     return int(runs[best]), int(edges[best]) + 1

@@ -14,9 +14,12 @@ Every table covers half the period.  As g^h = -1 for h = (q-1)/2, n and
 q - n have dlogs h apart, so chi(q - n) = chi(-1) chi(n), and for a
 nontrivial chi the prefix sums obey S_k = -chi(-1) S_{q-1-k}.  A class
 table therefore holds n in [0, h], built from the powers g^0 .. g^(h-1)
-alone, and a prefix table holds S_0 .. S_h; PrefixTable.at reads the rest
-of the period as a mirror image, and window_sum and window_array read
-through it.  chi(-1) = (-1)^m needs no table.
+alone, the quadratic value table holds chi(n) for n in [0, h], built from
+the squares that land there, and a prefix table holds S_0 .. S_h;
+PrefixTable.at reads the rest of the period as a mirror image, and
+window_sum and window_array read through it.  chi(-1) = (-1)^m needs no
+table.  Character.classes alone spreads a class table over the period,
+for the long interval sums of characters other than the quadratic one.
 
 A modulus holds no table: its class table c(n) = dlog(n) mod d is rebuilt
 and checked on every read, the classes sliced from one ramp when d <=
@@ -445,7 +448,7 @@ def prefix_table(chi: Character) -> PrefixTable:
     q, d = chi.q, chi.order
     h = (q - 1) // 2
     if chi.is_quadratic:
-        sums = np.cumsum(legendre_value_array(q)[:h + 1], dtype=np.int32)
+        sums = np.cumsum(legendre_value_array(q), dtype=np.int32)
         table = PrefixTable(sums, d)
     else:
         classes = chi.modulus.classes(d)
@@ -535,10 +538,10 @@ def interval_sum(chi: Character, m: int, n: int
     basis for orders 3, 4 and 6, a complex number otherwise.
 
     The L = n mod q terms left after the full periods are read from a
-    q-wide table (the squares, or Character.classes) unless
-    L (isqrt(d-1)+1) <= isqrt(q): then the O(sqrt(d)) Euler criterion per
-    term is cheaper, and Character.value gives each class with no table at
-    all."""
+    table (the half-period squares, n > h read at q - n times chi(-1), or
+    the q-wide Character.classes) unless L (isqrt(d-1)+1) <= isqrt(q):
+    then the O(sqrt(d)) Euler criterion per term is cheaper, and
+    Character.value gives each class with no table at all."""
     if n < 0:
         raise ValueError("interval length must be >= 0")
     q = chi.q
@@ -551,7 +554,11 @@ def interval_sum(chi: Character, m: int, n: int
         c = np.array([chi.value(int(k)).num if k else 0 for k in idx],
                      dtype=np.int64)
     elif chi.is_quadratic:
-        return int(legendre_value_array(q)[idx].sum(dtype=np.int64))
+        vals = legendre_value_array(q)
+        h = len(vals) - 1
+        low = vals[idx[idx <= h]].sum(dtype=np.int64)
+        high = vals[q - idx[idx > h]].sum(dtype=np.int64)
+        return int(low) + (-1) ** h * int(high)
     else:
         c = chi.classes()[idx].astype(np.int64)
     if d in LATTICE:  # column c of LATTICE counted once per chi(k) = e(c/d)
@@ -569,20 +576,27 @@ def lattice_complex(d: int, coords: tuple[int, int]) -> complex:
 
 
 def legendre_value_array(q: int) -> np.ndarray:
-    """Quadratic-character value table from the squares, no class table.
+    """The quadratic character chi(n) for n in [0, h], h = (q-1)/2, as
+    h+1 int8 entries, from the squares and no class table; n > h is
+    chi(-1) chi(q-n), with chi(-1) = (-1)^h.
 
-    The only source of the quadratic value table: the quadratic prefix
-    table, long quadratic interval sums and whole-prime scans read it
-    without building a primitive-root table.
+    The squares k^2 mod q, k in [1, h], are every residue in [1, q-1] once,
+    so the residues in [1, h] are the squares that land there: each block's
+    squares are clipped to a sentinel entry h+1, which the returned view
+    leaves out, and marked 1 over a table of -1.  The only source of the
+    quadratic value table: the quadratic prefix table, long quadratic
+    interval sums and whole-prime scans read it without finding g.
     """
     if q < 3:
         raise CompositeModulus(f"{q} is not an odd prime")
     certify_modulus(q)
-    vals = np.full(q, -1, dtype=np.int8)
+    h = (q - 1) // 2
+    vals = np.full(h + 2, -1, dtype=np.int8)
     vals[0] = 0
-    half = (q - 1) // 2
-    for lo in range(1, half + 1, BLOCK):  # int64 squares one block at a time
-        k = np.arange(lo, min(lo + BLOCK, half + 1), dtype=np.int64)
+    for lo in range(1, h + 1, BLOCK):  # int64 squares one block at a time
+        k = np.arange(lo, min(lo + BLOCK, h + 1), dtype=np.int64)
         k *= k
-        vals[reduce_mod(k, q)] = 1
-    return vals
+        s = reduce_mod(k, q)
+        np.minimum(s, h + 1, out=s)
+        vals[s] = 1
+    return vals[:h + 1]

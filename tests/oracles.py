@@ -2,14 +2,14 @@
 the literal triple sum for W.
 
 Each oracle walks the whole period the slow, direct way: classes from one
-power of g at a time, a q-wide value table, prefix sums from it, window
-sums and moments from every window start, and W term by term.  Nothing
-here reads a half table.
+power of g at a time, a q-wide value table (the quadratic one from every
+square), prefix sums from it, window sums and moments from every window
+start, and W term by term.  Nothing here reads a half table.
 """
 
 import numpy as np
 
-from burgess.chars import LATTICE, legendre_value_array
+from burgess.chars import LATTICE
 from burgess.sieve import enumerate_rough
 
 
@@ -23,12 +23,23 @@ def scatter_classes(mod, d):
     return c
 
 
+def legendre_full(q):
+    """The quadratic character chi(n) for n in [0, q-1], int8: -1 overwritten
+    by 1 at every square k^2 mod q, k in [1, q-1]."""
+    vals = np.full(q, -1, dtype=np.int8)
+    vals[0] = 0
+    k = np.arange(1, q, dtype=np.int64)
+    vals[k * k % q] = 1
+    return vals
+
+
 def value_table(chi):
     """chi(n) for n in [0, q-1]: exact int8 {-1, 0, 1} for real characters
-    (the squares for the quadratic one), otherwise complex128, the d roots
-    of unity of chi's order gathered by Character.classes."""
+    (the squares on the whole period for the quadratic one), otherwise
+    complex128, the d roots of unity of chi's order gathered by
+    Character.classes."""
     if chi.is_quadratic:
-        return legendre_value_array(chi.q)
+        return legendre_full(chi.q)
     if chi.is_trivial:
         vals = np.ones(chi.q, dtype=np.int8)
     else:

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,12 +30,11 @@ from burgess.chars import (
     build_modulus,
     interval_sum,
     is_prime,
-    legendre_value_array,
 )
 from burgess.errors import DegenerateParams, UnknownVariant
 from burgess.moments import auto_window, moment_check, moment_sum
 from burgess.sieve import primes_below
-from oracles import direct_w
+from oracles import direct_w, legendre_full
 
 ORDERED_VARIANTS = ("refined_14r", "ik_12r", "ik_1r", "burgess_classic")
 
@@ -285,6 +285,35 @@ def test_holder_chain_single_unit_rough(mod101):
     assert rep.passed
 
 
+def test_holder_chain_past_the_double_range():
+    # W^{2r} (and, for a complex character, rhs) pass the double range: they
+    # are reported as inf and the verdict is taken in exact rationals
+    for q, index, path in ((10009, 3336, "certified"), (10007, 5, "float")):
+        rep = holder_chain(build_modulus(q).character(index), 1, 39, 100)
+        assert rep.holder_lhs == math.inf and rep.path == path
+        exact = Fraction(rep.W) ** 200 <= (
+            rep.first_moment ** 198 * rep.second_moment
+            * Fraction(rep.moment2r))
+        assert rep.passed == exact
+    assert rep.holder_rhs == math.inf
+    assert bounds._float_leq(1e100, 2, 10 ** 400, 1.0)  # within 1e-9
+    assert not bounds._float_leq(1e100, 2, 10 ** 399, 1.0)
+    assert bounds._float_leq(1e100, 2, 10 ** 399, math.inf)  # as lhs <= inf
+
+
+def test_bound_value_past_the_double_range():
+    # N beyond a double reads through logs; ordinary N keeps the formula
+    q, r = 10007, 2
+    for v in ("grh",) + ORDERED_VARIANTS:  # N^(1/2) at r = 2
+        small = bound_value(v, 10 ** 300, q, r=r)
+        assert math.isclose(bound_value(v, 10 ** 400, q, r=r),
+                            small * 1e50, rel_tol=1e-12), v
+        assert bound_value(v, 10 ** 1000, q, r=r) == math.inf
+    assert math.isclose(bound_value("burgess_classic", 10 ** 400, q, r=1),
+                        bound_value("burgess_classic", 1, q, r=1),
+                        rel_tol=1e-12)  # N^0
+
+
 def test_holder_chain_degenerate_error(mod101):
     chi = mod101.legendre()
     with pytest.raises(DegenerateParams):
@@ -324,12 +353,12 @@ def test_max_window_spread_small():
 
 
 def test_max_window_spread_folds_full_table():
-    # half the prefix table gives the spread of the whole one, for q = 1
-    # and q = 3 (mod 4) alike
+    # the residues of the half table give the spread of the whole period's
+    # prefix sums, for q = 1 and q = 3 (mod 4) alike
     primes = [q for q in range(3, 3000, 2) if is_prime(q)]
     assert {q % 4 for q in primes} == {1, 3}
     for q in primes:
-        sums = np.cumsum(legendre_value_array(q), dtype=np.int64)
+        sums = np.cumsum(legendre_full(q), dtype=np.int64)
         assert max_window_spread(q) == float(sums.max() - sums.min()), q
 
 
@@ -358,6 +387,16 @@ def test_nonresidue_gap_baseline_q10007():
     assert gap == baselines.NONRESIDUE_GAP_Q10007
     cap = math.ceil(10007 ** 0.25 * math.log(10007))
     assert gap <= cap * baselines.NONRESIDUE_GAP_CONSTANT + 1e-9
+
+
+def test_nonresidue_gap_matches_full_table():
+    # the half table's mirror against the longest run of the whole period
+    for q in [q for q in range(3, 3000, 2) if is_prime(q)] + [10007, 10009]:
+        edges = np.concatenate(
+            [[0], np.flatnonzero(legendre_full(q) == -1), [q]])
+        runs = np.diff(edges) - 1
+        best = int(runs.argmax())
+        assert nonresidue_max_gap(q) == (runs[best], edges[best] + 1), q
 
 
 def test_least_nonresidue_within_first_gap():

@@ -111,7 +111,7 @@ def test_table_limit_env_override(monkeypatch):
     monkeypatch.setenv("BURGESS_TABLE_LIMIT", "1000")
     with pytest.raises(TableLimitExceeded):
         legendre_value_array(1009)
-    assert len(legendre_value_array(997)) == 997
+    assert len(legendre_value_array(997)) == 499  # chi(n) for n in [0, h]
     # q < 2^31 keeps the int64 products of the table code exact
     for cap in (2 ** 31, 2 ** 40):
         monkeypatch.setenv("BURGESS_TABLE_LIMIT", str(cap))
@@ -325,7 +325,7 @@ def test_legendre_paths_find_no_primitive_root(monkeypatch):
         mod = build_modulus(q)
         chi = mod.legendre()
         assert prefix_table(chi).sums[-1] == int(
-            np.sum(legendre_value_array(q)[:(q - 1) // 2 + 1]))
+            np.sum(legendre_value_array(q)))
         bounds.extremal_scan(q, (q - 1) // 2, 100, [0, 5, q - 3])
         bounds.max_window_spread(q)
         assert [chi(n).as_int() for n in range(-3, 40)] == [
@@ -685,9 +685,36 @@ def test_exact_int_tracks_re(mod101):
 def test_legendre_value_array_matches_dlog_path(mod101, mod1009):
     # 131101: the squares take two blocks
     for mod in (mod101, mod1009, build_modulus(131101)):
-        # chi(g^k) = (-1)^k
+        # chi(g^k) = (-1)^k, over the half period [0, h]
+        h = (mod.q - 1) // 2
         assert legendre_value_array(mod.q).tolist() == [0] + [
-            1 - 2 * k for k in mod.legendre().classes()[1:].tolist()]
+            1 - 2 * k for k in mod.legendre().classes()[1:h + 1].tolist()]
+
+
+@pytest.mark.parametrize("q", [262153, 262147])  # 1 and 3 (mod 4)
+def test_legendre_value_array_euler_criterion(q):
+    # q > 4 BLOCK: the squares k <= h span three blocks
+    h = (q - 1) // 2
+    assert h > 2 * chars_module.BLOCK
+    vals = legendre_value_array(q)
+    assert vals.dtype == np.int8 and vals.shape == (h + 1,)
+    assert vals.tolist() == [euler_criterion(n, q) for n in range(h + 1)]
+
+
+@pytest.mark.parametrize("q", [1009, 1019])  # 1 and 3 (mod 4)
+def test_quadratic_interval_sum_across_mirror_and_periods(q):
+    # long enough for the table path; each interval crosses h, q, or both
+    chi = build_modulus(q).legendre()
+    h = (q - 1) // 2
+    assert math.isqrt(q) < 40
+    cells = [(h - 20, 40), (h - 1, 2), (h, 1), (0, h + 1), (q - 50, 100),
+             (h - 30, q), (-3 * q + 7, 2 * q + 333), (5 * q - 1, 3 * q + 1),
+             (q, q), (h + 3, q + h)]
+    for m, n in cells:
+        got = interval_sum(chi, m, n)
+        assert type(got) is int
+        assert got == sum(euler_criterion(k, q)
+                          for k in range(m + 1, m + n + 1)), (m, n)
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())

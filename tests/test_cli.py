@@ -70,9 +70,15 @@ BIG_M = 10 ** 20  # a window start beyond int64
     (f"holder --q 10007 --M-spec {BIG_M}", 0),
     (f"congruence --q 10007 --M {BIG_M}", 0),
     (f"congruence --q 10007 --M {BIG_M} --u1 2 --u2 3", 0),
+    # a float past the double range is reported as inf, never a crash
+    ("holder --q 10009 --index 3336 --r 100", 0),  # order 3: W^{2r}
+    ("holder --q 10007 --index 5 --r 100 --M-spec 1", 0),  # complex: rhs too
+    (f"bounds --q 10007 --N {10 ** 400}", 0),
+    (f"scan --q 10007 --N {10 ** 400} --M-spec 1", 0),
 ])
 def test_large_inputs_exit_code(argv, code, capsys):
-    # huge r, an infinite z and starts past int64 are results or refusals
+    # huge r, an infinite z, starts past int64 and N past the double range
+    # are results or refusals
     assert cli.main(argv.split()) == code
 
 
