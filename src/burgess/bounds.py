@@ -182,7 +182,8 @@ class HolderChainReport:
     square roots of integer norms, is a float; the verdict is certified in
     integers from an upper bound on W ("certified") and falls back to the
     float comparison only when that is inconclusive ("float"), as it always
-    does for characters of other orders.
+    does for characters of other orders; there a moment past the double
+    range is an exact Fraction (moments.moment_sum), and so is rhs.
     """
 
     params: BurgessParams
@@ -194,9 +195,9 @@ class HolderChainReport:
     W: int | float
     first_moment: int
     second_moment: int
-    moment2r: int | float
+    moment2r: int | float | Fraction
     holder_lhs: int | float
-    holder_rhs: int | float
+    holder_rhs: int | float | Fraction
     exact: bool
     passed: bool
     path: str
@@ -253,10 +254,11 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
         passed=passed, path=path)
 
 
-def _float_leq(W: float, r: int, base: int, moment: int | float) -> bool:
+def _float_leq(W: float, r: int, base: int,
+               moment: int | float | Fraction) -> bool:
     """W^{2r} <= base moment (1 + 1e-9) in doubles; where a double would
-    overflow (W^{2r}, or an int past the double range), the same comparison
-    in exact rationals, an inf float moment admitting any W."""
+    overflow (W^{2r}, or an int or a moment past the double range), the
+    same comparison in exact rationals, an inf moment admitting any W."""
     try:
         return W ** (2 * r) <= base * moment * (1 + 1e-9)
     except OverflowError:

@@ -25,16 +25,17 @@ A modulus holds no table: its class table c(n) = dlog(n) mod d is rebuilt
 and checked on every read, the classes sliced from one ramp when d <=
 POWER_BLOCK, and g itself is found on its first read.  Single values come
 from the order-d Euler criterion and the quadratic value table from the
-squares, so neither builds a class table or finds g.  A prefix table reads
-the class table in BLOCK slices and gathers each slice's payload (d
-LATTICE columns or d roots of unity) straight into the table, then sums it
-in place: nothing is made beside the table and the class table but one
-slice.  interval_sum gathers the same payload by the interval's classes
-alone, from single values when the interval is short.  Arrays are reduced
-mod q by reduce_mod, a floor division about twice as fast as %.  A
-character caches only its prefix table and its complete moments (one
-scalar per (V, r)); a prefix table holds no reference to its character, so
-both are freed with the character's last reference.
+squares, so neither builds a class table or finds g.  prefix_slices
+yields S_0 .. S_h in BLOCK slices, each gathered from a slice of the value
+or class table (d LATTICE columns or d roots of unity) and summed in place:
+prefix_table fills its table from them, and the complete moment reads them
+as they come and builds no table (moments.moment_sum).  interval_sum
+gathers the same payload by the interval's classes alone, from single
+values when the interval is short.  Arrays are reduced mod q by
+reduce_mod, a floor division about twice as fast as %.  A character caches
+only its prefix table and its complete moments (one scalar per (V, r)); a
+prefix table holds no reference to its character, so both are freed with
+the character's last reference.
 """
 from __future__ import annotations
 
@@ -432,41 +433,96 @@ class PrefixTable:
         like sums with its last axis replaced by k's shape: k > h reads the
         stored entry q-1-k, times sign, and k = q reads S_0."""
         q = self.q
-        s = np.take(self.sums, np.maximum(np.minimum(k, q - 1 - k), 0),
-                    axis=-1)
+        s = self._stored(np.maximum(np.minimum(k, q - 1 - k), 0))
         return s if self.sign > 0 else np.where(np.asarray(k) > self.h, -s, s)
+
+    def _stored(self, j):
+        """The stored entries S_j, j in [0, h]."""
+        return np.take(self.sums, j, axis=-1)
+
+
+class PrefixEnds(PrefixTable):
+    """The ends S_0 .. S_{e-1} and S_t .. S_h of a prefix table side by
+    side, read as the whole table by PrefixTable.at: enough for window_sum,
+    and window_array at starts above h - V, with windows of length V for
+    2V + 2 <= e and t <= h - 2V - 1."""
+
+    def __init__(self, head: np.ndarray, tail: np.ndarray, order: int,
+                 h: int):
+        super().__init__(np.concatenate([head, tail], axis=-1), order)
+        self._h = h
+        self._head = head.shape[-1]
+        self._skip = h + 1 - self.sums.shape[-1]  # entries between the ends
+
+    @property
+    def h(self) -> int:
+        return self._h
+
+    def _stored(self, j):
+        return np.take(self.sums, np.where(j < self._head, j, j - self._skip),
+                       axis=-1)
 
 
 def prefix_table(chi: Character) -> PrefixTable:
-    """S_0 .. S_h: gather chi's d LATTICE columns (int32) or d roots
-    (complex128) by BLOCK slices of the half class table straight into the
-    table, then sum it in place; the quadratic character's values come from
-    the squares instead.  For an even chi, S_h = -S_h, so S_h = 0 is
-    checked on integer tables."""
+    """S_0 .. S_h, filled from prefix_slices.  For an even chi, S_h = -S_h,
+    so S_h = 0 is checked on integer tables."""
     if chi.is_trivial:
         raise TrivialCharacter("prefix table requires a nontrivial character")
-    q, d = chi.q, chi.order
-    h = (q - 1) // 2
-    if chi.is_quadratic:
-        sums = np.cumsum(legendre_value_array(q), dtype=np.int32)
-        table = PrefixTable(sums, d)
-    else:
-        classes = chi.modulus.classes(d)
-        # column j: chi(g^j) for the dlog class j, one row per coordinate
-        k = chi._class_of(np.arange(d, dtype=np.int64))
-        cols = (np.array(LATTICE[d], dtype=np.int32)[:, k]
-                if d in LATTICE else chi._roots(k)[None])
-        sums = np.empty((len(cols), h + 1), dtype=cols.dtype)
-        for lo in range(1, h + 1, BLOCK):
-            block = classes[lo:lo + BLOCK]
-            for row, col in zip(sums, cols):
-                # every class of n >= 1 is in [0, d): "clip" skips the check
-                np.take(col, block, out=row[lo:lo + len(block)], mode="clip")
-        sums[:, 0] = 0
-        np.cumsum(sums[:, 1:], axis=-1, out=sums[:, 1:])
-        table = PrefixTable(sums if len(cols) == 2 else sums[0], d)
+    h = (chi.q - 1) // 2
+    sums = _empty_sums(chi.order, h + 1)
+    for _ in prefix_slices(chi, sums):
+        pass
+    table = PrefixTable(sums, chi.order)
     assert not table.exact or table.sign > 0 or not table.sums[..., h].any()
     return table
+
+
+def _empty_sums(d: int, n: int) -> np.ndarray:
+    """Room for n prefix sums of an order-d character, as in PrefixTable."""
+    rank = len(LATTICE.get(d, ()))
+    return np.empty((2, n) if rank == 2 else (n,),
+                    dtype=np.int32 if rank else np.complex128)
+
+
+def prefix_slices(chi: Character, out: np.ndarray | None = None
+                  ) -> Iterator[np.ndarray]:
+    """S_0 .. S_h of a nontrivial chi in slices of BLOCK entries shaped
+    like PrefixTable.sums: views of out when given, else fresh arrays.
+
+    Each slice gathers the quadratic values or its classes' d LATTICE
+    columns or d roots (computed from the slice's classes when d > BLOCK,
+    so no d-entry table is made), adds the running total to its first
+    entry and is summed in place: bit for bit one sequential cumsum."""
+    q, d = chi.q, chi.order
+    h = (q - 1) // 2
+    cols = None
+    if chi.is_quadratic:
+        src = _legendre_half(q)
+    else:
+        src = chi.modulus.classes(d)
+        if d <= BLOCK:  # column j: chi(g^j), one row per coordinate
+            k = chi._class_of(np.arange(d, dtype=np.int64))
+            cols = (np.array(LATTICE[d], dtype=np.int32)[:, k]
+                    if d in LATTICE else chi._roots(k)[None])
+    total = 0
+    for lo in range(0, h + 1, BLOCK):
+        block = src[lo:lo + BLOCK]
+        s = (_empty_sums(d, len(block)) if out is None
+             else out[..., lo:lo + len(block)])
+        if cols is not None:
+            for row, col in zip(s.reshape(len(cols), -1), cols):
+                # every class of n >= 1 is in [0, d): "clip" skips the check
+                np.take(col, block, out=row, mode="clip")
+        elif chi.is_quadratic:
+            s[...] = block
+        else:
+            s[...] = chi._roots(chi._class_of(block.astype(np.int64)))
+        if lo == 0:
+            s[..., 0] = 0  # S_0: n = 0 has no class
+        s[..., 0] += total
+        np.cumsum(s, axis=-1, out=s)
+        total = s[..., -1].copy()
+        yield s
 
 
 def _check_window(q: int, v: int) -> None:
@@ -513,15 +569,16 @@ def window_array(table: PrefixTable, v: int, lo: int = 0,
     return w
 
 
-def lattice_norm(table: PrefixTable, w: np.ndarray,
+def lattice_norm(table: PrefixTable | Character, w: np.ndarray,
                  v: int | None = None) -> np.ndarray:
     """The integer that exact paths key window sums w on: |w| at rank 1,
     int32, and the squared norm |w|^2 at rank 2 (a^2 - ab + b^2 in the
-    basis (1, omega), a^2 + b^2 in the basis (1, i)).  For windows of
-    length V it is at most V^rank, and |w|^(2r) is its power 2r / rank.
-    Rank-2 norms are int64, or int32 for windows of a given length v with
-    2v^2 < 2^31, as |a|, |b| <= v and the norm <= v^2 keep them in range."""
-    if table.rank == 1:
+    basis (1, omega), a^2 + b^2 in the basis (1, i)).  Only the order of
+    the table (or of the character) is read.  For windows of length V it
+    is at most V^rank, and |w|^(2r) is its power 2r / rank.  Rank-2 norms
+    are int64, or int32 for windows of a given length v with 2v^2 < 2^31,
+    as |a|, |b| <= v and the norm <= v^2 keep them in range."""
+    if table.order == 2:
         return np.abs(w)
     small = v is not None and 2 * v * v < 1 << 31
     a, b = w.astype(np.int32 if small else np.int64, copy=False)
@@ -584,12 +641,18 @@ def legendre_value_array(q: int) -> np.ndarray:
     so the residues in [1, h] are the squares that land there: each block's
     squares are clipped to a sentinel entry h+1, which the returned view
     leaves out, and marked 1 over a table of -1.  The only source of the
-    quadratic value table: the quadratic prefix table, long quadratic
-    interval sums and whole-prime scans read it without finding g.
+    quadratic value table: the quadratic prefix slices (by _legendre_half),
+    long quadratic interval sums and whole-prime scans read it without
+    finding g.
     """
     if q < 3:
         raise CompositeModulus(f"{q} is not an odd prime")
     certify_modulus(q)
+    return _legendre_half(q)
+
+
+def _legendre_half(q: int) -> np.ndarray:
+    """legendre_value_array without the certificate a modulus had."""
     h = (q - 1) // 2
     vals = np.full(h + 2, -1, dtype=np.int8)
     vals[0] = 0

@@ -25,6 +25,7 @@ import sys
 import time
 import traceback
 from dataclasses import asdict, dataclass, field, fields
+from fractions import Fraction
 
 import numpy as np
 
@@ -152,7 +153,8 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def jsonable(obj):
-    """Coerce numpy scalars/arrays and dataclasses into JSON-safe values."""
+    """Coerce numpy scalars/arrays, dataclasses and Fractions into JSON-safe
+    values."""
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -163,6 +165,11 @@ def jsonable(obj):
         return [jsonable(x) for x in obj]
     if hasattr(obj, "__dataclass_fields__"):
         return jsonable(asdict(obj))
+    if isinstance(obj, Fraction):  # a float moment past the double range
+        try:
+            return float(obj)
+        except OverflowError:
+            return math.inf
     return obj
 
 

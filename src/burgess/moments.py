@@ -1,17 +1,24 @@
 """Complete 2r-th moments of windowed character sums and their bound.
 
 The moment sum_{lam=1..q} |sum_{v<=V} chi(lam+v)|^{2r} is computed in one
-pass over the stored half of the prefix table, in blocks of BLOCK window
-starts sliced from it, so no q-length window array is made.  The window at
-lam and the one at q-1-V-lam are mirror images (chi(q-n) = chi(-1) chi(n)),
-so for V < h = (q-1)/2 the starts (0, h-V], whose windows lie inside the
-stored half, are counted twice and the 2V+1 starts left are read once.
-For characters of order 2, 3, 4 and 6 the window sums are lattice points
-with an exact integer norm of at most V^rank (chars.lattice_norm, computed
-in int32 while 2V^2 < 2^31), so the moment reduces to a bincount of the
-norms followed by an exact big-integer combination; that is what makes the
+pass over the prefix sums S_0 .. S_h, h = (q-1)/2, in blocks of BLOCK window
+starts, so no q-length window array is made.  The window at lam and the one
+at q-1-V-lam are mirror images (chi(q-n) = chi(-1) chi(n)), so for V < h
+the starts (0, h-V], whose windows S_{lam+V} - S_lam lie inside the stored
+half, are counted twice and the 2V+1 starts left are read once.  A
+character whose prefix table is built, or any character when V >= h, reads
+the blocks from its table; otherwise the sums are streamed from
+chars.prefix_slices and only about V + 2 BLOCK of them are held at a time,
+plus S_0 .. S_{2V+1} and S_{h-2V-1} .. S_h for the 2V+1 edge starts, so no
+q-sized table is built and the moment is bit for bit the table's.  For
+characters of order 2, 3, 4 and 6 the window sums are lattice points with
+an exact integer norm of at most V^rank (chars.lattice_norm, computed in
+int32 while 2V^2 < 2^31), so the moment reduces to a bincount of the norms
+followed by an exact big-integer combination; that is what makes the
 inequality margin a zero-tolerance check.  Characters of other orders sum
-|w|^{2r} in double precision block by block.
+|w|^{2r} in double precision block by block; a sum past the double range
+is taken again in exact rationals, each block scaled by its largest
+|w|^2, so its verdict is still decided.
 """
 
 from __future__ import annotations
@@ -22,7 +29,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chars import BLOCK, Character, lattice_norm, window_array
+from .chars import (
+    BLOCK,
+    LATTICE,
+    Character,
+    PrefixEnds,
+    lattice_norm,
+    prefix_slices,
+    window_array,
+)
 from .errors import TrivialCharacter
 
 
@@ -32,7 +47,7 @@ class MomentReport:
     V: int
     r: int
     char_index: int
-    moment: int | float
+    moment: int | float | Fraction
     bound: float
     margin: float
     exact: bool
@@ -51,13 +66,10 @@ def weil_bound(r: int, V: int, q: int) -> float:
         return math.inf
 
 
-def _leq_root(x: int | float, a: int, b: int, q: int) -> bool:
+def _leq_root(x: int | float | Fraction, a: int, b: int, q: int) -> bool:
     """x <= a + b sqrt(q), decided exactly as x - a <= 0 or (x - a)^2 <=
-    b^2 q; a float x is read as its exact rational, and inf fails."""
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            return False
-        x = Fraction(x)
+    b^2 q; a float x is read as its exact rational."""
+    x = Fraction(x) if isinstance(x, float) else x
     return x - a <= 0 or (x - a) ** 2 <= b * b * q
 
 
@@ -66,53 +78,119 @@ def _power_sum(keys: np.ndarray, counts: np.ndarray, p: int) -> int:
     return sum(c * k ** p for k, c in zip(keys.tolist(), counts.tolist()))
 
 
+def _scaled_power_sum(w: np.ndarray, r: int) -> Fraction:
+    """sum |w|^(2r) over a complex block as m^r sum (|w|^2 / m)^r, m the
+    block's largest |w|^2, in the exact rationals of the float sum and of
+    m: no term passes the double range, and none that matters underflows."""
+    norm = w.real ** 2 + w.imag ** 2
+    m = float(norm.max())
+    if m == 0:
+        return Fraction(0)
+    return Fraction(float(np.sum((norm / m) ** r))) * Fraction(m) ** r
+
+
 def moment_sum(chi: Character, V: int, r: int) -> MomentReport:
     """The complete 2r-th moment over all q window positions, with the
     Weil-bound verdict decided exactly.
 
-    An exact table gives a Python int: the bincount of the lattice norms
-    when their V^rank + 1 bins fit in q + 1, otherwise (a caller-given V
-    with V^2 > q) each block's distinct norms by np.unique.
+    The window blocks are read from chi's prefix table when it is built or
+    V >= h, otherwise from the streamed prefix sums (_streamed_blocks).  An
+    exact table gives a Python int: the bincount of the lattice norms when
+    their V^rank + 1 bins fit in q + 1, otherwise (a caller-given V with
+    V^2 > q) each block's distinct norms by np.unique.  A float moment past
+    the double range is summed again block by block in exact rationals
+    (_scaled_power_sum), so its verdict is decided without overflow.
     """
     if chi.is_trivial:
         raise TrivialCharacter("moment requires a nontrivial character")
     if r < 1:
         raise ValueError("r must be >= 1")
-    q = chi.q
-    table = chi.prefix
-    h = table.h
+    q, d = chi.q, chi.order
+    h = (q - 1) // 2
     # (weight, lo, hi): the starts (lo, hi], each standing for weight windows
     if V < h:  # (0, h-V] and their mirrors [h, q-2-V]; then the rest
         spans = [(2, 0, h - V), (1, h - V, h - 1), (1, q - 2 - V, q)]
     else:
         spans = [(1, 0, q)]
-    blocks = ((weight, window_array(table, V, a, min(a + BLOCK, hi)))
-              for weight, lo, hi in spans for a in range(lo, hi, BLOCK))
-    exact = table.exact
+
+    def blocks():
+        if V < h and "prefix" not in vars(chi):
+            return _streamed_blocks(chi, V, spans)
+        table = chi.prefix
+        return ((weight, window_array(table, V, a, min(a + BLOCK, hi)))
+                for weight, lo, hi in spans for a in range(lo, hi, BLOCK))
+
+    exact = d in LATTICE
     if not exact:
-        moment: int | float = float(sum(
-            weight * np.sum((w.real ** 2 + w.imag ** 2) ** r)
-            for weight, w in blocks))
+        with np.errstate(over="ignore"):
+            total = float(sum(weight * np.sum((w.real ** 2 + w.imag ** 2) ** r)
+                              for weight, w in blocks()))
+        moment: int | float | Fraction = total
+        if total == math.inf:
+            moment = sum(weight * _scaled_power_sum(w, r)
+                         for weight, w in blocks())
     else:
-        power = 2 * r // table.rank
-        if V ** table.rank <= q:
+        rank = len(LATTICE[d])
+        power = 2 * r // rank
+        if V ** rank <= q:
             # zeroed pages that no norm reaches are never touched
-            counts = np.zeros(V ** table.rank + 1, dtype=np.int64)
-            for weight, w in blocks:
-                c = np.bincount(lattice_norm(table, w, V))
+            counts = np.zeros(V ** rank + 1, dtype=np.int64)
+            for weight, w in blocks():
+                c = np.bincount(lattice_norm(chi, w, V))
                 counts[:len(c)] += weight * c
             keys = np.flatnonzero(counts)
             moment = _power_sum(keys, counts[keys], power)
         else:
             moment = sum(weight * _power_sum(
-                *np.unique(lattice_norm(table, w), return_counts=True), power)
-                for weight, w in blocks)
+                *np.unique(lattice_norm(chi, w), return_counts=True), power)
+                for weight, w in blocks())
     bound = weil_bound(r, V, q)
     passed = _leq_root(moment, (2 * r) ** r * V ** r * q,
                        2 * r * V ** (2 * r), q)
-    margin = bound - moment if math.isfinite(bound) else math.inf
+    # a float moment past the double range enters as its inf total
+    margin = (bound - (moment if exact else total) if math.isfinite(bound)
+              else math.inf)
     return MomentReport(q=q, V=V, r=r, char_index=chi.index, moment=moment,
                         bound=bound, margin=margin, exact=exact, passed=passed)
+
+
+def _streamed_blocks(chi: Character, V: int, spans: list):
+    """moment_sum's (weight, window block) pairs for V < h, with the same
+    block boundaries, read from prefix_slices instead of a prefix table.
+
+    The twice-counted starts (0, h-V] are slice differences S_{lam+V} -
+    S_lam over the slices still read; a slice is dropped once every later
+    block starts past it, so beside the source table only about V + 2 BLOCK
+    sums are held.  The ends S_0 .. S_{2V+1} and S_{h-2V-1} .. S_h are kept
+    as a PrefixEnds, which window_array reads the 2V+1 edge starts from."""
+    h = (chi.q - 1) // 2
+    held: dict[int, np.ndarray] = {}  # j -> S_{j BLOCK} .. S_{(j+1) BLOCK - 1}
+    fed = enumerate(prefix_slices(chi))
+
+    def read(x: int, n: int) -> np.ndarray:
+        """S_x .. S_{x+n-1}, reading slices up to the one holding the last."""
+        last = (x + n - 1) // BLOCK
+        while last not in held:
+            j, s = next(fed)
+            held[j] = s
+        parts = [held[j][..., max(x - j * BLOCK, 0):x + n - j * BLOCK]
+                 for j in range(x // BLOCK, last + 1)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, -1)
+
+    tail_lo = max(h - 2 * V - 1, 0)
+    head = read(0, min(2 * V + 2, h + 1)).copy()
+    (weight, lo, hi), *edges = spans
+    for a in range(lo, hi, BLOCK):
+        n = min(a + BLOCK, hi) - a
+        yield weight, read(a + 1 + V, n) - read(a + 1, n)
+        keep = min(a + 1 + BLOCK, tail_lo)  # the next block reads from here
+        for j in [j for j in held if (j + 1) * BLOCK <= keep]:
+            del held[j]
+    ends = PrefixEnds(head, read(tail_lo, h + 1 - tail_lo), chi.order, h)
+    held.clear()
+    for weight, lo, hi in edges:
+        for a in range(lo, hi, BLOCK):
+            yield weight, window_array(ends, V, a, min(a + BLOCK, hi))
 
 
 def auto_window(r: int, q: int) -> int:

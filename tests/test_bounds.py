@@ -296,6 +296,11 @@ def test_holder_chain_past_the_double_range():
             * Fraction(rep.moment2r))
         assert rep.passed == exact
     assert rep.holder_rhs == math.inf
+    # at r = 150 the float moment itself passes the double range: it is an
+    # exact Fraction, so the verdict still compares W^{2r} with a number
+    rep = holder_chain(build_modulus(10007).character(5), 1, 39, 150)
+    assert isinstance(rep.moment2r, Fraction) and rep.moment2r > 10 ** 400
+    assert rep.passed and Fraction(rep.W) ** 300 <= rep.holder_rhs
     assert bounds._float_leq(1e100, 2, 10 ** 400, 1.0)  # within 1e-9
     assert not bounds._float_leq(1e100, 2, 10 ** 399, 1.0)
     assert bounds._float_leq(1e100, 2, 10 ** 399, math.inf)  # as lhs <= inf

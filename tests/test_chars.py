@@ -263,6 +263,40 @@ def test_prefix_build_holds_table_classes_and_a_block():
     assert peak <= table.sums.nbytes + (h + 1) + 10 * BLOCK
 
 
+def test_legendre_prefix_build_holds_table_values_and_a_block():
+    # the int32 table, the int8 half value table (h+2 bytes) and O(BLOCK)
+    # temporaries; a cumsum of the value table into int32 in one call would
+    # add a 4(h+1)-byte copy
+    q = 10000019
+    chi = build_modulus(q).legendre()
+    tracemalloc.start()
+    try:
+        table = prefix_table(chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    h = (q - 1) // 2
+    assert table.sums.nbytes == 4 * (h + 1)
+    assert peak <= table.sums.nbytes + (h + 2) + 32 * BLOCK
+
+
+def test_full_order_prefix_build_holds_no_root_table():
+    # d > BLOCK: each slice's roots come from its own classes, so beside the
+    # complex table only the int32 half class table and O(BLOCK) temporaries
+    q = 1000003
+    chi = build_modulus(q).character(1)
+    assert chi.order > BLOCK
+    tracemalloc.start()
+    try:
+        table = prefix_table(chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    h = (q - 1) // 2
+    assert table.sums.nbytes == 16 * (h + 1)
+    assert peak <= table.sums.nbytes + 4 * (h + 1) + 48 * BLOCK
+
+
 # q = 1 and q = 3 (mod 4); 1008 = 16 * 63 and 1062 = 2 * 9 * 59, so the
 # orders below include even and odd characters of every kind
 MIRROR_CELLS = [(1009, (2, 3, 4, 6, 16, 63)), (1063, (2, 3, 6, 9, 59))]

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import time
 
 import pytest
@@ -80,6 +81,19 @@ def test_large_inputs_exit_code(argv, code, capsys):
     # huge r, an infinite z, starts past int64 and N past the double range
     # are results or refusals
     assert cli.main(argv.split()) == code
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    ("moments --q 10007 --index 5 --r 150", "moment_le_bound"),
+    ("holder --q 10007 --index 5 --r 150 --M-spec 1", "holder"),
+])
+def test_float_moment_past_the_double_range_decided(argv, verdict, capsys):
+    # |w| <= V makes both inequalities true; the moment, past the double
+    # range, is printed as inf but decided in exact rationals
+    code, (rec,), _ = run(argv.split(), capsys)
+    assert code == 0 and rec["passes"][verdict] is True
+    key = "moment" if verdict == "moment_le_bound" else "moment2r"
+    assert rec["outputs"][key] == math.inf
 
 
 @pytest.mark.parametrize("argv", [

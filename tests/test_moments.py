@@ -1,6 +1,8 @@
 import cmath
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +18,13 @@ from burgess.chars import (
     window_sum,
 )
 from burgess.errors import TrivialCharacter, WindowTooLarge
-from burgess.moments import auto_window, moment_check, moment_sum, weil_bound
+from burgess.moments import (
+    _scaled_power_sum,
+    auto_window,
+    moment_check,
+    moment_sum,
+    weil_bound,
+)
 from oracles import brute_moment, value_table
 
 # e(1/d) in Z[omega] (omega = e(1/3); d = 3, 6) or in Z[i] (d = 4), as the
@@ -182,6 +190,53 @@ def test_wide_window_allocates_no_square_bins():
     assert moment == sum(int(c) * int(k) ** 2 for k, c in zip(keys, counts))
 
 
+def test_streamed_moment_matches_table_path():
+    # a fresh character streams its prefix sums, one with a built table
+    # reads it, and the moments agree bit for bit: orders 2, 3, 4 and 6, the
+    # complex orders 5 and 10 and the full order (roots per slice), even and
+    # odd chi, V = 1, the auto V, V^2 > q (np.unique) and V > BLOCK
+    parities = set()
+    for q in (400321, 400051):
+        mod = build_modulus(q)
+        cells = [((q - 1) // d, v) for d in (2, 3, 4, 6, 5, 10)
+                 if (q - 1) % d == 0
+                 for v in (1, auto_window(2, q), 1000, BLOCK + 7)]
+        for index, v in cells + [(1, 300)]:
+            fresh, built = mod.character(index), mod.character(index)
+            parities.add((q - 1) // fresh.order % 2)  # chi(-1) = (-1)^this
+            built.prefix
+            for r in (2, 3):
+                got, want = moment_sum(fresh, v, r), moment_sum(built, v, r)
+                assert "prefix" not in vars(fresh)
+                assert type(got.moment) is type(want.moment)
+                assert got.moment == want.moment, (q, index, v, r)
+                assert got.passed == want.passed
+    assert parities == {0, 1}
+
+
+def test_streamed_moment_holds_class_table_and_blocks():
+    # beside the int8 half class table (h+1 bytes) only O(BLOCK) slices and
+    # window blocks: the 8(h+1)-byte prefix table is never built
+    q = 1000003
+    chi = build_modulus(q).character((q - 1) // 3)
+    tracemalloc.start()
+    try:
+        rep = moment_check(chi, r=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.exact and rep.passed and "prefix" not in vars(chi)
+    assert peak <= (q + 1) // 2 + 48 * BLOCK
+
+
+def test_scaled_power_sum_matches_float_sum(mod101):
+    w = window_array(mod101.character(20).prefix, 50)
+    for r in (1, 2, 100):
+        want = np.sum((w.real ** 2 + w.imag ** 2) ** r)
+        assert math.isclose(_scaled_power_sum(w, r), want, rel_tol=1e-12)
+    assert _scaled_power_sum(np.zeros(3, dtype=np.complex128), 5) == 0
+
+
 def test_moment_example_q5():
     mod = build_modulus(5)
     rep = moment_sum(mod.legendre(), 1, 1)
@@ -262,14 +317,16 @@ def test_verdict_exact_where_weil_bound_overflows(mod101):
     a, b = (2 * r) ** r * v ** r * q, 2 * r * v ** (2 * r)
     assert rep.exact and isinstance(rep.moment, int)
     assert rep.passed == (rep.moment - a <= math.isqrt(b * b * q))
-    # an order-5 float moment is compared as its exact rational, and one
-    # that overflows to inf fails
+    # an order-5 float moment is compared as its exact rational; one past
+    # the double range is an exact Fraction, and it passes, as |w| <= V
+    # gives moment <= q V^(2r) < 2r V^(2r) sqrt(q)
     chi = mod101.character(20)
     rep = moment_sum(chi, v, r)
     assert math.isfinite(rep.moment) and rep.moment < a and rep.passed
     with np.errstate(over="ignore"):
         rep = moment_sum(chi, v, 4 * r)
-    assert rep.moment == math.inf and not rep.passed
+    assert isinstance(rep.moment, Fraction) and rep.passed
+    assert sys.float_info.max < rep.moment <= q * v ** (8 * r)
 
 
 def test_errors(mod101):
