@@ -37,18 +37,66 @@ GRH_DELTA_DEFAULT = 0.05  # computable stand-in for the o(1) exponent
 
 
 def iroot(n: int, k: int) -> int:
-    """Largest integer x with x^k <= n (n >= 0), by bisection in integers
-    alone, so exact for any n."""
+    """Largest integer x with x^k <= n (n >= 0), exact for any n.
+
+    A float seed x from the top 64 bits of n (_root_seed) is within
+    x 2^-27 + 1/2 of the real root while n has fewer than 2^26 bits, so two
+    checks y^k <= n bracket the root by x and x + t or x - t, t = x 2^-24
+    + 1, and a bisection in integers finishes it: below 2^24 the seed takes
+    just those two checks.  Where the seed is further off, a failed check
+    leaves the power-of-two bracket on that side, which the bisection
+    narrows as it always did.  Each check is _pow_leq, so it takes an exact
+    power only where y^k and n are within about a bit."""
     if n < 0:
         raise ValueError("n must be >= 0")
+
+    def below(y: int) -> bool:  # y^k <= n
+        return y == 0 or _pow_leq(y, k, n, 1)
+
     lo, hi = 0, 1 << -(-n.bit_length() // k)  # lo^k <= n < hi^k
+    if n > 1 and k > 1:
+        x = _root_seed(n, k)
+        t = (x >> 24) + 1
+        if below(x):
+            lo = x
+            if below(x + t):
+                lo = x + t
+            else:
+                hi = x + t
+        else:
+            hi = x
+            if below(x - t):
+                lo = x - t
+            else:
+                hi = x - t
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if mid ** k <= n:
+        if below(mid):
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _root_seed(n: int, k: int) -> int:
+    """n^(1/k) rounded, to double precision, for n >= 2 and k >= 2: from
+    log2 n read off the top 64 bits of n, and 2^x taken as 2^(x - s) << s
+    with x - s <= 52, so no float overflows whatever the size of n."""
+    e = max(n.bit_length() - 64, 0)
+    x = (math.log2(n >> e) + e) / k
+    s = max(int(x) - 52, 0)
+    return round(2.0 ** (x - s)) << s
+
+
+def _pow_leq(a: int, i: int, b: int, j: int) -> bool:
+    """a^i <= b^j for a, b >= 1 and i, j >= 0, exactly: from the bit counts
+    i log2 a and j log2 b where they are more than a bit apart, with a
+    margin of 2^-30 of their size far above the float error, else from
+    exact powers."""
+    lhs, rhs = i * math.log2(a), j * math.log2(b)
+    if abs(lhs - rhs) > 1 + max(lhs, rhs) / (1 << 30):
+        return lhs < rhs
+    return a ** i <= b ** j
 
 
 @dataclass
@@ -87,7 +135,7 @@ def _params(N: int, q: int, r: int, source: str, rule) -> BurgessParams:
     U = rule()
     return BurgessParams(
         N=N, q=q, r=r, U=U, V=auto_window(r, q), z=_z_from_u(U),
-        degenerate=U < 2, in_refined_range=N ** (4 * r) <= q ** (2 * r + 1),
+        degenerate=U < 2, in_refined_range=_pow_leq(N, 4 * r, q, 2 * r + 1),
         source=source)
 
 
@@ -214,7 +262,7 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
     rough = enumerate_rough(params.z, params.U)
     dist = collision_distribution(
         CollisionInstance(q=q, M=M, N=N, rough=rough))
-    table = chi.prefix
+    table = chi.prefix_for(params.V)
     w = window_sum(table, dist.lams, params.V)
     # W = sum_lam I(lam) |w(lam)|; a Python int on the rank-1 path so that
     # W^{2r} below is exact; float sums are a pairwise np.sum on one thread,
@@ -316,7 +364,7 @@ def extremal_scan(q: int, char_index: int, N: int, M_values: list[int],
     if rem:
         # reduced as Python ints, so starts beyond int64 are accepted
         starts = np.array([m % q for m in M_values], dtype=np.int64)
-        table = chi.prefix
+        table = chi.prefix_for(rem)
         w = window_sum(table, starts, rem)
         mags = lattice_norm(table, w) if table.exact else np.abs(w)
         i = int(mags.argmax())

@@ -5,10 +5,12 @@ g of q: the index-m character maps g^k to e(mk/(q-1)).  A character of order
 d takes only d values, kept as exact fractions c/d of a full turn (c in
 [0, d)), so multiplicativity and order identities are integer statements.
 Characters of order 2, 3, 4 and 6 take their values in a lattice of rank 1
-or 2 (LATTICE): their prefix tables are exact int32 coordinates, and a
-window or interval sum is an integer or an integer pair with an exact
-integer norm, so every inequality involving them is checkable with zero
-tolerance.  Only characters of other orders use complex128.
+or 2 (LATTICE): their prefix tables hold integer coordinates, and a window
+or interval sum is an integer or an integer pair with an exact integer
+norm, so every inequality involving them is checkable with zero tolerance.
+A table read only for windows up to its span v keeps its sums mod 2^b in
+the narrowest of int8, int16 and int32 with v < 2^(b-1) (PrefixTable).
+Only characters of other orders use complex128.
 
 Every table covers half the period.  As g^h = -1 for h = (q-1)/2, n and
 q - n have dlogs h apart, so chi(q - n) = chi(-1) chi(n), and for a
@@ -33,9 +35,10 @@ as they come and builds no table (moments.moment_sum).  interval_sum
 gathers the same payload by the interval's classes alone, from single
 values when the interval is short.  Arrays are reduced mod q by
 reduce_mod, a floor division about twice as fast as %.  A character caches
-only its prefix table and its complete moments (one scalar per (V, r)); a
-prefix table holds no reference to its character, so both are freed with
-the character's last reference.
+only one prefix table, the one its readers' longest window needs
+(Character.prefix_for widens it in place), and its complete moments (one
+scalar per (V, r)); a prefix table holds no reference to its character, so
+both are freed with the character's last reference.
 """
 from __future__ import annotations
 
@@ -57,7 +60,9 @@ from .errors import (
 DEFAULT_TABLE_LIMIT = 1 << 26
 # Below 2^31 the int64 products cur * base (_power_blocks) and k * k
 # (legendre_value_array) cannot overflow, and every class and every
-# coordinate of a prefix sum (|S_k| < q) fits in int32.
+# coordinate of a prefix sum (|S_k| < q) fits in int32, so an int32 prefix
+# table serves every window; narrower tables keep their sums mod 2^b
+# (sum_dtype).
 TABLE_CEILING = 1 << 31
 # Length of the blocks that q-length passes are cut into, so that their
 # temporaries stay small and in cache.
@@ -374,9 +379,19 @@ class Character:
         c[0] = -1
         return c
 
-    @cached_property
+    @property
     def prefix(self) -> "PrefixTable":
-        return prefix_table(self)
+        """The prefix table serving every window length."""
+        return self.prefix_for(self.q)
+
+    def prefix_for(self, v: int) -> "PrefixTable":
+        """The cached prefix table if it serves windows of length v, else a
+        wider one built in its place: a character holds one table, under
+        "prefix" in its instance dict."""
+        table = vars(self).get("prefix")
+        if table is None or table.span < v:
+            table = vars(self)["prefix"] = prefix_table(self, v)
+        return table
 
     @cached_property
     def moments(self) -> dict[tuple[int, int], int | float]:
@@ -392,14 +407,20 @@ class PrefixTable:
     """Cumulative sums S_k = sum_{n<=k} chi(n), stored for k in [0, h],
     h = (q-1)/2; at reads every k in [0, q].
 
-    For a character of order d in LATTICE the sums are exact int32
-    coordinates in its lattice basis, shape (h+1,) at rank 1 (the real
-    character) and (2, h+1) at rank 2 (orders 3, 4 and 6); |S_k| < q < 2^31
-    bounds every coordinate.  Other orders get complex128 sums of shape
-    (h+1,).  The rest of the period mirrors the stored half: S_k = sign *
-    S_{q-1-k} for h < k <= q-1, with sign = -chi(-1), and S_q = S_0 = 0,
-    which is what lets window sums wrap around the period with at most two
-    reads.  chi(-1) = (-1)^((q-1)/d), so the order says it.
+    For a character of order d in LATTICE the sums are integer coordinates
+    in its lattice basis, shape (h+1,) at rank 1 (the real character) and
+    (2, h+1) at rank 2 (orders 3, 4 and 6), kept mod 2^b in b-bit signed
+    integers (sum_dtype).  Every LATTICE entry is -1, 0 or 1, so each
+    coordinate of a window sum of length v lies in [-v, v], and the
+    difference S_b - S_a taken in the table's dtype wraps back to it
+    exactly for v <= span = 2^(b-1) - 1; int32 holds every S_k (|S_k| < q
+    < 2^31) and so every window.  A wrapped S_k is read only through such a
+    difference, never as a value.  Other orders get complex128 sums of
+    shape (h+1,), which serve every window.  The rest of the period mirrors
+    the stored half: S_k = sign * S_{q-1-k} for h < k <= q-1, with sign =
+    -chi(-1), and S_q = S_0 = 0, which is what lets window sums wrap around
+    the period with at most two reads.  chi(-1) = (-1)^((q-1)/d), so the
+    order says it.
     """
 
     def __init__(self, sums: np.ndarray, order: int):
@@ -428,13 +449,22 @@ class PrefixTable:
         """Lattice rank of the values: 1 or 2, 0 for a complex table."""
         return len(LATTICE.get(self.order, ()))
 
+    @property
+    def span(self) -> int:
+        """The longest window read exactly: 2^(b-1) - 1 for b-bit sums, at
+        least q for int32 and complex sums."""
+        return np.iinfo(self.sums.dtype).max if self.exact else self.q
+
     def at(self, k):
-        """S_k for an int or an int64 array k of indices in [0, q], shaped
-        like sums with its last axis replaced by k's shape: k > h reads the
-        stored entry q-1-k, times sign, and k = q reads S_0."""
+        """S_k (mod 2^b on a b-bit table) for an int or an int64 array k of
+        indices in [0, q], shaped like sums with its last axis replaced by
+        k's shape: k > h reads the stored entry q-1-k, times sign, and k = q
+        reads S_0.  The sign goes through np.negative, which wraps a stored
+        -2^(b-1) silently where a NumPy scalar's - would warn."""
         q = self.q
         s = self._stored(np.maximum(np.minimum(k, q - 1 - k), 0))
-        return s if self.sign > 0 else np.where(np.asarray(k) > self.h, -s, s)
+        return (s if self.sign > 0
+                else np.where(np.asarray(k) > self.h, np.negative(s), s))
 
     def _stored(self, j):
         """The stored entries S_j, j in [0, h]."""
@@ -463,13 +493,15 @@ class PrefixEnds(PrefixTable):
                        axis=-1)
 
 
-def prefix_table(chi: Character) -> PrefixTable:
-    """S_0 .. S_h, filled from prefix_slices.  For an even chi, S_h = -S_h,
-    so S_h = 0 is checked on integer tables."""
+def prefix_table(chi: Character, span: int | None = None) -> PrefixTable:
+    """S_0 .. S_h, filled from prefix_slices, in the narrowest dtype that
+    serves windows up to span (sum_dtype), by default every window.  For an
+    even chi, S_h = -S_h, so S_h = 0 is checked on integer tables, mod 2^b
+    on a b-bit one."""
     if chi.is_trivial:
         raise TrivialCharacter("prefix table requires a nontrivial character")
     h = (chi.q - 1) // 2
-    sums = _empty_sums(chi.order, h + 1)
+    sums = _empty_sums(chi.order, h + 1, chi.q if span is None else span)
     for _ in prefix_slices(chi, sums):
         pass
     table = PrefixTable(sums, chi.order)
@@ -477,17 +509,29 @@ def prefix_table(chi: Character) -> PrefixTable:
     return table
 
 
-def _empty_sums(d: int, n: int) -> np.ndarray:
-    """Room for n prefix sums of an order-d character, as in PrefixTable."""
-    rank = len(LATTICE.get(d, ()))
-    return np.empty((2, n) if rank == 2 else (n,),
-                    dtype=np.int32 if rank else np.complex128)
+def sum_dtype(d: int, span: int) -> type:
+    """The dtype of an order-d prefix table serving windows up to span:
+    int8 for span < 2^7, int16 for span < 2^15, else int32, and complex128
+    outside LATTICE."""
+    if d not in LATTICE:
+        return np.complex128
+    if span < 1 << 7:
+        return np.int8
+    return np.int16 if span < 1 << 15 else np.int32
+
+
+def _empty_sums(d: int, n: int, span: int) -> np.ndarray:
+    """Room for n prefix sums of an order-d character serving windows up to
+    span, as in PrefixTable."""
+    return np.empty((2, n) if len(LATTICE.get(d, ())) == 2 else (n,),
+                    dtype=sum_dtype(d, span))
 
 
 def prefix_slices(chi: Character, out: np.ndarray | None = None
                   ) -> Iterator[np.ndarray]:
     """S_0 .. S_h of a nontrivial chi in slices of BLOCK entries shaped
-    like PrefixTable.sums: views of out when given, else fresh arrays.
+    like PrefixTable.sums: views of out when given (summed in its dtype,
+    so mod 2^b in b-bit integers), else fresh arrays serving every window.
 
     Each slice gathers the quadratic values or its classes' d LATTICE
     columns or d roots (computed from the slice's classes when d > BLOCK,
@@ -495,6 +539,7 @@ def prefix_slices(chi: Character, out: np.ndarray | None = None
     entry and is summed in place: bit for bit one sequential cumsum."""
     q, d = chi.q, chi.order
     h = (q - 1) // 2
+    dtype = sum_dtype(d, q) if out is None else out.dtype
     cols = None
     if chi.is_quadratic:
         src = _legendre_half(q)
@@ -502,12 +547,12 @@ def prefix_slices(chi: Character, out: np.ndarray | None = None
         src = chi.modulus.classes(d)
         if d <= BLOCK:  # column j: chi(g^j), one row per coordinate
             k = chi._class_of(np.arange(d, dtype=np.int64))
-            cols = (np.array(LATTICE[d], dtype=np.int32)[:, k]
+            cols = (np.array(LATTICE[d], dtype=dtype)[:, k]
                     if d in LATTICE else chi._roots(k)[None])
     total = 0
     for lo in range(0, h + 1, BLOCK):
         block = src[lo:lo + BLOCK]
-        s = (_empty_sums(d, len(block)) if out is None
+        s = (_empty_sums(d, len(block), q) if out is None
              else out[..., lo:lo + len(block)])
         if cols is not None:
             for row, col in zip(s.reshape(len(cols), -1), cols):
@@ -520,16 +565,18 @@ def prefix_slices(chi: Character, out: np.ndarray | None = None
         if lo == 0:
             s[..., 0] = 0  # S_0: n = 0 has no class
         s[..., 0] += total
-        np.cumsum(s, axis=-1, out=s)
+        np.cumsum(s, axis=-1, dtype=dtype, out=s)
         total = s[..., -1].copy()
         yield s
 
 
-def _check_window(q: int, v: int) -> None:
-    if v > q:
-        raise WindowTooLarge(f"V={v} exceeds q={q}")
+def _check_window(table: PrefixTable, v: int) -> None:
+    if v > table.q:
+        raise WindowTooLarge(f"V={v} exceeds q={table.q}")
     if v < 1:
         raise ValueError("window length must be >= 1")
+    if v > table.span:
+        raise ValueError(f"V={v} exceeds the table's span {table.span}")
 
 
 def window_sum(table: PrefixTable, lam, v: int):
@@ -537,16 +584,18 @@ def window_sum(table: PrefixTable, lam, v: int):
 
     Each start is reduced to a in [1, q], the starts window_array covers,
     and the window read as S_b - S_a through PrefixTable.at, where b = a + v
-    less q when the window runs past q (S_q = 0).  Returns int32 shaped like
-    lam at rank 1, int32 coordinate pairs of shape (2,) + lam's shape at
-    rank 2, and complex128 shaped like lam otherwise.
+    less q when the window runs past q (S_q = 0).  Returns the table's
+    integers shaped like lam at rank 1, coordinate pairs of shape (2,) +
+    lam's shape at rank 2, and complex128 shaped like lam otherwise.
+    np.subtract wraps b-bit sums back to the window silently, where NumPy
+    scalar arithmetic would warn.
     """
     q = table.q
-    _check_window(q, v)
+    _check_window(table, v)
     a = (lam - 1) % q + 1
     b = a + v
     b = b - q * (b > q)
-    return table.at(b) - table.at(a)
+    return np.subtract(table.at(b), table.at(a))
 
 
 def window_array(table: PrefixTable, v: int, lo: int = 0,
@@ -556,7 +605,7 @@ def window_array(table: PrefixTable, v: int, lo: int = 0,
     inside the stored half, the rest are read by window_sum.  moment_sum
     reads its lam-range through it block by block."""
     q = table.q
-    _check_window(q, v)
+    _check_window(table, v)
     hi = q if hi is None else hi
     s = table.sums
     cut = min(max(table.h - v, lo), hi)  # starts in (lo, cut] end by h
@@ -572,12 +621,13 @@ def window_array(table: PrefixTable, v: int, lo: int = 0,
 def lattice_norm(table: PrefixTable | Character, w: np.ndarray,
                  v: int | None = None) -> np.ndarray:
     """The integer that exact paths key window sums w on: |w| at rank 1,
-    int32, and the squared norm |w|^2 at rank 2 (a^2 - ab + b^2 in the
-    basis (1, omega), a^2 + b^2 in the basis (1, i)).  Only the order of
-    the table (or of the character) is read.  For windows of length V it
-    is at most V^rank, and |w|^(2r) is its power 2r / rank.  Rank-2 norms
-    are int64, or int32 for windows of a given length v with 2v^2 < 2^31,
-    as |a|, |b| <= v and the norm <= v^2 keep them in range."""
+    in w's dtype (|w| <= v <= span), and the squared norm |w|^2 at rank 2
+    (a^2 - ab + b^2 in the basis (1, omega), a^2 + b^2 in the basis
+    (1, i)).  Only the order of the table (or of the character) is read.
+    For windows of length V it is at most V^rank, and |w|^(2r) is its power
+    2r / rank.  Rank-2 norms are int64, or int32 for windows of a given
+    length v with 2v^2 < 2^31, as |a|, |b| <= v and the norm <= v^2 keep
+    them in range."""
     if table.order == 2:
         return np.abs(w)
     small = v is not None and 2 * v * v < 1 << 31

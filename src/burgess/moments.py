@@ -6,7 +6,7 @@ starts, so no q-length window array is made.  The window at lam and the one
 at q-1-V-lam are mirror images (chi(q-n) = chi(-1) chi(n)), so for V < h
 the starts (0, h-V], whose windows S_{lam+V} - S_lam lie inside the stored
 half, are counted twice and the 2V+1 starts left are read once.  A
-character whose prefix table is built, or any character when V >= h, reads
+character whose prefix table serves V, or any character when V >= h, reads
 the blocks from its table; otherwise the sums are streamed from
 chars.prefix_slices and only about V + 2 BLOCK of them are held at a time,
 plus S_0 .. S_{2V+1} and S_{h-2V-1} .. S_h for the 2V+1 edge starts, so no
@@ -93,13 +93,14 @@ def moment_sum(chi: Character, V: int, r: int) -> MomentReport:
     """The complete 2r-th moment over all q window positions, with the
     Weil-bound verdict decided exactly.
 
-    The window blocks are read from chi's prefix table when it is built or
-    V >= h, otherwise from the streamed prefix sums (_streamed_blocks).  An
-    exact table gives a Python int: the bincount of the lattice norms when
-    their V^rank + 1 bins fit in q + 1, otherwise (a caller-given V with
-    V^2 > q) each block's distinct norms by np.unique.  A float moment past
-    the double range is summed again block by block in exact rationals
-    (_scaled_power_sum), so its verdict is decided without overflow.
+    The window blocks are read from chi's prefix table when one serving V
+    is built or V >= h, otherwise from the streamed prefix sums
+    (_streamed_blocks).  An exact table gives a Python int: the bincount of
+    the lattice norms when their V^rank + 1 bins fit in q + 1, otherwise (a
+    caller-given V with V^2 > q) each block's distinct norms by np.unique.
+    A float moment past the double range is summed again block by block in
+    exact rationals (_scaled_power_sum), so its verdict is decided without
+    overflow.
     """
     if chi.is_trivial:
         raise TrivialCharacter("moment requires a nontrivial character")
@@ -114,9 +115,10 @@ def moment_sum(chi: Character, V: int, r: int) -> MomentReport:
         spans = [(1, 0, q)]
 
     def blocks():
-        if V < h and "prefix" not in vars(chi):
+        built = vars(chi).get("prefix")
+        if V < h and (built is None or built.span < V):
             return _streamed_blocks(chi, V, spans)
-        table = chi.prefix
+        table = chi.prefix_for(V)
         return ((weight, window_array(table, V, a, min(a + BLOCK, hi)))
                 for weight, lo, hi in spans for a in range(lo, hi, BLOCK))
 

@@ -26,10 +26,13 @@ from burgess.bounds import (
 from burgess import bounds
 from burgess.acceptance import holder_cells
 from burgess.chars import (
+    PrefixTable,
     PrimeModulus,
     build_modulus,
     interval_sum,
     is_prime,
+    lattice_norm,
+    window_sum,
 )
 from burgess.errors import DegenerateParams, UnknownVariant
 from burgess.moments import auto_window, moment_check, moment_sum
@@ -58,6 +61,27 @@ def test_iroot():
             assert r ** k <= n < (r + 1) ** k
     assert iroot(10 ** 400, 2) == 10 ** 200 == iroot(10 ** 400 - 1, 2) + 1
     assert iroot(10 ** 400, 400) == 10 == iroot(10 ** 400 - 1, 400) + 1
+
+
+def test_iroot_at_and_beside_exact_powers():
+    # the float seed lands on the root, one above it or one below it, and
+    # the checks take exact powers where x^k and n are within about a bit
+    cells = [(x, k) for x in (2, 3, 100004, 2 ** 24 - 1, 2 ** 24 + 1)
+             for k in (2, 3, 7, 2000)] + [(10 ** 40, 2), (10 ** 40, 7)]
+    for x, k in cells:
+        p = x ** k
+        assert [iroot(n, k) for n in (p - 1, p, p + 1)] == [x - 1, x, x]
+
+
+def test_refined_range_at_its_edge():
+    # N^(4r) <= q^(2r+1), decided from log2 away from the edge and from
+    # exact powers beside it, as the exact powers decide it everywhere
+    q = 10007
+    for r in (2, 3, 10):
+        edge = iroot(q ** (2 * r + 1), 4 * r)
+        for n in range(edge - 3, edge + 4):
+            assert derive_params(n, q, r).in_refined_range == (
+                n ** (4 * r) <= q ** (2 * r + 1))
 
 
 def test_derive_params_example():
@@ -265,6 +289,40 @@ def test_holder_chain_reuses_moment(monkeypatch, mod10007):
                                  rep.r)
             assert fresh.moment2r == rep.moment2r
             assert fresh.holder_rhs == rep.holder_rhs
+
+
+def test_longer_window_widens_the_one_table():
+    # holder_chain reads windows of V < 128 from an int8 table; a read of
+    # N mod q >= 128 on the same character, as extremal_scan makes, replaces
+    # it with a wider table, and both readers give what a fresh character
+    # gives
+    q, n = 10009, 39
+    mod = build_modulus(q)
+    for index in ((q - 1) // 2, (q - 1) // 3):
+        chi = mod.character(index)
+        first = holder_chain(chi, 17, n, 2)
+        assert first.params.V < 128
+        assert chi.prefix_for(1).sums.dtype == np.int8
+        starts = list(range(0, q, 37))
+        for rem in (500, 40000 % q):
+            table = chi.prefix_for(rem)
+            assert table.sums.dtype == np.int16
+            tables = [x for x in vars(chi).values()
+                      if isinstance(x, PrefixTable)]
+            assert tables == [table] and vars(chi)["prefix"] is table
+            w = window_sum(table, np.array(starts, dtype=np.int64), rem)
+            mags = lattice_norm(table, w)
+            res = extremal_scan(q, index, rem, starts)
+            i = int(mags.argmax())
+            best = (float(mags[i]) if table.rank == 1
+                    else math.sqrt(int(mags[i])))
+            assert (best, starts[i]) == (res.max_abs_sum, res.argmax_M)
+        again = holder_chain(chi, 17, n, 2)
+        fresh = holder_chain(mod.character(index), 17, n, 2)
+        assert chi.prefix_for(1) is table  # read, not narrowed again
+        for rep in (again, fresh):
+            assert (rep.W, rep.moment2r, rep.holder_rhs, rep.passed) == (
+                first.W, first.moment2r, first.holder_rhs, first.passed)
 
 
 def test_holder_chain_w_is_python_int(mod10007):

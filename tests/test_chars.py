@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -207,11 +208,12 @@ def test_values_dtype_picks_exact_path(mod101, mod1009):
     assert value_table(mod101.character(5)).dtype == np.complex128
     assert prefix_table(mod101.legendre()).exact
     assert not prefix_table(mod101.character(5)).exact
-    # orders 3, 4 and 6: int32 coordinate pairs, 8 bytes per residue
+    # orders 3, 4 and 6: coordinate pairs, int16 as every window of q = 1009
+    # is below 2^15, 4 bytes per residue
     for d in (3, 4, 6):
         table = prefix_table(mod1009.character(1008 // d))
         assert table.exact and table.rank == 2
-        assert table.sums.dtype == np.int32 and table.sums.shape == (2, 505)
+        assert table.sums.dtype == np.int16 and table.sums.shape == (2, 505)
     assert prefix_table(mod101.legendre()).sums.shape == (51,)
 
 
@@ -237,10 +239,11 @@ def test_blocked_prefix_bit_identical(q):
     for m in [(q - 1) // d for d in orders] + [2, 7]:
         chi = mod.character(m)
         got, want = prefix_table(chi).sums, full_prefix(chi)[..., :h + 1]
-        assert got.dtype == (np.int32 if chi.order in LATTICE
+        assert got.dtype == (np.int16 if chi.order in LATTICE and q < 1 << 15
+                             else np.int32 if chi.order in LATTICE
                              else np.complex128)
         assert got.shape == want.shape
-        if got.dtype == np.int32:
+        if chi.order in LATTICE:
             assert np.array_equal(got, want), m
         else:
             assert np.array_equal(bits(got), bits(want)), m
@@ -319,7 +322,7 @@ def test_mirrored_accessor_matches_full_oracle(q, orders):
         assert [table.at(k).tolist() for k in (0, h, h + 1, q - 1, q)] == [
             got[..., k].tolist() for k in (0, h, h + 1, q - 1, q)]
         if table.exact:
-            assert got.dtype == np.int32 and np.array_equal(got, want), d
+            assert got.dtype == np.int16 and np.array_equal(got, want), d
         else:  # the stored half bit for bit, the mirrored half to rounding
             assert np.array_equal(bits(got[:h + 1]), bits(want[:h + 1]))
             assert np.abs(got - want).max() <= 1e-12 * q, d
@@ -608,7 +611,7 @@ def test_window_equals_interval_1000_random(mod101, mod1009):
         lams = [rng.randint(-2 * mod.q, 2 * mod.q) for _ in range(1000)]
         v = rng.randint(1, mod.q)
         got = window_sum(table, np.array(lams, dtype=np.int64), v)
-        assert got.dtype == np.int32
+        assert got.dtype == (np.int8 if mod.q < 128 else np.int16)
         assert got.tolist() == [interval_sum(chi, lam, v) for lam in lams]
 
 
@@ -768,3 +771,89 @@ def test_value_multiplicativity_property(q, data):
 def test_is_prime_against_factor_scan(n):
     naive = n >= 2 and all(n % d for d in range(2, int(math.isqrt(n)) + 1))
     assert is_prime(n) == naive
+
+
+# Narrow prefix tables.  Order-3 characters are always even; q = 1 (mod 24)
+# makes orders 2, 4 and 6 even too, q = 13 (mod 24) makes order 4 odd and
+# q = 19 (mod 24) orders 2 and 6.  Every q is above 2^15, so a window of
+# 2^15 fits.
+NARROW_CELLS = [(32833, (2, 3, 4, 6)), (32797, (2, 3, 4, 6)),
+                (32779, (2, 3, 6))]
+NARROW_SPANS = ((127, np.int8), (128, np.int16), (2 ** 15 - 1, np.int16),
+                (2 ** 15, np.int32))
+
+
+def test_narrow_tables_read_every_window_exactly():
+    # each table kept mod 2^b in the narrowest dtype for its span gives
+    # every window of that length as the int64 oracle does, the starts that
+    # read the mirrored half included
+    parities = {}
+    for q, orders in NARROW_CELLS:
+        mod = build_modulus(q)
+        h = (q - 1) // 2
+        for d in orders:
+            chi = mod.character((q - 1) // d)
+            parities.setdefault(d, set()).add(chi(-1).as_int())
+            full = full_prefix(chi)
+            for v, dtype in NARROW_SPANS:
+                table = prefix_table(chi, v)
+                assert table.sums.dtype == dtype and table.span >= v
+                assert chars_module.sum_dtype(d, v) == dtype
+                want = np.roll(all_windows(full, v), -1, axis=-1)  # 1 .. q
+                got = window_array(table, v)
+                assert got.dtype == dtype
+                assert np.array_equal(got, want), (q, d, v)
+                lams = np.arange(-q, 2 * q, 11, dtype=np.int64)
+                assert np.array_equal(window_sum(table, lams, v),
+                                      want[..., (lams - 1) % q])
+                for lam in (1, h - v, h, h + 1, q - v, q - 1, q, 5 * q + 3):
+                    assert np.array_equal(window_sum(table, lam, v),
+                                          want[..., (lam - 1) % q]), lam
+    assert parities == {2: {-1, 1}, 3: {1}, 4: {-1, 1}, 6: {-1, 1}}
+
+
+def test_narrow_table_refuses_a_longer_window(mod1009):
+    table = prefix_table(mod1009.legendre(), 127)
+    assert table.sums.dtype == np.int8 and table.span == 127
+    window_sum(table, 5, 127)
+    for read in (lambda: window_sum(table, 5, 128),
+                 lambda: window_array(table, 128)):
+        with pytest.raises(ValueError, match="span"):
+            read()
+
+
+@pytest.mark.parametrize("q", [1000033, 10000019])
+def test_scalar_reads_of_a_narrow_table_do_not_warn(q):
+    # int starts go through np.subtract and np.negative, which wrap silently
+    # where NumPy scalar arithmetic warns; q = 1 (mod 4) is even, so reads
+    # past h negate stored entries, -128 among them
+    table = prefix_table(build_modulus(q).legendre(), 100)
+    assert table.sums.dtype == np.int8
+    starts = list(range(1, q + 1, q // 500)) + [q - 100, q - 1, q]
+    want = window_sum(table, np.array(starts, dtype=np.int64), 100)
+    low = np.flatnonzero(table.sums == -128)
+    assert len(low)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [window_sum(table, lam, 100) for lam in starts]
+        mirrored = table.at(q - 1 - int(low[0]))
+    assert got == want.tolist()
+    assert mirrored == -128  # -(-128) wraps to itself: 128 mod 2^8
+
+
+def test_narrow_prefix_build_holds_table_classes_and_a_block():
+    # an order-3 table for windows below 128: the int8 pair over the half
+    # (2(h+1) bytes), the int8 half class table (h+1 bytes) and O(BLOCK)
+    # temporaries, against 8(h+1) bytes for the int32 table
+    q = 1000003
+    chi = build_modulus(q).character((q - 1) // 3)
+    tracemalloc.start()
+    try:
+        table = prefix_table(chi, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    h = (q - 1) // 2
+    assert table.sums.dtype == np.int8
+    assert table.sums.nbytes == 2 * (h + 1)
+    assert peak <= 2 * (h + 1) + (h + 1) + 16 * BLOCK

@@ -84,7 +84,7 @@ def test_lattice_path_matches_integer_oracle(d):
         assert chi.order == d
         vals = oracle_pairs(chi)
         table = prefix_table(chi)
-        assert table.rank == 2 and table.sums.dtype == np.int32
+        assert table.rank == 2 and table.sums.dtype == np.int16
         for v in (1, 7, 31, 40):  # 40^2 > q: the per-block np.unique path
             windows = []
             for lam in range(1, q + 1):
@@ -92,7 +92,7 @@ def test_lattice_path_matches_integer_oracle(d):
                 windows.append((sum(t[0] for t in terms),
                                 sum(t[1] for t in terms)))
             got = window_array(table, v)
-            assert got.dtype == np.int32 and got.shape == (2, q)
+            assert got.dtype == np.int16 and got.shape == (2, q)
             assert list(zip(*got.tolist())) == windows
             lams = np.arange(-q, 2 * q, 13, dtype=np.int64)
             assert list(zip(*window_sum(table, lams, v).tolist())) == [
@@ -212,6 +212,21 @@ def test_streamed_moment_matches_table_path():
                 assert got.moment == want.moment, (q, index, v, r)
                 assert got.passed == want.passed
     assert parities == {0, 1}
+
+
+def test_moment_reads_a_built_table_only_within_its_span():
+    # a character holding an int8 table reads it for V < 128 and streams a
+    # longer V, leaving the table as it was; the moments are a fresh one's
+    q = 40009
+    mod = build_modulus(q)
+    for d in (2, 3, 4, 6):
+        chi = mod.character((q - 1) // d)
+        table = chi.prefix_for(100)
+        assert table.sums.dtype == np.int8
+        for v in (100, 1000):
+            got = moment_sum(chi, v, 2).moment
+            assert got == moment_sum(mod.character(chi.index), v, 2).moment
+            assert vars(chi)["prefix"] is table, (d, v)
 
 
 def test_streamed_moment_holds_class_table_and_blocks():
