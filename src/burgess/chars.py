@@ -8,37 +8,31 @@ Characters of order 2, 3, 4 and 6 take their values in a lattice of rank 1
 or 2 (LATTICE): their prefix tables hold integer coordinates, and a window
 or interval sum is an integer or an integer pair with an exact integer
 norm, so every inequality involving them is checkable with zero tolerance.
-A table read only for windows up to its span v keeps its sums mod 2^b in
-the narrowest of int8, int16 and int32 with v < 2^(b-1) (PrefixTable).
-Only characters of other orders use complex128.
+A table read only for windows up to its span v keeps its sums mod 2^w in
+the narrowest w-bit lanes with v < 2^(w-1), rank 2 packing its two lanes
+in one integer (PrefixTable).  Only other orders use complex128.
 
 Every table covers half the period.  As g^h = -1 for h = (q-1)/2, n and
 q - n have dlogs h apart, so chi(q - n) = chi(-1) chi(n), and for a
-nontrivial chi the prefix sums obey S_k = -chi(-1) S_{q-1-k}.  A class
-table therefore holds n in [0, h], built from the powers g^0 .. g^(h-1)
-alone, the quadratic value table holds chi(n) for n in [0, h], built from
-the squares that land there, and a prefix table holds S_0 .. S_h;
-PrefixTable.at reads the rest of the period as a mirror image, and
-window_sum and window_array read through it.  chi(-1) = (-1)^m needs no
-table.  Character.classes alone spreads a class table over the period,
-for the long interval sums of characters other than the quadratic one.
+nontrivial chi the prefix sums obey S_k = -chi(-1) S_{q-1-k}.  So a class
+table holds n in [0, h], from the powers g^0 .. g^(h-1), the quadratic
+value table chi(n) for n in [0, h], from the squares that land there, and
+a prefix table S_0 .. S_h; PrefixTable.at reads the rest of the period as
+a mirror image.  chi(-1) = (-1)^m needs no table.  Character.classes alone
+spreads a class table over the period, for the long interval sums of
+characters other than the quadratic one.
 
 A modulus holds no table: its class table c(n) = dlog(n) mod d is rebuilt
-and checked on every read, the classes sliced from one ramp when d <=
-POWER_BLOCK, and g itself is found on its first read.  Single values come
-from the order-d Euler criterion and the quadratic value table from the
-squares, so neither builds a class table or finds g.  prefix_slices
-yields S_0 .. S_h in BLOCK slices, each gathered from a slice of the value
-or class table (d LATTICE columns or d roots of unity) and summed in place:
-prefix_table fills its table from them, and the complete moment reads them
-as they come and builds no table (moments.moment_sum).  interval_sum
-gathers the same payload by the interval's classes alone, from single
-values when the interval is short.  Arrays are reduced mod q by
-reduce_mod, a floor division about twice as fast as %.  A character caches
-only one prefix table, the one its readers' longest window needs
-(Character.prefix_for widens it in place), and its complete moments (one
-scalar per (V, r)); a prefix table holds no reference to its character, so
-both are freed with the character's last reference.
+and checked on every read, and g itself is found on its first read.  Single
+values come from the order-d Euler criterion and the quadratic value table
+from the squares, so neither builds a class table or finds g.  An integer
+prefix table is its values written into its own buffer and summed in place.
+prefix_slices yields S_0 .. S_h in BLOCK slices from the value or class
+table: they fill complex tables, and the complete moment reads them as they
+come (moments.moment_sum).  interval_sum gathers the values of the
+interval's classes alone, from single values when it is short.  A character
+caches one prefix table (Character.prefix_for) and its complete moments; a
+table holds no reference to its character, so both are freed with it.
 """
 from __future__ import annotations
 
@@ -60,9 +54,8 @@ from .errors import (
 DEFAULT_TABLE_LIMIT = 1 << 26
 # Below 2^31 the int64 products cur * base (_power_blocks) and k * k
 # (legendre_value_array) cannot overflow, and every class and every
-# coordinate of a prefix sum (|S_k| < q) fits in int32, so an int32 prefix
-# table serves every window; narrower tables keep their sums mod 2^b
-# (sum_dtype).
+# coordinate of a prefix sum (|S_k| < q) fits in 32 bits, so 32-bit lanes
+# serve every window; narrower lanes keep sums mod 2^w (sum_dtype).
 TABLE_CEILING = 1 << 31
 # Length of the blocks that q-length passes are cut into, so that their
 # temporaries stay small and in cache.
@@ -203,42 +196,50 @@ class PrimeModulus:
     def g(self) -> int:
         return find_primitive_root(self.q)
 
-    def classes(self, d: int) -> np.ndarray:
-        """c[n] = dlog(n) mod d for n in [1, h], h = (q-1)/2, and c[0] = -1,
-        for d | q-1, in the smallest signed dtype holding -d.
+    def classes(self, d: int, payload: np.ndarray | None = None
+                ) -> np.ndarray:
+        """c[n] = payload[dlog(n) mod d] for n in [1, h], h = (q-1)/2, d |
+        q-1, and c[0] a sentinel below the payload.  The default payload,
+        the identity, gives the class table (c[0] = -1, in the smallest
+        signed dtype holding -d); prefix_table passes packed values.
 
-        Only the powers g^k, k in [0, h), are taken: g^k <= h writes k at
-        n = g^k, a larger one writes k + h at n = q - g^k = g^(k+h).  Every
-        build checks that g^h = -1 and each n in [1, h] is reached, which
-        together say g is primitive, and the anchors c[1] = 0 and the class
-        of g.  For d <= POWER_BLOCK the classes of a block of powers g^pos,
-        ... are a slice of one ramp arange(...) % d."""
+        Only the powers g^k, k < h, are taken: g^k <= h writes k at g^k, a
+        larger one k + h at q - g^k = g^(k+h).  Every build checks that g^h
+        = -1 and, by min, that no sentinel is left, which say g is
+        primitive, and the anchors c[1] and c at g.  For d <= POWER_BLOCK a
+        block of powers takes a slice of one ramp payload[arange(...) % d],
+        lifted to payload[(k + h) % d] above h."""
         q, g = self.q, self.g
         h = (q - 1) // 2
         shift = h % d  # 0 for odd d, which divides h
-        c = np.full(h + 1, -1, dtype=np.min_scalar_type(-d))
-        if d <= POWER_BLOCK:  # in a dtype holding k + shift < 2d
+        dtype = np.min_scalar_type(-d) if payload is None else payload.dtype
+        if payload is None and d <= POWER_BLOCK:
+            payload = np.arange(d, dtype=dtype)
+        if payload is not None:
             ramp = np.arange(POWER_BLOCK + d) % d
-            ramp = ramp.astype(np.min_scalar_type(-2 * d))
-            lift, wrap = ramp.dtype.type(shift), ramp.dtype.type(d)
+            vals = payload[ramp]
+            lift = payload[(ramp + shift) % d] - vals
+        low = -1 if payload is None else int(payload.min()) - 1
+        c = np.full(h + 1, low, dtype=dtype)
         for pos, powers in _power_blocks(g, h, q):
             n = q - powers
             np.minimum(n, powers, out=n)
-            if d <= POWER_BLOCK:
+            if payload is not None:
                 j = pos % d
-                k = ramp[j:j + len(powers)]
+                k = vals[j:j + len(powers)]
                 if shift:
-                    k = k + lift * (powers > h)
-                    k -= wrap * (k >= d)
+                    k = k + lift[j:j + len(powers)] * (powers > h)
             else:
                 k = np.arange(pos, pos + len(powers), dtype=np.int64)
                 k += (powers > h) * shift
                 k %= d
             c[n] = k
-        if pow(g, h, q) != q - 1 or int(c[1:].min()) < 0:
+        if pow(g, h, q) != q - 1 or int(c[1:].min()) == low:
             raise AssertionError("class table not surjective; g is not primitive")
-        want = (1 + (shift if g > h else 0)) % d
-        if int(c[1]) != 0 or int(c[min(g, q - g)]) != want:
+        want = [0, (1 + (shift if g > h else 0)) % d]
+        if payload is not None:
+            want = payload[want].tolist()
+        if [int(c[1]), int(c[min(g, q - g)])] != want:
             raise AssertionError("class table anchors wrong")
         return c
 
@@ -407,20 +408,17 @@ class PrefixTable:
     """Cumulative sums S_k = sum_{n<=k} chi(n), stored for k in [0, h],
     h = (q-1)/2; at reads every k in [0, q].
 
-    For a character of order d in LATTICE the sums are integer coordinates
-    in its lattice basis, shape (h+1,) at rank 1 (the real character) and
-    (2, h+1) at rank 2 (orders 3, 4 and 6), kept mod 2^b in b-bit signed
-    integers (sum_dtype).  Every LATTICE entry is -1, 0 or 1, so each
-    coordinate of a window sum of length v lies in [-v, v], and the
-    difference S_b - S_a taken in the table's dtype wraps back to it
-    exactly for v <= span = 2^(b-1) - 1; int32 holds every S_k (|S_k| < q
-    < 2^31) and so every window.  A wrapped S_k is read only through such a
-    difference, never as a value.  Other orders get complex128 sums of
-    shape (h+1,), which serve every window.  The rest of the period mirrors
-    the stored half: S_k = sign * S_{q-1-k} for h < k <= q-1, with sign =
-    -chi(-1), and S_q = S_0 = 0, which is what lets window sums wrap around
-    the period with at most two reads.  chi(-1) = (-1)^((q-1)/d), so the
-    order says it.
+    The lattice coordinates of a LATTICE order are kept mod 2^w in w-bit
+    lanes (sum_dtype), rank 2's pair (A, B) packed as A + 2^w B.  Every
+    LATTICE entry is -1, 0 or 1, so each coordinate of a window sum of
+    length v lies in [-v, v], and S_b - S_a taken in the table's dtype
+    gives it exactly (unpack) for v <= span = 2^(w-1) - 1; 32-bit lanes
+    hold every S_k (|S_k| < q < 2^31).  A wrapped S_k is read only through
+    such a difference.  Other orders get complex128 sums, serving every
+    window.  The rest of the period mirrors the stored half: S_k = sign *
+    S_{q-1-k} for h < k <= q-1, with sign = -chi(-1) = -(-1)^((q-1)/d),
+    and S_q = S_0 = 0, so window sums wrap around the period with at most
+    two reads.
     """
 
     def __init__(self, sums: np.ndarray, order: int):
@@ -429,7 +427,7 @@ class PrefixTable:
 
     @property
     def h(self) -> int:
-        return self.sums.shape[-1] - 1
+        return len(self.sums) - 1
 
     @property
     def q(self) -> int:
@@ -451,16 +449,15 @@ class PrefixTable:
 
     @property
     def span(self) -> int:
-        """The longest window read exactly: 2^(b-1) - 1 for b-bit sums, at
-        least q for int32 and complex sums."""
-        return np.iinfo(self.sums.dtype).max if self.exact else self.q
+        """The longest window read exactly: 2^(w-1) - 1 for w-bit lanes, at
+        least q for 32-bit lanes and complex sums."""
+        return (np.iinfo(f"i{self.sums.itemsize // self.rank}").max
+                if self.exact else self.q)
 
     def at(self, k):
-        """S_k (mod 2^b on a b-bit table) for an int or an int64 array k of
-        indices in [0, q], shaped like sums with its last axis replaced by
-        k's shape: k > h reads the stored entry q-1-k, times sign, and k = q
-        reads S_0.  The sign goes through np.negative, which wraps a stored
-        -2^(b-1) silently where a NumPy scalar's - would warn."""
+        """S_k as stored for an int or an int64 array k in [0, q]: k > h
+        reads entry q-1-k times sign (np.negative: no overflow warning), k =
+        q reads S_0."""
         q = self.q
         s = self._stored(np.maximum(np.minimum(k, q - 1 - k), 0))
         return (s if self.sign > 0
@@ -468,7 +465,7 @@ class PrefixTable:
 
     def _stored(self, j):
         """The stored entries S_j, j in [0, h]."""
-        return np.take(self.sums, j, axis=-1)
+        return np.take(self.sums, j)
 
 
 class PrefixEnds(PrefixTable):
@@ -479,94 +476,114 @@ class PrefixEnds(PrefixTable):
 
     def __init__(self, head: np.ndarray, tail: np.ndarray, order: int,
                  h: int):
-        super().__init__(np.concatenate([head, tail], axis=-1), order)
+        super().__init__(np.concatenate([head, tail]), order)
         self._h = h
-        self._head = head.shape[-1]
-        self._skip = h + 1 - self.sums.shape[-1]  # entries between the ends
+        self._head = len(head)
+        self._skip = h + 1 - len(self.sums)  # entries between the ends
 
     @property
     def h(self) -> int:
         return self._h
 
     def _stored(self, j):
-        return np.take(self.sums, np.where(j < self._head, j, j - self._skip),
-                       axis=-1)
+        return np.take(self.sums, np.where(j < self._head, j, j - self._skip))
 
 
 def prefix_table(chi: Character, span: int | None = None) -> PrefixTable:
-    """S_0 .. S_h, filled from prefix_slices, in the narrowest dtype that
-    serves windows up to span (sum_dtype), by default every window.  For an
-    even chi, S_h = -S_h, so S_h = 0 is checked on integer tables, mod 2^b
-    on a b-bit one."""
+    """S_0 .. S_h in the narrowest dtype serving windows up to span
+    (sum_dtype), by default every window.  An integer table is one buffer,
+    its squares marked or its packed values scattered by the modulus, and
+    one in-place cumsum; complex ones are filled from prefix_slices."""
     if chi.is_trivial:
         raise TrivialCharacter("prefix table requires a nontrivial character")
-    h = (chi.q - 1) // 2
-    sums = _empty_sums(chi.order, h + 1, chi.q if span is None else span)
-    for _ in prefix_slices(chi, sums):
-        pass
-    table = PrefixTable(sums, chi.order)
-    assert not table.exact or table.sign > 0 or not table.sums[..., h].any()
-    return table
-
-
-def sum_dtype(d: int, span: int) -> type:
-    """The dtype of an order-d prefix table serving windows up to span:
-    int8 for span < 2^7, int16 for span < 2^15, else int32, and complex128
-    outside LATTICE."""
+    q, d = chi.q, chi.order
+    dtype = sum_dtype(d, q if span is None else span)
     if d not in LATTICE:
-        return np.complex128
-    if span < 1 << 7:
-        return np.int8
-    return np.int16 if span < 1 << 15 else np.int32
+        sums = np.empty((q + 1) // 2, dtype=dtype)
+        for _ in prefix_slices(chi, q, sums):
+            pass
+        return PrefixTable(sums, d)
+    sums = (_legendre_half(q, dtype) if d == 2
+            else chi.modulus.classes(d, _packed(chi, dtype)))
+    sums[0] = 0  # S_0: n = 0 has no value
+    np.cumsum(sums, dtype=dtype, out=sums)
+    assert (q - 1) // d % 2 or not sums[-1]  # even chi: S_h = -S_h (mod 2^w)
+    return PrefixTable(sums, d)
 
 
-def _empty_sums(d: int, n: int, span: int) -> np.ndarray:
-    """Room for n prefix sums of an order-d character serving windows up to
-    span, as in PrefixTable."""
-    return np.empty((2, n) if len(LATTICE.get(d, ())) == 2 else (n,),
-                    dtype=sum_dtype(d, span))
+def sum_dtype(d: int, span: int) -> np.dtype:
+    """The dtype of an order-d prefix table serving windows up to span:
+    lanes of 8 bits for span < 2^7, 16 for span < 2^15, else 32, times the
+    rank; complex128 outside LATTICE."""
+    if d not in LATTICE:
+        return np.dtype(np.complex128)
+    bits = 8 if span < 1 << 7 else 16 if span < 1 << 15 else 32
+    return np.dtype(f"i{bits * len(LATTICE[d]) // 8}")
 
 
-def prefix_slices(chi: Character, out: np.ndarray | None = None
+def _packed(chi: Character, dtype: np.dtype) -> np.ndarray:
+    """chi(g^j), j in [0, d), as coordinates (a, b) packed in dtype as
+    a + 2^w b, w half its bits."""
+    k = chi._class_of(np.arange(chi.order, dtype=np.int64))
+    a, b = np.array(LATTICE[chi.order], dtype=np.int64)[:, k]
+    return (a + (b << 4 * dtype.itemsize)).astype(dtype)
+
+
+def unpack(p, order: int):
+    """Window sums from differences p of an order-d table: at rank 2 the
+    w-bit pairs (a, b), shape (2,) + p's, of p = a + 2^w b mod 2^(2w), exact
+    for |a|, |b| < 2^(w-1); else p.  a is p's low lane (the wrapping cast,
+    (p << w) >> w) and b = (p + 2^(w-1)) >> w, in ufuncs, which wrap
+    without warning."""
+    if len(LATTICE.get(order, ())) != 2:
+        return p
+    p = np.asarray(p)
+    w = 4 * p.itemsize
+    out = np.empty((2,) + p.shape, dtype=f"i{w // 8}")
+    out[0] = p
+    b = np.add(p, 1 << w - 1, out=np.empty_like(p))
+    out[1] = np.right_shift(b, w, out=b)
+    return out
+
+
+def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
                   ) -> Iterator[np.ndarray]:
-    """S_0 .. S_h of a nontrivial chi in slices of BLOCK entries shaped
-    like PrefixTable.sums: views of out when given (summed in its dtype,
-    so mod 2^b in b-bit integers), else fresh arrays serving every window.
-
-    Each slice gathers the quadratic values or its classes' d LATTICE
-    columns or d roots (computed from the slice's classes when d > BLOCK,
-    so no d-entry table is made), adds the running total to its first
-    entry and is summed in place: bit for bit one sequential cumsum."""
+    """S_0 .. S_h of a nontrivial chi in BLOCK slices laid out as
+    PrefixTable.sums, serving windows up to span (sum_dtype): views of out
+    when given, else fresh arrays.  Each slice gathers the quadratic values
+    or its classes' packed values or roots (from its classes when d >
+    BLOCK: no d-entry table), adds the running total to its first entry
+    and is summed in place in its dtype: bit for bit one sequential
+    cumsum."""
     q, d = chi.q, chi.order
     h = (q - 1) // 2
-    dtype = sum_dtype(d, q) if out is None else out.dtype
-    cols = None
+    dtype = sum_dtype(d, span)
+    pay = None
     if chi.is_quadratic:
         src = _legendre_half(q)
     else:
         src = chi.modulus.classes(d)
-        if d <= BLOCK:  # column j: chi(g^j), one row per coordinate
-            k = chi._class_of(np.arange(d, dtype=np.int64))
-            cols = (np.array(LATTICE[d], dtype=dtype)[:, k]
-                    if d in LATTICE else chi._roots(k)[None])
+        if d in LATTICE:
+            pay = _packed(chi, dtype)
+        elif d <= BLOCK:  # entry j: chi(g^j)
+            pay = chi._roots(chi._class_of(np.arange(d, dtype=np.int64)))
     total = 0
     for lo in range(0, h + 1, BLOCK):
         block = src[lo:lo + BLOCK]
-        s = (_empty_sums(d, len(block), q) if out is None
-             else out[..., lo:lo + len(block)])
-        if cols is not None:
-            for row, col in zip(s.reshape(len(cols), -1), cols):
-                # every class of n >= 1 is in [0, d): "clip" skips the check
-                np.take(col, block, out=row, mode="clip")
+        s = (np.empty(len(block), dtype) if out is None
+             else out[lo:lo + len(block)])
+        if pay is not None:
+            # every class of n >= 1 is in [0, d): "clip" skips the check
+            np.take(pay, block, out=s, mode="clip")
         elif chi.is_quadratic:
             s[...] = block
         else:
             s[...] = chi._roots(chi._class_of(block.astype(np.int64)))
         if lo == 0:
-            s[..., 0] = 0  # S_0: n = 0 has no class
-        s[..., 0] += total
-        np.cumsum(s, axis=-1, dtype=dtype, out=s)
-        total = s[..., -1].copy()
+            s[0] = 0  # S_0: n = 0 has no class
+        s[:1] += total
+        np.cumsum(s, dtype=dtype, out=s)
+        total = s[-1]
         yield s
 
 
@@ -579,55 +596,51 @@ def _check_window(table: PrefixTable, v: int) -> None:
         raise ValueError(f"V={v} exceeds the table's span {table.span}")
 
 
-def window_sum(table: PrefixTable, lam, v: int):
-    """sum_{1<=j<=v} chi(lam + j) for an int or an int64 array of starts.
-
-    Each start is reduced to a in [1, q], the starts window_array covers,
-    and the window read as S_b - S_a through PrefixTable.at, where b = a + v
-    less q when the window runs past q (S_q = 0).  Returns the table's
-    integers shaped like lam at rank 1, coordinate pairs of shape (2,) +
-    lam's shape at rank 2, and complex128 shaped like lam otherwise.
-    np.subtract wraps b-bit sums back to the window silently, where NumPy
-    scalar arithmetic would warn.
-    """
+def _differences(table: PrefixTable, lam, v: int):
+    """S_b - S_a in the table's dtype (np.subtract wraps without warning),
+    a = lam reduced to [1, q], b = a + v less q past q (S_q = 0)."""
     q = table.q
-    _check_window(table, v)
     a = (lam - 1) % q + 1
     b = a + v
     b = b - q * (b > q)
     return np.subtract(table.at(b), table.at(a))
 
 
+def window_sum(table: PrefixTable, lam, v: int):
+    """sum_{1<=j<=v} chi(lam + j) for an int or an int64 array of starts,
+    unpacked from _differences: shaped like lam, with a leading axis of 2
+    at rank 2."""
+    _check_window(table, v)
+    return unpack(_differences(table, lam, v), table.order)
+
+
 def window_array(table: PrefixTable, v: int, lo: int = 0,
                  hi: int | None = None) -> np.ndarray:
     """window_sum over the starts lam in (lo, hi], by default every start in
     [1, q]: starts up to h - v are a slice difference S_{lam+v} - S_lam
-    inside the stored half, the rest are read by window_sum.  moment_sum
-    reads its lam-range through it block by block."""
+    inside the stored half, the rest are read through PrefixTable.at."""
     q = table.q
     _check_window(table, v)
     hi = q if hi is None else hi
     s = table.sums
     cut = min(max(table.h - v, lo), hi)  # starts in (lo, cut] end by h
-    w = np.empty(s.shape[:-1] + (hi - lo,), dtype=s.dtype)
-    np.subtract(s[..., lo + 1 + v:cut + 1 + v], s[..., lo + 1:cut + 1],
-                out=w[..., :cut - lo])
+    p = np.empty(hi - lo, dtype=s.dtype)
+    np.subtract(s[lo + 1 + v:cut + 1 + v], s[lo + 1:cut + 1],
+                out=p[:cut - lo])
     if cut < hi:
-        w[..., cut - lo:] = window_sum(
+        p[cut - lo:] = _differences(
             table, np.arange(cut + 1, hi + 1, dtype=np.int64), v)
-    return w
+    return unpack(p, table.order)
 
 
 def lattice_norm(table: PrefixTable | Character, w: np.ndarray,
                  v: int | None = None) -> np.ndarray:
     """The integer that exact paths key window sums w on: |w| at rank 1,
-    in w's dtype (|w| <= v <= span), and the squared norm |w|^2 at rank 2
-    (a^2 - ab + b^2 in the basis (1, omega), a^2 + b^2 in the basis
-    (1, i)).  Only the order of the table (or of the character) is read.
-    For windows of length V it is at most V^rank, and |w|^(2r) is its power
-    2r / rank.  Rank-2 norms are int64, or int32 for windows of a given
-    length v with 2v^2 < 2^31, as |a|, |b| <= v and the norm <= v^2 keep
-    them in range."""
+    in w's dtype (|w| <= v <= span), and |w|^2 at rank 2 (a^2 - ab + b^2
+    in the basis (1, omega), a^2 + b^2 in (1, i)), int64, or int32 for
+    windows of length v with 2v^2 < 2^31 (|a|, |b| <= v, norm <= v^2).
+    Only the order of the table (or character) is read.  For windows of
+    length V it is at most V^rank, and |w|^(2r) is its power 2r / rank."""
     if table.order == 2:
         return np.abs(w)
     small = v is not None and 2 * v * v < 1 << 31
@@ -642,13 +655,13 @@ def interval_sum(chi: Character, m: int, n: int
                  ) -> int | tuple[int, int] | complex:
     """sum_{m < k <= m+n} chi(k): a Python int when chi is real (exact
     integer accumulation), its Python-int coordinates (a, b) in the LATTICE
-    basis for orders 3, 4 and 6, a complex number otherwise.
+    basis for orders 3, 4 and 6, else a complex number.
 
-    The L = n mod q terms left after the full periods are read from a
-    table (the half-period squares, n > h read at q - n times chi(-1), or
-    the q-wide Character.classes) unless L (isqrt(d-1)+1) <= isqrt(q):
-    then the O(sqrt(d)) Euler criterion per term is cheaper, and
-    Character.value gives each class with no table at all."""
+    The L = n mod q terms left after full periods are read from a table
+    (the half-period squares, n > h at q - n times chi(-1), or the q-wide
+    Character.classes) unless L (isqrt(d-1)+1) <= isqrt(q): then
+    Character.value's O(sqrt(d)) Euler criterion per term is cheaper and
+    builds no table."""
     if n < 0:
         raise ValueError("interval length must be >= 0")
     q = chi.q
@@ -684,16 +697,14 @@ def lattice_complex(d: int, coords: tuple[int, int]) -> complex:
 
 def legendre_value_array(q: int) -> np.ndarray:
     """The quadratic character chi(n) for n in [0, h], h = (q-1)/2, as
-    h+1 int8 entries, from the squares and no class table; n > h is
-    chi(-1) chi(q-n), with chi(-1) = (-1)^h.
+    h+1 int8 entries from the squares, with no class table; n > h is
+    chi(-1) chi(q-n), chi(-1) = (-1)^h.
 
-    The squares k^2 mod q, k in [1, h], are every residue in [1, q-1] once,
-    so the residues in [1, h] are the squares that land there: each block's
-    squares are clipped to a sentinel entry h+1, which the returned view
-    leaves out, and marked 1 over a table of -1.  The only source of the
-    quadratic value table: the quadratic prefix slices (by _legendre_half),
-    long quadratic interval sums and whole-prime scans read it without
-    finding g.
+    The squares k^2 mod q, k in [1, h], are every quadratic residue once:
+    each block's squares are clipped to a sentinel entry h+1, which the
+    returned view leaves out, and marked 1 over a table of -1.  Quadratic
+    prefix sums, long quadratic interval sums and whole-prime scans read
+    it without finding g.
     """
     if q < 3:
         raise CompositeModulus(f"{q} is not an odd prime")
@@ -701,10 +712,11 @@ def legendre_value_array(q: int) -> np.ndarray:
     return _legendre_half(q)
 
 
-def _legendre_half(q: int) -> np.ndarray:
-    """legendre_value_array without the certificate a modulus had."""
+def _legendre_half(q: int, dtype: np.dtype = np.int8) -> np.ndarray:
+    """legendre_value_array without the certificate a modulus had, in
+    dtype: a quadratic prefix table marks its squares in its own buffer."""
     h = (q - 1) // 2
-    vals = np.full(h + 2, -1, dtype=np.int8)
+    vals = np.full(h + 2, -1, dtype=dtype)
     vals[0] = 0
     for lo in range(1, h + 1, BLOCK):  # int64 squares one block at a time
         k = np.arange(lo, min(lo + BLOCK, h + 1), dtype=np.int64)

@@ -152,11 +152,20 @@ def load_config(path: str) -> ExperimentConfig:
     return cfg
 
 
+def _past_double(x) -> bool:
+    """x is a float or Fraction outside the finite doubles."""
+    try:
+        return not math.isfinite(x)
+    except OverflowError:  # a Fraction too large for a float
+        return True
+
+
 def jsonable(obj):
-    """Coerce numpy scalars/arrays, dataclasses and Fractions into JSON-safe
-    values."""
+    """Coerce numpy scalars/arrays, dataclasses and Fractions into strict
+    JSON values: a float or Fraction past the double range is None (null),
+    never Infinity or NaN."""
     if isinstance(obj, np.generic):
-        return obj.item()
+        return jsonable(obj.item())
     if isinstance(obj, np.ndarray):
         return jsonable(obj.tolist())
     if isinstance(obj, dict):
@@ -165,12 +174,25 @@ def jsonable(obj):
         return [jsonable(x) for x in obj]
     if hasattr(obj, "__dataclass_fields__"):
         return jsonable(asdict(obj))
-    if isinstance(obj, Fraction):  # a float moment past the double range
-        try:
-            return float(obj)
-        except OverflowError:
-            return math.inf
+    if isinstance(obj, (float, Fraction)):
+        return None if _past_double(obj) else float(obj)
     return obj
+
+
+def _log10(x: int | float | Fraction) -> float:
+    """log10 of a positive int, float or Fraction of any size, exactly."""
+    x = Fraction(x)
+    return math.log10(x.numerator) - math.log10(x.denominator)
+
+
+def _log10_beside(outputs: dict, **log10) -> dict:
+    """outputs with a <key>_log10 = log10[key]() beside each given key whose
+    value passes the double range (printed null)."""
+    for key, f in log10.items():
+        if isinstance(outputs[key], (float, Fraction)) and _past_double(
+                outputs[key]):
+            outputs[f"{key}_log10"] = f()
+    return outputs
 
 
 def make_record(command: str, inputs: dict, outputs: dict, passes: dict,
@@ -250,10 +272,18 @@ def run_moments(args, cfg):
     v = next(x for x in (args.V, cfg.V, "auto") if x is not None)
     for q, m_idx, r, _, _ in _sweep_cells(args, cfg):
         report = moments.moment_check(q, m_idx, V=v, r=r)
+        a, b = moments.weil_terms(r, report.V, q)
+        c = (2 * r) ** (2 * r) * q  # the specialized bound is c sqrt(q)
+        outputs = {"moment": report.moment, "bound": report.bound,
+                   "margin": report.margin, "exact": report.exact,
+                   "specialized_bound": report.specialized_bound}
+        # the bounds' log10 from their exact floors a + floor(b sqrt(q))
+        _log10_beside(
+            outputs, moment=lambda: _log10(report.moment),
+            bound=lambda: _log10(a + math.isqrt(b * b * q)),
+            specialized_bound=lambda: _log10(math.isqrt(c * c * q)))
         yield ({"q": q, "char_index": m_idx, "r": r, "V": report.V},
-               {"moment": report.moment, "bound": report.bound,
-                "margin": report.margin, "exact": report.exact,
-                "specialized_bound": report.specialized_bound},
+               outputs,
                {"moment_le_bound": report.passed,
                 "specialized": report.specialized_passed})
 
@@ -346,6 +376,12 @@ def run_holder(args, cfg):
             outputs.update({k: getattr(report, k) for k in (
                 "rough_count", "W", "first_moment", "second_moment",
                 "moment2r", "holder_lhs", "holder_rhs", "exact", "path")})
+            # W^{2r} and rhs = I_1^{2r-2} I_2 moment from their exact parts
+            _log10_beside(
+                outputs, moment2r=lambda: _log10(report.moment2r),
+                holder_lhs=lambda: 2 * r * _log10(report.W),
+                holder_rhs=lambda: (2 * r - 2) * _log10(report.first_moment)
+                + _log10(report.second_moment) + _log10(report.moment2r))
             yield ({"q": q, "char_index": m_idx, "r": r, "N": n, "M": m},
                    outputs, {"holder": report.passed})
 

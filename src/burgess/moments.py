@@ -8,9 +8,10 @@ the starts (0, h-V], whose windows S_{lam+V} - S_lam lie inside the stored
 half, are counted twice and the 2V+1 starts left are read once.  A
 character whose prefix table serves V, or any character when V >= h, reads
 the blocks from its table; otherwise the sums are streamed from
-chars.prefix_slices and only about V + 2 BLOCK of them are held at a time,
-plus S_0 .. S_{2V+1} and S_{h-2V-1} .. S_h for the 2V+1 edge starts, so no
-q-sized table is built and the moment is bit for bit the table's.  For
+chars.prefix_slices, in the lanes that serve V, and only about V + 2 BLOCK
+of them are held at a time, plus S_0 .. S_{2V+1} and S_{h-2V-1} .. S_h for
+the 2V+1 edge starts, so no q-sized table is built and the moment is bit
+for bit the table's.  For
 characters of order 2, 3, 4 and 6 the window sums are lattice points with
 an exact integer norm of at most V^rank (chars.lattice_norm, computed in
 int32 while 2V^2 < 2^31), so the moment reduces to a bincount of the norms
@@ -36,6 +37,7 @@ from .chars import (
     PrefixEnds,
     lattice_norm,
     prefix_slices,
+    unpack,
     window_array,
 )
 from .errors import TrivialCharacter
@@ -64,6 +66,12 @@ def weil_bound(r: int, V: int, q: int) -> float:
         return (2 * r) ** r * float(V) ** r * q + 2 * r * float(V) ** (2 * r) * math.sqrt(q)
     except OverflowError:
         return math.inf
+
+
+def weil_terms(r: int, V: int, q: int) -> tuple[int, int]:
+    """(a, b) with the Weil bound a + b sqrt(q): a = (2r)^r V^r q and
+    b = 2r V^{2r}, exact ints of any size."""
+    return (2 * r) ** r * V ** r * q, 2 * r * V ** (2 * r)
 
 
 def _leq_root(x: int | float | Fraction, a: int, b: int, q: int) -> bool:
@@ -147,8 +155,7 @@ def moment_sum(chi: Character, V: int, r: int) -> MomentReport:
                 *np.unique(lattice_norm(chi, w), return_counts=True), power)
                 for weight, w in blocks())
     bound = weil_bound(r, V, q)
-    passed = _leq_root(moment, (2 * r) ** r * V ** r * q,
-                       2 * r * V ** (2 * r), q)
+    passed = _leq_root(moment, *weil_terms(r, V, q), q)
     # a float moment past the double range enters as its inf total
     margin = (bound - (moment if exact else total) if math.isfinite(bound)
               else math.inf)
@@ -158,16 +165,18 @@ def moment_sum(chi: Character, V: int, r: int) -> MomentReport:
 
 def _streamed_blocks(chi: Character, V: int, spans: list):
     """moment_sum's (weight, window block) pairs for V < h, with the same
-    block boundaries, read from prefix_slices instead of a prefix table.
+    block boundaries, read from prefix_slices serving V instead of a
+    prefix table.
 
     The twice-counted starts (0, h-V] are slice differences S_{lam+V} -
-    S_lam over the slices still read; a slice is dropped once every later
-    block starts past it, so beside the source table only about V + 2 BLOCK
-    sums are held.  The ends S_0 .. S_{2V+1} and S_{h-2V-1} .. S_h are kept
-    as a PrefixEnds, which window_array reads the 2V+1 edge starts from."""
+    S_lam over the slices still read, unpacked as a table's are; a slice is
+    dropped once every later block starts past it, so beside the source
+    table only about V + 2 BLOCK sums are held.  The ends S_0 .. S_{2V+1}
+    and S_{h-2V-1} .. S_h are kept as a PrefixEnds, which window_array
+    reads the 2V+1 edge starts from."""
     h = (chi.q - 1) // 2
     held: dict[int, np.ndarray] = {}  # j -> S_{j BLOCK} .. S_{(j+1) BLOCK - 1}
-    fed = enumerate(prefix_slices(chi))
+    fed = enumerate(prefix_slices(chi, V))
 
     def read(x: int, n: int) -> np.ndarray:
         """S_x .. S_{x+n-1}, reading slices up to the one holding the last."""
@@ -175,16 +184,16 @@ def _streamed_blocks(chi: Character, V: int, spans: list):
         while last not in held:
             j, s = next(fed)
             held[j] = s
-        parts = [held[j][..., max(x - j * BLOCK, 0):x + n - j * BLOCK]
+        parts = [held[j][max(x - j * BLOCK, 0):x + n - j * BLOCK]
                  for j in range(x // BLOCK, last + 1)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, -1)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     tail_lo = max(h - 2 * V - 1, 0)
     head = read(0, min(2 * V + 2, h + 1)).copy()
     (weight, lo, hi), *edges = spans
     for a in range(lo, hi, BLOCK):
         n = min(a + BLOCK, hi) - a
-        yield weight, read(a + 1 + V, n) - read(a + 1, n)
+        yield weight, unpack(read(a + 1 + V, n) - read(a + 1, n), chi.order)
         keep = min(a + 1 + BLOCK, tail_lo)  # the next block reads from here
         for j in [j for j in held if (j + 1) * BLOCK <= keep]:
             del held[j]

@@ -302,11 +302,13 @@ def test_longer_window_widens_the_one_table():
         chi = mod.character(index)
         first = holder_chain(chi, 17, n, 2)
         assert first.params.V < 128
-        assert chi.prefix_for(1).sums.dtype == np.int8
+        narrow = chi.prefix_for(1)  # 8-bit lanes: one byte per coordinate
+        assert narrow.span == 127 and narrow.sums.itemsize == narrow.rank
         starts = list(range(0, q, 37))
         for rem in (500, 40000 % q):
             table = chi.prefix_for(rem)
-            assert table.sums.dtype == np.int16
+            assert table.span == 2 ** 15 - 1
+            assert table.sums.itemsize == 2 * table.rank
             tables = [x for x in vars(chi).values()
                       if isinstance(x, PrefixTable)]
             assert tables == [table] and vars(chi)["prefix"] is table

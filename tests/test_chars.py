@@ -208,12 +208,13 @@ def test_values_dtype_picks_exact_path(mod101, mod1009):
     assert value_table(mod101.character(5)).dtype == np.complex128
     assert prefix_table(mod101.legendre()).exact
     assert not prefix_table(mod101.character(5)).exact
-    # orders 3, 4 and 6: coordinate pairs, int16 as every window of q = 1009
-    # is below 2^15, 4 bytes per residue
+    # orders 3, 4 and 6: coordinate pairs in 16-bit lanes as every window of
+    # q = 1009 is below 2^15, packed in one int32, 4 bytes per residue
     for d in (3, 4, 6):
         table = prefix_table(mod1009.character(1008 // d))
         assert table.exact and table.rank == 2
-        assert table.sums.dtype == np.int16 and table.sums.shape == (2, 505)
+        assert table.sums.dtype == np.int32 and table.sums.shape == (505,)
+        assert window_array(table, 1).dtype == np.int16
     assert prefix_table(mod101.legendre()).sums.shape == (51,)
 
 
@@ -238,7 +239,8 @@ def test_blocked_prefix_bit_identical(q):
     h = (q - 1) // 2
     for m in [(q - 1) // d for d in orders] + [2, 7]:
         chi = mod.character(m)
-        got, want = prefix_table(chi).sums, full_prefix(chi)[..., :h + 1]
+        got = chars_module.unpack(prefix_table(chi).sums, chi.order)
+        want = full_prefix(chi)[..., :h + 1]
         assert got.dtype == (np.int16 if chi.order in LATTICE and q < 1 << 15
                              else np.int32 if chi.order in LATTICE
                              else np.complex128)
@@ -249,10 +251,10 @@ def test_blocked_prefix_bit_identical(q):
             assert np.array_equal(bits(got), bits(want)), m
 
 
-def test_prefix_build_holds_table_classes_and_a_block():
-    # beside the 8(h+1)-byte half table only the int8 half class table
-    # (h+1 bytes) and O(BLOCK) temporaries; the coordinates a gather of the
-    # whole class table makes would add 2(h+1) bytes more
+def test_prefix_build_holds_table_and_a_block():
+    # the modulus scatters the packed values straight into the 8(h+1)-byte
+    # half table, summed in place: beside it only O(BLOCK) temporaries, no
+    # class table (h+1 bytes) and no coordinate gather of one
     q = 1000003
     chi = build_modulus(q).character((q - 1) // 3)
     tracemalloc.start()
@@ -263,13 +265,13 @@ def test_prefix_build_holds_table_classes_and_a_block():
         tracemalloc.stop()
     h = (q - 1) // 2
     assert table.sums.nbytes == 8 * (h + 1)
-    assert peak <= table.sums.nbytes + (h + 1) + 10 * BLOCK
+    assert peak <= table.sums.nbytes + 10 * BLOCK
 
 
-def test_legendre_prefix_build_holds_table_values_and_a_block():
-    # the int32 table, the int8 half value table (h+2 bytes) and O(BLOCK)
-    # temporaries; a cumsum of the value table into int32 in one call would
-    # add a 4(h+1)-byte copy
+def test_legendre_prefix_build_holds_table_and_a_block():
+    # the squares are marked in the int32 table itself and summed in place:
+    # beside it only O(BLOCK) temporaries, no int8 value table (h+2 bytes)
+    # and no 4(h+1)-byte copy
     q = 10000019
     chi = build_modulus(q).legendre()
     tracemalloc.start()
@@ -280,7 +282,7 @@ def test_legendre_prefix_build_holds_table_values_and_a_block():
         tracemalloc.stop()
     h = (q - 1) // 2
     assert table.sums.nbytes == 4 * (h + 1)
-    assert peak <= table.sums.nbytes + (h + 2) + 32 * BLOCK
+    assert peak <= table.sums.nbytes + 32 * BLOCK
 
 
 def test_full_order_prefix_build_holds_no_root_table():
@@ -317,9 +319,11 @@ def test_mirrored_accessor_matches_full_oracle(q, orders):
         want = full_prefix(chi)
         assert table.sign == -chi(-1).as_complex().real
         signs.add(table.sign)
-        got = table.at(np.arange(q + 1, dtype=np.int64))
+        got = chars_module.unpack(table.at(np.arange(q + 1, dtype=np.int64)),
+                                  d)
         assert got.shape == want.shape
-        assert [table.at(k).tolist() for k in (0, h, h + 1, q - 1, q)] == [
+        assert [chars_module.unpack(table.at(k), d).tolist()
+                for k in (0, h, h + 1, q - 1, q)] == [
             got[..., k].tolist() for k in (0, h, h + 1, q - 1, q)]
         if table.exact:
             assert got.dtype == np.int16 and np.array_equal(got, want), d
@@ -530,7 +534,7 @@ def test_short_interval_sum_builds_no_table(monkeypatch, d):
     want = []
     for m, n in cells:  # the table path, before tables are forbidden
         w = (window_sum(table, m, n % q) if n % q
-             else np.zeros(table.sums.shape[:-1], dtype=np.int32))
+             else np.zeros((2,) * (table.rank == 2), dtype=np.int32))
         want.append(int(w) if d == 2 else tuple(map(int, w)))
     forbid_tables(monkeypatch)
     for (m, n), w in zip(cells, want):
@@ -797,8 +801,10 @@ def test_narrow_tables_read_every_window_exactly():
             full = full_prefix(chi)
             for v, dtype in NARROW_SPANS:
                 table = prefix_table(chi, v)
-                assert table.sums.dtype == dtype and table.span >= v
-                assert chars_module.sum_dtype(d, v) == dtype
+                assert table.span >= v
+                assert table.sums.dtype == chars_module.sum_dtype(d, v)
+                assert table.sums.itemsize == (
+                    len(LATTICE[d]) * np.dtype(dtype).itemsize)
                 want = np.roll(all_windows(full, v), -1, axis=-1)  # 1 .. q
                 got = window_array(table, v)
                 assert got.dtype == dtype
@@ -810,6 +816,32 @@ def test_narrow_tables_read_every_window_exactly():
                     assert np.array_equal(window_sum(table, lam, v),
                                           want[..., (lam - 1) % q]), lam
     assert parities == {2: {-1, 1}, 3: {1}, 4: {-1, 1}, 6: {-1, 1}}
+
+
+@pytest.mark.parametrize("w", [8, 16, 32])
+def test_unpack_recovers_every_lane_pair(w):
+    # a difference of packed sums is a + 2^w b mod 2^(2w); unpack gives (a, b)
+    # back in w-bit lanes for |a|, |b| < 2^(w-1): every pair at 8 bits, the
+    # extremes and random pairs at 16 and 32, as arrays and as scalars
+    top = (1 << (w - 1)) - 1
+    if w == 8:
+        a, b = (x.ravel() for x in np.mgrid[-top:top + 1, -top:top + 1])
+    else:
+        edge = np.array([-top, -top + 1, -1, 0, 1, top - 1, top])
+        a, b = (x.ravel() for x in np.meshgrid(edge, edge))
+        rng = np.random.default_rng(w)
+        a = np.concatenate([a, rng.integers(-top, top + 1, 4096)])
+        b = np.concatenate([b, rng.integers(-top, top + 1, 4096)])
+    packed = (a + (b << w)).astype(f"i{w // 4}")  # wraps mod 2^(2w)
+    for order in (3, 4, 6):
+        got = chars_module.unpack(packed, order)
+        assert got.dtype == np.dtype(f"i{w // 8}") and got.shape == (2, len(a))
+        assert np.array_equal(got[0], a) and np.array_equal(got[1], b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(0, len(a), max(len(a) // 64, 1)):
+            assert chars_module.unpack(packed[i], 3).tolist() == [a[i], b[i]]
+    assert chars_module.unpack(packed, 2) is packed
 
 
 def test_narrow_table_refuses_a_longer_window(mod1009):
@@ -841,10 +873,10 @@ def test_scalar_reads_of_a_narrow_table_do_not_warn(q):
     assert mirrored == -128  # -(-128) wraps to itself: 128 mod 2^8
 
 
-def test_narrow_prefix_build_holds_table_classes_and_a_block():
-    # an order-3 table for windows below 128: the int8 pair over the half
-    # (2(h+1) bytes), the int8 half class table (h+1 bytes) and O(BLOCK)
-    # temporaries, against 8(h+1) bytes for the int32 table
+def test_narrow_prefix_build_holds_table_and_a_block():
+    # an order-3 table for windows below 128: two 8-bit lanes packed in one
+    # int16 over the half (2(h+1) bytes) and O(BLOCK) temporaries, no class
+    # table, against 8(h+1) bytes for the table serving every window
     q = 1000003
     chi = build_modulus(q).character((q - 1) // 3)
     tracemalloc.start()
@@ -854,6 +886,6 @@ def test_narrow_prefix_build_holds_table_classes_and_a_block():
     finally:
         tracemalloc.stop()
     h = (q - 1) // 2
-    assert table.sums.dtype == np.int8
+    assert table.sums.dtype == np.int16
     assert table.sums.nbytes == 2 * (h + 1)
-    assert peak <= 2 * (h + 1) + (h + 1) + 16 * BLOCK
+    assert peak <= 2 * (h + 1) + 10 * BLOCK

@@ -71,7 +71,7 @@ BIG_M = 10 ** 20  # a window start beyond int64
     (f"holder --q 10007 --M-spec {BIG_M}", 0),
     (f"congruence --q 10007 --M {BIG_M}", 0),
     (f"congruence --q 10007 --M {BIG_M} --u1 2 --u2 3", 0),
-    # a float past the double range is reported as inf, never a crash
+    # a float past the double range is reported as null, never a crash
     ("holder --q 10009 --index 3336 --r 100", 0),  # order 3: W^{2r}
     ("holder --q 10007 --index 5 --r 100 --M-spec 1", 0),  # complex: rhs too
     (f"bounds --q 10007 --N {10 ** 400}", 0),
@@ -89,11 +89,41 @@ def test_large_inputs_exit_code(argv, code, capsys):
 ])
 def test_float_moment_past_the_double_range_decided(argv, verdict, capsys):
     # |w| <= V makes both inequalities true; the moment, past the double
-    # range, is printed as inf but decided in exact rationals
+    # range, is printed as null beside its log10 but decided in exact
+    # rationals
     code, (rec,), _ = run(argv.split(), capsys)
     assert code == 0 and rec["passes"][verdict] is True
     key = "moment" if verdict == "moment_le_bound" else "moment2r"
-    assert rec["outputs"][key] == math.inf
+    assert rec["outputs"][key] is None
+    assert 308 < rec["outputs"][f"{key}_log10"] < 1000
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [" ".join([name] + SMOKE_ARGV[name])
+                                  for name in sorted(SMOKE_ARGV)] + [
+    "moments --q 10007 --index 5 --r 150",
+    "moments --q 10007 --legendre --r 100",
+    "holder --q 10007 --index 5 --r 150 --M-spec 1",
+    "holder --q 10009 --index 3336 --r 100",
+    "holder --q 10007 --index 5 --r 100 --M-spec 1",
+    f"bounds --q 10007 --N {10 ** 400}",
+    f"scan --q 10007 --N {10 ** 400} --M-spec 1",
+])
+def test_records_are_strict_json(argv, capsys):
+    # RFC 8259 has no Infinity or NaN: a value past the double range prints
+    # null, and where the record holds it exactly a <field>_log10 beside it
+    assert cli.main(argv.split()) in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    for line in lines:
+        rec = json.loads(line, parse_constant=reject_constant)
+        for key, val in rec["outputs"].items():
+            if key.endswith("_log10"):
+                assert rec["outputs"][key[:-6]] is None
+                assert math.isfinite(val) and val > 300, (argv, key)
 
 
 @pytest.mark.parametrize("argv", [
