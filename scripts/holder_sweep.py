@@ -27,6 +27,8 @@ def main() -> int:
                     help="comma list of exponents a in N = floor(q^a)")
     ap.add_argument("--jsonl", default=None)
     args = ap.parse_args()
+    if args.windows < 1:
+        ap.error("--windows must be at least 1")  # exit 2
 
     mod = build_modulus(args.q)
     chi = mod.legendre()
@@ -59,6 +61,10 @@ def main() -> int:
                      "normalized_avg": avg, "refined_shape": refined})
         print(f"{a:>5.2f} {n:>6} {params.U:>5} {params.V:>5} {params.z:>7.3f} "
               f"{worst_w:>8} {min_slack:>10.3g} {avg:>9.3f} {refined:>9.1f}")
+    if not rows:
+        print("no exponent gave a non-degenerate cell; no row produced",
+              file=sys.stderr)
+        return 2
     if args.jsonl:
         with open(args.jsonl, "w") as fh:
             for row in rows:

@@ -25,7 +25,10 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.time()
-    worst, worst_q, ratios = pv_ratio_scan(args.limit)
+    try:
+        worst, worst_q, ratios = pv_ratio_scan(args.limit)
+    except ValueError as exc:
+        ap.error(str(exc))  # exit 2
     dt = time.time() - t0
 
     print(f"primes scanned : {len(ratios)} (odd q <= {args.limit})")

@@ -399,9 +399,9 @@ def max_window_spread(q: int) -> float:
     vals = legendre_value_array(q)
     h = len(vals) - 1
     res = np.flatnonzero(vals > 0)  # r_1 = 1 < ... < r_R
-    walk = np.arange(2, 2 * len(res) + 1, 2) - res  # S at each r_j
-    hi = int(walk.max())
-    lo = min(int(walk.min()) - 1, 2 * len(res) - h)
+    res -= np.arange(2, 2 * len(res) + 1, 2)  # -S at each r_j, in place
+    hi = -int(res.min())
+    lo = min(-int(res.max()) - 1, 2 * len(res) - h)
     return float(hi - lo if q % 4 == 3 else 2 * max(hi, -lo))
 
 
@@ -409,8 +409,11 @@ def pv_ratio_scan(limit: int) -> tuple[float, int, list[tuple[int, float]]]:
     """Pólya-Vinogradov sharpness over all odd primes q <= limit.
 
     Returns (worst ratio, argmax prime, per-prime ratios) where the ratio is
-    the exhaustive max |short sum| divided by sqrt(q) log q.
+    the exhaustive max |short sum| divided by sqrt(q) log q.  A limit below
+    3 leaves no prime to scan and raises ValueError.
     """
+    if limit < 3:
+        raise ValueError(f"no odd prime q <= {limit} to scan")
     ratios = []
     worst, worst_q = -1.0, 0
     for q in primes_below(limit + 1)[1:]:  # odd primes: drop 2

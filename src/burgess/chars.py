@@ -701,10 +701,10 @@ def legendre_value_array(q: int) -> np.ndarray:
     chi(-1) chi(q-n), chi(-1) = (-1)^h.
 
     The squares k^2 mod q, k in [1, h], are every quadratic residue once:
-    each block's squares are clipped to a sentinel entry h+1, which the
-    returned view leaves out, and marked 1 over a table of -1.  Quadratic
-    prefix sums, long quadratic interval sums and whole-prime scans read
-    it without finding g.
+    each block's squares (uint32 while h < 2^16, int64 above) are clipped
+    to a sentinel entry h+1, which the returned view leaves out, and
+    marked 1 over a table of -1.  Quadratic prefix sums, long quadratic
+    interval sums and whole-prime scans read it without finding g.
     """
     if q < 3:
         raise CompositeModulus(f"{q} is not an odd prime")
@@ -714,14 +714,16 @@ def legendre_value_array(q: int) -> np.ndarray:
 
 def _legendre_half(q: int, dtype: np.dtype = np.int8) -> np.ndarray:
     """legendre_value_array without the certificate a modulus had, in
-    dtype: a quadratic prefix table marks its squares in its own buffer."""
+    dtype: a quadratic prefix table marks its squares in its own buffer.
+    Unsigned 32-bit squares halve the temporaries and divide faster."""
     h = (q - 1) // 2
     vals = np.full(h + 2, -1, dtype=dtype)
     vals[0] = 0
-    for lo in range(1, h + 1, BLOCK):  # int64 squares one block at a time
-        k = np.arange(lo, min(lo + BLOCK, h + 1), dtype=np.int64)
+    sq = np.uint32 if h < 1 << 16 else np.int64  # k^2 < 2^32 for k <= h
+    for lo in range(1, h + 1, BLOCK):  # the squares one block at a time
+        k = np.arange(lo, min(lo + BLOCK, h + 1), dtype=sq)
         k *= k
         s = reduce_mod(k, q)
         np.minimum(s, h + 1, out=s)
-        vals[s] = 1
+        vals[s.astype(np.intp, copy=False)] = 1
     return vals[:h + 1]

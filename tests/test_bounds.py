@@ -32,6 +32,7 @@ from burgess.chars import (
     interval_sum,
     is_prime,
     lattice_norm,
+    legendre_value_array,
     window_sum,
 )
 from burgess.errors import DegenerateParams, UnknownVariant
@@ -432,6 +433,28 @@ def test_pv_scan_regression():
     assert worst < 1.0
     assert all(r < 1.0 for _, r in ratios)
     assert worst_q == baselines.PV_WORST_PRIME  # attained low in the range
+
+
+@pytest.mark.parametrize("limit", [2, 1, 0, -7])
+def test_pv_scan_without_primes_refused(limit):
+    with pytest.raises(ValueError):
+        pv_ratio_scan(limit)
+
+
+@pytest.mark.parametrize("q", [131071, 131101])
+def test_spread_and_gap_across_square_dtypes(q):
+    # 131071: h = 65535, the largest table whose squares are uint32 (k^2
+    # reaches 2^32 - 131071); 131101: h = 65550, the first int64 one
+    h = (q - 1) // 2
+    assert (h < 1 << 16) == (q == 131071)
+    full = legendre_full(q)
+    assert legendre_value_array(q).tolist() == full[:h + 1].tolist()
+    sums = np.cumsum(full, dtype=np.int64)
+    assert max_window_spread(q) == float(sums.max() - sums.min())
+    edges = np.concatenate([[0], np.flatnonzero(full == -1), [q]])
+    runs = np.diff(edges) - 1
+    best = int(runs.argmax())
+    assert nonresidue_max_gap(q) == (runs[best], edges[best] + 1)
 
 
 def test_least_nonresidue_examples():
