@@ -14,6 +14,7 @@ import sys
 
 from burgess.bounds import bound_value, holder_chain, resolve_params
 from burgess.chars import build_modulus
+from burgess.errors import BurgessError
 
 
 def main() -> int:
@@ -29,14 +30,16 @@ def main() -> int:
     args = ap.parse_args()
     if args.windows < 1:
         ap.error("--windows must be at least 1")  # exit 2
-
-    mod = build_modulus(args.q)
-    chi = mod.legendre()
+    try:
+        exponents = [(a_str, float(a_str))
+                     for a_str in args.exponents.split(",")]
+        chi = build_modulus(args.q).legendre()
+    except (ValueError, BurgessError) as exc:
+        ap.error(str(exc))  # exit 2
     rows = []
     print(f"{'a':>5} {'N':>6} {'U':>5} {'V':>5} {'z':>7} "
           f"{'max W':>8} {'slack':>10} {'W/(|U|V)':>9} {'refined':>9}")
-    for a_str in args.exponents.split(","):
-        a = float(a_str)
+    for a_str, a in exponents:
         n = max(1, int(args.q ** a))
         params = resolve_params(n, args.q, args.r)
         if params.degenerate:

@@ -2,9 +2,12 @@
 """Exhaustive short-sum sharpness scan for quadratic characters.
 
 For every odd prime q up to --limit, computes the exact maximum of
-|sum_{M<n<=M+N} chi(n)| over ALL window starts and lengths (one prefix
-table per prime), and reports the ratio against sqrt(q) log q.  Optionally
-writes per-prime rows to CSV for plotting.
+|sum_{M<n<=M+N} chi(n)| over ALL window starts and lengths (read off the
+quadratic residues in [1, (q-1)/2], through buffers sized once for the
+largest prime), and reports the ratio against sqrt(q) log q.  Optionally
+writes per-prime rows to CSV for plotting.  Exit 1 if any ratio is >= 1,
+2 on invalid input: no prime to scan, a limit above the table or sieve
+cap, or a negative --top.
 """
 
 import argparse
@@ -14,6 +17,7 @@ import sys
 import time
 
 from burgess.bounds import pv_ratio_scan
+from burgess.errors import BurgessError
 
 
 def main() -> int:
@@ -23,11 +27,13 @@ def main() -> int:
     ap.add_argument("--top", type=int, default=15,
                     help="how many extreme primes to print")
     args = ap.parse_args()
+    if args.top < 0:
+        ap.error("--top must be at least 0")  # exit 2
 
     t0 = time.time()
     try:
         worst, worst_q, ratios = pv_ratio_scan(args.limit)
-    except ValueError as exc:
+    except (ValueError, BurgessError) as exc:
         ap.error(str(exc))  # exit 2
     dt = time.time() - t0
 

@@ -16,14 +16,18 @@ from fractions import Fraction
 import numpy as np
 
 from .chars import (
+    BLOCK,
     Character,
     build_modulus,
+    certify_modulus,
+    check_table_size,
     lattice_norm,
     legendre_value_array,
+    reduce_mod,
     window_sum,
 )
 from .congruence import CollisionInstance, collision_distribution
-from .errors import DegenerateParams, UnknownVariant
+from .errors import CompositeModulus, DegenerateParams, UnknownVariant
 from .moments import auto_window, moment_sum
 from .sieve import enumerate_rough, primes_below
 
@@ -384,25 +388,49 @@ def extremal_scan(q: int, char_index: int, N: int, M_values: list[int],
 
 def max_window_spread(q: int) -> float:
     """Exhaustive max |sum over (M, M+N]| for the quadratic character mod q,
-    over every window start and length.
+    over every window start and length (_spread)."""
+    if q < 3:
+        raise CompositeModulus(f"{q} is not an odd prime")
+    certify_modulus(q)
+    return float(_spread(q, *_spread_buffers(q)))
 
-    For a real character the prefix sums are integers and the max over all
-    windows is just max(S) - min(S), since any window sum is a difference of
-    two prefix values once wraparound (S_q = 0) is folded in.  On [0, h]
-    S is a +-1 walk read off the residues r_1 < ... < r_R in [1, h] with no
-    prefix table: its maximum is 2j - r_j at some residue r_j, its minimum
-    2j - 1 - r_j just before one or S_h = 2R - h at the end.  The rest of
-    the period is S_{q-1-k} = -chi(-1) S_k (PrefixTable.sign): for q = 1
-    (mod 4) the values are +-S_k, whose spread is 2 max(max S, -min S); for
-    q = 3 (mod 4) they repeat S_k.
-    """
-    vals = legendre_value_array(q)
-    h = len(vals) - 1
-    res = np.flatnonzero(vals > 0)  # r_1 = 1 < ... < r_R
-    res -= np.arange(2, 2 * len(res) + 1, 2)  # -S at each r_j, in place
-    hi = -int(res.min())
-    lo = min(-int(res.max()) - 1, 2 * len(res) - h)
-    return float(hi - lo if q % 4 == 3 else 2 * max(hi, -lo))
+
+def _spread_buffers(q: int) -> tuple[np.ndarray, ...]:
+    """_spread's buffers for every odd prime up to q: the squares k^2 for k
+    <= min(h, BLOCK - 1) in uint32; a quotient and an intp residue buffer as
+    long; a mark of q entries, all False; the odd ramp 1, 3, ..., 2h - 1."""
+    sq = np.arange(1, min((q - 1) // 2, BLOCK - 1) + 1, dtype=np.uint32)
+    sq *= sq
+    return (sq, np.empty_like(sq), np.empty(len(sq), np.intp),
+            np.zeros(q, dtype=bool), np.arange(1, q - 1, 2))
+
+
+def _spread(q: int, sq: np.ndarray, quot: np.ndarray, res: np.ndarray,
+            mark: np.ndarray, ramp: np.ndarray) -> int:
+    """max(S) - min(S) over the prefix sums S of the quadratic character
+    mod an odd prime q (any window sum is a difference of two once S_q = 0
+    folds in wraparound), uncertified, through buffers for q or a larger
+    prime.  The squares mark each residue in [1, q), and the mark is
+    cleared again.  On [0, h] S is a +-1 walk: its maximum is 2j - r_j at a
+    residue r_j <= h, its minimum 2j - 1 - r_j just before one or S_h =
+    2R - h.  S_{q-1-k} = -chi(-1) S_k (PrefixTable.sign) gives the rest: a
+    spread of 2 max(max S, -min S) for q = 1 (mod 4), max S - min S for
+    q = 3 (mod 4)."""
+    h = (q - 1) // 2
+    n = min(h, len(sq))
+    np.floor_divide(sq[:n], q, out=quot[:n])
+    quot[:n] *= q
+    mark[np.subtract(sq[:n], quot[:n], out=res[:n])] = True
+    for lo in range(n + 1, h + 1, BLOCK):  # k >= 2^16: int64 squares
+        k = np.arange(lo, min(lo + BLOCK, h + 1), dtype=np.int64)
+        k *= k
+        mark[reduce_mod(k, q)] = True
+    walk = np.flatnonzero(mark[1:h + 1])  # r_j - 1
+    mark[:q] = False
+    walk -= ramp[:len(walk)]  # r_j - 2j = -S at each r_j, in place
+    hi = -int(walk.min())
+    lo = min(-int(walk.max()) - 1, 2 * len(walk) - h)
+    return hi - lo if q % 4 == 3 else 2 * max(hi, -lo)
 
 
 def pv_ratio_scan(limit: int) -> tuple[float, int, list[tuple[int, float]]]:
@@ -410,17 +438,18 @@ def pv_ratio_scan(limit: int) -> tuple[float, int, list[tuple[int, float]]]:
 
     Returns (worst ratio, argmax prime, per-prime ratios) where the ratio is
     the exhaustive max |short sum| divided by sqrt(q) log q.  A limit below
-    3 leaves no prime to scan and raises ValueError.
+    3 (no prime) raises ValueError; a largest prime above the table cap is
+    refused before any prime is scanned.  The sieved primes need no
+    certificate, and one set of buffers sized for the largest serves all.
     """
     if limit < 3:
         raise ValueError(f"no odd prime q <= {limit} to scan")
-    ratios = []
-    worst, worst_q = -1.0, 0
-    for q in primes_below(limit + 1)[1:]:  # odd primes: drop 2
-        ratio = max_window_spread(q) / (math.sqrt(q) * math.log(q))
-        ratios.append((q, ratio))
-        if ratio > worst:
-            worst, worst_q = ratio, q
+    primes = primes_below(limit + 1)[1:]  # odd primes: drop 2
+    check_table_size(primes[-1])
+    buffers = _spread_buffers(primes[-1])
+    ratios = [(q, _spread(q, *buffers) / (math.sqrt(q) * math.log(q)))
+              for q in primes]
+    worst_q, worst = max(ratios, key=lambda t: t[1])  # the first on a tie
     return worst, worst_q, ratios
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -35,9 +36,14 @@ from burgess.chars import (
     legendre_value_array,
     window_sum,
 )
-from burgess.errors import DegenerateParams, UnknownVariant
+from burgess.errors import (
+    DegenerateParams,
+    LimitTooLarge,
+    TableLimitExceeded,
+    UnknownVariant,
+)
 from burgess.moments import auto_window, moment_check, moment_sum
-from burgess.sieve import primes_below
+from burgess.sieve import SIEVE_LIMIT, primes_below
 from oracles import direct_w, legendre_full
 
 ORDERED_VARIANTS = ("refined_14r", "ik_12r", "ik_1r", "burgess_classic")
@@ -441,10 +447,57 @@ def test_pv_scan_without_primes_refused(limit):
         pv_ratio_scan(limit)
 
 
-@pytest.mark.parametrize("q", [131071, 131101])
+def test_pv_scan_agrees_with_max_window_spread():
+    # the scan's buffers are sized for 2999: a mark or ramp left stale by
+    # one prime would change a later, smaller prime's ratio
+    _, _, ratios = pv_ratio_scan(3000)
+    assert [q for q, _ in ratios] == primes_below(3001)[1:]
+    for q, ratio in ratios:
+        assert ratio == max_window_spread(q) / (math.sqrt(q) * math.log(q))
+
+
+def test_pv_scan_refuses_oversized_limit_up_front(monkeypatch):
+    def no_spread(*args):
+        raise AssertionError("a prime was scanned")
+
+    monkeypatch.setattr(bounds, "_spread", no_spread)
+    monkeypatch.setenv("BURGESS_TABLE_LIMIT", "1000")
+    with pytest.raises(TableLimitExceeded):
+        pv_ratio_scan(2000)
+    with pytest.raises(LimitTooLarge):
+        pv_ratio_scan(2 * SIEVE_LIMIT)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pv_scan_memory():
+    # measured 1,116,345 bytes in a fresh process (1,027,861 on a second
+    # call): one set of buffers for q = 39989 and the list of 4,202 ratios;
+    # the bound leaves 16% headroom, less than one more q-sized int64 array
+    assert traced_peak(pv_ratio_scan, 4 * 10 ** 4) <= 1_300_000
+
+
+def test_max_window_spread_memory():
+    # measured 8.38 bytes per residue: the q-byte mark, the h-entry ramp,
+    # the walk over the residues and the block buffers; the bound leaves
+    # 13% headroom, less than one more h-sized int64 array
+    q = 1000003
+    assert traced_peak(max_window_spread, q) <= 9.5 * q
+
+
+@pytest.mark.parametrize("q", [131071, 131101, 131111])
 def test_spread_and_gap_across_square_dtypes(q):
     # 131071: h = 65535, the largest table whose squares are uint32 (k^2
-    # reaches 2^32 - 131071); 131101: h = 65550, the first int64 one
+    # reaches 2^32 - 131071); 131101: h = 65550, the first int64 one;
+    # 131111: the square of k = 2^16, the first past the spread's uint32
+    # block, lands in [1, h], where the walk reads it
     h = (q - 1) // 2
     assert (h < 1 << 16) == (q == 131071)
     full = legendre_full(q)
