@@ -30,6 +30,8 @@ def main() -> int:
     args = ap.parse_args()
     if args.windows < 1:
         ap.error("--windows must be at least 1")  # exit 2
+    if args.r < 2:
+        ap.error("--r must be at least 2")
     try:
         exponents = [(a_str, float(a_str))
                      for a_str in args.exponents.split(",")]

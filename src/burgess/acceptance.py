@@ -30,6 +30,7 @@ from .chars import (
     Character,
     build_modulus,
     interval_sum,
+    mirror_classes,
     window_array,
 )
 from .congruence import (
@@ -97,23 +98,19 @@ def _full_period_ok(chi: Character, starts) -> bool:
 
 def _char_algebra_ok(chi: Character, pairs: int,
                      rng: random.Random) -> bool:
-    q = chi.q
-    c = chi.classes().astype(np.int64)  # int8 classes overflow when added
-    d = chi.order
-    # order: every value is a d-th root of unity and chi(g) a primitive one
-    if not (0 <= c[1:].min() and c[1:].max() < d
-            and math.gcd(int(c[chi.modulus.g]), d) == 1):
-        return False
+    """Order and multiplicativity of the classes read by mirror_classes:
+    each lies in [0, d), chi(g) has order d, and c(ab) = c(a) + c(b) mod d
+    over every pair of units a, b, or over `pairs` random ones."""
+    q, d = chi.q, chi.order
     if pairs >= (q - 1) ** 2:  # exhaustive multiplicativity
-        a = np.arange(1, q, dtype=np.int64)
-        prod_c = c[np.outer(a, a) % q]
-        sum_c = (c[a][:, None] + c[a][None, :]) % d
-        return bool(np.array_equal(prod_c, sum_c))
-    for _ in range(pairs):
-        a, b = rng.randrange(1, q), rng.randrange(1, q)
-        if c[a * b % q] != (c[a] + c[b]) % d:
-            return False
-    return True
+        a, b = np.indices((q - 1, q - 1)).reshape(2, -1) + 1
+    else:
+        a, b = np.array([(rng.randrange(1, q), rng.randrange(1, q))
+                         for _ in range(pairs)]).T
+    c = mirror_classes(chi, np.stack([a, b, a * b % q]))
+    g = int(mirror_classes(chi, chi.modulus.g))
+    return bool(0 <= c.min() and c.max() < d and math.gcd(g, d) == 1
+                and np.array_equal(c[2], (c[0] + c[1]) % d))
 
 
 def criterion_1(primes=(101, 1009, 10007)) -> CriterionResult:

@@ -21,6 +21,7 @@ from .chars import (
     build_modulus,
     certify_modulus,
     check_table_size,
+    is_prime,
     lattice_norm,
     legendre_value_array,
     reduce_mod,
@@ -29,7 +30,7 @@ from .chars import (
 from .congruence import CollisionInstance, collision_distribution
 from .errors import CompositeModulus, DegenerateParams, UnknownVariant
 from .moments import auto_window, moment_sum
-from .sieve import enumerate_rough, primes_below
+from .sieve import check_limit, enumerate_rough, primes_below
 
 VARIANTS = ("polya_vinogradov", "grh", "mv_loglog", "burgess_classic",
             "ik_1r", "ik_12r", "refined_14r")
@@ -438,15 +439,18 @@ def pv_ratio_scan(limit: int) -> tuple[float, int, list[tuple[int, float]]]:
 
     Returns (worst ratio, argmax prime, per-prime ratios) where the ratio is
     the exhaustive max |short sum| divided by sqrt(q) log q.  A limit below
-    3 (no prime) raises ValueError; a largest prime above the table cap is
-    refused before any prime is scanned.  The sieved primes need no
+    3 (no prime) raises ValueError.  A limit above the sieve cap, then a
+    largest prime above the table cap, found by trial division from the
+    top, is refused before the sieve runs.  The sieved primes need no
     certificate, and one set of buffers sized for the largest serves all.
     """
     if limit < 3:
         raise ValueError(f"no odd prime q <= {limit} to scan")
+    check_limit(limit - 1)  # the numbers primes_below sieves
+    top = next(q for q in range(limit, 2, -1) if is_prime(q))
+    check_table_size(top)
     primes = primes_below(limit + 1)[1:]  # odd primes: drop 2
-    check_table_size(primes[-1])
-    buffers = _spread_buffers(primes[-1])
+    buffers = _spread_buffers(top)
     ratios = [(q, _spread(q, *buffers) / (math.sqrt(q) * math.log(q)))
               for q in primes]
     worst_q, worst = max(ratios, key=lambda t: t[1])  # the first on a tie

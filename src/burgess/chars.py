@@ -14,13 +14,11 @@ in one integer (PrefixTable).  Only other orders use complex128.
 
 Every table covers half the period.  As g^h = -1 for h = (q-1)/2, n and
 q - n have dlogs h apart, so chi(q - n) = chi(-1) chi(n), and for a
-nontrivial chi the prefix sums obey S_k = -chi(-1) S_{q-1-k}.  So a class
-table holds n in [0, h], from the powers g^0 .. g^(h-1), the quadratic
-value table chi(n) for n in [0, h], from the squares that land there, and
-a prefix table S_0 .. S_h; PrefixTable.at reads the rest of the period as
-a mirror image.  chi(-1) = (-1)^m needs no table.  Character.classes alone
-spreads a class table over the period, for the long interval sums of
-characters other than the quadratic one.
+nontrivial chi the prefix sums obey S_k = -chi(-1) S_{q-1-k}.  So the
+class table (from the powers g^0 .. g^(h-1)), the quadratic value table
+(from the squares that land in [0, h]) and the prefix table hold n in [0,
+h]; their readers take the rest of the period as a mirror image.  chi(-1)
+= (-1)^m needs no table.
 
 A modulus holds no table: its class table c(n) = dlog(n) mod d is rebuilt
 and checked on every read, and g itself is found on its first read.  Single
@@ -29,10 +27,9 @@ from the squares, so neither builds a class table or finds g.  An integer
 prefix table is its values written into its own buffer and summed in place.
 prefix_slices yields S_0 .. S_h in BLOCK slices from the value or class
 table: they fill complex tables, and the complete moment reads them as they
-come (moments.moment_sum).  interval_sum gathers the values of the
-interval's classes alone, from single values when it is short.  A character
-caches one prefix table (Character.prefix_for) and its complete moments; a
-table holds no reference to its character, so both are freed with it.
+come (moments.moment_sum); interval_sum reads slices of the class table.
+A character caches one prefix table and its complete moments; a table
+holds no reference to its character, so both are freed with it.
 """
 from __future__ import annotations
 
@@ -86,11 +83,8 @@ def certify_modulus(q: int) -> None:
 
 
 def check_table_size(q: int) -> None:
-    """Refuse q at or above the 2^31 ceiling, then q above the table cap.
-
-    BURGESS_TABLE_LIMIT overrides the default cap; an override at or above
-    the ceiling is refused too.
-    """
+    """Refuse q at or above the 2^31 ceiling, then q above the table cap;
+    a BURGESS_TABLE_LIMIT cap at or above the ceiling is refused too."""
     if q >= TABLE_CEILING:
         raise TableLimitExceeded(f"q={q} not below the ceiling 2^31")
     raw = os.environ.get("BURGESS_TABLE_LIMIT")
@@ -253,11 +247,8 @@ class PrimeModulus:
 
 
 def build_modulus(q: int) -> PrimeModulus:
-    """Construct the evaluation backbone for all characters mod q.
-
-    Certifies primality and checks the table cap; the smallest primitive
-    root is found when first read, and class tables are built by each read.
-    """
+    """The modulus of all characters mod q, certified (certify_modulus); g
+    is found when first read, and class tables are built by each read."""
     if q < 3:
         raise ValueError("modulus must be a prime >= 3")
     certify_modulus(q)
@@ -266,11 +257,8 @@ def build_modulus(q: int) -> PrimeModulus:
 
 @dataclass(frozen=True)
 class CharValue:
-    """A character value: zero, or the root of unity e(num/den).
-
-    den is the character's order d and num its class in [0, d).  num is
-    None exactly when the argument was divisible by q.
-    """
+    """A character value: zero (num None, at multiples of q), or the root
+    of unity e(num/den), den the character's order d, num in [0, d)."""
 
     num: int | None
     den: int
@@ -326,14 +314,19 @@ class Character:
         return Character(self.modulus, (-self.index) % (self.q - 1))
 
     def value(self, n: int) -> CharValue:
-        """chi(n) by the order-d Euler criterion: n^((q-1)/d) = h^j for
-        h = g^((q-1)/d) and j = dlog(n) mod d, found by baby-step giant-step
-        as j = i m + k with m = isqrt(d-1) + 1, in O(sqrt(d)) steps and no
-        q-sized table.  For d = 2, h = -1 whatever g is, so g is not read."""
+        """chi(n) = e(c/d), c chi's class at dlog(n) mod d (_dlog_class)."""
+        j = self._dlog_class(n)
+        return CharValue(None if j is None else self._class_of(j), self.order)
+
+    def _dlog_class(self, n: int) -> int | None:
+        """j = dlog(n) mod d (None at multiples of q) from the order-d Euler
+        criterion n^((q-1)/d) = h^j, h = g^((q-1)/d), by baby-step
+        giant-step, j = i m + k for m = isqrt(d-1) + 1: O(sqrt(d)) steps, no
+        table.  For d = 2, h = -1: g is not read."""
         q, d = self.q, self.order
         n %= q
         if n == 0:
-            return CharValue(None, d)
+            return None
         e = (q - 1) // d
         h = q - 1 if d == 2 else pow(self.modulus.g, e, q)
         m = math.isqrt(d - 1) + 1
@@ -345,7 +338,7 @@ class Character:
         for i in range(m):
             k = baby.get(t)
             if k is not None:
-                return CharValue(self._class_of(i * m + k), d)
+                return i * m + k
             t = t * giant % q
         raise AssertionError(
             f"{n}^{e} is not a power of g^{e}; g is not primitive")
@@ -364,21 +357,6 @@ class Character:
         complex-value formula, one float input."""
         s = (self.q - 1) // self.order
         return np.exp(2j * np.pi * (k * s).astype(np.float64) / (self.q - 1))
-
-    def classes(self) -> np.ndarray:
-        """c[n] in [0, d) with chi(n) = e(c[n]/d) for n in [1, q-1] and
-        c[0] = -1, in the dtype of the modulus's class table; upcast before
-        adding two classes, as int8 overflows.  n > h reads the half class
-        table at q - n, whose dlog is h less."""
-        q, d = self.q, self.order
-        half = self.modulus.classes(d)
-        h = len(half) - 1
-        j = np.arange(d)
-        c = np.empty(q, dtype=half.dtype)
-        c[:h + 1] = self._class_of(j).astype(half.dtype)[half]
-        c[h + 1:] = self._class_of(j + h).astype(half.dtype)[half[h:0:-1]]
-        c[0] = -1
-        return c
 
     @property
     def prefix(self) -> "PrefixTable":
@@ -653,40 +631,61 @@ def lattice_norm(table: PrefixTable | Character, w: np.ndarray,
 
 def interval_sum(chi: Character, m: int, n: int
                  ) -> int | tuple[int, int] | complex:
-    """sum_{m < k <= m+n} chi(k): a Python int when chi is real (exact
-    integer accumulation), its Python-int coordinates (a, b) in the LATTICE
-    basis for orders 3, 4 and 6, else a complex number.
-
-    The L = n mod q terms left after full periods are read from a table
-    (the half-period squares, n > h at q - n times chi(-1), or the q-wide
-    Character.classes) unless L (isqrt(d-1)+1) <= isqrt(q): then
-    Character.value's O(sqrt(d)) Euler criterion per term is cheaper and
-    builds no table."""
+    """sum_{m < k <= m+n} chi(k): a Python int when chi is real, Python-int
+    coordinates (a, b) in the LATTICE basis for orders 3, 4 and 6, else a
+    complex number.  The L = n mod q terms past full periods read the half
+    class table (_mirror_blocks) or, if L (isqrt(d-1)+1) <= isqrt(q), the
+    O(sqrt(d)) Euler criterion per term (_dlog_class).  LATTICE orders
+    count each block's classes; others sum the L roots in order, once."""
     if n < 0:
         raise ValueError("interval length must be >= 0")
-    q = chi.q
+    q, d, h = chi.q, chi.order, chi.q // 2
     if chi.is_trivial:
         # principal character: count integers in the range coprime to q
         return n - ((m + n) // q - m // q)
-    idx = window_residues(m, n % q, q)
-    d = chi.order
-    if len(idx) * (math.isqrt(d - 1) + 1) <= math.isqrt(q):
-        c = np.array([chi.value(int(k)).num if k else 0 for k in idx],
-                     dtype=np.int64)
-    elif chi.is_quadratic:
-        vals = legendre_value_array(q)
-        h = len(vals) - 1
-        low = vals[idx[idx <= h]].sum(dtype=np.int64)
-        high = vals[q - idx[idx > h]].sum(dtype=np.int64)
-        return int(low) + (-1) ** h * int(high)
+    n %= q
+    if n * (math.isqrt(d - 1) + 1) <= math.isqrt(q):
+        j = [chi._dlog_class(k) for k in range(m + 1, m + n + 1)]
+        z = j.index(None) if None in j else n  # the one multiple of q
+        blocks = [(p, np.array(j[p:e], dtype=np.int64), False)
+                  for p, e in ((0, z), (z + 1, n))]
     else:
-        c = chi.classes()[idx].astype(np.int64)
+        blocks = _mirror_blocks(chi.modulus.classes(d), m, n)
     if d in LATTICE:  # column c of LATTICE counted once per chi(k) = e(c/d)
-        coords = np.array(LATTICE[d]) @ np.bincount(c[idx != 0], minlength=d)
+        counts = np.zeros(d, dtype=np.int64)
+        for _, j, up in blocks:
+            counts[chi._class_of(np.arange(d) + up * h)] += np.bincount(
+                j, minlength=d)
+        coords = np.array(LATTICE[d]) @ counts
         return int(coords[0]) if d == 2 else tuple(map(int, coords))
-    vals = chi._roots(c)
-    vals[idx == 0] = 0
+    vals = np.zeros(n, dtype=np.complex128)
+    for pos, j, up in blocks:
+        vals[pos:pos + len(j)] = chi._roots(
+            chi._class_of(j.astype(np.int64) + up * h))
     return complex(vals.sum())
+
+
+def _mirror_blocks(half: np.ndarray, m: int, n: int) -> Iterator[tuple]:
+    """(pos, j, up): j views up to BLOCK classes of the residues k of m+1 ..
+    m+n (n < q) from the pos-th on: half[k], or (up) half[q-k] past h, as
+    dlog(k) = dlog(q-k) + h; multiples of q skipped."""
+    h, pos = len(half) - 1, 0
+    q = 2 * h + 1
+    while pos < n:
+        k = (m + 1 + pos) % q
+        run = min(q - k if k > h else h + 1 - k, n - pos, BLOCK)
+        if k:
+            j = half[q - k:q - k - run:-1] if k > h else half[k:k + run]
+            yield pos, j, k > h
+        pos += run if k else 1
+
+
+def mirror_classes(chi: Character, k):
+    """chi's classes c, chi(k) = e(c/d), at residues k in [1, q-1] (an int
+    or int64 array), off the half class table as _mirror_blocks."""
+    q, h = chi.q, chi.q // 2
+    j = chi.modulus.classes(chi.order)[np.minimum(k, q - k)]
+    return chi._class_of(j.astype(np.int64) + (k > h) * h)
 
 
 def lattice_complex(d: int, coords: tuple[int, int]) -> complex:
@@ -697,15 +696,11 @@ def lattice_complex(d: int, coords: tuple[int, int]) -> complex:
 
 def legendre_value_array(q: int) -> np.ndarray:
     """The quadratic character chi(n) for n in [0, h], h = (q-1)/2, as
-    h+1 int8 entries from the squares, with no class table; n > h is
-    chi(-1) chi(q-n), chi(-1) = (-1)^h.
-
-    The squares k^2 mod q, k in [1, h], are every quadratic residue once:
-    each block's squares (uint32 while h < 2^16, int64 above) are clipped
-    to a sentinel entry h+1, which the returned view leaves out, and
-    marked 1 over a table of -1.  Quadratic prefix sums, long quadratic
-    interval sums and whole-prime scans read it without finding g.
-    """
+    h+1 int8 entries, with no class table or g; n > h is chi(-1) chi(q-n),
+    chi(-1) = (-1)^h.  The squares k^2 mod q, k in [1, h], are every
+    quadratic residue once: each block's squares (uint32 while h < 2^16,
+    int64 above) are clipped to a sentinel entry h+1, which the returned
+    view leaves out, and marked 1 over a table of -1."""
     if q < 3:
         raise CompositeModulus(f"{q} is not an odd prime")
     certify_modulus(q)

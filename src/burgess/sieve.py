@@ -25,7 +25,7 @@ SIEVE_LIMIT = 1 << 27
 EXACT_MERTENS_MAX_W = 100.0
 
 
-def _check_limit(n: int) -> None:
+def check_limit(n: int) -> None:
     if n > SIEVE_LIMIT:
         raise LimitTooLarge(f"sieve of {n} numbers above cap {SIEVE_LIMIT}")
 
@@ -37,7 +37,7 @@ def primes_between(lo: int, hi: int) -> list[int]:
     lo = max(lo, 2)
     if hi < lo:
         return []
-    _check_limit(hi - lo + 1)
+    check_limit(hi - lo + 1)
     keep = np.ones(hi - lo + 1, dtype=bool)
     for p in primes_between(2, math.isqrt(hi)):
         keep[max(p * p, -(-lo // p) * p) - lo::p] = False
@@ -71,7 +71,7 @@ def build_spf(limit: int) -> SpfTable:
     themselves over their multiples from p^2, so the smallest one stays."""
     if limit < 2:
         raise LimitTooLarge(f"limit {limit} below the smallest sieve domain")
-    _check_limit(limit)
+    check_limit(limit)
     spf = np.arange(limit + 1, dtype=np.int64)
     for p in reversed(primes_between(2, math.isqrt(limit))):
         spf[p * p::p] = p
@@ -134,7 +134,7 @@ def enumerate_rough(z: float, U: int) -> RoughSet:
         raise ValueError("sieve level z must be > 1")
     if U < 1:
         raise ValueError("U must be >= 1")
-    _check_limit(U)
+    check_limit(U)
     keep = np.ones(U, dtype=bool)  # keep[i] is n = i + 1
     for p in primes_below(min(z, U + 1)):
         keep[p - 1::p] = False

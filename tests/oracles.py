@@ -36,14 +36,15 @@ def legendre_full(q):
 def value_table(chi):
     """chi(n) for n in [0, q-1]: exact int8 {-1, 0, 1} for real characters
     (the squares on the whole period for the quadratic one), otherwise
-    complex128, the d roots of unity of chi's order gathered by
-    Character.classes."""
+    complex128, the d roots of unity of chi's order gathered by chi's
+    classes at the scattered dlog classes."""
     if chi.is_quadratic:
         return legendre_full(chi.q)
     if chi.is_trivial:
         vals = np.ones(chi.q, dtype=np.int8)
     else:
-        vals = chi._roots(np.arange(chi.order, dtype=np.int64))[chi.classes()]
+        c = chi._class_of(scatter_classes(chi.modulus, chi.order))
+        vals = chi._roots(np.arange(chi.order, dtype=np.int64))[c]
     vals[0] = 0
     return vals
 

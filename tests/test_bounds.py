@@ -460,7 +460,11 @@ def test_pv_scan_refuses_oversized_limit_up_front(monkeypatch):
     def no_spread(*args):
         raise AssertionError("a prime was scanned")
 
+    def no_sieve(*args):
+        raise AssertionError("the primes were sieved")
+
     monkeypatch.setattr(bounds, "_spread", no_spread)
+    monkeypatch.setattr(bounds, "primes_below", no_sieve)
     monkeypatch.setenv("BURGESS_TABLE_LIMIT", "1000")
     with pytest.raises(TableLimitExceeded):
         pv_ratio_scan(2000)

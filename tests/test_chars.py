@@ -23,6 +23,7 @@ from burgess.chars import (
     is_prime,
     lattice_complex,
     legendre_value_array,
+    mirror_classes,
     prefix_table,
     reduce_mod,
     window_array,
@@ -57,6 +58,11 @@ def euler_criterion(n, q):
     return 1 if pow(n, (q - 1) // 2, q) == 1 else -1
 
 
+def library_classes(chi):
+    """chi's classes for n in [0, q-1] through mirror_classes, -1 at 0."""
+    return np.concatenate([[-1], mirror_classes(chi, np.arange(1, chi.q))])
+
+
 def test_find_primitive_root_examples():
     assert find_primitive_root(3) == 2
     assert find_primitive_root(7) == 3
@@ -79,7 +85,7 @@ def test_build_modulus_dlog_example():
     mod = build_modulus(7)  # g = 3; the full dlog is the d = q-1 class table
     # class tables hold n in [0, h], h = 3; the index-1 character's classes
     # are the full dlog mod 6
-    assert mod.character(1).classes().tolist() == [-1, 0, 2, 1, 4, 5, 3]
+    assert library_classes(mod.character(1)).tolist() == [-1, 0, 2, 1, 4, 5, 3]
     assert mod.classes(6).tolist() == [-1, 0, 2, 1]
     assert mod.classes(3).tolist() == [-1, 0, 2, 1]
     assert mod.classes(2).tolist() == [-1, 0, 0, 1]
@@ -153,8 +159,7 @@ def test_planted_root_caught_by_surjectivity_alone():
 def test_character_caches_only_its_prefix(mod101):
     for m in (50, 5):
         chi = mod101.character(m)
-        chi.classes()
-        interval_sum(chi, 0, 100)  # reads a q-wide table
+        interval_sum(chi, 0, 100)  # reads the half class table
         assert vars(chi) == {"modulus": mod101, "index": m}
         table = chi.prefix
         assert vars(chi) == {"modulus": mod101, "index": m, "prefix": table}
@@ -175,8 +180,8 @@ def test_complex_values_from_roots_bit_identical(q):
     for m in indices:
         chi = mod.character(m)
         s = (q - 1) // chi.order  # oracle float input: class * s
-        want = np.exp(2j * np.pi * (chi.classes().astype(np.int64) * s)
-                      .astype(np.float64) / (q - 1))
+        c = chi._class_of(scatter_classes(mod, chi.order))
+        want = np.exp(2j * np.pi * (c * s).astype(np.float64) / (q - 1))
         want[0] = 0
         got = value_table(chi)
         assert np.array_equal(bits(got), bits(want)), m
@@ -377,7 +382,7 @@ def test_legendre_paths_find_no_primitive_root(monkeypatch):
 
 
 def test_dlog_is_bijection(mod101):
-    assert sorted(mod101.character(1).classes()[1:].tolist()) == list(
+    assert sorted(library_classes(mod101.character(1))[1:].tolist()) == list(
         range(100))
 
 
@@ -409,9 +414,10 @@ def test_quadratic_value_equals_dlog_value():
         ns = range(-q, 2 * q)
         if q == 1009:
             ns = [-q, 0, q] + rng.sample(ns, 30)
+        dlog = scatter_classes(mod, q - 1)
         for m in range(q - 1):
             chi = mod.character(m)
-            c = chi.classes()
+            c = chi._class_of(dlog)
             for n in ns:
                 want = (CharValue(None, chi.order) if n % q == 0 else
                         CharValue(int(c[n % q]), chi.order))
@@ -651,7 +657,7 @@ def test_multiplicativity_exact_all_pairs_small():
         mod = build_modulus(q)
         for m in range(1, q - 1):
             chi = mod.character(m)
-            c = chi.classes().astype(np.int64)
+            c = library_classes(chi)
             for a in range(1, q):
                 for b in range(1, q):
                     assert c[a * b % q] == (c[a] + c[b]) % chi.order
@@ -662,7 +668,7 @@ def test_multiplicativity_all_pairs_q101(mod101):
     prod_idx = np.outer(a, a) % 101
     for m in (1, 2, 17, 50, 99):
         chi = mod101.character(m)
-        c = chi.classes().astype(np.int64)  # int8 sums would overflow
+        c = library_classes(chi)
         assert np.array_equal(c[prod_idx],
                               (c[a][:, None] + c[a][None, :]) % chi.order)
 
@@ -686,7 +692,7 @@ def test_order_invariant(mod101):
         chi = mod101.character(m)
         d = chi.order
         assert 100 % d == 0
-        c = chi.classes()
+        c = library_classes(chi)
         assert c[0] == -1 and c[1:].min() == 0 and c[1:].max() < d
         assert math.gcd(int(c[mod101.g]), d) == 1  # chi(g) has order d
 
@@ -729,7 +735,7 @@ def test_legendre_value_array_matches_dlog_path(mod101, mod1009):
         # chi(g^k) = (-1)^k, over the half period [0, h]
         h = (mod.q - 1) // 2
         assert legendre_value_array(mod.q).tolist() == [0] + [
-            1 - 2 * k for k in mod.legendre().classes()[1:h + 1].tolist()]
+            1 - 2 * k for k in mod.classes(2)[1:h + 1].tolist()]
 
 
 @pytest.mark.parametrize("q", [262153, 262147])  # 1 and 3 (mod 4)
@@ -756,6 +762,34 @@ def test_quadratic_interval_sum_across_mirror_and_periods(q):
         assert type(got) is int
         assert got == sum(euler_criterion(k, q)
                           for k in range(m + 1, m + n + 1)), (m, n)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_long_interval_sum_holds_class_table_and_a_block(d):
+    # the int8 half class table (h+1 bytes) read a BLOCK at a time: beside
+    # it one block's int64 bincount input (8 BLOCK), no interval-long array
+    q = 1000003
+    chi = build_modulus(q).character((q - 1) // d)
+    for m, n in ((-7, q - 1), (12345, 400000), (q - 1000, 3 * q + 700000)):
+        tracemalloc.start()
+        try:
+            interval_sum(chi, m, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (q + 1) // 2 + 9 * BLOCK, (m, n)
+
+
+def test_long_complex_interval_sum_pinned():
+    # L > BLOCK: the roots of several blocks, mirrored ones too, in one sum
+    chi = build_modulus(1000003).character(5)
+    for m, n, re, im in ((999003, 8000015, "-0x1.034562db45280p+2",
+                          "0x1.1ac556e34c7c0p+2"),
+                         (12345, 1999994, "-0x1.1cda2cf527200p-1",
+                          "0x1.b1d884e125a60p+1")):
+        assert n % chi.q > BLOCK
+        want = complex(float.fromhex(re), float.fromhex(im))
+        assert np.array_equal(bits(interval_sum(chi, m, n)), bits(want))
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())

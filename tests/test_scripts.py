@@ -62,6 +62,7 @@ def test_pv_scan_top_zero_prints_no_row():
 @pytest.mark.parametrize("args, message", [
     (("--q", "10008"), "10008 is not prime"),
     (("--exponents", "abc"), "could not convert"),
+    (("--r", "1"), "--r must be at least 2"),
 ])
 def test_holder_sweep_bad_input_exits_2(args, message):
     proc = run_script("holder_sweep.py", *args)
