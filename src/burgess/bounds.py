@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from .chars import (
-    BLOCK,
     Character,
     build_modulus,
     certify_modulus,
@@ -24,7 +23,8 @@ from .chars import (
     is_prime,
     lattice_norm,
     legendre_value_array,
-    reduce_mod,
+    mark_squares,
+    square_buffers,
     window_sum,
 )
 from .congruence import CollisionInstance, collision_distribution
@@ -393,41 +393,25 @@ def max_window_spread(q: int) -> float:
     if q < 3:
         raise CompositeModulus(f"{q} is not an odd prime")
     certify_modulus(q)
-    return float(_spread(q, *_spread_buffers(q)))
+    return float(_spread(q, np.zeros((q + 3) // 2, dtype=bool)))
 
 
-def _spread_buffers(q: int) -> tuple[np.ndarray, ...]:
-    """_spread's buffers for every odd prime up to q: the squares k^2 for k
-    <= min(h, BLOCK - 1) in uint32; a quotient and an intp residue buffer as
-    long; a mark of q entries, all False; the odd ramp 1, 3, ..., 2h - 1."""
-    sq = np.arange(1, min((q - 1) // 2, BLOCK - 1) + 1, dtype=np.uint32)
-    sq *= sq
-    return (sq, np.empty_like(sq), np.empty(len(sq), np.intp),
-            np.zeros(q, dtype=bool), np.arange(1, q - 1, 2))
-
-
-def _spread(q: int, sq: np.ndarray, quot: np.ndarray, res: np.ndarray,
-            mark: np.ndarray, ramp: np.ndarray) -> int:
+def _spread(q: int, mark: np.ndarray, ramp: np.ndarray | None = None,
+            squares: tuple = ()) -> int:
     """max(S) - min(S) over the prefix sums S of the quadratic character
     mod an odd prime q (any window sum is a difference of two once S_q = 0
-    folds in wraparound), uncertified, through buffers for q or a larger
-    prime.  The squares mark each residue in [1, q), and the mark is
-    cleared again.  On [0, h] S is a +-1 walk: its maximum is 2j - r_j at a
-    residue r_j <= h, its minimum 2j - 1 - r_j just before one or S_h =
-    2R - h.  S_{q-1-k} = -chi(-1) S_k (PrefixTable.sign) gives the rest: a
-    spread of 2 max(max S, -min S) for q = 1 (mod 4), max S - min S for
-    q = 3 (mod 4)."""
+    folds in wraparound), uncertified.  mark_squares marks the residues r_j
+    in [1, h] in mark (all False, of h+2 entries or at least q, and cleared
+    again), and the odd ramp 1, 3, ... is built if not given.  S is a +-1 walk on [0, h]: its maximum is
+    2j - r_j, its minimum 2j - 1 - r_j or S_h = 2R - h; S_{q-1-k} = -chi(-1)
+    S_k (PrefixTable.sign) gives a spread of 2 max(max S, -min S) for q = 1
+    (mod 4), max S - min S for q = 3 (mod 4)."""
     h = (q - 1) // 2
-    n = min(h, len(sq))
-    np.floor_divide(sq[:n], q, out=quot[:n])
-    quot[:n] *= q
-    mark[np.subtract(sq[:n], quot[:n], out=res[:n])] = True
-    for lo in range(n + 1, h + 1, BLOCK):  # k >= 2^16: int64 squares
-        k = np.arange(lo, min(lo + BLOCK, h + 1), dtype=np.int64)
-        k *= k
-        mark[reduce_mod(k, q)] = True
+    mark_squares(q, mark, squares)
     walk = np.flatnonzero(mark[1:h + 1])  # r_j - 1
     mark[:q] = False
+    if ramp is None:
+        ramp = np.arange(1, 2 * len(walk), 2)
     walk -= ramp[:len(walk)]  # r_j - 2j = -S at each r_j, in place
     hi = -int(walk.min())
     lo = min(-int(walk.max()) - 1, 2 * len(walk) - h)
@@ -450,7 +434,8 @@ def pv_ratio_scan(limit: int) -> tuple[float, int, list[tuple[int, float]]]:
     top = next(q for q in range(limit, 2, -1) if is_prime(q))
     check_table_size(top)
     primes = primes_below(limit + 1)[1:]  # odd primes: drop 2
-    buffers = _spread_buffers(top)
+    buffers = (np.zeros(top, dtype=bool), np.arange(1, top - 1, 2),
+               square_buffers(top))
     ratios = [(q, _spread(q, *buffers) / (math.sqrt(q) * math.log(q)))
               for q in primes]
     worst_q, worst = max(ratios, key=lambda t: t[1])  # the first on a tie

@@ -8,28 +8,25 @@ Characters of order 2, 3, 4 and 6 take their values in a lattice of rank 1
 or 2 (LATTICE): their prefix tables hold integer coordinates, and a window
 or interval sum is an integer or an integer pair with an exact integer
 norm, so every inequality involving them is checkable with zero tolerance.
-A table read only for windows up to its span v keeps its sums mod 2^w in
-the narrowest w-bit lanes with v < 2^(w-1), rank 2 packing its two lanes
-in one integer (PrefixTable).  Only other orders use complex128.
+A table read only for windows up to a span v keeps its sums in the
+narrowest integer lanes serving v (PrefixTable).  Only other orders use
+complex128.
 
 Every table covers half the period.  As g^h = -1 for h = (q-1)/2, n and
 q - n have dlogs h apart, so chi(q - n) = chi(-1) chi(n), and for a
 nontrivial chi the prefix sums obey S_k = -chi(-1) S_{q-1-k}.  So the
-class table (from the powers g^0 .. g^(h-1)), the quadratic value table
-(from the squares that land in [0, h]) and the prefix table hold n in [0,
+class table, the quadratic value table and the prefix table hold n in [0,
 h]; their readers take the rest of the period as a mirror image.  chi(-1)
 = (-1)^m needs no table.
 
-A modulus holds no table: its class table c(n) = dlog(n) mod d is rebuilt
-and checked on every read, and g itself is found on its first read.  Single
-values come from the order-d Euler criterion and the quadratic value table
-from the squares, so neither builds a class table or finds g.  An integer
-prefix table is its values written into its own buffer and summed in place.
-prefix_slices yields S_0 .. S_h in BLOCK slices from the value or class
-table: they fill complex tables, and the complete moment reads them as they
-come (moments.moment_sum); interval_sum reads slices of the class table.
-A character caches one prefix table and its complete moments; a table
-holds no reference to its character, so both are freed with it.
+A modulus holds no table: each read of its class table c(n) = dlog(n) mod
+d builds and checks one.  Single values come from the order-d Euler
+criterion and the quadratic value table from the squares k^2 mod q
+(mark_squares, which the spreads of bounds share), so neither builds a
+class table or finds g.  prefix_table builds a prefix table, prefix_slices
+streams one in BLOCK slices.  A character caches one prefix table and its
+complete moments; a table holds no reference to its character, so both
+are freed with it.
 """
 from __future__ import annotations
 
@@ -50,13 +47,11 @@ from .errors import (
 
 DEFAULT_TABLE_LIMIT = 1 << 26
 # Below 2^31 the int64 products cur * base (_power_blocks) and k * k
-# (legendre_value_array) cannot overflow, and every class and every
-# coordinate of a prefix sum (|S_k| < q) fits in 32 bits, so 32-bit lanes
-# serve every window; narrower lanes keep sums mod 2^w (sum_dtype).
+# (mark_squares) cannot overflow, and every class and every coordinate of a
+# prefix sum (|S_k| < q) fits in 32 bits, so 32-bit lanes serve every
+# window; narrower lanes keep sums mod 2^w (sum_dtype).
 TABLE_CEILING = 1 << 31
-# Length of the blocks that q-length passes are cut into, so that their
-# temporaries stay small and in cache.
-BLOCK = 1 << 16
+BLOCK = 1 << 16  # q-length passes go by blocks, their temporaries in cache
 POWER_BLOCK = 1 << 13  # the blocks of powers of g class tables are built from
 
 # The values e(c/d) of a character of order d in {2, 3, 4, 6} lie in a
@@ -74,9 +69,8 @@ LATTICE = {
 
 def certify_modulus(q: int) -> None:
     """Refuse a modulus before any q-sized table is allocated: q at or above
-    the 2^31 ceiling, then a composite q, then q above the table cap.  The
-    ceiling comes first, so a huge q is refused before trial division.
-    """
+    the 2^31 ceiling (before trial division), then a composite q, then q
+    above the table cap."""
     if q < TABLE_CEILING and not is_prime(q):
         raise CompositeModulus(f"{q} is not prime")
     check_table_size(q)
@@ -147,7 +141,7 @@ def reduce_mod(x: np.ndarray, q: int) -> np.ndarray:
     place and returned: x - (x // q) q, with no temporary beyond the
     quotient.  With a scalar divisor NumPy does // by a precomputed
     multiplier but % by hardware division, so this is about twice as fast
-    as x % q, and for q > 0 it gives the same values in [0, q)."""
+    as x % q, with the same values in [0, q) for q > 0."""
     quot = x // q
     quot *= q
     x -= quot
@@ -194,15 +188,15 @@ class PrimeModulus:
                 ) -> np.ndarray:
         """c[n] = payload[dlog(n) mod d] for n in [1, h], h = (q-1)/2, d |
         q-1, and c[0] a sentinel below the payload.  The default payload,
-        the identity, gives the class table (c[0] = -1, in the smallest
-        signed dtype holding -d); prefix_table passes packed values.
+        the identity, gives the class table in the smallest signed dtype
+        holding -d; prefix_table passes packed values.
 
         Only the powers g^k, k < h, are taken: g^k <= h writes k at g^k, a
         larger one k + h at q - g^k = g^(k+h).  Every build checks that g^h
-        = -1 and, by min, that no sentinel is left, which say g is
-        primitive, and the anchors c[1] and c at g.  For d <= POWER_BLOCK a
-        block of powers takes a slice of one ramp payload[arange(...) % d],
-        lifted to payload[(k + h) % d] above h."""
+        = -1 and, by min, that no sentinel is left (g is primitive), and the
+        anchors c[1] and c at g.  For d <= POWER_BLOCK a block of powers
+        takes a slice of one ramp payload[k % d], k below d plus the block
+        length, lifted to payload[(k + h) % d] above h."""
         q, g = self.q, self.g
         h = (q - 1) // 2
         shift = h % d  # 0 for odd d, which divides h
@@ -210,7 +204,7 @@ class PrimeModulus:
         if payload is None and d <= POWER_BLOCK:
             payload = np.arange(d, dtype=dtype)
         if payload is not None:
-            ramp = np.arange(POWER_BLOCK + d) % d
+            ramp = np.arange(min(POWER_BLOCK, h) + d) % d
             vals = payload[ramp]
             lift = payload[(ramp + shift) % d] - vals
         low = -1 if payload is None else int(payload.min()) - 1
@@ -390,13 +384,11 @@ class PrefixTable:
     lanes (sum_dtype), rank 2's pair (A, B) packed as A + 2^w B.  Every
     LATTICE entry is -1, 0 or 1, so each coordinate of a window sum of
     length v lies in [-v, v], and S_b - S_a taken in the table's dtype
-    gives it exactly (unpack) for v <= span = 2^(w-1) - 1; 32-bit lanes
-    hold every S_k (|S_k| < q < 2^31).  A wrapped S_k is read only through
-    such a difference.  Other orders get complex128 sums, serving every
-    window.  The rest of the period mirrors the stored half: S_k = sign *
-    S_{q-1-k} for h < k <= q-1, with sign = -chi(-1) = -(-1)^((q-1)/d),
-    and S_q = S_0 = 0, so window sums wrap around the period with at most
-    two reads.
+    gives it exactly (unpack) for v <= span; a wrapped S_k is read only
+    through such a difference.  Other orders get complex128 sums, serving
+    every window.  The rest of the period mirrors the stored half: S_k =
+    sign * S_{q-1-k} for h < k <= q-1, with sign = -chi(-1), and S_q = S_0
+    = 0, so window sums wrap around the period with at most two reads.
     """
 
     def __init__(self, sums: np.ndarray, order: int):
@@ -510,9 +502,8 @@ def _packed(chi: Character, dtype: np.dtype) -> np.ndarray:
 def unpack(p, order: int):
     """Window sums from differences p of an order-d table: at rank 2 the
     w-bit pairs (a, b), shape (2,) + p's, of p = a + 2^w b mod 2^(2w), exact
-    for |a|, |b| < 2^(w-1); else p.  a is p's low lane (the wrapping cast,
-    (p << w) >> w) and b = (p + 2^(w-1)) >> w, in ufuncs, which wrap
-    without warning."""
+    for |a|, |b| < 2^(w-1); else p.  a is p's low lane (a wrapping cast)
+    and b = (p + 2^(w-1)) >> w, in ufuncs, which wrap without warning."""
     if len(LATTICE.get(order, ())) != 2:
         return p
     p = np.asarray(p)
@@ -531,8 +522,7 @@ def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
     when given, else fresh arrays.  Each slice gathers the quadratic values
     or its classes' packed values or roots (from its classes when d >
     BLOCK: no d-entry table), adds the running total to its first entry
-    and is summed in place in its dtype: bit for bit one sequential
-    cumsum."""
+    and is summed in place: bit for bit one sequential cumsum."""
     q, d = chi.q, chi.order
     h = (q - 1) // 2
     dtype = sum_dtype(d, span)
@@ -614,9 +604,8 @@ def window_array(table: PrefixTable, v: int, lo: int = 0,
 def lattice_norm(table: PrefixTable | Character, w: np.ndarray,
                  v: int | None = None) -> np.ndarray:
     """The integer that exact paths key window sums w on: |w| at rank 1,
-    in w's dtype (|w| <= v <= span), and |w|^2 at rank 2 (a^2 - ab + b^2
-    in the basis (1, omega), a^2 + b^2 in (1, i)), int64, or int32 for
-    windows of length v with 2v^2 < 2^31 (|a|, |b| <= v, norm <= v^2).
+    in w's dtype (|w| <= v <= span), and |w|^2 at rank 2 (LATTICE), int64,
+    or int32 for windows of length v with 2v^2 < 2^31 (norm <= v^2).
     Only the order of the table (or character) is read.  For windows of
     length V it is at most V^rank, and |w|^(2r) is its power 2r / rank."""
     if table.order == 2:
@@ -697,10 +686,7 @@ def lattice_complex(d: int, coords: tuple[int, int]) -> complex:
 def legendre_value_array(q: int) -> np.ndarray:
     """The quadratic character chi(n) for n in [0, h], h = (q-1)/2, as
     h+1 int8 entries, with no class table or g; n > h is chi(-1) chi(q-n),
-    chi(-1) = (-1)^h.  The squares k^2 mod q, k in [1, h], are every
-    quadratic residue once: each block's squares (uint32 while h < 2^16,
-    int64 above) are clipped to a sentinel entry h+1, which the returned
-    view leaves out, and marked 1 over a table of -1."""
+    chi(-1) = (-1)^h."""
     if q < 3:
         raise CompositeModulus(f"{q} is not an odd prime")
     certify_modulus(q)
@@ -709,16 +695,41 @@ def legendre_value_array(q: int) -> np.ndarray:
 
 def _legendre_half(q: int, dtype: np.dtype = np.int8) -> np.ndarray:
     """legendre_value_array without the certificate a modulus had, in
-    dtype: a quadratic prefix table marks its squares in its own buffer.
-    Unsigned 32-bit squares halve the temporaries and divide faster."""
-    h = (q - 1) // 2
-    vals = np.full(h + 2, -1, dtype=dtype)
+    dtype: a quadratic prefix table marks its squares in its own buffer."""
+    vals = np.full((q + 3) // 2, -1, dtype=dtype)
     vals[0] = 0
-    sq = np.uint32 if h < 1 << 16 else np.int64  # k^2 < 2^32 for k <= h
-    for lo in range(1, h + 1, BLOCK):  # the squares one block at a time
-        k = np.arange(lo, min(lo + BLOCK, h + 1), dtype=sq)
-        k *= k
-        s = reduce_mod(k, q)
-        np.minimum(s, h + 1, out=s)
-        vals[s.astype(np.intp, copy=False)] = 1
-    return vals[:h + 1]
+    mark_squares(q, vals)
+    return vals[:-1]
+
+
+def square_buffers(q: int) -> tuple:
+    """mark_squares' buffers for odd primes up to q: k^2, k < min(h+1,
+    BLOCK), in uint32, a quotient and an intp residue buffer as long."""
+    sq = np.arange(1, min((q - 1) // 2, BLOCK - 1) + 1, dtype=np.uint32)
+    sq *= sq
+    return sq, np.empty_like(sq), np.empty(len(sq), np.intp)
+
+
+def mark_squares(q: int, mark: np.ndarray, squares: tuple = ()) -> None:
+    """mark[k^2 mod q] = 1 for k in [1, h], h = (q-1)/2: each quadratic
+    residue once.  k < 2^16 is squared in uint32 (smaller, faster to
+    divide) from squares, square_buffers for q or a larger prime (built if
+    not given), larger k in int64 BLOCKs through reduce_mod.  A mark
+    shorter than q takes the residues above h at entry h+1."""
+    h = (q - 1) // 2
+    sq, quot, res = squares or square_buffers(q)
+    n = min(h, len(sq))
+    np.floor_divide(sq[:n], q, out=quot[:n])
+    quot[:n] *= q
+    s = np.subtract(sq[:n], quot[:n], out=res[:n])
+    del sq, quot, res  # free built squares before the blocks
+    while True:
+        if len(mark) < q:
+            np.minimum(s, h + 1, out=s)
+        mark[s] = 1
+        if n >= h:
+            return
+        s = np.arange(n + 1, min(n + BLOCK, h) + 1, dtype=np.int64)
+        n += len(s)
+        s *= s
+        reduce_mod(s, q)

@@ -34,6 +34,8 @@ from burgess.chars import (
     is_prime,
     lattice_norm,
     legendre_value_array,
+    mark_squares,
+    square_buffers,
     window_sum,
 )
 from burgess.errors import (
@@ -489,11 +491,11 @@ def test_pv_scan_memory():
 
 
 def test_max_window_spread_memory():
-    # measured 8.38 bytes per residue: the q-byte mark, the h-entry ramp,
-    # the walk over the residues and the block buffers; the bound leaves
-    # 13% headroom, less than one more h-sized int64 array
+    # measured 4.50 bytes per residue: the (h+2)-byte mark, the walk over
+    # the residues r_j <= h (about h/2 int64), the ramp built as long after
+    # it, and the squares and block buffers; the bound leaves 13% headroom
     q = 1000003
-    assert traced_peak(max_window_spread, q) <= 9.5 * q
+    assert traced_peak(max_window_spread, q) <= 5.1 * q
 
 
 @pytest.mark.parametrize("q", [131071, 131101, 131111])
@@ -508,6 +510,16 @@ def test_spread_and_gap_across_square_dtypes(q):
     assert legendre_value_array(q).tolist() == full[:h + 1].tolist()
     sums = np.cumsum(full, dtype=np.int64)
     assert max_window_spread(q) == float(sums.max() - sums.min())
+    # the squares mark every residue of the period in a q-entry mark, and
+    # the same ones in [1, h] in an (h+2)-entry mark, the rest clipped to
+    # h+1, whether the kernel builds its squares or reads a larger prime's
+    for squares in ((), square_buffers(140009)):
+        whole, clipped = np.zeros(q, dtype=bool), np.zeros(h + 2, dtype=bool)
+        mark_squares(q, whole, squares)
+        mark_squares(q, clipped, squares)
+        assert np.array_equal(whole[1:], full[1:] == 1)
+        assert np.array_equal(clipped[1:h + 1], whole[1:h + 1])
+        assert clipped[h + 1] and not clipped[0] and not whole[0]
     edges = np.concatenate([[0], np.flatnonzero(full == -1), [q]])
     runs = np.diff(edges) - 1
     best = int(runs.argmax())

@@ -236,6 +236,31 @@ def test_classes_ramp_matches_plain_scatter():
         assert np.array_equal(got, scatter_classes(mod, d)[:h + 1]), d
 
 
+@pytest.mark.parametrize("q", [101, 1009])
+def test_classes_below_a_power_block_match_scatter(q):
+    # h < POWER_BLOCK: the ramp is h + d entries; the identity and packed
+    # payloads read the classes of the one-power-at-a-time oracle, with the
+    # sentinel below the payload at 0 (orders 3 and 6 do not divide 100)
+    mod = build_modulus(q)
+    h = (q - 1) // 2
+    assert h < POWER_BLOCK
+    orders = [d for d in (2, 3, 4, 6) if (q - 1) % d == 0]
+    assert orders == ([2, 4] if q == 101 else [2, 3, 4, 6])
+    for d in orders:
+        want = scatter_classes(mod, d)[:h + 1]
+        got = mod.classes(d)
+        assert got.dtype == np.min_scalar_type(-d)
+        assert np.array_equal(got, want), d
+        for m in (1, 5):
+            chi = mod.character(m * (q - 1) // d)
+            for dtype in (np.dtype(np.int16), np.dtype(np.int32)):
+                pay = (np.array(LATTICE[2][0], dtype=dtype) if d == 2
+                       else chars_module._packed(chi, dtype))
+                got = mod.classes(d, pay)
+                assert got.dtype == dtype and got[0] == pay.min() - 1
+                assert np.array_equal(got[1:], pay[want[1:]]), (d, m, dtype)
+
+
 @pytest.mark.parametrize("q", [1009, 32797, 131101])
 def test_blocked_prefix_bit_identical(q):
     # 131101: the classes take two BLOCK slices

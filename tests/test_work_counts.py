@@ -1,0 +1,88 @@
+"""Work-count pins: how many times each public operation builds a q-sized
+table, finds a primitive root or sieves a rough set.
+
+The time gates have wide headroom, so they do not see work done twice; these
+counts do.  A change that lowers a count updates its pin here.
+"""
+import functools
+from collections import Counter
+
+import pytest
+
+from burgess import acceptance, bounds, chars, cli, moments, sieve
+from burgess.bounds import holder_chain, max_window_spread, pv_ratio_scan
+from burgess.chars import build_modulus, interval_sum
+from burgess.moments import moment_check
+
+COUNTED = ("_legendre_half", "mark_squares", "prefix_table", "prefix_slices",
+           "find_primitive_root", "enumerate_rough")
+Q = 1000003  # q - 1 = 2 * 3 * 166667: orders 2 and 3
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """A Counter of calls, by name, through wrappers put in every module
+    that binds a counted function, and of PrimeModulus.classes."""
+    seen = Counter()
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in COUNTED:
+        wrapper = None
+        for module in (acceptance, bounds, chars, cli, moments, sieve):
+            if name in vars(module):
+                wrapper = wrapper or counted(name, vars(module)[name])
+                monkeypatch.setattr(module, name, wrapper)
+        assert wrapper is not None, name
+    monkeypatch.setattr(chars.PrimeModulus, "classes",
+                        counted("classes", chars.PrimeModulus.classes))
+    return seen
+
+
+@pytest.mark.parametrize("order, pinned", [
+    (2, {"enumerate_rough": 5, "prefix_table": 1, "_legendre_half": 1,
+         "mark_squares": 1}),
+    (3, {"enumerate_rough": 5, "prefix_table": 1, "classes": 1,
+         "find_primitive_root": 1}),
+])
+def test_holder_chain_counts(counts, order, pinned):
+    # five windows under one character: one table, one moment
+    chi = build_modulus(Q).character((Q - 1) // order)
+    for m in range(0, 5 * 9973, 9973):
+        assert holder_chain(chi, m, 251, 2).passed
+    assert counts == pinned
+
+
+@pytest.mark.parametrize("order, pinned", [
+    (2, {"prefix_slices": 1, "_legendre_half": 1, "mark_squares": 1}),
+    (3, {"prefix_slices": 1, "classes": 1, "find_primitive_root": 1}),
+])
+def test_moment_check_counts(counts, order, pinned):
+    assert moment_check(Q, (Q - 1) // order).passed
+    assert counts == pinned
+
+
+def test_long_interval_sum_counts(counts):
+    chi = build_modulus(Q).character((Q - 1) // 3)
+    interval_sum(chi, 12345, 400000)
+    assert counts == {"classes": 1, "find_primitive_root": 1}
+
+
+def test_criterion_1_counts(counts):
+    assert acceptance.criterion_1(primes=(101,)).passed
+    assert counts == {"classes": 693, "find_primitive_root": 1}
+
+
+def test_spread_counts(counts):
+    # one kernel call per spread, and no value table
+    _, _, ratios = pv_ratio_scan(4 * 10 ** 4)
+    assert len(ratios) == 4202
+    assert counts == {"mark_squares": 4202}
+    counts.clear()
+    max_window_spread(Q)
+    assert counts == {"mark_squares": 1}
