@@ -107,9 +107,10 @@ def _char_algebra_ok(chi: Character, pairs: int,
     else:
         a, b = np.array([(rng.randrange(1, q), rng.randrange(1, q))
                          for _ in range(pairs)]).T
-    c = mirror_classes(chi, np.stack([a, b, a * b % q]))
-    g = int(mirror_classes(chi, chi.modulus.g))
-    return bool(0 <= c.min() and c.max() < d and math.gcd(g, d) == 1
+    g = np.full_like(a, chi.modulus.g)  # a row of g: one class table read
+    c = mirror_classes(chi, np.stack([a, b, a * b % q, g]))
+    return bool(0 <= c.min() and c.max() < d
+                and math.gcd(int(c[3, 0]), d) == 1
                 and np.array_equal(c[2], (c[0] + c[1]) % d))
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chars import (
+    BLOCK,
     Character,
     build_modulus,
     certify_modulus,
@@ -269,16 +270,17 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
         CollisionInstance(q=q, M=M, N=N, rough=rough))
     table = chi.prefix_for(params.V)
     w = window_sum(table, dist.lams, params.V)
-    # W = sum_lam I(lam) |w(lam)|; a Python int on the rank-1 path so that
-    # W^{2r} below is exact; float sums are a pairwise np.sum on one thread,
-    # where a float @ would go to threaded BLAS
+    # W = sum_lam I(lam) |w(lam)|; a Python int on the rank-1 path, summed
+    # in int64 (an int8 |w| @ int32 counts would sum in int32), so that
+    # W^{2r} below is exact
     if table.rank == 1:
-        W: int | float = int(lattice_norm(table, w) @ dist.counts)
+        W: int | float = int(np.einsum("i,i", lattice_norm(table, w),
+                                       dist.counts, dtype=np.int64))
     elif table.rank == 2:
-        norm = lattice_norm(table, w)
-        W = float((np.sqrt(norm) * dist.counts).sum())
+        norm = lattice_norm(table, w, params.V)
+        W = _weighted_sum(np.sqrt(norm), dist.counts)
     else:
-        W = float((np.abs(w) * dist.counts).sum())
+        W = _weighted_sum(np.abs(w), dist.counts)
     # the complete moment does not depend on M: one per (chi, V, r)
     key = (params.V, r)
     if key not in chi.moments:
@@ -307,6 +309,13 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
         passed=passed, path=path)
 
 
+def _weighted_sum(x: np.ndarray, counts: np.ndarray) -> float:
+    """sum x c, x scaled in place: a pairwise np.sum on one thread, where a
+    float @ would go to threaded BLAS."""
+    x *= counts
+    return float(x.sum())
+
+
 def _float_leq(W: float, r: int, base: int,
                moment: int | float | Fraction) -> bool:
     """W^{2r} <= base moment (1 + 1e-9) in doubles; where a double would
@@ -324,19 +333,25 @@ def _float_leq(W: float, r: int, base: int,
 def _certified(norm: np.ndarray, counts: np.ndarray, r: int,
                rhs: int) -> bool:
     """Whether W^{2r} <= rhs follows, in integers, from the upper bound
-    2^k W+ = sum c ceil(2^k sqrt(norm)) >= 2^k W with k = CERT_BITS;
-    False when inconclusive, including when int64 would not hold it."""
+    2^k W+ = sum c ceil(2^k sqrt(norm)) >= 2^k W with k = CERT_BITS, summed
+    in int64 a BLOCK at a time; False when inconclusive, including when
+    int64 would not hold it."""
     k = CERT_BITS
     if norm.size == 0 or int(norm.max()) >= 1 << (62 - 2 * k):
         return False
-    m = norm << (2 * k)  # below 2^62, so every square below stays in int64
-    x = np.sqrt(m).astype(np.int64)  # floor(sqrt(m)), give or take one
-    x -= x * x > m
-    x += (x + 1) * (x + 1) <= m
-    ceil = x + (x * x < m)
-    if int(counts.sum()) * int(ceil.max()) >= 1 << 63:
+    top = math.isqrt(int(norm.max()) << 2 * k) + 1  # above every ceil
+    if int(counts.sum(dtype=np.int64)) * top >= 1 << 63:
         return False
-    return int(ceil @ counts) ** (2 * r) <= rhs << (2 * r * k)
+    total = 0
+    for lo in range(0, norm.size, BLOCK):
+        # below 2^62, so every square below stays in int64
+        m = norm[lo:lo + BLOCK].astype(np.int64) << 2 * k
+        x = np.sqrt(m).astype(np.int64)  # floor(sqrt(m)), give or take one
+        x -= x * x > m
+        x += (x + 1) * (x + 1) <= m
+        x += x * x < m  # ceil(sqrt(m))
+        total += int(x @ counts[lo:lo + BLOCK])
+    return total ** (2 * r) <= rhs << (2 * r * k)
 
 
 @dataclass

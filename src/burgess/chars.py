@@ -53,6 +53,7 @@ DEFAULT_TABLE_LIMIT = 1 << 26
 TABLE_CEILING = 1 << 31
 BLOCK = 1 << 16  # q-length passes go by blocks, their temporaries in cache
 POWER_BLOCK = 1 << 13  # the blocks of powers of g class tables are built from
+GATHER = 1 << 13  # the blocks of starts window_sum reads, in int64
 
 # The values e(c/d) of a character of order d in {2, 3, 4, 6} lie in a
 # lattice: Z for d = 2, Z[omega] (omega = e(1/3)) for d = 3 and 6, Z[i]
@@ -575,11 +576,26 @@ def _differences(table: PrefixTable, lam, v: int):
 
 
 def window_sum(table: PrefixTable, lam, v: int):
-    """sum_{1<=j<=v} chi(lam + j) for an int or an int64 array of starts,
+    """sum_{1<=j<=v} chi(lam + j) for an int or an integer array of starts,
     unpacked from _differences: shaped like lam, with a leading axis of 2
-    at rank 2."""
+    at rank 2.  Starts are read in int64, GATHER at a time into one result
+    array."""
     _check_window(table, v)
-    return unpack(_differences(table, lam, v), table.order)
+    if np.ndim(lam) == 0:
+        return unpack(_differences(table, int(lam), v), table.order)
+    lam = np.asarray(lam)
+    if lam.size <= GATHER:
+        return unpack(_differences(table, lam.astype(np.int64, copy=False),
+                                   v), table.order)
+    flat = lam.reshape(-1)
+    dtype = table.sums.dtype
+    out = (np.empty((2, len(flat)), f"i{dtype.itemsize // 2}")
+           if table.rank == 2 else np.empty(len(flat), dtype))
+    for lo in range(0, len(flat), GATHER):
+        block = flat[lo:lo + GATHER].astype(np.int64, copy=False)
+        out[..., lo:lo + GATHER] = unpack(_differences(table, block, v),
+                                          table.order)
+    return out.reshape(out.shape[:-1] + lam.shape)
 
 
 def window_array(table: PrefixTable, v: int, lo: int = 0,

@@ -26,7 +26,9 @@ from burgess.bounds import (
 )
 from burgess import bounds
 from burgess.acceptance import holder_cells
+from burgess.congruence import collision_distribution
 from burgess.chars import (
+    GATHER,
     PrefixTable,
     PrimeModulus,
     build_modulus,
@@ -35,6 +37,7 @@ from burgess.chars import (
     lattice_norm,
     legendre_value_array,
     mark_squares,
+    prefix_table,
     square_buffers,
     window_sum,
 )
@@ -238,6 +241,27 @@ def test_certificate_rounds_up():
                                  2, 10 ** 100)
 
 
+def test_exact_W_is_the_python_int_sum(monkeypatch):
+    # W = sum I(lam) |w(lam)| in Python ints; bucket counts near 2^30 take
+    # the sum far past 2^31, where int8 |w| @ int32 counts would wrap
+    seen = []
+
+    def heavy(inst):
+        dist = collision_distribution(inst)
+        dist.counts[:] = (1 << 30) + np.arange(len(dist.counts)) % 7
+        seen.append(dist)
+        return dist
+
+    monkeypatch.setattr(bounds, "collision_distribution", heavy)
+    chi = build_modulus(10007).legendre()
+    rep = holder_chain(chi, 123, 200, 2)
+    (dist,) = seen
+    assert dist.counts.dtype == np.int32
+    want = sum(c * abs(interval_sum(chi, lam, rep.params.V))
+               for lam, c in zip(dist.lams.tolist(), dist.counts.tolist()))
+    assert type(rep.W) is int and rep.W == want > 1 << 40
+
+
 def test_holder_chain_falls_back_to_float(monkeypatch):
     monkeypatch.setattr(bounds, "_certified", lambda *a: False)
     chi = build_modulus(1009).character(336)
@@ -245,8 +269,19 @@ def test_holder_chain_falls_back_to_float(monkeypatch):
     assert rep.passed and rep.path == "float"
 
 
-def test_certificate_gets_int64_norms(monkeypatch):
-    # _certified shifts norms left by 2 CERT_BITS, which int32 would wrap
+def test_certificate_widens_int32_norms(monkeypatch):
+    # holder_chain hands _certified the int32 norms of its windows (2V^2 <
+    # 2^31); shifted left by 2 CERT_BITS they would wrap in int32, so each
+    # block is widened to int64: the least rhs certified at r = 2 is the
+    # exact ceil(W+^4 / 2^4k), W+ summed here in Python ints
+    k = bounds.CERT_BITS
+    norm = np.array([2, 5, 1 << 21], dtype=np.int32)
+    counts = np.array([1, 2, 3], dtype=np.int32)
+    plus = sum(c * (math.isqrt((x << 2 * k) - 1) + 1)
+               for x, c in zip(norm.tolist(), counts.tolist()))
+    rhs = (plus ** 4 + (1 << 4 * k) - 1) >> 4 * k
+    assert bounds._certified(norm, counts, 2, rhs)
+    assert not bounds._certified(norm, counts, 2, rhs - 1)
     seen = []
 
     def spy(norm, *a):
@@ -256,7 +291,7 @@ def test_certificate_gets_int64_norms(monkeypatch):
     real = bounds._certified
     monkeypatch.setattr(bounds, "_certified", spy)
     rep = holder_chain(build_modulus(1009).character(336), 5, 15, 2)
-    assert rep.path == "certified" and seen == [np.int64]
+    assert rep.path == "certified" and seen == [np.int32]
 
 
 def test_extremal_scan_lattice_norms():
@@ -481,6 +516,36 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_holder_chain_holds_table_and_narrow_buckets():
+    # a fresh Legendre chain at q = 10000019, 131 rough u by 630 n (82,530
+    # products): measured 1,746,850 bytes above its 5,000,010-byte table,
+    # the table build's blocks beside the int32 lams and counts (4,043,248
+    # with int64 buckets and a full-length gather)
+    chi = build_modulus(10000019).legendre()
+    peak = traced_peak(holder_chain, chi, 12345, 630, 2)
+    assert peak - vars(chi)["prefix"].sums.nbytes <= 2 << 20
+    # its table and moment cached, 568 u by 3162 n: the sorted int32
+    # products, then int32 lams and counts; measured 12.6 bytes per
+    # product (45.7 before)
+    products = 568 * 3162
+    assert traced_peak(holder_chain, chi, 12345, 3162, 2) <= 16 * products
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_window_sum_holds_result_and_a_block(order):
+    # 2*10^5 scattered starts at q = 1000003 read GATHER at a time: the
+    # int32 result (two rows at rank 2) and one block's int64 index
+    # temporaries, measured 298,524 and 403,992 bytes beside the result
+    # (6.4 and 8.2 MB with the whole read in int64 at once)
+    q = 1000003
+    table = prefix_table(build_modulus(q).character((q - 1) // order))
+    starts = np.random.default_rng(1).integers(-2 * q, 2 * q, 2 * 10 ** 5)
+    w = window_sum(table, starts, 5000)
+    assert w.shape == ((2,) if order == 3 else ()) + starts.shape
+    peak = traced_peak(window_sum, table, starts, 5000)
+    assert peak <= w.nbytes + 64 * GATHER
 
 
 def test_pv_scan_memory():

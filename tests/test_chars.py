@@ -668,6 +668,26 @@ def test_window_equals_interval_complex(mod101):
         assert abs(w - interval_sum(chi, lam, v)) < 1e-9 * v + 1e-12
 
 
+def test_window_sum_widens_32_bit_starts():
+    # q = 2^31 - 1: windows from starts near q end past 2^31, where b = a + v
+    # would wrap in int32; the ends of a +-1 walk stand for the table, and
+    # every read lands in its head (S_k = S_{q-1-k} as (q-1)/2 is odd)
+    q = 2 ** 31 - 1
+    walk = np.random.default_rng(3).choice([-1, 1], 64)
+    head = np.concatenate([[0], np.cumsum(walk)]).astype(np.int32)
+    table = chars_module.PrefixEnds(head, head[-1:], 2, (q - 1) // 2)
+    starts = np.array([q - 3, q - 1, q, 1, 5, -7], dtype=np.int32)
+    v = 10
+
+    def s(k):  # S_k, k in [0, q]: S_q = S_0
+        return int(head[max(min(k, q - 1 - k), 0)])
+
+    want = [s((a - 1) % q + 1 + v - q * ((a - 1) % q + 1 + v > q))
+            - s((a - 1) % q + 1) for a in starts.tolist()]
+    assert window_sum(table, starts, v).tolist() == want
+    assert window_sum(table, starts.astype(np.int64), v).tolist() == want
+
+
 def test_window_array_is_window_sum_over_all_starts(mod101):
     q = mod101.q
     for chi in (mod101.legendre(), mod101.character(5)):

@@ -86,6 +86,35 @@ def test_first_moment_is_bucket_identity():
         assert dict(zip(dist.lams.tolist(), dist.counts.tolist())) == buckets
 
 
+def test_moments_past_32_bits_are_exact():
+    # 100 rough u by 20000 n mod 101: about 19,802 products per bucket, so
+    # sum I^2 passes 2^31 while every count fits the int32 lanes
+    inst = make_instance(101, 0, 20000, 2, 100)
+    dist = collision_distribution(inst)
+    assert dist.counts.dtype == dist.lams.dtype == np.int32
+    n = np.arange(1, 20001, dtype=np.int64)
+    inverses = np.array([pow(int(u), -1, 101) for u in inst.rough])
+    oracle = np.bincount((n[:, None] * inverses % 101).ravel(), minlength=101)
+    assert dist.first_moment == int(oracle.sum()) == 2_000_000
+    assert dist.second_moment == sum(c * c for c in oracle.tolist())
+    assert dist.second_moment == 39_603_960_400
+
+
+def test_buckets_across_blocks_match_unique():
+    # 100 u by 1000 n mod 1000003: 100,000 products, most in a bucket of
+    # their own, so runs end on every side of the BLOCK edges
+    q = 1000003
+    inst = make_instance(q, 777, 1000, 2, 100)
+    dist = collision_distribution(inst)
+    n = np.arange(778, 1778, dtype=np.int64)
+    inverses = np.array([pow(int(u), -1, q) for u in inst.rough])
+    lams, counts = np.unique((n[:, None] * inverses % q).ravel(),
+                             return_counts=True)
+    assert dist.lams.tolist() == lams.tolist()
+    assert dist.counts.tolist() == counts.tolist()
+    assert dist.second_moment == int(counts @ counts)
+
+
 def test_second_moment_lower_bounds():
     inst = make_instance(53, 7, 8, 3, 7)
     dist = collision_distribution(inst)

@@ -75,7 +75,7 @@ def test_long_interval_sum_counts(counts):
 
 def test_criterion_1_counts(counts):
     assert acceptance.criterion_1(primes=(101,)).passed
-    assert counts == {"classes": 693, "find_primitive_root": 1}
+    assert counts == {"classes": 594, "find_primitive_root": 1}
 
 
 def test_spread_counts(counts):
