@@ -270,12 +270,10 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
         CollisionInstance(q=q, M=M, N=N, rough=rough))
     table = chi.prefix_for(params.V)
     w = window_sum(table, dist.lams, params.V)
-    # W = sum_lam I(lam) |w(lam)|; a Python int on the rank-1 path, summed
-    # in int64 (an int8 |w| @ int32 counts would sum in int32), so that
+    # W = sum_lam I(lam) |w(lam)|; a Python int on the rank-1 path so that
     # W^{2r} below is exact
     if table.rank == 1:
-        W: int | float = int(np.einsum("i,i", lattice_norm(table, w),
-                                       dist.counts, dtype=np.int64))
+        W: int | float = int(lattice_norm(table, w) @ dist.counts)
     elif table.rank == 2:
         norm = lattice_norm(table, w, params.V)
         W = _weighted_sum(np.sqrt(norm), dist.counts)
@@ -339,7 +337,8 @@ def _certified(norm: np.ndarray, counts: np.ndarray, r: int,
     k = CERT_BITS
     if norm.size == 0 or int(norm.max()) >= 1 << (62 - 2 * k):
         return False
-    top = math.isqrt(int(norm.max()) << 2 * k) + 1  # above every ceil
+    top = int(norm.max()) << 2 * k
+    top = math.isqrt(top - 1) + 1 if top else 0  # the largest ceil below
     if int(counts.sum(dtype=np.int64)) * top >= 1 << 63:
         return False
     total = 0

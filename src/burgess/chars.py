@@ -584,9 +584,6 @@ def window_sum(table: PrefixTable, lam, v: int):
     if np.ndim(lam) == 0:
         return unpack(_differences(table, int(lam), v), table.order)
     lam = np.asarray(lam)
-    if lam.size <= GATHER:
-        return unpack(_differences(table, lam.astype(np.int64, copy=False),
-                                   v), table.order)
     flat = lam.reshape(-1)
     dtype = table.sums.dtype
     out = (np.empty((2, len(flat)), f"i{dtype.itemsize // 2}")

@@ -11,7 +11,6 @@ brute-force oracle is a literal quadruple loop.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,9 +67,8 @@ class CollisionInstance:
 
 @dataclass
 class CollisionDistribution:
-    """I(lam) as parallel arrays in 32-bit lanes (_lane): the distinct
-    buckets lams, ascending, and counts[i] = I(lams[i]) > 0.  Both moments
-    are exact Python ints, summed from int64 blocks."""
+    """I(lam) as parallel arrays: the distinct buckets lams, ascending, in
+    int32 (int64 for q > 2^31), and int64 counts[i] = I(lams[i]) > 0."""
 
     lams: np.ndarray
     counts: np.ndarray
@@ -81,9 +79,8 @@ class CollisionDistribution:
 def collision_distribution(inst: CollisionInstance) -> CollisionDistribution:
     """Bucket lam = n * u^{-1} (mod q) over the window and the rough set.
 
-    The products are reduced in int64 a BLOCK of them at a time into one
-    array of lams' lane (below q^2, inside int64 as q <= MAX_INT64_Q),
-    sorted in place and read off a BLOCK of runs at a time (_run_ends)."""
+    The products (below q^2, inside int64 as q <= MAX_INT64_Q) are reduced
+    a BLOCK of them at a time into one array of lams' dtype."""
     q, M, N = inst.q, inst.M, inst.N
     members = inst.rough.members
     bad = members[members % q == 0]
@@ -91,44 +88,16 @@ def collision_distribution(inst: CollisionInstance) -> CollisionDistribution:
         raise ValueError(f"multiplier {int(bad[0])} not invertible mod {q}")
     inverses = np.array([pow(int(u), -1, q) for u in members], dtype=np.int64)
     residues = window_residues(M, N, q)
-    grid = np.empty((len(inverses), N), dtype=_lane(q))
+    grid = np.empty((len(inverses), N),
+                    dtype=np.int32 if q <= 1 << 31 else np.int64)
     rows = max(BLOCK // max(N, 1), 1)
     for lo in range(0, len(inverses), rows):
         grid[lo:lo + rows] = reduce_mod(inverses[lo:lo + rows, None]
                                         * residues, q)
-    prods = grid.reshape(-1)
-    prods.sort()
-    n = len(prods)
-    size = sum(int(np.count_nonzero(end)) for _, end in _run_ends(prods))
-    lams = np.empty(size, dtype=prods.dtype)
-    counts = np.empty(size, dtype=_lane(n + 1))  # counts <= n
-    k = start = second = 0
-    for lo, end in _run_ends(prods):
-        ends = np.flatnonzero(end) + lo
-        c = np.diff(ends, prepend=start)  # int64: c @ c <= n^2 < 2^63
-        lams[k:k + len(c)] = prods[ends - 1]
-        counts[k:k + len(c)] = c
-        second += int(c @ c)
-        k += len(c)
-        start += int(c.sum())
-    return CollisionDistribution(lams=lams, counts=counts,
-                                 first_moment=start, second_moment=second)
-
-
-def _lane(bound: int) -> type:
-    """int32 for values below a bound of at most 2^31, else int64."""
-    return np.int32 if bound <= 1 << 31 else np.int64
-
-
-def _run_ends(s: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(lo, end) per BLOCK of the sorted array s, end[i] marking where a
-    run of equal entries ends, at lo + i: s[lo+i] != s[lo+i-1], or lo + i
-    = len(s) > 0."""
-    n = len(s)
-    for lo in range(1, n, BLOCK):
-        hi = min(lo + BLOCK, n)
-        yield lo, s[lo:hi] != s[lo - 1:hi - 1]
-    yield n, np.array([n > 0])
+    lams, counts = np.unique(grid, return_counts=True)
+    return CollisionDistribution(
+        lams=lams, counts=counts, first_moment=int(counts.sum()),
+        second_moment=int(counts @ counts))
 
 
 @dataclass

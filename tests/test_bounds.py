@@ -243,7 +243,7 @@ def test_certificate_rounds_up():
 
 def test_exact_W_is_the_python_int_sum(monkeypatch):
     # W = sum I(lam) |w(lam)| in Python ints; bucket counts near 2^30 take
-    # the sum far past 2^31, where int8 |w| @ int32 counts would wrap
+    # the sum far past 2^31, where an int32 accumulator would wrap
     seen = []
 
     def heavy(inst):
@@ -256,7 +256,7 @@ def test_exact_W_is_the_python_int_sum(monkeypatch):
     chi = build_modulus(10007).legendre()
     rep = holder_chain(chi, 123, 200, 2)
     (dist,) = seen
-    assert dist.counts.dtype == np.int32
+    assert dist.counts.dtype == np.int64
     want = sum(c * abs(interval_sum(chi, lam, rep.params.V))
                for lam, c in zip(dist.lams.tolist(), dist.counts.tolist()))
     assert type(rep.W) is int and rep.W == want > 1 << 40
@@ -292,6 +292,19 @@ def test_certificate_widens_int32_norms(monkeypatch):
     monkeypatch.setattr(bounds, "_certified", spy)
     rep = holder_chain(build_modulus(1009).character(336), 5, 15, 2)
     assert rep.path == "certified" and seen == [np.int32]
+
+
+def test_certificate_overflow_guard_is_the_top_ceil():
+    # norm 1: every ceil is exactly 2^k, and 2^43 - 1 buckets' worth of
+    # counts sum c*ceil to 2^63 - 2^20, still inside int64; a guard one
+    # above the top ceil would call this inconclusive
+    s = (1 << 43) - 1
+    norm, counts = np.array([1]), np.array([s])
+    assert bounds._certified(norm, counts, 2, s ** 4)
+    assert not bounds._certified(norm, counts, 2, s ** 4 - 1)
+    assert not bounds._certified(norm, counts + 1, 2, (s + 1) ** 4)
+    # windows that all sum to 0: W+ = 0, certified against rhs 0
+    assert bounds._certified(norm - 1, counts, 2, 0)
 
 
 def test_extremal_scan_lattice_norms():
@@ -520,17 +533,17 @@ def traced_peak(fn, *args):
 
 def test_holder_chain_holds_table_and_narrow_buckets():
     # a fresh Legendre chain at q = 10000019, 131 rough u by 630 n (82,530
-    # products): measured 1,746,850 bytes above its 5,000,010-byte table,
-    # the table build's blocks beside the int32 lams and counts (4,043,248
-    # with int64 buckets and a full-length gather)
+    # products): measured 2,076,058 bytes above its 5,000,010-byte table,
+    # the table build's blocks beside the int32 lams and int64 counts
+    # (4,043,248 with int64 products and a full-length gather)
     chi = build_modulus(10000019).legendre()
     peak = traced_peak(holder_chain, chi, 12345, 630, 2)
     assert peak - vars(chi)["prefix"].sums.nbytes <= 2 << 20
-    # its table and moment cached, 568 u by 3162 n: the sorted int32
-    # products, then int32 lams and counts; measured 12.6 bytes per
+    # its table and moment cached, 568 u by 3162 n: the int32 products,
+    # np.unique's sorted copy and run indices; measured 27.7 bytes per
     # product (45.7 before)
     products = 568 * 3162
-    assert traced_peak(holder_chain, chi, 12345, 3162, 2) <= 16 * products
+    assert traced_peak(holder_chain, chi, 12345, 3162, 2) <= 32 * products
 
 
 @pytest.mark.parametrize("order", [2, 3])

@@ -88,10 +88,10 @@ def test_first_moment_is_bucket_identity():
 
 def test_moments_past_32_bits_are_exact():
     # 100 rough u by 20000 n mod 101: about 19,802 products per bucket, so
-    # sum I^2 passes 2^31 while every count fits the int32 lanes
+    # sum I^2 passes 2^31
     inst = make_instance(101, 0, 20000, 2, 100)
     dist = collision_distribution(inst)
-    assert dist.counts.dtype == dist.lams.dtype == np.int32
+    assert dist.lams.dtype == np.int32 and dist.counts.dtype == np.int64
     n = np.arange(1, 20001, dtype=np.int64)
     inverses = np.array([pow(int(u), -1, 101) for u in inst.rough])
     oracle = np.bincount((n[:, None] * inverses % 101).ravel(), minlength=101)
@@ -102,7 +102,7 @@ def test_moments_past_32_bits_are_exact():
 
 def test_buckets_across_blocks_match_unique():
     # 100 u by 1000 n mod 1000003: 100,000 products, most in a bucket of
-    # their own, so runs end on every side of the BLOCK edges
+    # their own, reduced BLOCK // 1000 = 65 rows of u at a time
     q = 1000003
     inst = make_instance(q, 777, 1000, 2, 100)
     dist = collision_distribution(inst)
