@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chars import (
-    BLOCK,
+    GATHER,
     Character,
     build_modulus,
     certify_modulus,
@@ -265,10 +265,21 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
     if params.degenerate:
         raise DegenerateParams(
             f"U={params.U} leaves no room for averaging (N={N}, q={q}, r={r})")
-    rough = enumerate_rough(params.z, params.U)
+    # Stages in order: the rough set (one per chi, z, U) and the buckets,
+    # so np.unique's sort of the products is not held on top of the table;
+    # the table; the complete moment (one per chi, V, r), so its block
+    # temporaries are not held beside w, norm and sqrt(norm); then W.
+    key = (params.z, params.U)
+    if key not in chi.rough:
+        chi.rough[key] = enumerate_rough(*key)
+    rough = chi.rough[key]
     dist = collision_distribution(
         CollisionInstance(q=q, M=M, N=N, rough=rough))
     table = chi.prefix_for(params.V)
+    key = (params.V, r)
+    if key not in chi.moments:
+        chi.moments[key] = moment_sum(chi, params.V, r).moment
+    moment = chi.moments[key]
     w = window_sum(table, dist.lams, params.V)
     # W = sum_lam I(lam) |w(lam)|; a Python int on the rank-1 path so that
     # W^{2r} below is exact
@@ -279,11 +290,6 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
         W = _weighted_sum(np.sqrt(norm), dist.counts)
     else:
         W = _weighted_sum(np.abs(w), dist.counts)
-    # the complete moment does not depend on M: one per (chi, V, r)
-    key = (params.V, r)
-    if key not in chi.moments:
-        chi.moments[key] = moment_sum(chi, params.V, r).moment
-    moment = chi.moments[key]
     base = dist.first_moment ** (2 * r - 2) * dist.second_moment
     try:
         lhs = W ** (2 * r)
@@ -332,8 +338,8 @@ def _certified(norm: np.ndarray, counts: np.ndarray, r: int,
                rhs: int) -> bool:
     """Whether W^{2r} <= rhs follows, in integers, from the upper bound
     2^k W+ = sum c ceil(2^k sqrt(norm)) >= 2^k W with k = CERT_BITS, summed
-    in int64 a BLOCK at a time; False when inconclusive, including when
-    int64 would not hold it."""
+    in int64 GATHER norms at a time; False when inconclusive, including
+    when int64 would not hold it."""
     k = CERT_BITS
     if norm.size == 0 or int(norm.max()) >= 1 << (62 - 2 * k):
         return False
@@ -342,14 +348,14 @@ def _certified(norm: np.ndarray, counts: np.ndarray, r: int,
     if int(counts.sum(dtype=np.int64)) * top >= 1 << 63:
         return False
     total = 0
-    for lo in range(0, norm.size, BLOCK):
+    for lo in range(0, norm.size, GATHER):
         # below 2^62, so every square below stays in int64
-        m = norm[lo:lo + BLOCK].astype(np.int64) << 2 * k
+        m = norm[lo:lo + GATHER].astype(np.int64) << 2 * k
         x = np.sqrt(m).astype(np.int64)  # floor(sqrt(m)), give or take one
         x -= x * x > m
         x += (x + 1) * (x + 1) <= m
         x += x * x < m  # ceil(sqrt(m))
-        total += int(x @ counts[lo:lo + BLOCK])
+        total += int(x @ counts[lo:lo + GATHER])
     return total ** (2 * r) <= rhs << (2 * r * k)
 
 

@@ -22,11 +22,10 @@ h]; their readers take the rest of the period as a mirror image.  chi(-1)
 A modulus holds no table: each read of its class table c(n) = dlog(n) mod
 d builds and checks one.  Single values come from the order-d Euler
 criterion and the quadratic value table from the squares k^2 mod q
-(mark_squares, which the spreads of bounds share), so neither builds a
-class table or finds g.  prefix_table builds a prefix table, prefix_slices
-streams one in BLOCK slices.  A character caches one prefix table and its
-complete moments; a table holds no reference to its character, so both
-are freed with it.
+(mark_squares), so neither builds a class table or finds g.  prefix_table
+builds a prefix table, prefix_slices streams one in BLOCK slices.  A
+character caches one prefix table, its complete moments and rough sets; a
+table holds no reference to its character, so all are freed with it.
 """
 from __future__ import annotations
 
@@ -49,7 +48,7 @@ DEFAULT_TABLE_LIMIT = 1 << 26
 # Below 2^31 the int64 products cur * base (_power_blocks) and k * k
 # (mark_squares) cannot overflow, and every class and every coordinate of a
 # prefix sum (|S_k| < q) fits in 32 bits, so 32-bit lanes serve every
-# window; narrower lanes keep sums mod 2^w (sum_dtype).
+# window.
 TABLE_CEILING = 1 << 31
 BLOCK = 1 << 16  # q-length passes go by blocks, their temporaries in cache
 POWER_BLOCK = 1 << 13  # the blocks of powers of g class tables are built from
@@ -140,9 +139,8 @@ def find_primitive_root(q: int) -> int:
 def reduce_mod(x: np.ndarray, q: int) -> np.ndarray:
     """x mod q for an integer array x that the caller gives up, reduced in
     place and returned: x - (x // q) q, with no temporary beyond the
-    quotient.  With a scalar divisor NumPy does // by a precomputed
-    multiplier but % by hardware division, so this is about twice as fast
-    as x % q, with the same values in [0, q) for q > 0."""
+    quotient; NumPy's // by a scalar multiplies, so this takes about half
+    the time of x % q, same values in [0, q) for q > 0."""
     quot = x // q
     quot *= q
     x -= quot
@@ -190,7 +188,7 @@ class PrimeModulus:
         """c[n] = payload[dlog(n) mod d] for n in [1, h], h = (q-1)/2, d |
         q-1, and c[0] a sentinel below the payload.  The default payload,
         the identity, gives the class table in the smallest signed dtype
-        holding -d; prefix_table passes packed values.
+        holding -d.
 
         Only the powers g^k, k < h, are taken: g^k <= h writes k at g^k, a
         larger one k + h at q - g^k = g^(k+h).  Every build checks that g^h
@@ -371,6 +369,11 @@ class Character:
     def moments(self) -> dict[tuple[int, int], int | float]:
         """Complete 2r-th moments over the prefix table, keyed (V, r);
         holder_chain fills it and reuses each across window starts."""
+        return {}
+
+    @cached_property
+    def rough(self) -> dict:
+        """holder_chain's z-rough sets, keyed (z, U)."""
         return {}
 
     def __repr__(self) -> str:
@@ -617,18 +620,21 @@ def window_array(table: PrefixTable, v: int, lo: int = 0,
 def lattice_norm(table: PrefixTable | Character, w: np.ndarray,
                  v: int | None = None) -> np.ndarray:
     """The integer that exact paths key window sums w on: |w| at rank 1,
-    in w's dtype (|w| <= v <= span), and |w|^2 at rank 2 (LATTICE), int64,
-    or int32 for windows of length v with 2v^2 < 2^31 (norm <= v^2).
-    Only the order of the table (or character) is read.  For windows of
-    length V it is at most V^rank, and |w|^(2r) is its power 2r / rank."""
+    in w's dtype (|w| <= v <= span); |w|^2 <= v^2 at rank 2 (LATTICE), in
+    int32 for windows of length v with 2v^2 < 2^31, else int64, squared in
+    place in widened copies of w's rows beside one product (none at order
+    4).  For windows of length V it is at most V^rank, and |w|^(2r) is
+    its power 2r / rank."""
     if table.order == 2:
         return np.abs(w)
     small = v is not None and 2 * v * v < 1 << 31
-    a, b = w.astype(np.int32 if small else np.int64, copy=False)
-    norm = a * a + b * b
-    if table.order != 4:
-        norm -= a * b
-    return norm
+    a, b = (x.astype(np.int32 if small else np.int64) for x in w)
+    ab = a * b if table.order != 4 else 0
+    a *= a
+    b *= b
+    a += b
+    a -= ab
+    return a
 
 
 def interval_sum(chi: Character, m: int, n: int
@@ -725,10 +731,10 @@ def square_buffers(q: int) -> tuple:
 
 def mark_squares(q: int, mark: np.ndarray, squares: tuple = ()) -> None:
     """mark[k^2 mod q] = 1 for k in [1, h], h = (q-1)/2: each quadratic
-    residue once.  k < 2^16 is squared in uint32 (smaller, faster to
-    divide) from squares, square_buffers for q or a larger prime (built if
-    not given), larger k in int64 BLOCKs through reduce_mod.  A mark
-    shorter than q takes the residues above h at entry h+1."""
+    residue once.  k < 2^16 is squared in uint32 from squares,
+    square_buffers for q or a larger prime (built if not given), larger k
+    in int64 BLOCKs through reduce_mod.  A mark shorter than q takes the
+    residues above h at entry h+1."""
     h = (q - 1) // 2
     sq, quot, res = squares or square_buffers(q)
     n = min(h, len(sq))

@@ -307,6 +307,48 @@ def test_certificate_overflow_guard_is_the_top_ceil():
     assert bounds._certified(norm - 1, counts, 2, 0)
 
 
+def test_certificate_across_gather_blocks():
+    # norm blocks straddling GATHER boundaries: each block's int64 dot
+    # product is summed into one Python int, so the verdict is that of the
+    # ceil sum W+ taken whole in Python ints
+    k = bounds.CERT_BITS
+    rng = np.random.default_rng(5)
+    for n in (GATHER - 1, GATHER + 1, 3 * GATHER + 7):
+        roots = rng.integers(0, 113, n)
+        counts = rng.integers(1, 6, n)
+        w = int(roots @ counts)  # perfect squares: W+ = W exactly
+        for r in (2, 3):
+            assert bounds._certified(roots * roots, counts, r, w ** (2 * r))
+            assert not bounds._certified(roots * roots, counts, r,
+                                         w ** (2 * r) - 1)
+        norm = rng.integers(0, 112 * 112, n).astype(np.int32)
+        plus = sum(c * (math.isqrt((x << 2 * k) - 1) + 1 if x else 0)
+                   for x, c in zip(norm.tolist(), counts.tolist()))
+        rhs = (plus ** 4 + (1 << 4 * k) - 1) >> 4 * k
+        assert bounds._certified(norm, counts, 2, rhs)
+        assert not bounds._certified(norm, counts, 2, rhs - 1)
+    # the overflow guard's edge, its 2^43 - 1 counts spread over two blocks
+    s = (1 << 43) - 1
+    counts = np.full(GATHER + 1, s // (GATHER + 1))
+    counts[-1] += s - int(counts.sum())
+    norm = np.ones(GATHER + 1, dtype=np.int32)
+    assert bounds._certified(norm, counts, 2, s ** 4)
+    assert not bounds._certified(norm, counts, 2, s ** 4 - 1)
+    counts[0] += 1
+    assert not bounds._certified(norm, counts, 2, (s + 1) ** 4)
+
+
+def test_certificate_holds_a_gather_block():
+    # 82,000 int32 norms: each GATHER block widened to int64 and its ceil
+    # steps, measured 328,396 bytes (2,097,792 a BLOCK at a time)
+    rng = np.random.default_rng(1)
+    norm = rng.integers(0, 112 * 112, 82000).astype(np.int32)
+    counts = rng.integers(1, 5, 82000)
+    bounds._certified(norm, counts, 2, 10 ** 40)
+    assert traced_peak(bounds._certified, norm, counts, 2, 10 ** 40) <= (
+        48 * GATHER)
+
+
 def test_extremal_scan_lattice_norms():
     # order 3: the maximum is the square root of the largest integer norm
     q, n = 1009, 17
@@ -338,6 +380,8 @@ def test_holder_chain_reuses_moment(monkeypatch, mod10007):
         reps = [holder_chain(chi, m, n, r) for r in (2, 3)
                 for m in (0, 17, 900)]
         assert len(calls) == len(set(calls)) == 2
+        # one rough set per (z, U): the r = 2 and r = 3 windows share it
+        assert list(chi.rough) == [(reps[0].params.z, reps[0].params.U)]
         # the cache keeps one scalar per (V, r), no array
         assert set(chi.moments) == set(calls)
         assert not any(isinstance(v, np.ndarray) for v in chi.moments.values())
@@ -382,6 +426,20 @@ def test_longer_window_widens_the_one_table():
         for rep in (again, fresh):
             assert (rep.W, rep.moment2r, rep.holder_rhs, rep.passed) == (
                 first.W, first.moment2r, first.holder_rhs, first.passed)
+
+
+def test_holder_chain_takes_the_moment_before_the_gather(monkeypatch,
+                                                        mod10007):
+    # buckets, then the moment, then the window sums: the moment's block
+    # temporaries are never held beside the gathered sums and their norms
+    calls = []
+    for name in ("collision_distribution", "moment_sum", "window_sum"):
+        def spy(*a, _name=name, _real=getattr(bounds, name), **k):
+            calls.append(_name)
+            return _real(*a, **k)
+        monkeypatch.setattr(bounds, name, spy)
+    holder_chain(mod10007.character(5), 17, int(10007 ** 0.4), 2)
+    assert calls == ["collision_distribution", "moment_sum", "window_sum"]
 
 
 def test_holder_chain_w_is_python_int(mod10007):
@@ -544,6 +602,17 @@ def test_holder_chain_holds_table_and_narrow_buckets():
     # product (45.7 before)
     products = 568 * 3162
     assert traced_peak(holder_chain, chi, 12345, 3162, 2) <= 32 * products
+
+
+def test_order_3_chain_holds_table_and_buckets():
+    # a fresh order-3 chain at q = 10000141, 131 rough u by 630 n: beside
+    # its 10,000,142-byte table, the buckets, then the moment before the
+    # gather, the norms squared in place and certified a GATHER block at a
+    # time; measured 2,214,777 bytes (3,587,587 with the moment after the
+    # gather, its norms as new arrays and the certificate by BLOCK)
+    chi = build_modulus(10000141).character(3333380)
+    peak = traced_peak(holder_chain, chi, 12345, 630, 2)
+    assert peak - vars(chi)["prefix"].sums.nbytes <= 2.75 * (1 << 20)
 
 
 @pytest.mark.parametrize("order", [2, 3])

@@ -133,6 +133,51 @@ def test_lattice_norm_int32_guard(d):
             assert (w[0] * w[0] + w[1] * w[1]).min() < 0
 
 
+def lattice_windows(d, v, n, seed):
+    """n random window sums of v terms of an order-d character, and the d
+    windows of v equal terms, as int64 LATTICE coordinates (2, n + d)."""
+    counts = np.random.default_rng(seed).multinomial(
+        v, [1 / (d + 1)] * (d + 1), n)[:, :d]
+    counts = np.concatenate([v * np.eye(d, dtype=np.int64), counts])
+    return np.array(LATTICE[d], dtype=np.int64) @ counts.T
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+@pytest.mark.parametrize("lane, v", [
+    (np.int8, 112), (np.int16, 30000), (np.int32, 32767), (np.int32, 32768),
+    (np.int32, 10 ** 6)])
+def test_lattice_norm_across_lanes(d, lane, v):
+    # the norms squared in place equal a^2 - ab + b^2 (a^2 + b^2 at order
+    # 4) in Python ints on every lane of window sums: int32 while 2v^2 <
+    # 2^31, int64 past it and with no v; w is left as it was
+    chi = build_modulus(1009).character(1008 // d)
+    w = lattice_windows(d, v, 3000, v).astype(lane)
+    before = w.copy()
+    want = [oracle_norm(d, a, b) for a, b in zip(*w.tolist())]
+    small = np.int32 if 2 * v * v < 1 << 31 else np.int64
+    for length, dtype in ((v, small), (None, np.int64)):
+        got = lattice_norm(chi, w, length)
+        assert got.dtype == dtype and got.shape == (len(want),)
+        assert got.tolist() == want
+        assert np.array_equal(w, before)
+
+
+def test_lattice_norm_holds_one_widened_pair():
+    # one (2, BLOCK) int8 block of order-3 windows of length 112: the int32
+    # widened pair and one product, measured 786,760 bytes (1,049,056 with
+    # the squares and their sum taken as new arrays)
+    chi = build_modulus(1009).character(336)
+    w = lattice_windows(3, 112, BLOCK - 3, 1).astype(np.int8)
+    lattice_norm(chi, w, 112)
+    tracemalloc.start()
+    try:
+        lattice_norm(chi, w, 112)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * BLOCK
+
+
 def test_moment_is_int_for_lattice_orders():
     q = 1009
     mod = build_modulus(q)

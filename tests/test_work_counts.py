@@ -45,13 +45,13 @@ def counts(monkeypatch):
 
 
 @pytest.mark.parametrize("order, pinned", [
-    (2, {"enumerate_rough": 5, "prefix_table": 1, "_legendre_half": 1,
+    (2, {"enumerate_rough": 1, "prefix_table": 1, "_legendre_half": 1,
          "mark_squares": 1}),
-    (3, {"enumerate_rough": 5, "prefix_table": 1, "classes": 1,
+    (3, {"enumerate_rough": 1, "prefix_table": 1, "classes": 1,
          "find_primitive_root": 1}),
 ])
 def test_holder_chain_counts(counts, order, pinned):
-    # five windows under one character: one table, one moment
+    # five windows under one character: one rough set, table and moment
     chi = build_modulus(Q).character((Q - 1) // order)
     for m in range(0, 5 * 9973, 9973):
         assert holder_chain(chi, m, 251, 2).passed
