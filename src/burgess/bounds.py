@@ -286,7 +286,7 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
     if table.rank == 1:
         W: int | float = int(lattice_norm(table, w) @ dist.counts)
     elif table.rank == 2:
-        norm = lattice_norm(table, w, params.V)
+        norm = lattice_norm(table, w)
         W = _weighted_sum(np.sqrt(norm), dist.counts)
     else:
         W = _weighted_sum(np.abs(w), dist.counts)
@@ -427,7 +427,7 @@ def _spread(q: int, mark: np.ndarray, ramp: np.ndarray | None = None,
     S_k (PrefixTable.sign) gives a spread of 2 max(max S, -min S) for q = 1
     (mod 4), max S - min S for q = 3 (mod 4)."""
     h = (q - 1) // 2
-    mark_squares(q, mark, squares)
+    mark_squares(q, mark, True, squares)
     walk = np.flatnonzero(mark[1:h + 1])  # r_j - 1
     mark[:q] = False
     if ramp is None:
@@ -466,6 +466,7 @@ def least_nonresidue(q: int) -> int:
     """Smallest n >= 2 that is a quadratic nonresidue mod the odd prime q."""
     if q < 3 or q % 2 == 0:
         raise ValueError("q must be an odd prime")
+    certify_modulus(q)
     e = (q - 1) // 2
     n = 2
     while pow(n, e, q) == 1:

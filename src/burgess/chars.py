@@ -19,13 +19,13 @@ class table, the quadratic value table and the prefix table hold n in [0,
 h]; their readers take the rest of the period as a mirror image.  chi(-1)
 = (-1)^m needs no table.
 
-A modulus holds no table: each read of its class table c(n) = dlog(n) mod
-d builds and checks one.  Single values come from the order-d Euler
-criterion and the quadratic value table from the squares k^2 mod q
-(mark_squares), so neither builds a class table or finds g.  prefix_table
-builds a prefix table, prefix_slices streams one in BLOCK slices.  A
-character caches one prefix table, its complete moments and rough sets; a
-table holds no reference to its character, so all are freed with it.
+A modulus holds no table: every table is built from a read of its class
+table c(n) = dlog(n) mod d (PrimeModulus.classes), of order 2 from the
+squares k^2 mod q (mark_squares), so no quadratic table finds g.  Single
+values come from the order-d Euler criterion.  prefix_table builds a prefix
+table, prefix_slices streams one in BLOCK slices.  A character caches one
+prefix table, its complete moments and rough sets; a table holds no
+reference to its character, so all are freed with it.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ DEFAULT_TABLE_LIMIT = 1 << 26
 # window.
 TABLE_CEILING = 1 << 31
 BLOCK = 1 << 16  # q-length passes go by blocks, their temporaries in cache
-POWER_BLOCK = 1 << 13  # the blocks of powers of g class tables are built from
+POWER_BLOCK = 1 << 13  # the blocks of powers of g, and of int64 squares
 GATHER = 1 << 13  # the blocks of starts window_sum reads, in int64
 
 # The values e(c/d) of a character of order d in {2, 3, 4, 6} lie in a
@@ -190,23 +190,32 @@ class PrimeModulus:
         the identity, gives the class table in the smallest signed dtype
         holding -d.
 
-        Only the powers g^k, k < h, are taken: g^k <= h writes k at g^k, a
-        larger one k + h at q - g^k = g^(k+h).  Every build checks that g^h
-        = -1 and, by min, that no sentinel is left (g is primitive), and the
-        anchors c[1] and c at g.  For d <= POWER_BLOCK a block of powers
-        takes a slice of one ramp payload[k % d], k below d plus the block
-        length, lifted to payload[(k + h) % d] above h."""
-        q, g = self.q, self.g
+        Order 2 reads no g: c is payload[1] but at the squares, which
+        mark_squares marks with payload[0].  Other orders take only the
+        powers g^k, k < h: g^k <= h writes k at g^k, a larger one k + h at
+        q - g^k = g^(k+h).  Every build checks that g^h = -1 and, by min,
+        that no sentinel is left (g is primitive), and the anchors c[1] and
+        c at g.  For d <= POWER_BLOCK a block of powers takes a slice of one
+        ramp payload[k % d], k below d plus the block length, lifted to
+        payload[(k + h) % d] above h."""
+        q = self.q
         h = (q - 1) // 2
-        shift = h % d  # 0 for odd d, which divides h
         dtype = np.min_scalar_type(-d) if payload is None else payload.dtype
         if payload is None and d <= POWER_BLOCK:
             payload = np.arange(d, dtype=dtype)
+        if d == 2:  # entry h+1 takes the squares above h
+            zero, one = payload.tolist()
+            c = np.full(h + 2, one, dtype=dtype)
+            c[0] = min(zero, one) - 1
+            mark_squares(q, c, zero)
+            return c[:-1]
+        low = -1 if payload is None else int(payload.min()) - 1
+        g = self.g
+        shift = h % d  # 0 for odd d, which divides h
         if payload is not None:
             ramp = np.arange(min(POWER_BLOCK, h) + d) % d
             vals = payload[ramp]
             lift = payload[(ramp + shift) % d] - vals
-        low = -1 if payload is None else int(payload.min()) - 1
         c = np.full(h + 1, low, dtype=dtype)
         for pos, powers in _power_blocks(g, h, q):
             n = q - powers
@@ -466,7 +475,7 @@ class PrefixEnds(PrefixTable):
 def prefix_table(chi: Character, span: int | None = None) -> PrefixTable:
     """S_0 .. S_h in the narrowest dtype serving windows up to span
     (sum_dtype), by default every window.  An integer table is one buffer,
-    its squares marked or its packed values scattered by the modulus, and
+    the packed values written by the modulus (PrimeModulus.classes), and
     one in-place cumsum; complex ones are filled from prefix_slices."""
     if chi.is_trivial:
         raise TrivialCharacter("prefix table requires a nontrivial character")
@@ -477,8 +486,7 @@ def prefix_table(chi: Character, span: int | None = None) -> PrefixTable:
         for _ in prefix_slices(chi, q, sums):
             pass
         return PrefixTable(sums, d)
-    sums = (_legendre_half(q, dtype) if d == 2
-            else chi.modulus.classes(d, _packed(chi, dtype)))
+    sums = chi.modulus.classes(d, _packed(chi, dtype))
     sums[0] = 0  # S_0: n = 0 has no value
     np.cumsum(sums, dtype=dtype, out=sums)
     assert (q - 1) // d % 2 or not sums[-1]  # even chi: S_h = -S_h (mod 2^w)
@@ -497,7 +505,9 @@ def sum_dtype(d: int, span: int) -> np.dtype:
 
 def _packed(chi: Character, dtype: np.dtype) -> np.ndarray:
     """chi(g^j), j in [0, d), as coordinates (a, b) packed in dtype as
-    a + 2^w b, w half its bits."""
+    a + 2^w b, w half its bits; (1, -1) at rank 1."""
+    if chi.order == 2:
+        return np.array(LATTICE[2][0], dtype)
     k = chi._class_of(np.arange(chi.order, dtype=np.int64))
     a, b = np.array(LATTICE[chi.order], dtype=np.int64)[:, k]
     return (a + (b << 4 * dtype.itemsize)).astype(dtype)
@@ -523,16 +533,16 @@ def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
                   ) -> Iterator[np.ndarray]:
     """S_0 .. S_h of a nontrivial chi in BLOCK slices laid out as
     PrefixTable.sums, serving windows up to span (sum_dtype): views of out
-    when given, else fresh arrays.  Each slice gathers the quadratic values
-    or its classes' packed values or roots (from its classes when d >
-    BLOCK: no d-entry table), adds the running total to its first entry
-    and is summed in place: bit for bit one sequential cumsum."""
+    when given, else fresh arrays.  Each slice casts the int8 quadratic
+    values or gathers its classes' packed values or roots (from its classes
+    when d > BLOCK: no d-entry table), adds the running total to its first
+    entry and is summed in place: bit for bit one sequential cumsum."""
     q, d = chi.q, chi.order
     h = (q - 1) // 2
     dtype = sum_dtype(d, span)
     pay = None
-    if chi.is_quadratic:
-        src = _legendre_half(q)
+    if d == 2:
+        src = chi.modulus.classes(2, np.array(LATTICE[2][0], np.int8))
     else:
         src = chi.modulus.classes(d)
         if d in LATTICE:
@@ -547,7 +557,7 @@ def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
         if pay is not None:
             # every class of n >= 1 is in [0, d): "clip" skips the check
             np.take(pay, block, out=s, mode="clip")
-        elif chi.is_quadratic:
+        elif d == 2:
             s[...] = block
         else:
             s[...] = chi._roots(chi._class_of(block.astype(np.int64)))
@@ -617,18 +627,17 @@ def window_array(table: PrefixTable, v: int, lo: int = 0,
     return unpack(p, table.order)
 
 
-def lattice_norm(table: PrefixTable | Character, w: np.ndarray,
-                 v: int | None = None) -> np.ndarray:
+def lattice_norm(table: PrefixTable | Character, w: np.ndarray) -> np.ndarray:
     """The integer that exact paths key window sums w on: |w| at rank 1,
-    in w's dtype (|w| <= v <= span); |w|^2 <= v^2 at rank 2 (LATTICE), in
-    int32 for windows of length v with 2v^2 < 2^31, else int64, squared in
-    place in widened copies of w's rows beside one product (none at order
-    4).  For windows of length V it is at most V^rank, and |w|^(2r) is
-    its power 2r / rank."""
+    in w's dtype (|w| <= span); |w|^2 at rank 2 (LATTICE), squared in place
+    in widened copies of w's rows beside one product (none at order 4): in
+    int32 for 8- and 16-bit lanes, whose coordinates are at most a span of
+    2^15 - 1 and 2 (2^15 - 1)^2 < 2^31, else int64.  For windows of length
+    V it is at most V^rank, and |w|^(2r) is its power 2r / rank."""
     if table.order == 2:
         return np.abs(w)
-    small = v is not None and 2 * v * v < 1 << 31
-    a, b = (x.astype(np.int32 if small else np.int64) for x in w)
+    lane = np.int32 if w.itemsize <= 2 else np.int64
+    a, b = (x.astype(lane) for x in w)
     ab = a * b if table.order != 4 else 0
     a *= a
     b *= b
@@ -704,21 +713,14 @@ def lattice_complex(d: int, coords: tuple[int, int]) -> complex:
 
 def legendre_value_array(q: int) -> np.ndarray:
     """The quadratic character chi(n) for n in [0, h], h = (q-1)/2, as
-    h+1 int8 entries, with no class table or g; n > h is chi(-1) chi(q-n),
-    chi(-1) = (-1)^h."""
+    h+1 int8 entries, the class table of order 2 (no g); n > h is chi(-1)
+    chi(q-n), chi(-1) = (-1)^h."""
     if q < 3:
         raise CompositeModulus(f"{q} is not an odd prime")
     certify_modulus(q)
-    return _legendre_half(q)
-
-
-def _legendre_half(q: int, dtype: np.dtype = np.int8) -> np.ndarray:
-    """legendre_value_array without the certificate a modulus had, in
-    dtype: a quadratic prefix table marks its squares in its own buffer."""
-    vals = np.full((q + 3) // 2, -1, dtype=dtype)
+    vals = PrimeModulus(q).classes(2, np.array(LATTICE[2][0], np.int8))
     vals[0] = 0
-    mark_squares(q, vals)
-    return vals[:-1]
+    return vals
 
 
 def square_buffers(q: int) -> tuple:
@@ -729,14 +731,14 @@ def square_buffers(q: int) -> tuple:
     return sq, np.empty_like(sq), np.empty(len(sq), np.intp)
 
 
-def mark_squares(q: int, mark: np.ndarray, squares: tuple = ()) -> None:
-    """mark[k^2 mod q] = 1 for k in [1, h], h = (q-1)/2: each quadratic
-    residue once.  k < 2^16 is squared in uint32 from squares,
-    square_buffers for q or a larger prime (built if not given), larger k
-    in int64 BLOCKs through reduce_mod.  A mark shorter than q takes the
-    residues above h at entry h+1."""
+def mark_squares(q: int, mark: np.ndarray, value, squares: tuple = ()) -> None:
+    """mark[k^2 mod q] = value for k in [1, h], h = (q-1)/2: each quadratic
+    residue once.  The first k are squared in uint32 from squares,
+    square_buffers for q or a larger prime, else k < POWER_BLOCK from
+    buffers built here; larger k in int64 POWER_BLOCKs through reduce_mod.
+    A mark shorter than q takes the residues above h at entry h+1."""
     h = (q - 1) // 2
-    sq, quot, res = squares or square_buffers(q)
+    sq, quot, res = squares or square_buffers(min(q, 2 * POWER_BLOCK))
     n = min(h, len(sq))
     np.floor_divide(sq[:n], q, out=quot[:n])
     quot[:n] *= q
@@ -745,10 +747,10 @@ def mark_squares(q: int, mark: np.ndarray, squares: tuple = ()) -> None:
     while True:
         if len(mark) < q:
             np.minimum(s, h + 1, out=s)
-        mark[s] = 1
+        mark[s] = value
         if n >= h:
             return
-        s = np.arange(n + 1, min(n + BLOCK, h) + 1, dtype=np.int64)
+        s = np.arange(n + 1, min(n + POWER_BLOCK, h) + 1, dtype=np.int64)
         n += len(s)
         s *= s
         reduce_mod(s, q)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InstanceTooLarge
-from .chars import BLOCK, is_prime, reduce_mod, window_residues
+from .chars import is_prime, reduce_mod, window_residues
 from .sieve import RoughSet
 
 BRUTE_FORCE_GUARD = 10_000
@@ -80,7 +80,7 @@ def collision_distribution(inst: CollisionInstance) -> CollisionDistribution:
     """Bucket lam = n * u^{-1} (mod q) over the window and the rough set.
 
     The products (below q^2, inside int64 as q <= MAX_INT64_Q) are reduced
-    a BLOCK of them at a time into one array of lams' dtype."""
+    in one step and sorted in lams' dtype."""
     q, M, N = inst.q, inst.M, inst.N
     members = inst.rough.members
     bad = members[members % q == 0]
@@ -88,12 +88,8 @@ def collision_distribution(inst: CollisionInstance) -> CollisionDistribution:
         raise ValueError(f"multiplier {int(bad[0])} not invertible mod {q}")
     inverses = np.array([pow(int(u), -1, q) for u in members], dtype=np.int64)
     residues = window_residues(M, N, q)
-    grid = np.empty((len(inverses), N),
-                    dtype=np.int32 if q <= 1 << 31 else np.int64)
-    rows = max(BLOCK // max(N, 1), 1)
-    for lo in range(0, len(inverses), rows):
-        grid[lo:lo + rows] = reduce_mod(inverses[lo:lo + rows, None]
-                                        * residues, q)
+    grid = reduce_mod(inverses[:, None] * residues, q).astype(
+        np.int32 if q <= 1 << 31 else np.int64, copy=False)
     lams, counts = np.unique(grid, return_counts=True)
     return CollisionDistribution(
         lams=lams, counts=counts, first_moment=int(counts.sum()),

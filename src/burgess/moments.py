@@ -11,15 +11,15 @@ the blocks from its table; otherwise the sums are streamed from
 chars.prefix_slices, in the lanes that serve V, and only about V + 2 BLOCK
 of them are held at a time, plus S_0 .. S_{2V+1} and S_{h-2V-1} .. S_h for
 the 2V+1 edge starts, so no q-sized table is built and the moment is bit
-for bit the table's.  For
-characters of order 2, 3, 4 and 6 the window sums are lattice points with
-an exact integer norm of at most V^rank (chars.lattice_norm, computed in
-int32 while 2V^2 < 2^31), so the moment reduces to a bincount of the norms
-followed by an exact big-integer combination; that is what makes the
-inequality margin a zero-tolerance check.  Characters of other orders sum
-|w|^{2r} in double precision block by block; a sum past the double range
-is taken again in exact rationals, each block scaled by its largest
-|w|^2, so its verdict is still decided.
+for bit the table's.  For characters of order 2, 3, 4 and 6 the window
+sums are lattice points with an exact integer norm of at most V^rank
+(chars.lattice_norm, in int32 on the 16-bit lanes that serve V < 2^15), so
+the moment reduces to a bincount of the norms followed by an exact
+big-integer combination; that is what makes the inequality margin a
+zero-tolerance check.  Characters of other orders sum |w|^{2r} in double
+precision block by block; a sum past the double range is taken again in
+exact rationals, each block scaled by its largest |w|^2, so its verdict is
+still decided.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def moment_sum(chi: Character, V: int, r: int) -> MomentReport:
             # zeroed pages that no norm reaches are never touched
             counts = np.zeros(V ** rank + 1, dtype=np.int64)
             for weight, w in blocks():
-                c = np.bincount(lattice_norm(chi, w, V))
+                c = np.bincount(lattice_norm(chi, w))
                 counts[:len(c)] += weight * c
             keys = np.flatnonzero(counts)
             moment = _power_sum(keys, counts[keys], power)

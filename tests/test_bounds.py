@@ -25,12 +25,12 @@ from burgess.bounds import (
     resolve_params,
 )
 from burgess import bounds
+from burgess import chars as chars_module
 from burgess.acceptance import holder_cells
 from burgess.congruence import collision_distribution
 from burgess.chars import (
     GATHER,
     PrefixTable,
-    PrimeModulus,
     build_modulus,
     interval_sum,
     is_prime,
@@ -42,6 +42,7 @@ from burgess.chars import (
     window_sum,
 )
 from burgess.errors import (
+    CompositeModulus,
     DegenerateParams,
     LimitTooLarge,
     TableLimitExceeded,
@@ -662,8 +663,8 @@ def test_spread_and_gap_across_square_dtypes(q):
     # h+1, whether the kernel builds its squares or reads a larger prime's
     for squares in ((), square_buffers(140009)):
         whole, clipped = np.zeros(q, dtype=bool), np.zeros(h + 2, dtype=bool)
-        mark_squares(q, whole, squares)
-        mark_squares(q, clipped, squares)
+        mark_squares(q, whole, True, squares)
+        mark_squares(q, clipped, True, squares)
         assert np.array_equal(whole[1:], full[1:] == 1)
         assert np.array_equal(clipped[1:h + 1], whole[1:h + 1])
         assert clipped[h + 1] and not clipped[0] and not whole[0]
@@ -679,6 +680,9 @@ def test_least_nonresidue_examples():
     assert least_nonresidue(41) == 3
     with pytest.raises(ValueError):
         least_nonresidue(8)
+    for q in (9, 15):  # Euler's test alone would answer 2
+        with pytest.raises(CompositeModulus):
+            least_nonresidue(q)
 
 
 def test_nonresidue_gap_examples():
@@ -724,25 +728,26 @@ def test_uv_budget_property(n, q, r):
 
 
 def test_legendre_work_builds_no_dlog(monkeypatch):
-    # the quadratic values come from the squares and single values from the
-    # order-d Euler criterion, so no class table is ever built
-    def no_table(self, d):
-        raise AssertionError(f"class table mod {d} built")
+    # the quadratic tables come from the squares and single values from the
+    # order-d Euler criterion, so no primitive root is ever found
+    def no_root(q):
+        raise AssertionError(f"primitive root mod {q} searched")
 
-    monkeypatch.setattr(PrimeModulus, "classes", no_table)
-    mod = build_modulus(10007)
-    chi = mod.legendre()
-    assert holder_chain(chi, 17, int(10007 ** 0.4), 2).passed
-    assert moment_check(chi, r=2).passed
-    built = []
+    with monkeypatch.context() as patch:
+        patch.setattr(chars_module, "find_primitive_root", no_root)
+        mod = build_modulus(10007)
+        chi = mod.legendre()
+        assert holder_chain(chi, 17, int(10007 ** 0.4), 2).passed
+        assert moment_check(chi, r=2).passed
+        built = []
 
-    def spy(q):
-        built.append(build_modulus(q))
-        return built[-1]
+        def spy(q):
+            built.append(build_modulus(q))
+            return built[-1]
 
-    monkeypatch.setattr(bounds, "build_modulus", spy)
-    extremal_scan(10007, 5003, 40, [0, 17, 900])
-    assert len(built) == 1
+        patch.setattr(bounds, "build_modulus", spy)
+        extremal_scan(10007, 5003, 40, [0, 17, 900])
+        assert len(built) == 1
     q = 10000141
     big = build_modulus(q)
     for d in (2, 3):

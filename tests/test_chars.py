@@ -300,8 +300,9 @@ def test_prefix_build_holds_table_and_a_block():
 
 def test_legendre_prefix_build_holds_table_and_a_block():
     # the squares are marked in the int32 table itself and summed in place:
-    # beside it only O(BLOCK) temporaries, no int8 value table (h+2 bytes)
-    # and no 4(h+1)-byte copy
+    # beside it 2^13 uint32 squares, then int64 blocks of as many (about
+    # 166,000 bytes), no int8 value table (h+2 bytes) and no 4(h+1)-byte
+    # copy
     q = 10000019
     chi = build_modulus(q).legendre()
     tracemalloc.start()
@@ -312,7 +313,7 @@ def test_legendre_prefix_build_holds_table_and_a_block():
         tracemalloc.stop()
     h = (q - 1) // 2
     assert table.sums.nbytes == 4 * (h + 1)
-    assert peak <= table.sums.nbytes + 32 * BLOCK
+    assert peak <= table.sums.nbytes + 4 * BLOCK
 
 
 def test_full_order_prefix_build_holds_no_root_table():
@@ -401,6 +402,11 @@ def test_legendre_paths_find_no_primitive_root(monkeypatch):
         bounds.max_window_spread(q)
         assert [chi(n).as_int() for n in range(-3, 40)] == [
             euler_criterion(n, q) for n in range(-3, 40)]
+        # 5000 terms > isqrt(q): the half class table, read across h
+        assert interval_sum(chi, q // 2 - 2000, 5000) == sum(
+            euler_criterion(n, q) for n in range(q // 2 - 1999, q // 2 + 3001))
+        assert mirror_classes(chi, np.arange(1, q)).tolist() == [
+            (1 - euler_criterion(n, q)) // 2 for n in range(1, q)]
         assert vars(mod) == {"q": q}
     with pytest.raises(AssertionError, match="primitive root"):
         build_modulus(10007).character(3).prefix
@@ -780,7 +786,7 @@ def test_legendre_value_array_matches_dlog_path(mod101, mod1009):
         # chi(g^k) = (-1)^k, over the half period [0, h]
         h = (mod.q - 1) // 2
         assert legendre_value_array(mod.q).tolist() == [0] + [
-            1 - 2 * k for k in mod.classes(2)[1:h + 1].tolist()]
+            1 - 2 * k for k in scatter_classes(mod, 2)[1:h + 1].tolist()]
 
 
 @pytest.mark.parametrize("q", [262153, 262147])  # 1 and 3 (mod 4)

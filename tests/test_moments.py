@@ -111,26 +111,26 @@ def test_lattice_path_matches_integer_oracle(d):
 @pytest.mark.parametrize("d", [3, 4, 6])
 def test_lattice_norm_int32_guard(d):
     # window sums of v values, from the class counts of v terms: 2v^2 < 2^31
-    # holds at v = 32767 (int32 norms) and fails at v = 32768 (int64), where
-    # the all-omega^2 window (-v, -v) of order 3 gives a^2 + b^2 = 2^31
+    # holds at v = 32767, the longest window of 16-bit lanes (int32 norms),
+    # and fails at v = 32768, in 32-bit lanes (int64), where the
+    # all-omega^2 window (-v, -v) of order 3 gives a^2 + b^2 = 2^31
     chi = build_modulus(1009).character(1008 // d)
     table = prefix_table(chi)
     cols = np.array(LATTICE[d], dtype=np.int64)
     rng = np.random.default_rng(d)
-    for v, dtype in ((32767, np.int32), (32768, np.int64)):
+    for v, lane, dtype in ((32767, np.int16, np.int32),
+                           (32768, np.int32, np.int64)):
         counts = np.concatenate([
             v * np.eye(d, dtype=np.int64),  # every term in one class
             rng.multinomial(v, [1 / (d + 1)] * (d + 1), 500)[:, :d]])
-        w = (cols @ counts.T).astype(np.int32)
+        w = cols @ counts.T
         assert np.abs(w).max() <= v
-        want = lattice_norm(table, w)
-        assert want.dtype == np.int64
-        assert want.tolist() == [oracle_norm(d, a, b)
-                                 for a, b in zip(*w.tolist())]
-        got = lattice_norm(table, w, v)
-        assert got.dtype == dtype and np.array_equal(got, want), v
+        want = [oracle_norm(d, a, b) for a, b in zip(*w.tolist())]
+        got = lattice_norm(table, w.astype(lane))
+        assert got.dtype == dtype and got.tolist() == want, v
         if v == 32768 and d != 4:  # the int32 form would wrap here
-            assert (w[0] * w[0] + w[1] * w[1]).min() < 0
+            a, b = w.astype(np.int32)
+            assert (a * a + b * b).min() < 0
 
 
 def lattice_windows(d, v, n, seed):
@@ -148,18 +148,16 @@ def lattice_windows(d, v, n, seed):
     (np.int32, 10 ** 6)])
 def test_lattice_norm_across_lanes(d, lane, v):
     # the norms squared in place equal a^2 - ab + b^2 (a^2 + b^2 at order
-    # 4) in Python ints on every lane of window sums: int32 while 2v^2 <
-    # 2^31, int64 past it and with no v; w is left as it was
+    # 4) in Python ints on every lane of window sums: int32 on 8- and 16-bit
+    # lanes, int64 on 32-bit ones; w is left as it was
     chi = build_modulus(1009).character(1008 // d)
     w = lattice_windows(d, v, 3000, v).astype(lane)
     before = w.copy()
     want = [oracle_norm(d, a, b) for a, b in zip(*w.tolist())]
-    small = np.int32 if 2 * v * v < 1 << 31 else np.int64
-    for length, dtype in ((v, small), (None, np.int64)):
-        got = lattice_norm(chi, w, length)
-        assert got.dtype == dtype and got.shape == (len(want),)
-        assert got.tolist() == want
-        assert np.array_equal(w, before)
+    got = lattice_norm(chi, w)
+    assert got.dtype == (np.int64 if lane == np.int32 else np.int32)
+    assert got.shape == (len(want),) and got.tolist() == want
+    assert np.array_equal(w, before)
 
 
 def test_lattice_norm_holds_one_widened_pair():
@@ -168,10 +166,10 @@ def test_lattice_norm_holds_one_widened_pair():
     # the squares and their sum taken as new arrays)
     chi = build_modulus(1009).character(336)
     w = lattice_windows(3, 112, BLOCK - 3, 1).astype(np.int8)
-    lattice_norm(chi, w, 112)
+    lattice_norm(chi, w)
     tracemalloc.start()
     try:
-        lattice_norm(chi, w, 112)
+        lattice_norm(chi, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -14,7 +14,7 @@ from burgess.bounds import holder_chain, max_window_spread, pv_ratio_scan
 from burgess.chars import build_modulus, interval_sum
 from burgess.moments import moment_check
 
-COUNTED = ("_legendre_half", "mark_squares", "prefix_table", "prefix_slices",
+COUNTED = ("mark_squares", "prefix_table", "prefix_slices",
            "find_primitive_root", "enumerate_rough")
 Q = 1000003  # q - 1 = 2 * 3 * 166667: orders 2 and 3
 
@@ -45,7 +45,7 @@ def counts(monkeypatch):
 
 
 @pytest.mark.parametrize("order, pinned", [
-    (2, {"enumerate_rough": 1, "prefix_table": 1, "_legendre_half": 1,
+    (2, {"enumerate_rough": 1, "prefix_table": 1, "classes": 1,
          "mark_squares": 1}),
     (3, {"enumerate_rough": 1, "prefix_table": 1, "classes": 1,
          "find_primitive_root": 1}),
@@ -59,7 +59,7 @@ def test_holder_chain_counts(counts, order, pinned):
 
 
 @pytest.mark.parametrize("order, pinned", [
-    (2, {"prefix_slices": 1, "_legendre_half": 1, "mark_squares": 1}),
+    (2, {"prefix_slices": 1, "classes": 1, "mark_squares": 1}),
     (3, {"prefix_slices": 1, "classes": 1, "find_primitive_root": 1}),
 ])
 def test_moment_check_counts(counts, order, pinned):
@@ -73,9 +73,17 @@ def test_long_interval_sum_counts(counts):
     assert counts == {"classes": 1, "find_primitive_root": 1}
 
 
+def test_long_quadratic_interval_sum_counts(counts):
+    # the order-2 class table comes from the squares: no primitive root
+    interval_sum(build_modulus(Q).legendre(), 12345, 400000)
+    assert counts == {"classes": 1, "mark_squares": 1}
+
+
 def test_criterion_1_counts(counts):
     assert acceptance.criterion_1(primes=(101,)).passed
-    assert counts == {"classes": 594, "find_primitive_root": 1}
+    # six of the class tables are the Legendre character's, from the squares
+    assert counts == {"classes": 594, "mark_squares": 6,
+                      "find_primitive_root": 1}
 
 
 def test_spread_counts(counts):
