@@ -187,6 +187,8 @@ def bound_value(variant: str, N: int, q: int, r: int | None = None,
         raise ValueError("q must be >= 3")
     if variant not in VARIANTS:
         raise UnknownVariant(f"unknown bound variant {variant!r}")
+    if not math.isfinite(grh_delta):
+        raise ValueError(f"grh_delta must be finite, not {grh_delta}")
     logq = math.log(q)
     if variant == "polya_vinogradov":
         return math.sqrt(q) * logq
@@ -371,21 +373,22 @@ class ScanResult:
     worst_ratio: dict[str, float]
 
 
-def extremal_scan(q: int, char_index: int, N: int, M_values: list[int],
-                  r: int = 2) -> ScanResult:
-    """Max |short sum| over the given window starts, with per-bound ratios.
+def extremal_scan(q_or_char: int | Character, char_index: int | None,
+                  N: int, M_values: list[int], r: int = 2) -> ScanResult:
+    """Max |short sum| over the given window starts, with per-bound ratios,
+    for a Character (char_index None) or the index char_index mod a prime q.
 
-    One prefix table serves every window, read in one gather (full periods
-    drop out, so only N mod q terms remain); all variant ratios are measured
-    against the same scan data.
+    One prefix table, kept on the character, serves every window, read in
+    one gather (full periods drop out, so only N mod q terms remain); all
+    variant ratios are measured against the same scan data.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if not M_values:
         raise ValueError("extremal scan needs at least one window start")
-    mod = build_modulus(q)
-    chi = mod.character(char_index)
-    rem = N % q
+    chi = (q_or_char if isinstance(q_or_char, Character)
+           else build_modulus(q_or_char).character(char_index))
+    q, rem = chi.q, N % chi.q
     if rem:
         # reduced as Python ints, so starts beyond int64 are accepted
         starts = np.array([m % q for m in M_values], dtype=np.int64)
@@ -402,7 +405,7 @@ def extremal_scan(q: int, char_index: int, N: int, M_values: list[int],
     for variant in VARIANTS:
         b = bound_value(variant, N, q, r=r)
         ratios[variant] = best / b if b > 0 else math.inf
-    return ScanResult(q=q, N=N, r=r, char_index=char_index,
+    return ScanResult(q=q, N=N, r=r, char_index=chi.index,
                       windows=len(M_values), max_abs_sum=best,
                       argmax_M=best_m, worst_ratio=ratios)
 

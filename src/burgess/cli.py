@@ -5,11 +5,11 @@ subparser, that yields one ``(inputs, outputs, passes)`` triple per record.
 Records are JSON Lines by default (schema field = 1), each written and
 flushed as soon as it is produced, so a crash mid-sweep keeps every finished
 record; --format csv flattens the same fields and is written at the end.
-Sweeps run in canonical (q, r, char index, M) order.  Identical config + seed
-gives byte-identical output apart from ``timings.elapsed_s``, the seconds
-spent producing that record.  Exit codes: 0 success, 1 an inequality or
-invariant check failed, 2 invalid input, 3 unexpected error (traceback on
-stderr).
+Sweeps run in canonical (q, char index, r, M) order, one character serving
+every r and M of its index.  Identical config + seed gives byte-identical
+output apart from ``timings.elapsed_s``, the seconds spent producing that
+record.  Exit codes: 0 success, 1 an inequality or invariant check failed,
+2 invalid input, 3 unexpected error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from . import bounds as bnd
 from . import chars, congruence, moments, sieve
-from .errors import BurgessError
+from .errors import BurgessError, CompositeModulus
 
 SCHEMA = 1
 
@@ -225,7 +225,8 @@ def write_csv(records: list[dict], out) -> None:
 
 
 def _sweep_cells(args, cfg: ExperimentConfig):
-    """(q, chi-index, r, N, M-list) cells in (q, r, chi-index) order."""
+    """(chi, r, N, M-list) cells in (q, chi index, r) order: one Character
+    per (q, index), of one modulus per q, serves every r and window start."""
     spec = args.primes if args.primes is not None else args.q
     primes = cfg.primes if spec is None else parse_primes_spec(str(spec))
     r_values = [args.r] if args.r is not None else cfg.r_values
@@ -237,10 +238,12 @@ def _sweep_cells(args, cfg: ExperimentConfig):
                  else "legendre" if args.legendre else cfg.char_spec)
     for q in sorted(primes):
         n = parse_n_spec(str(n_spec), q)
-        for r in sorted(r_values):
-            for m_idx in char_indices(char_spec, q):
+        mod = chars.build_modulus(q)
+        for m_idx in char_indices(char_spec, q):
+            chi = mod.character(m_idx)
+            for r in sorted(r_values):
                 rng = random.Random(f"{cfg.seed}:{q}:{m_idx}:{r}:{n}")
-                yield q, m_idx, r, n, parse_m_spec(m_spec, q, rng)
+                yield chi, r, n, parse_m_spec(m_spec, q, rng)
 
 
 def run_sum(args, cfg):
@@ -259,9 +262,9 @@ def run_sum(args, cfg):
 
 def run_scan(args, cfg):
     # M values keep their given order: argmax_M is the first tied maximum.
-    for q, m_idx, r, n, m_values in _sweep_cells(args, cfg):
-        res = bnd.extremal_scan(q, m_idx, n, m_values, r=r)
-        yield ({"q": q, "char_index": m_idx, "r": r, "N": n,
+    for chi, r, n, m_values in _sweep_cells(args, cfg):
+        res = bnd.extremal_scan(chi, None, n, m_values, r=r)
+        yield ({"q": chi.q, "char_index": chi.index, "r": r, "N": n,
                 "M_count": len(m_values)},
                {"windows": res.windows, "max_abs_sum": res.max_abs_sum,
                 "argmax_M": res.argmax_M, "worst_ratio": res.worst_ratio},
@@ -270,8 +273,9 @@ def run_scan(args, cfg):
 
 def run_moments(args, cfg):
     v = next(x for x in (args.V, cfg.V, "auto") if x is not None)
-    for q, m_idx, r, _, _ in _sweep_cells(args, cfg):
-        report = moments.moment_check(q, m_idx, V=v, r=r)
+    for chi, r, _, _ in _sweep_cells(args, cfg):
+        report = moments.moment_check(chi, V=v, r=r)
+        q = report.q
         a, b = moments.weil_terms(r, report.V, q)
         c = (2 * r) ** (2 * r) * q  # the specialized bound is c sqrt(q)
         outputs = {"moment": report.moment, "bound": report.bound,
@@ -282,7 +286,7 @@ def run_moments(args, cfg):
             outputs, moment=lambda: _log10(report.moment),
             bound=lambda: _log10(a + math.isqrt(b * b * q)),
             specialized_bound=lambda: _log10(math.isqrt(c * c * q)))
-        yield ({"q": q, "char_index": m_idx, "r": r, "V": report.V},
+        yield ({"q": q, "char_index": chi.index, "r": r, "V": report.V},
                outputs,
                {"moment_le_bound": report.passed,
                 "specialized": report.specialized_passed})
@@ -318,6 +322,9 @@ def run_rough(args, cfg):
 
 
 def run_congruence(args, cfg):
+    # no q-sized table, so no table cap; past MAX_INT64_Q the library refuses q
+    if args.q <= congruence.MAX_INT64_Q and not chars.is_prime(args.q):
+        raise CompositeModulus(f"{args.q} is not prime")
     if (args.u1 is None) != (args.u2 is None):
         raise ValueError("--u1 and --u2 must be given together")
     n = parse_n_spec(args.N if args.N is not None else "q^0.45", args.q)
@@ -366,9 +373,8 @@ def _averaging_params(args, cfg, n: int, q: int, r: int) -> bnd.BurgessParams:
 
 
 def run_holder(args, cfg):
-    for q, m_idx, r, n, m_values in _sweep_cells(args, cfg):
-        params = _averaging_params(args, cfg, n, q, r)
-        chi = chars.build_modulus(q).character(m_idx)
+    for chi, r, n, m_values in _sweep_cells(args, cfg):
+        params = _averaging_params(args, cfg, n, chi.q, r)
         for m in sorted(m_values):
             report = bnd.holder_chain(chi, m, n, r, params=params)
             p = report.params
@@ -382,7 +388,8 @@ def run_holder(args, cfg):
                 holder_lhs=lambda: 2 * r * _log10(report.W),
                 holder_rhs=lambda: (2 * r - 2) * _log10(report.first_moment)
                 + _log10(report.second_moment) + _log10(report.moment2r))
-            yield ({"q": q, "char_index": m_idx, "r": r, "N": n, "M": m},
+            yield ({"q": chi.q, "char_index": chi.index, "r": r, "N": n,
+                    "M": m},
                    outputs, {"holder": report.passed})
 
 

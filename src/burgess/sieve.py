@@ -158,7 +158,7 @@ def rough_density_ratio(z: float, U: int, C: float = 10.0) -> float:
     if z <= 1:
         raise ValueError("sieve level z must be > 1")
     try:
-        violated = z ** C > U
+        violated = not z ** C <= U  # a NaN power violates it too
     except OverflowError:
         violated = True
     if violated:

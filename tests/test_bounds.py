@@ -151,6 +151,13 @@ def test_bound_value_examples():
     assert bound_value("grh", 100, 101) == 10 * 101 ** 0.05
 
 
+def test_bound_value_refuses_non_finite_grh_delta():
+    for delta in (math.nan, math.inf, -math.inf):
+        for variant in ("grh", "polya_vinogradov"):
+            with pytest.raises(ValueError, match="grh_delta"):
+                bound_value(variant, 100, 10007, r=2, grh_delta=delta)
+
+
 def test_variant_ordering_chain():
     rng = random.Random(12)
     for _ in range(100):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from burgess import chars, cli
+from burgess import bounds, chars, cli, moments
 from burgess.errors import TableLimitExceeded
 
 # One small-q invocation per subcommand (the README examples, scaled down).
@@ -50,6 +50,19 @@ def test_moments_subcommand_passes(capsys):
         capsys)
     assert code == 0
     assert records[0]["passes"]["moment_le_bound"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("rough --z 10 --U 10000 --ratio --C nan", "exceeds U"),
+    ("bounds --q 10007 --grh-delta nan", "grh_delta must be finite"),
+    ("congruence --q 4", "4 is not prime"),
+    ("congruence --q 4 --u1 1 --u2 3 --N 5", "4 is not prime"),
+    ("congruence --q 15 --u1 1 --u2 2 --N 5", "15 is not prime"),
+])
+def test_soft_inputs_exit_2(argv, message, capsys):
+    assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 def test_invalid_input_exit_2():
@@ -265,6 +278,63 @@ def test_records_sorted_on_q_r_m(tmp_path, capsys):
     assert {k[:3] for k in keys} == {(103, 2, 34), (103, 2, 68),
                                      (1009, 2, 336), (1009, 2, 672)}
     assert len(keys) == 8
+
+
+def test_sweep_order_q_index_r_m(tmp_path, capsys):
+    # every r and M of one character before the next index
+    cfg = tmp_path / "order.cfg"
+    cfg.write_text("primes = 1021,1009\nchar_spec = orders-dividing:3\n"
+                   "r_values = 3,2\nM_spec = 5,1\n")
+    cells = [(q, m, r) for q, ms in ((1009, (336, 672)), (1021, (340, 680)))
+             for m in ms for r in (2, 3)]
+    for cmd, fields in (("holder", ("q", "char_index", "r", "M")),
+                        ("scan", ("q", "char_index", "r")),
+                        ("moments", ("q", "char_index", "r"))):
+        code, records, _ = run([cmd, "--config", str(cfg)], capsys)
+        keys = [tuple(r["inputs"][k] for k in fields) for r in records]
+        assert code == 0 and keys == sorted(keys), cmd
+        assert list(dict.fromkeys(k[:3] for k in keys)) == cells, cmd
+
+
+@pytest.mark.parametrize("index", [5004, 3336, 1668, 1251])
+def test_sweeps_match_direct_calls(index, tmp_path, capsys):
+    # q - 1 = 2^3 3^2 139: orders 2, 3, 6 and 8 (the float path).  A sweep's
+    # character serves both r and every M; each record equals the library's
+    # answer on a fresh character
+    q, starts = 10009, [3, 4999, 9001]
+    cfg = tmp_path / "same.cfg"
+    cfg.write_text("r_values = 2,3\n")
+    argv = ["--q", str(q), "--index", str(index), "--config", str(cfg)]
+    windows = ["--M-spec", ",".join(map(str, starts))]
+
+    def fresh():
+        return chars.build_modulus(q).character(index)
+
+    _, records, _ = run(["holder"] + argv + windows, capsys)
+    assert [(r["inputs"]["r"], r["inputs"]["M"]) for r in records] == [
+        (r, m) for r in (2, 3) for m in starts]
+    for rec in records:
+        i = rec["inputs"]
+        report = bounds.holder_chain(fresh(), i["M"], i["N"], i["r"])
+        assert rec["passes"]["holder"] == report.passed
+        for k in ("rough_count", "W", "first_moment", "second_moment",
+                  "moment2r", "holder_lhs", "holder_rhs", "exact", "path"):
+            assert rec["outputs"][k] == cli.jsonable(getattr(report, k)), k
+    _, records, _ = run(["scan"] + argv + windows, capsys)
+    assert [r["inputs"]["r"] for r in records] == [2, 3]
+    for rec in records:
+        i = rec["inputs"]
+        res = bounds.extremal_scan(q, index, i["N"], starts, r=i["r"])
+        assert rec["outputs"] == cli.jsonable(
+            {"windows": res.windows, "max_abs_sum": res.max_abs_sum,
+             "argmax_M": res.argmax_M, "worst_ratio": res.worst_ratio})
+    _, records, _ = run(["moments"] + argv, capsys)
+    assert [r["inputs"]["r"] for r in records] == [2, 3]
+    for rec in records:
+        report = moments.moment_check(q, index, V="auto", r=rec["inputs"]["r"])
+        assert rec["passes"]["moment_le_bound"] == report.passed
+        for k in ("moment", "bound", "margin", "exact", "specialized_bound"):
+            assert rec["outputs"][k] == cli.jsonable(getattr(report, k)), k
 
 
 def test_holder_record_says_which_path(capsys):

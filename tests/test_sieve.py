@@ -197,6 +197,13 @@ def test_density_ratio_guard_and_value():
     assert abs(rough_density_ratio(2, 10 ** 4) - math.log(2)) < 1e-12
 
 
+def test_density_ratio_guard_refuses_nan():
+    # z^nan > U is False: the guard must fail a NaN power, not pass it
+    for z, C in ((10, math.nan), (math.nan, 4.0)):
+        with pytest.raises(GuardViolated):
+            rough_density_ratio(z, 10 ** 4, C=C)
+
+
 def test_density_ratio_small_U_bracket():
     assert 0.3 <= rough_density_ratio(10, 10 ** 3, C=3.0) <= 3.0
 

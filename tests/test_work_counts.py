@@ -94,3 +94,23 @@ def test_spread_counts(counts):
     counts.clear()
     max_window_spread(Q)
     assert counts == {"mark_squares": 1}
+
+
+@pytest.mark.parametrize("cmd, pinned", [
+    ("holder", {"enumerate_rough": 1, "prefix_table": 1, "classes": 1,
+                "find_primitive_root": 1}),
+    ("scan", {"prefix_table": 1, "classes": 1, "find_primitive_root": 1}),
+    # moments streams one class table for each r; the modulus is shared
+    ("moments", {"prefix_slices": 2, "classes": 2,
+                 "find_primitive_root": 1}),
+])
+def test_cli_sweep_counts(counts, tmp_path, cmd, pinned):
+    # two r and three windows under one character: one modulus, and for
+    # holder and scan one table and rough set, serve every cell
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("r_values = 2,3\nM_spec = random:3\n")
+    code, records = cli.run_subcommand([cmd, "--q", str(Q), "--index",
+                                        str((Q - 1) // 3), "--config",
+                                        str(cfg)])
+    assert code == 0 and {r["inputs"]["r"] for r in records} == {2, 3}
+    assert counts == pinned
