@@ -29,7 +29,7 @@ from .chars import (
     window_sum,
 )
 from .congruence import CollisionInstance, collision_distribution
-from .errors import CompositeModulus, DegenerateParams, UnknownVariant
+from .errors import DegenerateParams, UnknownVariant
 from .moments import auto_window, moment_sum
 from .sieve import check_limit, enumerate_rough, primes_below
 
@@ -43,45 +43,29 @@ GRH_DELTA_DEFAULT = 0.05  # computable stand-in for the o(1) exponent
 
 
 def iroot(n: int, k: int) -> int:
-    """Largest integer x with x^k <= n (n >= 0), exact for any n.
+    """Largest integer x with x^k <= n (n >= 0, k >= 1), exact for any n.
 
     A float seed x from the top 64 bits of n (_root_seed) is within
-    x 2^-27 + 1/2 of the real root while n has fewer than 2^26 bits, so two
-    checks y^k <= n bracket the root by x and x + t or x - t, t = x 2^-24
-    + 1, and a bisection in integers finishes it: below 2^24 the seed takes
-    just those two checks.  Where the seed is further off, a failed check
-    leaves the power-of-two bracket on that side, which the bisection
-    narrows as it always did.  Each check is _pow_leq, so it takes an exact
-    power only where y^k and n are within about a bit."""
+    x 2^-27 + 1/2 of the real root while n has fewer than 2^26 bits, so
+    below 2^26 the root is x or x - 1, told apart by one check x^k <= n.
+    A larger seed is raised by x 2^-24 + 1 above the root (doubled while
+    the check still holds, which only an n of 2^26 bits or more needs),
+    and integer Newton steps, each below the last, fall from there to the
+    root in O(log bits) steps.  Each check is _pow_leq, so it takes an
+    exact power only where x^k and n are within about a bit."""
     if n < 0:
         raise ValueError("n must be >= 0")
-
-    def below(y: int) -> bool:  # y^k <= n
-        return y == 0 or _pow_leq(y, k, n, 1)
-
-    lo, hi = 0, 1 << -(-n.bit_length() // k)  # lo^k <= n < hi^k
-    if n > 1 and k > 1:
-        x = _root_seed(n, k)
-        t = (x >> 24) + 1
-        if below(x):
-            lo = x
-            if below(x + t):
-                lo = x + t
-            else:
-                hi = x + t
-        else:
-            hi = x
-            if below(x - t):
-                lo = x - t
-            else:
-                hi = x - t
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if n < 2 or k == 1:
+        return n
+    x = _root_seed(n, k)
+    if x < 1 << 26:
+        return x if _pow_leq(x, k, n, 1) else x - 1
+    x += (x >> 24) + 1
+    while _pow_leq(x, k, n, 1):
+        x *= 2
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
 def _root_seed(n: int, k: int) -> int:
@@ -413,8 +397,6 @@ def extremal_scan(q_or_char: int | Character, char_index: int | None,
 def max_window_spread(q: int) -> float:
     """Exhaustive max |sum over (M, M+N]| for the quadratic character mod q,
     over every window start and length (_spread)."""
-    if q < 3:
-        raise CompositeModulus(f"{q} is not an odd prime")
     certify_modulus(q)
     return float(_spread(q, np.zeros((q + 3) // 2, dtype=bool)))
 
@@ -467,8 +449,6 @@ def pv_ratio_scan(limit: int) -> tuple[float, int, list[tuple[int, float]]]:
 
 def least_nonresidue(q: int) -> int:
     """Smallest n >= 2 that is a quadratic nonresidue mod the odd prime q."""
-    if q < 3 or q % 2 == 0:
-        raise ValueError("q must be an odd prime")
     certify_modulus(q)
     e = (q - 1) // 2
     n = 2

@@ -68,9 +68,11 @@ LATTICE = {
 
 
 def certify_modulus(q: int) -> None:
-    """Refuse a modulus before any q-sized table is allocated: q at or above
-    the 2^31 ceiling (before trial division), then a composite q, then q
-    above the table cap."""
+    """Refuse a modulus before any q-sized table is allocated: q below 3,
+    then q at or above the 2^31 ceiling (before trial division), then a
+    composite q, then q above the table cap."""
+    if q < 3:
+        raise CompositeModulus(f"{q} is not an odd prime")
     if q < TABLE_CEILING and not is_prime(q):
         raise CompositeModulus(f"{q} is not prime")
     check_table_size(q)
@@ -91,18 +93,8 @@ def check_table_size(q: int) -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division up to sqrt(n)."""
-    if n < 2:
-        return False
-    for p in (2, 3):
-        if n % p == 0:
-            return n == p
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
+    """n is prime: n >= 2 and its trial-division factorization is n^1."""
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -251,8 +243,6 @@ class PrimeModulus:
 def build_modulus(q: int) -> PrimeModulus:
     """The modulus of all characters mod q, certified (certify_modulus); g
     is found when first read, and class tables are built by each read."""
-    if q < 3:
-        raise ValueError("modulus must be a prime >= 3")
     certify_modulus(q)
     return PrimeModulus(q)
 
@@ -715,8 +705,6 @@ def legendre_value_array(q: int) -> np.ndarray:
     """The quadratic character chi(n) for n in [0, h], h = (q-1)/2, as
     h+1 int8 entries, the class table of order 2 (no g); n > h is chi(-1)
     chi(q-n), chi(-1) = (-1)^h."""
-    if q < 3:
-        raise CompositeModulus(f"{q} is not an odd prime")
     certify_modulus(q)
     vals = PrimeModulus(q).classes(2, np.array(LATTICE[2][0], np.int8))
     vals[0] = 0

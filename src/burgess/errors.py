@@ -5,8 +5,9 @@ class BurgessError(Exception):
     """Base class; the CLI maps these to exit code 2 (invalid input)."""
 
 
-class CompositeModulus(BurgessError):
-    """The modulus failed the trial-division primality certificate."""
+class CompositeModulus(BurgessError, ValueError):
+    """The modulus is below 3 or failed the trial-division primality
+    certificate."""
 
 
 class TableLimitExceeded(BurgessError):

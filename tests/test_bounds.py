@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -84,6 +85,36 @@ def test_iroot_at_and_beside_exact_powers():
     for x, k in cells:
         p = x ** k
         assert [iroot(n, k) for n in (p - 1, p, p + 1)] == [x - 1, x, x]
+
+
+def test_iroot_on_the_newton_branch():
+    # seeds of 2^26 and above are raised over the root and take Newton steps
+    for x in (2 ** 26, 2 ** 26 + 1, 3 ** 40, 10 ** 300):
+        for k in (2, 3, 7, 200):
+            p = x ** k
+            assert [iroot(n, k) for n in (p - 1, p, p + 1)] == [x - 1, x, x]
+
+
+def test_iroot_square_is_isqrt():
+    rng = random.Random(27)
+    for _ in range(50):
+        n = rng.getrandbits(rng.randint(1, 20000))
+        assert iroot(n, 2) == math.isqrt(n)
+
+
+def test_roots_of_long_powers_in_time():
+    # n of thousands of digits: a handful of Newton steps, not one exact
+    # power per bit of the root
+    q, r, n = 10007, 10, 10 ** 2000
+    t0 = time.perf_counter()
+    p = derive_params(n, q, r)
+    assert time.perf_counter() - t0 < 2.0
+    assert (16 * r * p.U) ** (2 * r) * q <= n ** (2 * r)
+    assert (16 * r * (p.U + 1)) ** (2 * r) * q > n ** (2 * r)
+    t0 = time.perf_counter()
+    x = iroot(10 ** 80000 // q, 200)
+    assert time.perf_counter() - t0 < 2.0
+    assert x ** 200 <= 10 ** 80000 // q < (x + 1) ** 200
 
 
 def test_refined_range_at_its_edge():
@@ -690,6 +721,18 @@ def test_least_nonresidue_examples():
     for q in (9, 15):  # Euler's test alone would answer 2
         with pytest.raises(CompositeModulus):
             least_nonresidue(q)
+
+
+@pytest.mark.parametrize("q", [-1, 0, 1, 2])
+def test_modulus_below_3_refused_alike(q):
+    # one refusal, from certify_modulus, wherever a modulus enters
+    calls = [build_modulus, legendre_value_array, max_window_spread,
+             nonresidue_max_gap, least_nonresidue,
+             lambda q: extremal_scan(q, 1, 5, [0]),
+             lambda q: moment_check(q, 1)]
+    for call in calls:
+        with pytest.raises(CompositeModulus, match=f"{q} is not an odd prime"):
+            call(q)
 
 
 def test_nonresidue_gap_examples():

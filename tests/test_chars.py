@@ -35,6 +35,7 @@ from burgess.errors import (
     TrivialCharacter,
     WindowTooLarge,
 )
+from burgess.sieve import primes_between
 from oracles import all_windows, full_prefix, scatter_classes, value_table
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 101]
@@ -860,6 +861,16 @@ def test_value_multiplicativity_property(q, data):
 def test_is_prime_against_factor_scan(n):
     naive = n >= 2 and all(n % d for d in range(2, int(math.isqrt(n)) + 1))
     assert is_prime(n) == naive
+
+
+def test_is_prime_matches_the_sieve():
+    # every n in [-3, 10^5) and the 10^4 below 10^6, past 997^2; a prime
+    # square and the largest prime below the table ceiling
+    for lo, hi in ((-3, 10 ** 5), (10 ** 6 - 10 ** 4, 10 ** 6)):
+        assert [n for n in range(lo, hi) if is_prime(n)] == primes_between(
+            lo, hi - 1)
+    assert not is_prime(46337 ** 2)
+    assert is_prime(2 ** 31 - 1)
 
 
 # Narrow prefix tables.  Order-3 characters are always even; q = 1 (mod 24)

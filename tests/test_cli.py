@@ -55,6 +55,8 @@ def test_moments_subcommand_passes(capsys):
 @pytest.mark.parametrize("argv, message", [
     ("rough --z 10 --U 10000 --ratio --C nan", "exceeds U"),
     ("bounds --q 10007 --grh-delta nan", "grh_delta must be finite"),
+    ("nonresidue --q 2", "2 is not an odd prime"),
+    ("sum --q 2", "2 is not an odd prime"),
     ("congruence --q 4", "4 is not prime"),
     ("congruence --q 4 --u1 1 --u2 3 --N 5", "4 is not prime"),
     ("congruence --q 15 --u1 1 --u2 2 --N 5", "15 is not prime"),

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from burgess import acceptance, bounds, chars, cli, moments, sieve
+from burgess import acceptance, bounds, chars, cli, congruence, moments, sieve
 from burgess.bounds import holder_chain, max_window_spread, pv_ratio_scan
 from burgess.chars import build_modulus, interval_sum
 from burgess.moments import moment_check
@@ -19,28 +19,42 @@ COUNTED = ("mark_squares", "prefix_table", "prefix_slices",
 Q = 1000003  # q - 1 = 2 * 3 * 166667: orders 2 and 3
 
 
+def counted(seen, name, fn):
+    """fn, counting its calls in seen[name]."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        seen[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 @pytest.fixture
 def counts(monkeypatch):
     """A Counter of calls, by name, through wrappers put in every module
     that binds a counted function, and of PrimeModulus.classes."""
     seen = Counter()
-
-    def counted(name, fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            seen[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     for name in COUNTED:
         wrapper = None
         for module in (acceptance, bounds, chars, cli, moments, sieve):
             if name in vars(module):
-                wrapper = wrapper or counted(name, vars(module)[name])
+                wrapper = wrapper or counted(seen, name, vars(module)[name])
                 monkeypatch.setattr(module, name, wrapper)
         assert wrapper is not None, name
     monkeypatch.setattr(chars.PrimeModulus, "classes",
-                        counted("classes", chars.PrimeModulus.classes))
+                        counted(seen, "classes", chars.PrimeModulus.classes))
+    return seen
+
+
+@pytest.fixture
+def distributions(monkeypatch):
+    """A Counter of collision_distribution calls, through one wrapper put in
+    every module that binds it."""
+    seen = Counter()
+    name = "collision_distribution"
+    wrapper = counted(seen, name, congruence.collision_distribution)
+    for module in (acceptance, bounds, cli, congruence):
+        if name in vars(module):
+            monkeypatch.setattr(module, name, wrapper)
     return seen
 
 
@@ -114,3 +128,16 @@ def test_cli_sweep_counts(counts, tmp_path, cmd, pinned):
                                         str(cfg)])
     assert code == 0 and {r["inputs"]["r"] for r in records} == {2, 3}
     assert counts == pinned
+
+
+def test_congruence_distribution_counts(distributions):
+    # the count and the first-moment identity read one distribution
+    code, records = cli.run_subcommand(["congruence", "--q", "10000019",
+                                        "--M", "0", "--N", "q^0.45"])
+    assert code == 0 and records[0]["passes"]["first_moment_identity"]
+    assert distributions == {"collision_distribution": 1}
+
+
+def test_criterion_3_distribution_counts(distributions):
+    assert acceptance.criterion_3(count=50).passed
+    assert distributions == {"collision_distribution": 50}
