@@ -78,15 +78,34 @@ def _root_seed(n: int, k: int) -> int:
     return round(2.0 ** (x - s)) << s
 
 
-def _pow_leq(a: int, i: int, b: int, j: int) -> bool:
-    """a^i <= b^j for a, b >= 1 and i, j >= 0, exactly: from the bit counts
-    i log2 a and j log2 b where they are more than a bit apart, with a
-    margin of 2^-30 of their size far above the float error, else from
-    exact powers."""
-    lhs, rhs = i * math.log2(a), j * math.log2(b)
+def _pow_leq(a: int, i: int, b: int, j: int, c: int = 1, d: int = 1
+             ) -> bool:
+    """a^i c <= b^j d for a, b, c, d >= 1 and i, j >= 0, exactly: from the
+    bit counts i log2 a + log2 c and j log2 b + log2 d where they are more
+    than a bit apart, with a margin of 2^-30 of their size far above the
+    float error, else from exact products."""
+    lhs = i * math.log2(a) + math.log2(c)
+    rhs = j * math.log2(b) + math.log2(d)
     if abs(lhs - rhs) > 1 + max(lhs, rhs) / (1 << 30):
         return lhs < rhs
-    return a ** i <= b ** j
+    return a ** i * c <= b ** j * d
+
+
+def scaled_root(b: int, k: int, num: int, den: int = 1) -> int:
+    """floor(b (num/den)^(1/k)) for b, num, den >= 1 and k >= 1, exactly:
+    the largest x >= 0 with x^k den <= b^k num.  A root below 2^26 is
+    walked to from its float seed, each step decided by _pow_leq, so b^k
+    is built only where the two sides are within about a bit; a larger one
+    is iroot's of b^k num // den."""
+    t = math.log2(b) + (math.log2(num) - math.log2(den)) / k
+    if t >= 26:
+        return iroot(b ** k * num // den, k)
+    x = round(2 ** t)
+    while x and not _pow_leq(x, k, b, k, den, num):
+        x -= 1
+    while _pow_leq(x + 1, k, b, k, den, num):
+        x += 1
+    return x
 
 
 @dataclass
@@ -138,7 +157,7 @@ def derive_params(N: int, q: int, r: int) -> BurgessParams:
     """
     # (16 r U)^{2r} * q <= N^{2r}  <=>  U <= N / (16 r q^{1/2r})
     return _params(N, q, r, "derived",
-                   lambda: iroot(N ** (2 * r) // q, 2 * r) // (16 * r))
+                   lambda: scaled_root(N, 2 * r, 1, q) // (16 * r))
 
 
 def feasible_params(N: int, q: int, r: int) -> BurgessParams:

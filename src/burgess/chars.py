@@ -23,9 +23,10 @@ A modulus holds no table: every table is built from a read of its class
 table c(n) = dlog(n) mod d (PrimeModulus.classes), of order 2 from the
 squares k^2 mod q (mark_squares), so no quadratic table finds g.  Single
 values come from the order-d Euler criterion.  prefix_table builds a prefix
-table, prefix_slices streams one in BLOCK slices.  A character caches one
-prefix table, its complete moments and rough sets; a table holds no
-reference to its character, so all are freed with it.
+table in one buffer, the int8 classes scattered into its top bytes and
+widened in place, prefix_slices streams one in BLOCK slices.  A character
+caches one prefix table, its complete moments and rough sets; a table
+holds no reference to its character, so all are freed with it.
 """
 from __future__ import annotations
 
@@ -98,17 +99,22 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, p -> exponent."""
+    """Prime factorization of n >= 1 by trial division, p -> exponent: 2
+    and 3, then only the pairs 6k - 1, 6k + 1, each pair one test until a
+    member divides."""
     out: dict[int, int] = {}
-    while n % 2 == 0:
-        out[2] = out.get(2, 0) + 1
-        n //= 2
-    p = 3
-    while p * p <= n:
+    for p in (2, 3):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-        p += 2
+    f = 5
+    while f * f <= n:
+        if n % f == 0 or n % (f + 2) == 0:
+            for p in (f, f + 2):
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
+        f += 6
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -175,29 +181,32 @@ class PrimeModulus:
     def g(self) -> int:
         return find_primitive_root(self.q)
 
-    def classes(self, d: int, payload: np.ndarray | None = None
-                ) -> np.ndarray:
+    def classes(self, d: int, payload: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
         """c[n] = payload[dlog(n) mod d] for n in [1, h], h = (q-1)/2, d |
         q-1, and c[0] a sentinel below the payload.  The default payload,
         the identity, gives the class table in the smallest signed dtype
-        holding -d.
+        holding -d.  c is built in out, h+2 entries of that dtype (the top
+        bytes of prefix_table's buffer, which widens them in place), else
+        in a new array, and returned as its first h+1 entries.
 
         Order 2 reads no g: c is payload[1] but at the squares, which
-        mark_squares marks with payload[0].  Other orders take only the
-        powers g^k, k < h: g^k <= h writes k at g^k, a larger one k + h at
-        q - g^k = g^(k+h).  Every build checks that g^h = -1 and, by min,
-        that no sentinel is left (g is primitive), and the anchors c[1] and
-        c at g.  For d <= POWER_BLOCK a block of powers takes a slice of one
-        ramp payload[k % d], k below d plus the block length, lifted to
-        payload[(k + h) % d] above h."""
+        mark_squares marks with payload[0] (those above h at entry h+1).
+        Other orders take only the powers g^k, k < h: g^k <= h writes k at
+        g^k, a larger one k + h at q - g^k = g^(k+h).  Every build checks
+        that g^h = -1 and, by min, that no sentinel is left (g is
+        primitive), and the anchors c[1] and c at g.  For d <= POWER_BLOCK
+        a block of powers takes a slice of one ramp payload[k % d], k below
+        d plus the block length, lifted to payload[(k + h) % d] above h."""
         q = self.q
         h = (q - 1) // 2
         dtype = np.min_scalar_type(-d) if payload is None else payload.dtype
         if payload is None and d <= POWER_BLOCK:
             payload = np.arange(d, dtype=dtype)
-        if d == 2:  # entry h+1 takes the squares above h
+        c = np.empty(h + 2, dtype=dtype) if out is None else out
+        if d == 2:
             zero, one = payload.tolist()
-            c = np.full(h + 2, one, dtype=dtype)
+            c.fill(one)
             c[0] = min(zero, one) - 1
             mark_squares(q, c, zero)
             return c[:-1]
@@ -207,8 +216,11 @@ class PrimeModulus:
         if payload is not None:
             ramp = np.arange(min(POWER_BLOCK, h) + d) % d
             vals = payload[ramp]
-            lift = payload[(ramp + shift) % d] - vals
-        c = np.full(h + 1, low, dtype=dtype)
+            # only even d lifts: for odd d no int8 arithmetic runs, whose
+            # NumPy loops fault in about 128 KB of code pages on first use
+            lift = payload[(ramp + shift) % d] - vals if shift else None
+        c = c[:-1]
+        c.fill(low)
         for pos, powers in _power_blocks(g, h, q):
             n = q - powers
             np.minimum(n, powers, out=n)
@@ -464,9 +476,21 @@ class PrefixEnds(PrefixTable):
 
 def prefix_table(chi: Character, span: int | None = None) -> PrefixTable:
     """S_0 .. S_h in the narrowest dtype serving windows up to span
-    (sum_dtype), by default every window.  An integer table is one buffer,
-    the packed values written by the modulus (PrimeModulus.classes), and
-    one in-place cumsum; complex ones are filled from prefix_slices."""
+    (sum_dtype), by default every window; complex ones are filled from
+    prefix_slices.
+
+    An integer table (n = h+1 entries of w bytes) is one buffer with a
+    spare entry for mark_squares' entry h+1.  The modulus scatters n int8
+    classes into its top bytes, from byte (w-1) n on (PrimeModulus.classes):
+    at order 2 on 8-bit lanes the +-1 values, which are the table; else the
+    identity classes, widened left to right, POWER_BLOCK at a time, each
+    block's classes copied to an intp buffer and gathered from the packed
+    values (_packed) into the block's own entries.  Block [lo, lo+m) writes
+    bytes below w (lo+m), and the classes not yet read start at byte (w-1)
+    n + lo + m, so no write reaches them while lo + m <= n; the copy serves
+    the last blocks, which overlap their own classes.  So the random
+    scatter has an n-byte target, not w n, and one in-place cumsum follows;
+    beside the table the build holds O(BLOCK) bytes."""
     if chi.is_trivial:
         raise TrivialCharacter("prefix table requires a nontrivial character")
     q, d = chi.q, chi.order
@@ -476,7 +500,19 @@ def prefix_table(chi: Character, span: int | None = None) -> PrefixTable:
         for _ in prefix_slices(chi, q, sums):
             pass
         return PrefixTable(sums, d)
-    sums = chi.modulus.classes(d, _packed(chi, dtype))
+    n, w = (q + 1) // 2, dtype.itemsize
+    pay = _packed(chi, dtype)
+    sums = np.empty(n + 1, dtype=dtype)
+    top = sums.view(np.int8)[(w - 1) * n:][:n + 1]
+    chi.modulus.classes(d, pay if w == 1 else None, out=top)
+    sums = sums[:n]
+    if w > 1:
+        idx = np.empty(min(n, POWER_BLOCK), dtype=np.intp)
+        for lo in range(0, n, POWER_BLOCK):
+            m = min(POWER_BLOCK, n - lo)
+            idx[:m] = top[lo:lo + m]
+            # every class of n >= 1 is in [0, d): "clip" skips the check
+            np.take(pay, idx[:m], out=sums[lo:lo + m], mode="clip")
     sums[0] = 0  # S_0: n = 0 has no value
     np.cumsum(sums, dtype=dtype, out=sums)
     assert (q - 1) // d % 2 or not sums[-1]  # even chi: S_h = -S_h (mod 2^w)

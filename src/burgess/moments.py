@@ -205,9 +205,10 @@ def _streamed_blocks(chi: Character, V: int, spans: list):
 
 
 def auto_window(r: int, q: int) -> int:
-    """The inductive-step window length floor(r * q^{1/2r}), exact floor."""
-    from .bounds import iroot
-    return iroot(r ** (2 * r) * q, 2 * r)
+    """The inductive-step window length floor(r * q^{1/2r}), exact floor
+    (bounds.scaled_root: r^(2r) q is built only beside a boundary)."""
+    from .bounds import scaled_root
+    return scaled_root(r, 2 * r, q)
 
 
 def moment_check(q_or_char: int | Character, char_index: int | None = None,

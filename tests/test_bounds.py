@@ -24,6 +24,7 @@ from burgess.bounds import (
     nonresidue_max_gap,
     pv_ratio_scan,
     resolve_params,
+    scaled_root,
 )
 from burgess import bounds
 from burgess import chars as chars_module
@@ -115,6 +116,40 @@ def test_roots_of_long_powers_in_time():
     x = iroot(10 ** 80000 // q, 200)
     assert time.perf_counter() - t0 < 2.0
     assert x ** 200 <= 10 ** 80000 // q < (x + 1) ** 200
+
+
+def test_scaled_root_is_the_exact_floor():
+    # the largest x with x^k den <= b^k num, beside exact powers too; a
+    # root of 2^26 or more goes through iroot
+    rng = random.Random(28)
+    cells = [(b, k, num, den) for b in (1, 2, 7, 100, 10 ** 4)
+             for k in (1, 2, 3, 4, 12, 300)
+             for num, den in ((1, 1), (10007, 1), (1, 10007),
+                              (3 ** 12, 2 ** 19))]
+    cells += [(rng.randint(1, 10 ** 6), rng.randint(1, 40),
+               rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 9))
+              for _ in range(300)]
+    cells += [(x, k, 1, 1) for x in (2 ** 26 - 1, 2 ** 26, 10 ** 30)
+              for k in (2, 7)]
+    for b, k, num, den in cells:
+        x = scaled_root(b, k, num, den)
+        assert x ** k * den <= b ** k * num < (x + 1) ** k * den, (
+            b, k, num, den)
+    # at an exact power the two sides are equal, so the powers are built
+    for x, k in ((3, 4), (1000, 6), (12345, 3)):
+        assert scaled_root(x, k, 2 ** k) == 2 * x
+        assert scaled_root(2 * x, k, 1, 2 ** k) == x
+        assert scaled_root(2 * x - 1, k, 1, 2 ** k) == x - 1
+
+
+def test_long_moment_windows_in_time():
+    # r^(2r) q has millions of digits at r = 10^6; the float seed and bit
+    # counts decide V and U without it
+    t0 = time.perf_counter()
+    p = derive_params(100, 10007, 10 ** 6)
+    assert (p.V, p.U) == (1000004, 0)
+    assert auto_window(300000, 10007) == 300004
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_refined_range_at_its_edge():

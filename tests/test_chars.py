@@ -299,6 +299,50 @@ def test_prefix_build_holds_table_and_a_block():
     assert peak <= table.sums.nbytes + 10 * BLOCK
 
 
+# h+1 = 505 lies below one POWER_BLOCK; 16399 = 2 POWER_BLOCK + 15 ends in
+# a short block, and the blocks near the end overlap their own classes;
+# 131101 lies above 2 BLOCK.  12 divides every q - 1.
+@pytest.mark.parametrize("q", [1009, 32797, 131101])
+def test_prefix_table_bytes_match_the_full_oracle(q):
+    # every lane width of orders 2, 3, 4 and 6, each entry kept mod 2^w and
+    # packed a + 2^w b at rank 2: the classes written into the table's top
+    # bytes and widened in place give the oracle's bytes
+    mod = build_modulus(q)
+    h = (q - 1) // 2
+    assert (q - 1) % 12 == 0
+    for d in (2, 3, 4, 6):
+        for m in sorted({1, d - 1}):
+            chi = mod.character(m * (q - 1) // d)
+            full = full_prefix(chi)[..., :h + 1]
+            for span, bits in ((100, 8), (1000, 16), (1 << 15, 32)):
+                table = prefix_table(chi, span)
+                dtype = chars_module.sum_dtype(d, span)
+                want = (full if d == 2 else full[0] + (full[1] << bits))
+                assert table.sums.dtype == dtype
+                assert dtype.itemsize * 8 == bits * len(LATTICE[d])
+                assert table.sums.tobytes() == want.astype(dtype).tobytes(), (
+                    d, m, span)
+
+
+def test_wide_prefix_build_holds_table_and_blocks():
+    # an order-3 table for windows below 128 at q ~ 10^7: the int8 classes
+    # are scattered into the top half of the int16 table and widened in
+    # place through one intp buffer of POWER_BLOCK entries, so beside the
+    # 2(h+1) bytes only the blocks of powers and that buffer
+    q = 10000141
+    chi = build_modulus(q).character((q - 1) // 3)
+    tracemalloc.start()
+    try:
+        table = prefix_table(chi, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    h = (q - 1) // 2
+    assert table.sums.dtype == np.int16
+    assert table.sums.nbytes == 2 * (h + 1)
+    assert peak <= 2 * (h + 1) + 7 * BLOCK
+
+
 def test_legendre_prefix_build_holds_table_and_a_block():
     # the squares are marked in the int32 table itself and summed in place:
     # beside it 2^13 uint32 squares, then int64 blocks of as many (about
@@ -871,6 +915,18 @@ def test_is_prime_matches_the_sieve():
             lo, hi - 1)
     assert not is_prime(46337 ** 2)
     assert is_prime(2 ** 31 - 1)
+
+
+def test_factorize_multiplies_back():
+    # the 6k +- 1 wheel misses no factor: every n below 10^5, prime powers,
+    # products of the pair members 6k - 1 and 6k + 1, and 2^31 - 2
+    cells = list(range(1, 10 ** 5)) + [
+        5 ** 9, 7 ** 8, 29 * 31, 41 * 43 ** 2, 3 * 46337 ** 2,
+        12 * 10000141, 2 ** 31 - 2]
+    for n in cells:
+        got = chars_module.factorize(n)
+        assert math.prod(p ** e for p, e in got.items()) == n, n
+        assert all(is_prime(p) and e >= 1 for p, e in got.items()), n
 
 
 # Narrow prefix tables.  Order-3 characters are always even; q = 1 (mod 24)

@@ -403,6 +403,21 @@ def test_auto_window_exact_floor():
     assert auto_window(1, 10007) == 100  # floor(sqrt(q))
 
 
+# floor(r q^(1/2r)) as built from r^(2r) q in full, recorded before the
+# float seed replaced it
+AUTO_WINDOWS = {
+    101: (6, 6, 7, 7, 8, 152, 10002),
+    10007: (20, 13, 12, 12, 12, 154, 10004),
+    10000019: (112, 44, 29, 25, 22, 158, 10008),
+}
+
+
+def test_auto_window_as_from_the_full_power():
+    for q, want in AUTO_WINDOWS.items():
+        got = [auto_window(r, q) for r in (2, 3, 4, 5, 6, 150, 10 ** 4)]
+        assert got == list(want), q
+
+
 def test_moment_check_specialized():
     rep = moment_check(101, r=2, V="auto")
     assert rep.V == 6
