@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -83,24 +84,64 @@ def _pow_leq(a: int, i: int, b: int, j: int, c: int = 1, d: int = 1
     """a^i c <= b^j d for a, b, c, d >= 1 and i, j >= 0, exactly: from the
     bit counts i log2 a + log2 c and j log2 b + log2 d where they are more
     than a bit apart, with a margin of 2^-30 of their size far above the
-    float error, else from exact products."""
+    float error; else from decimal logs (_log_leq) where the exact products
+    would have more bits than the square of the logs' digits; else, and
+    where the logs cannot tell, from exact products."""
     lhs = i * math.log2(a) + math.log2(c)
     rhs = j * math.log2(b) + math.log2(d)
     if abs(lhs - rhs) > 1 + max(lhs, rhs) / (1 << 30):
         return lhs < rhs
+    prec = _log_digits(a, b, c, d)
+    if prec * prec < max(lhs, rhs):
+        leq = _log_leq(prec, a, i, b, j, c, d)
+        if leq is not None:
+            return leq
     return a ** i * c <= b ** j * d
+
+
+def _log_digits(*n: int) -> int:
+    """The decimal digits at which _log_leq takes the logs of n: those of
+    the largest, plus 30.  Beside a root x, where the logs of x^k and
+    (x+1)^k lie about k/x apart, the error bound, about 2k ln x
+    10^(1-prec), is then about 10^-28 ln x of that gap, so only a root
+    within about that of an integer is left to exact powers."""
+    return 30 + math.ceil(max(n).bit_length() * math.log10(2))
+
+
+def _log_leq(prec: int, a: int, i: int, b: int, j: int, c: int, d: int
+             ) -> bool | None:
+    """a^i c <= b^j d from L = i ln a + ln c and R = j ln b + ln d taken in
+    decimal to prec digits, or None where the error bound cannot tell.
+    ln is correctly rounded, as is each product, sum and the difference
+    L - R, each within u = 5 10^-prec of its size, so the computed L - R is
+    off by at most (3.01 L + 3.01 R + |L - R|) u < 10^(1-prec) (L + R)."""
+    ctx = Context(prec=prec, rounding=ROUND_HALF_EVEN)
+    lhs = ctx.add(ctx.multiply(i, ctx.ln(a)), ctx.ln(c))
+    rhs = ctx.add(ctx.multiply(j, ctx.ln(b)), ctx.ln(d))
+    diff = ctx.subtract(lhs, rhs)
+    if abs(diff) <= ctx.multiply(ctx.add(lhs, rhs), Decimal(1).scaleb(1 - prec)):
+        return None
+    return diff < 0
 
 
 def scaled_root(b: int, k: int, num: int, den: int = 1) -> int:
     """floor(b (num/den)^(1/k)) for b, num, den >= 1 and k >= 1, exactly:
-    the largest x >= 0 with x^k den <= b^k num.  A root below 2^26 is
-    walked to from its float seed, each step decided by _pow_leq, so b^k
-    is built only where the two sides are within about a bit; a larger one
-    is iroot's of b^k num // den."""
+    the largest x >= 0 with x^k den <= b^k num.  The root is walked to
+    from a seed, each step decided by _pow_leq, so b^k is built only where
+    the two sides are within the logs' error bound.  A root below 2^26
+    seeds from floats; a larger one from decimal logs (_log_digits) where
+    b^k num has more bits than the square of their digits, and is else
+    iroot's of b^k num // den, which is then the shorter."""
     t = math.log2(b) + (math.log2(num) - math.log2(den)) / k
-    if t >= 26:
-        return iroot(b ** k * num // den, k)
-    x = round(2 ** t)
+    if t < 26:
+        x = round(2 ** t)
+    else:
+        prec = _log_digits(b, num, den)
+        if prec * prec >= k * math.log2(b) + math.log2(num):
+            return iroot(b ** k * num // den, k)
+        ctx = Context(prec=prec, rounding=ROUND_HALF_EVEN)
+        x = int(ctx.multiply(b, ctx.exp(ctx.divide(
+            ctx.subtract(ctx.ln(num), ctx.ln(den)), k))))
     while x and not _pow_leq(x, k, b, k, den, num):
         x -= 1
     while _pow_leq(x + 1, k, b, k, den, num):

@@ -46,13 +46,13 @@ from .errors import (
 )
 
 DEFAULT_TABLE_LIMIT = 1 << 26
-# Below 2^31 the int64 products cur * base (_power_blocks) and k * k
-# (mark_squares) cannot overflow, and every class and every coordinate of a
-# prefix sum (|S_k| < q) fits in 32 bits, so 32-bit lanes serve every
-# window.
+# Below 2^31 the int64 products cur * base (_power_blocks) cannot overflow,
+# nor can a uint32 sum of two residues (square_residues), and every class
+# and every coordinate of a prefix sum (|S_k| < q) fits in 32 bits, so
+# 32-bit lanes serve every window.
 TABLE_CEILING = 1 << 31
 BLOCK = 1 << 16  # q-length passes go by blocks, their temporaries in cache
-POWER_BLOCK = 1 << 13  # the blocks of powers of g, and of int64 squares
+POWER_BLOCK = 1 << 13  # the blocks of powers of g, and of built squares
 GATHER = 1 << 13  # the blocks of starts window_sum reads, in int64
 
 # The values e(c/d) of a character of order d in {2, 3, 4, 6} lie in a
@@ -233,7 +233,7 @@ class PrimeModulus:
                 k = np.arange(pos, pos + len(powers), dtype=np.int64)
                 k += (powers > h) * shift
                 k %= d
-            c[n] = k
+            _scatter(c, n, k, False)  # n is in [1, h]
         if pow(g, h, q) != q - 1 or int(c[1:].min()) == low:
             raise AssertionError("class table not surjective; g is not primitive")
         want = [0, (1 + (shift if g > h else 0)) % d]
@@ -748,33 +748,83 @@ def legendre_value_array(q: int) -> np.ndarray:
 
 
 def square_buffers(q: int) -> tuple:
-    """mark_squares' buffers for odd primes up to q: k^2, k < min(h+1,
+    """square_residues' buffers for odd primes up to q: k^2, k < min(h+1,
     BLOCK), in uint32, a quotient and an intp residue buffer as long."""
     sq = np.arange(1, min((q - 1) // 2, BLOCK - 1) + 1, dtype=np.uint32)
     sq *= sq
     return sq, np.empty_like(sq), np.empty(len(sq), np.intp)
 
 
-def mark_squares(q: int, mark: np.ndarray, value, squares: tuple = ()) -> None:
-    """mark[k^2 mod q] = value for k in [1, h], h = (q-1)/2: each quadratic
-    residue once.  The first k are squared in uint32 from squares,
-    square_buffers for q or a larger prime, else k < POWER_BLOCK from
-    buffers built here; larger k in int64 POWER_BLOCKs through reduce_mod.
-    A mark shorter than q takes the residues above h at entry h+1."""
+def square_residues(q: int, squares: tuple) -> Iterator[np.ndarray]:
+    """Yield k^2 mod q for k in [1, h], h = (q-1)/2, in order, as intp
+    blocks in one buffer, each valid until the next is read.
+
+    The first B are the uint32 squares of squares (square_buffers for q or
+    a larger prime; if empty, k < POWER_BLOCK from buffers built here),
+    reduced by a quotient.  Each later block is stepped in uint32 from the
+    last, with no product: (k+B)^2 = k^2 + inc_k and inc_{k+B} = inc_k +
+    2B^2, both mod q.  A sum of two residues is below 2q < 2^32, as q <
+    TABLE_CEILING, and folds back as min(x, x - q), the subtraction
+    wrapping to above x for x < q.  Beside the buffers this holds 2B
+    uint32 residues."""
     h = (q - 1) // 2
     sq, quot, res = squares or square_buffers(min(q, 2 * POWER_BLOCK))
-    n = min(h, len(sq))
-    np.floor_divide(sq[:n], q, out=quot[:n])
-    quot[:n] *= q
-    s = np.subtract(sq[:n], quot[:n], out=res[:n])
-    del sq, quot, res  # free built squares before the blocks
-    while True:
-        if len(mark) < q:
-            np.minimum(s, h + 1, out=s)
-        mark[s] = value
-        if n >= h:
-            return
-        s = np.arange(n + 1, min(n + POWER_BLOCK, h) + 1, dtype=np.int64)
-        n += len(s)
-        s *= s
-        reduce_mod(s, q)
+    b = min(h, len(sq))
+    sq, quot, res = sq[:b], quot[:b], res[:b]
+    np.floor_divide(sq, q, out=quot)
+    quot *= q
+    first = np.subtract(sq, quot, out=res)
+    if b < h:  # the stepping state, from the residues of [1, B]
+        cur, tmp = first.astype(np.uint32), quot
+
+        def add(x, y):  # x = x + y mod q, for x and y in [0, q)
+            np.add(x, y, out=x)
+            np.subtract(x, q, out=tmp)
+            np.minimum(x, tmp, out=x)
+
+        inc = np.arange(1, b + 1, dtype=np.uint32)
+        inc *= b  # B k < 2^32, as B < 2^16
+        np.remainder(inc, q, out=inc)
+        add(inc, inc)
+        add(inc, b * b % q)  # inc_k = 2Bk + B^2
+        step = 2 * b * b % q
+    del sq, quot  # free built squares before the blocks
+    yield first
+    for lo in range(b, h, b):
+        add(cur, inc)
+        add(inc, step)
+        m = min(b, h - lo)
+        res[:m] = cur[:m]
+        yield res[:m]
+
+
+def mark_squares(q: int, mark: np.ndarray, value, squares: tuple = ()) -> None:
+    """mark[k^2 mod q] = value for k in [1, h], h = (q-1)/2: each quadratic
+    residue once, read from square_residues(q, squares) and written by
+    _scatter.  A mark of h+2 entries, shorter than q, takes the residues
+    above h at entry h+1."""
+    clip = len(mark) < q
+    for s in square_residues(q, squares):
+        _scatter(mark, s, value, clip)
+
+
+# A scatter into more than 2^21 bytes goes by np.put, a smaller one by a
+# fancy-index store.  On a host with 2 MB of L2 per core (numpy 2.4, best
+# of 11), np.put builds the 5 MB order-2 classes at q = 10000019 in 26 ms
+# against 31-32 and the order-3 ones at q = 10000141 in 35-38 against
+# 41, but the 0.5 MB ones at q = 1000003 in 2.6-2.9 against 1.9.  Per
+# random int8 write it takes 4.4-4.6 ns against 2.5-2.8 up to 1 MB, 4.0
+# against 5.4 at 2 MB and 6.0 against 6.7 at 5 MB.
+PUT_BYTES = 1 << 21
+
+
+def _scatter(target: np.ndarray, idx: np.ndarray, vals, clip: bool) -> None:
+    """target[idx] = vals for scratch intp idx: by np.put into more than
+    PUT_BYTES, which writes an idx past the end at the last entry ("clip"),
+    else by a fancy-index store, idx clipped the same way first if clip."""
+    if target.nbytes > PUT_BYTES:
+        np.put(target, idx, vals, mode="clip")
+        return
+    if clip:
+        np.minimum(idx, len(target) - 1, out=idx)
+    target[idx] = vals

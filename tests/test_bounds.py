@@ -120,7 +120,7 @@ def test_roots_of_long_powers_in_time():
 
 def test_scaled_root_is_the_exact_floor():
     # the largest x with x^k den <= b^k num, beside exact powers too; a
-    # root of 2^26 or more goes through iroot
+    # root of 2^26 or more of a short power goes through iroot
     rng = random.Random(28)
     cells = [(b, k, num, den) for b in (1, 2, 7, 100, 10 ** 4)
              for k in (1, 2, 3, 4, 12, 300)
@@ -140,6 +140,41 @@ def test_scaled_root_is_the_exact_floor():
         assert scaled_root(x, k, 2 ** k) == 2 * x
         assert scaled_root(2 * x, k, 1, 2 ** k) == x
         assert scaled_root(2 * x - 1, k, 1, 2 ** k) == x - 1
+
+
+def test_roots_of_long_powers_from_decimal_logs():
+    # a root near 10^8 at k = 2 10^5: the seed and every check come from
+    # decimal logs, so N^(2r), about 5 million bits, is not built
+    t0 = time.perf_counter()
+    p = derive_params(10 ** 8, 10007, 100000)
+    assert (p.V, p.U) == (100004, 62)
+    assert time.perf_counter() - t0 < 1.0
+    # at an exact power (num = den) the logs cannot tell, so the powers
+    # decide; elsewhere the logs do, the floor exact all the same
+    for x in (2 ** 26, 10 ** 8 + 7, 10 ** 12 + 39):
+        for k in (1000, 20000):
+            assert scaled_root(x, k, 1, 1) == x
+            for num, den in ((1, 2), (3, 1), (1, 10007), (10007, 10009)):
+                y = scaled_root(x, k, num, den)
+                assert y ** k * den <= x ** k * num < (y + 1) ** k * den
+
+
+def test_pow_leq_from_decimal_logs_beside_ties():
+    # bases within a bit of each other over long exponents: floats cannot
+    # tell, the logs at _log_digits decide as the exact products do, and an
+    # exact tie is left to the products
+    rng = random.Random(29)
+    for _ in range(200):
+        i = rng.randint(500, 3000)
+        a = rng.randint(1 << 20, 1 << 40)
+        b = a + rng.randint(-(a // (4 * i)), a // (4 * i))
+        c, d = rng.randint(1, 1000), rng.randint(1, 1000)
+        want = a ** i * c <= b ** i * d
+        assert bounds._pow_leq(a, i, b, i, c, d) == want, (a, i, b, c, d)
+        prec = bounds._log_digits(a, b, c, d)
+        assert bounds._log_leq(prec, a, i, b, i, c, d) in (want, None)
+    assert bounds._log_leq(40, 10 ** 8, 3000, 10 ** 8, 3000, 7, 7) is None
+    assert bounds._pow_leq(10 ** 8, 3000, 10 ** 8, 3000, 7, 7)
 
 
 def test_long_moment_windows_in_time():
@@ -721,10 +756,10 @@ def test_max_window_spread_memory():
 
 @pytest.mark.parametrize("q", [131071, 131101, 131111])
 def test_spread_and_gap_across_square_dtypes(q):
-    # 131071: h = 65535, the largest table whose squares are uint32 (k^2
-    # reaches 2^32 - 131071); 131101: h = 65550, the first int64 one;
-    # 131111: the square of k = 2^16, the first past the spread's uint32
-    # block, lands in [1, h], where the walk reads it
+    # 131071: h = 65535, the largest table whose squares are one uint32
+    # block (k^2 reaches 2^32 - 131071); 131101: h = 65550, the first
+    # stepped one; 131111: the square of k = 2^16, the first past the
+    # spread's first block, lands in [1, h], where the walk reads it
     h = (q - 1) // 2
     assert (h < 1 << 16) == (q == 131071)
     full = legendre_full(q)

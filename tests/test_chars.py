@@ -15,6 +15,8 @@ from burgess.chars import (
     BLOCK,
     LATTICE,
     POWER_BLOCK,
+    PUT_BYTES,
+    TABLE_CEILING,
     CharValue,
     PrimeModulus,
     build_modulus,
@@ -23,9 +25,12 @@ from burgess.chars import (
     is_prime,
     lattice_complex,
     legendre_value_array,
+    mark_squares,
     mirror_classes,
     prefix_table,
     reduce_mod,
+    square_buffers,
+    square_residues,
     window_array,
     window_sum,
 )
@@ -36,7 +41,13 @@ from burgess.errors import (
     WindowTooLarge,
 )
 from burgess.sieve import primes_between
-from oracles import all_windows, full_prefix, scatter_classes, value_table
+from oracles import (
+    all_windows,
+    full_prefix,
+    legendre_full,
+    scatter_classes,
+    value_table,
+)
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 101]
 
@@ -343,11 +354,82 @@ def test_wide_prefix_build_holds_table_and_blocks():
     assert peak <= 2 * (h + 1) + 7 * BLOCK
 
 
+def test_square_residues_step_in_uint32_at_the_limit():
+    # q = 2^31 - 1, the largest prime below TABLE_CEILING: every sum of two
+    # residues is near 2^32, and the first stepped blocks still equal k^2
+    # mod q, whether the first block is built (2^13 - 1 squares) or read
+    # from a larger prime's buffers (2^16 - 1, squares past q); no table
+    q = (1 << 31) - 1
+    assert q < TABLE_CEILING and is_prime(q)
+    for squares, b in (((), POWER_BLOCK - 1), (square_buffers(q), BLOCK - 1)):
+        tracemalloc.start()
+        try:
+            blocks = square_residues(q, squares)
+            k = 1
+            for s in (next(blocks) for _ in range(4)):
+                assert s.dtype == np.intp and len(s) == b
+                want = np.arange(k, k + b, dtype=np.int64)
+                assert np.array_equal(s, want * want % q), k
+                k += b
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 22
+
+
+@pytest.mark.parametrize("q", [16381, 16411, 131101])
+def test_mark_squares_at_every_step_boundary(q):
+    # first blocks of B = h - 1, h and h + 1 squares: one stepped block of
+    # one square, none, none; and a first block of a third of h, stepped
+    # twice with a short last block; into a q-entry and an (h+2)-entry mark
+    h = (q - 1) // 2
+    full = legendre_full(q)
+    for b in (h - 1, h, h + 1, h // 3 + 1):
+        squares = square_buffers(2 * min(b, BLOCK - 1) + 1)
+        whole, clipped = np.zeros(q, dtype=bool), np.zeros(h + 2, dtype=bool)
+        mark_squares(q, whole, True, squares)
+        mark_squares(q, clipped, True, squares)
+        assert np.array_equal(whole[1:], full[1:] == 1), b
+        assert np.array_equal(clipped[1:h + 1], whole[1:h + 1]), b
+        assert clipped[h + 1] and not clipped[0] and not whole[0]
+
+
+@pytest.mark.parametrize("q", [16381, 16411, 4194287, 4194301, 4194319,
+                               4194329])
+def test_order_two_classes_match_the_squares(q):
+    # q = 1 and 3 (mod 4): h = 2^13 - 2 (one built block) and 2^13 + 2
+    # (stepped), then two primes on each side of the 2^21-byte switch
+    # (4194301: h + 2 = 2^21, the largest fancy-store int8 mark)
+    h = (q - 1) // 2
+    if q > 1 << 20:
+        assert (h + 2 > PUT_BYTES) == (q > 4194301)
+    vals = PrimeModulus(q).classes(2, np.array(LATTICE[2][0], np.int8))
+    assert vals[0] < -1
+    vals[0] = 0
+    assert np.array_equal(vals, legendre_full(q)[:h + 1]), q
+
+
+def test_power_classes_past_the_put_switch_match_scatter():
+    # int64 classes at q = 524341 fill 8 (h + 1) > 2^21 bytes, so the
+    # powers are written by np.put; the int8 identity classes of the same q
+    # stay below the switch
+    mod = build_modulus(524341)
+    h = (mod.q - 1) // 2
+    assert 8 * (h + 1) > PUT_BYTES >= h + 2
+    dlog = scatter_classes(mod, mod.q - 1)[:h + 1]
+    for d in (3, 4, 6):
+        want = dlog % d
+        got = mod.classes(d, np.arange(d, dtype=np.int64))
+        assert got[0] == -1 and np.array_equal(got[1:], want[1:]), d
+        assert np.array_equal(mod.classes(d)[1:], want[1:]), d
+
+
 def test_legendre_prefix_build_holds_table_and_a_block():
     # the squares are marked in the int32 table itself and summed in place:
-    # beside it 2^13 uint32 squares, then int64 blocks of as many (about
-    # 166,000 bytes), no int8 value table (h+2 bytes) and no 4(h+1)-byte
-    # copy
+    # beside it the 2^13 uint32 squares with their quotient and intp
+    # residue buffers, and two uint32 blocks of as many stepped residues
+    # (about 200,000 bytes), no int8 value table (h+2 bytes) and no
+    # 4(h+1)-byte copy
     q = 10000019
     chi = build_modulus(q).legendre()
     tracemalloc.start()
