@@ -22,9 +22,9 @@ h]; their readers take the rest of the period as a mirror image.  chi(-1)
 A modulus holds no table: every table is built from a read of its class
 table c(n) = dlog(n) mod d (PrimeModulus.classes), of order 2 from the
 squares k^2 mod q (mark_squares), so no quadratic table finds g.  Single
-values come from the order-d Euler criterion.  prefix_table builds a prefix
-table in one buffer, the int8 classes scattered into its top bytes and
-widened in place, prefix_slices streams one in BLOCK slices.  A character
+values come from the order-d Euler criterion.  prefix_slices sums classes
+into prefix sums in BLOCK slices, streamed or, for prefix_table, written
+over the classes in the top bytes of the table's own buffer.  A character
 caches one prefix table, its complete moments and rough sets; a table
 holds no reference to its character, so all are freed with it.
 """
@@ -183,50 +183,50 @@ class PrimeModulus:
 
     def classes(self, d: int, payload: np.ndarray | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
-        """c[n] = payload[dlog(n) mod d] for n in [1, h], h = (q-1)/2, d |
-        q-1, and c[0] a sentinel below the payload.  The default payload,
-        the identity, gives the class table in the smallest signed dtype
-        holding -d.  c is built in out, h+2 entries of that dtype (the top
-        bytes of prefix_table's buffer, which widens them in place), else
-        in a new array, and returned as its first h+1 entries.
+        """c[n] = dlog(n) mod d for n in [1, h], h = (q-1)/2, d | q-1, and
+        c[0] = -1, in the smallest signed dtype holding -d.  Order 2 may
+        take an int8 payload (zero, one) written in place of the classes
+        (0, 1), c[0] then below both; other orders refuse one.  c is built
+        in out, h+2 entries of that dtype (the top bytes of a prefix table,
+        prefix_slices), else in a new array, and returned as its first h+1
+        entries.
 
-        Order 2 reads no g: c is payload[1] but at the squares, which
-        mark_squares marks with payload[0] (those above h at entry h+1).
-        Other orders take only the powers g^k, k < h: g^k <= h writes k at
-        g^k, a larger one k + h at q - g^k = g^(k+h).  Every build checks
-        that g^h = -1 and, by min, that no sentinel is left (g is
-        primitive), and the anchors c[1] and c at g.  For d <= POWER_BLOCK
-        a block of powers takes a slice of one ramp payload[k % d], k below
-        d plus the block length, lifted to payload[(k + h) % d] above h."""
+        Order 2 reads no g: c is one but at the squares, which mark_squares
+        marks with zero (those above h at entry h+1).  Other orders take
+        only the powers g^k, k < h: g^k <= h writes k at g^k, a larger one
+        k + h at q - g^k = g^(k+h).  Every build checks that g^h = -1 and,
+        by min, that no -1 is left (g is primitive), and the anchors c[1]
+        and c at g.  For d <= POWER_BLOCK a block of powers takes a slice of
+        one ramp k % d, k below d plus the block length, lifted to (k + h) %
+        d above h."""
+        if payload is not None and d != 2:
+            raise ValueError(f"a class payload serves order 2, not {d}")
         q = self.q
         h = (q - 1) // 2
         dtype = np.min_scalar_type(-d) if payload is None else payload.dtype
-        if payload is None and d <= POWER_BLOCK:
-            payload = np.arange(d, dtype=dtype)
         c = np.empty(h + 2, dtype=dtype) if out is None else out
         if d == 2:
-            zero, one = payload.tolist()
+            zero, one = (0, 1) if payload is None else payload.tolist()
             c.fill(one)
             c[0] = min(zero, one) - 1
             mark_squares(q, c, zero)
             return c[:-1]
-        low = -1 if payload is None else int(payload.min()) - 1
         g = self.g
         shift = h % d  # 0 for odd d, which divides h
-        if payload is not None:
+        if d <= POWER_BLOCK:
             ramp = np.arange(min(POWER_BLOCK, h) + d) % d
-            vals = payload[ramp]
             # only even d lifts: for odd d no int8 arithmetic runs, whose
             # NumPy loops fault in about 128 KB of code pages on first use
-            lift = payload[(ramp + shift) % d] - vals if shift else None
+            lift = ((ramp + shift) % d - ramp).astype(dtype) if shift else None
+            ramp = ramp.astype(dtype)
         c = c[:-1]
-        c.fill(low)
+        c.fill(-1)
         for pos, powers in _power_blocks(g, h, q):
             n = q - powers
             np.minimum(n, powers, out=n)
-            if payload is not None:
+            if d <= POWER_BLOCK:
                 j = pos % d
-                k = vals[j:j + len(powers)]
+                k = ramp[j:j + len(powers)]
                 if shift:
                     k = k + lift[j:j + len(powers)] * (powers > h)
             else:
@@ -234,12 +234,10 @@ class PrimeModulus:
                 k += (powers > h) * shift
                 k %= d
             _scatter(c, n, k, False)  # n is in [1, h]
-        if pow(g, h, q) != q - 1 or int(c[1:].min()) == low:
+        if pow(g, h, q) != q - 1 or int(c[1:].min()) == -1:
             raise AssertionError("class table not surjective; g is not primitive")
-        want = [0, (1 + (shift if g > h else 0)) % d]
-        if payload is not None:
-            want = payload[want].tolist()
-        if [int(c[1]), int(c[min(g, q - g)])] != want:
+        if [int(c[1]), int(c[min(g, q - g)])] != [
+                0, (1 + (shift if g > h else 0)) % d]:
             raise AssertionError("class table anchors wrong")
         return c
 
@@ -476,46 +474,20 @@ class PrefixEnds(PrefixTable):
 
 def prefix_table(chi: Character, span: int | None = None) -> PrefixTable:
     """S_0 .. S_h in the narrowest dtype serving windows up to span
-    (sum_dtype), by default every window; complex ones are filled from
-    prefix_slices.
-
-    An integer table (n = h+1 entries of w bytes) is one buffer with a
-    spare entry for mark_squares' entry h+1.  The modulus scatters n int8
-    classes into its top bytes, from byte (w-1) n on (PrimeModulus.classes):
-    at order 2 on 8-bit lanes the +-1 values, which are the table; else the
-    identity classes, widened left to right, POWER_BLOCK at a time, each
-    block's classes copied to an intp buffer and gathered from the packed
-    values (_packed) into the block's own entries.  Block [lo, lo+m) writes
-    bytes below w (lo+m), and the classes not yet read start at byte (w-1)
-    n + lo + m, so no write reaches them while lo + m <= n; the copy serves
-    the last blocks, which overlap their own classes.  So the random
-    scatter has an n-byte target, not w n, and one in-place cumsum follows;
-    beside the table the build holds O(BLOCK) bytes."""
+    (sum_dtype), by default every window: prefix_slices fills h+2 entries,
+    the spare one for mark_squares' entry h+1, over the classes it has
+    scattered into their top bytes, so beside the table the build holds
+    O(BLOCK) bytes."""
     if chi.is_trivial:
         raise TrivialCharacter("prefix table requires a nontrivial character")
     q, d = chi.q, chi.order
-    dtype = sum_dtype(d, q if span is None else span)
-    if d not in LATTICE:
-        sums = np.empty((q + 1) // 2, dtype=dtype)
-        for _ in prefix_slices(chi, q, sums):
-            pass
-        return PrefixTable(sums, d)
-    n, w = (q + 1) // 2, dtype.itemsize
-    pay = _packed(chi, dtype)
-    sums = np.empty(n + 1, dtype=dtype)
-    top = sums.view(np.int8)[(w - 1) * n:][:n + 1]
-    chi.modulus.classes(d, pay if w == 1 else None, out=top)
-    sums = sums[:n]
-    if w > 1:
-        idx = np.empty(min(n, POWER_BLOCK), dtype=np.intp)
-        for lo in range(0, n, POWER_BLOCK):
-            m = min(POWER_BLOCK, n - lo)
-            idx[:m] = top[lo:lo + m]
-            # every class of n >= 1 is in [0, d): "clip" skips the check
-            np.take(pay, idx[:m], out=sums[lo:lo + m], mode="clip")
-    sums[0] = 0  # S_0: n = 0 has no value
-    np.cumsum(sums, dtype=dtype, out=sums)
-    assert (q - 1) // d % 2 or not sums[-1]  # even chi: S_h = -S_h (mod 2^w)
+    span = q if span is None else span
+    sums = np.empty((q + 3) // 2, dtype=sum_dtype(d, span))
+    for _ in prefix_slices(chi, span, sums):
+        pass
+    sums = sums[:-1]
+    # an even chi has S_h = -S_h, so 0 (mod 2^w)
+    assert d not in LATTICE or (q - 1) // d % 2 or not sums[-1]
     return PrefixTable(sums, d)
 
 
@@ -558,38 +530,57 @@ def unpack(p, order: int):
 def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
                   ) -> Iterator[np.ndarray]:
     """S_0 .. S_h of a nontrivial chi in BLOCK slices laid out as
-    PrefixTable.sums, serving windows up to span (sum_dtype): views of out
-    when given, else fresh arrays.  Each slice casts the int8 quadratic
-    values or gathers its classes' packed values or roots (from its classes
-    when d > BLOCK: no d-entry table), adds the running total to its first
-    entry and is summed in place: bit for bit one sequential cumsum."""
+    PrefixTable.sums, serving windows up to span (sum_dtype): the one loop
+    that sums classes into prefix sums.  Each slice casts the int8
+    quadratic values or gathers its classes' packed values or roots (from
+    its classes when d > BLOCK: no d-entry table), adds the running total
+    to its first entry and is summed in place: bit for bit one sequential
+    cumsum.
+
+    Slices are fresh arrays, or views of out when given: n = h+2 entries of
+    w bytes, into whose top bytes the modulus scatters its n classes of c
+    bytes, from byte (w-c) n on (PrimeModulus.classes).  Entries [lo, lo+m)
+    are written below byte w (lo+m), and no class not yet read sits below
+    byte (w-c) n + c (lo+m), so no write reaches one while lo + m <= n.
+    The last slices overlap their own classes: each gather reads an intp
+    copy of them, and the order-2 cast runs forward, reading each value
+    before it writes its entry.  So a table's random scatter has a c n-byte
+    target, not w n, and no class table is held beside it."""
     q, d = chi.q, chi.order
     h = (q - 1) // 2
     dtype = sum_dtype(d, span)
+    top = None
+    if out is not None:
+        c = np.min_scalar_type(-d)
+        top = out.view(np.int8)[(dtype.itemsize - c.itemsize) * len(out):]
+        top = top.view(c)
     pay = None
     if d == 2:
-        src = chi.modulus.classes(2, np.array(LATTICE[2][0], np.int8))
+        src = chi.modulus.classes(2, np.array(LATTICE[2][0], np.int8), top)
     else:
-        src = chi.modulus.classes(d)
+        src = chi.modulus.classes(d, out=top)
         if d in LATTICE:
             pay = _packed(chi, dtype)
         elif d <= BLOCK:  # entry j: chi(g^j)
             pay = chi._roots(chi._class_of(np.arange(d, dtype=np.int64)))
-    total = 0
+    total = None
     for lo in range(0, h + 1, BLOCK):
         block = src[lo:lo + BLOCK]
         s = (np.empty(len(block), dtype) if out is None
              else out[lo:lo + len(block)])
         if pay is not None:
-            # every class of n >= 1 is in [0, d): "clip" skips the check
-            np.take(pay, block, out=s, mode="clip")
+            for a in range(0, len(block), POWER_BLOCK):
+                # every class of n >= 1 is in [0, d): "clip" skips the check
+                np.take(pay, block[a:a + POWER_BLOCK].astype(np.intp),
+                        out=s[a:a + POWER_BLOCK], mode="clip")
         elif d == 2:
             s[...] = block
         else:
             s[...] = chi._roots(chi._class_of(block.astype(np.int64)))
-        if lo == 0:
+        if total is None:
             s[0] = 0  # S_0: n = 0 has no class
-        s[:1] += total
+        else:  # none on the first slice: no int8 add for one-slice tables
+            s[:1] += total
         np.cumsum(s, dtype=dtype, out=s)
         total = s[-1]
         yield s

@@ -40,7 +40,7 @@ from .chars import (
     unpack,
     window_array,
 )
-from .errors import TrivialCharacter
+from .errors import TrivialCharacter, WindowTooLarge
 
 
 @dataclass
@@ -101,7 +101,8 @@ def moment_sum(chi: Character, V: int, r: int) -> MomentReport:
     """The complete 2r-th moment over all q window positions, with the
     Weil-bound verdict decided exactly.
 
-    The window blocks are read from chi's prefix table when one serving V
+    V must lie in [1, q], and is refused before any table is built.  The
+    window blocks are read from chi's prefix table when one serving V
     is built or V >= h, otherwise from the streamed prefix sums
     (_streamed_blocks).  An exact table gives a Python int: the bincount of
     the lattice norms when their V^rank + 1 bins fit in q + 1, otherwise (a
@@ -115,6 +116,10 @@ def moment_sum(chi: Character, V: int, r: int) -> MomentReport:
     if r < 1:
         raise ValueError("r must be >= 1")
     q, d = chi.q, chi.order
+    if V < 1:
+        raise ValueError("window length must be >= 1")
+    if V > q:
+        raise WindowTooLarge(f"V={V} exceeds q={q}")
     h = (q - 1) // 2
     # (weight, lo, hi): the starts (lo, hi], each standing for weight windows
     if V < h:  # (0, h-V] and their mirrors [h, q-2-V]; then the rest

@@ -250,9 +250,10 @@ def test_classes_ramp_matches_plain_scatter():
 
 @pytest.mark.parametrize("q", [101, 1009])
 def test_classes_below_a_power_block_match_scatter(q):
-    # h < POWER_BLOCK: the ramp is h + d entries; the identity and packed
-    # payloads read the classes of the one-power-at-a-time oracle, with the
-    # sentinel below the payload at 0 (orders 3 and 6 do not divide 100)
+    # h < POWER_BLOCK: the ramp is h + d entries; the identity classes are
+    # the one-power-at-a-time oracle's, and the order-2 payload +-1 takes
+    # the place of classes 0 and 1, with -2 below both at 0 (orders 3 and 6
+    # do not divide 100)
     mod = build_modulus(q)
     h = (q - 1) // 2
     assert h < POWER_BLOCK
@@ -263,14 +264,17 @@ def test_classes_below_a_power_block_match_scatter(q):
         got = mod.classes(d)
         assert got.dtype == np.min_scalar_type(-d)
         assert np.array_equal(got, want), d
-        for m in (1, 5):
-            chi = mod.character(m * (q - 1) // d)
-            for dtype in (np.dtype(np.int16), np.dtype(np.int32)):
-                pay = (np.array(LATTICE[2][0], dtype=dtype) if d == 2
-                       else chars_module._packed(chi, dtype))
-                got = mod.classes(d, pay)
-                assert got.dtype == dtype and got[0] == pay.min() - 1
-                assert np.array_equal(got[1:], pay[want[1:]]), (d, m, dtype)
+    got = mod.classes(2, np.array(LATTICE[2][0], dtype=np.int8))
+    want = scatter_classes(mod, 2)[:h + 1]
+    assert got.dtype == np.int8 and got[0] == -2
+    assert np.array_equal(got[1:], 1 - 2 * want[1:])
+
+
+@pytest.mark.parametrize("d", [3, 1008])
+def test_classes_refuse_a_payload_outside_order_two(d):
+    # only order 2 writes a payload; no other order reads one
+    with pytest.raises(ValueError):
+        build_modulus(1009).classes(d, np.arange(d, dtype=np.int16))
 
 
 @pytest.mark.parametrize("q", [1009, 32797, 131101])
@@ -294,8 +298,9 @@ def test_blocked_prefix_bit_identical(q):
 
 
 def test_prefix_build_holds_table_and_a_block():
-    # the modulus scatters the packed values straight into the 8(h+1)-byte
-    # half table, summed in place: beside it only O(BLOCK) temporaries, no
+    # the modulus scatters the int8 classes into the top bytes of the
+    # 8(h+1)-byte half table, and their packed values are gathered over
+    # them and summed in place: beside it only O(BLOCK) temporaries, no
     # class table (h+1 bytes) and no coordinate gather of one
     q = 1000003
     chi = build_modulus(q).character((q - 1) // 3)
@@ -338,8 +343,8 @@ def test_prefix_table_bytes_match_the_full_oracle(q):
 def test_wide_prefix_build_holds_table_and_blocks():
     # an order-3 table for windows below 128 at q ~ 10^7: the int8 classes
     # are scattered into the top half of the int16 table and widened in
-    # place through one intp buffer of POWER_BLOCK entries, so beside the
-    # 2(h+1) bytes only the blocks of powers and that buffer
+    # place, each POWER_BLOCK of them gathered from an intp copy, so beside
+    # the 2(h+1) bytes only the blocks of powers and one such copy
     q = 10000141
     chi = build_modulus(q).character((q - 1) // 3)
     tracemalloc.start()
@@ -410,18 +415,19 @@ def test_order_two_classes_match_the_squares(q):
 
 
 def test_power_classes_past_the_put_switch_match_scatter():
-    # int64 classes at q = 524341 fill 8 (h + 1) > 2^21 bytes, so the
-    # powers are written by np.put; the int8 identity classes of the same q
-    # stay below the switch
-    mod = build_modulus(524341)
+    # the int32 full-order classes at q = 1048583 fill 4 (h + 1) > 2^21
+    # bytes, so the powers are written by np.put; the int8 classes of the
+    # same q stay below the switch (q - 1 = 2 * 29 * 101 * 179)
+    mod = build_modulus(1048583)
     h = (mod.q - 1) // 2
-    assert 8 * (h + 1) > PUT_BYTES >= h + 2
+    assert 4 * (h + 1) > PUT_BYTES >= h + 2
     dlog = scatter_classes(mod, mod.q - 1)[:h + 1]
-    for d in (3, 4, 6):
-        want = dlog % d
-        got = mod.classes(d, np.arange(d, dtype=np.int64))
-        assert got[0] == -1 and np.array_equal(got[1:], want[1:]), d
-        assert np.array_equal(mod.classes(d)[1:], want[1:]), d
+    got = mod.classes(mod.q - 1)
+    assert got.dtype == np.int32 and np.array_equal(got, dlog)
+    for d in (29, 58, 101):
+        got = mod.classes(d)
+        assert got.dtype == np.int8 and got[0] == -1
+        assert np.array_equal(got[1:], dlog[1:] % d), d
 
 
 def test_legendre_prefix_build_holds_table_and_a_block():
@@ -444,8 +450,9 @@ def test_legendre_prefix_build_holds_table_and_a_block():
 
 
 def test_full_order_prefix_build_holds_no_root_table():
-    # d > BLOCK: each slice's roots come from its own classes, so beside the
-    # complex table only the int32 half class table and O(BLOCK) temporaries
+    # d > BLOCK: each slice's roots come from its own classes, which the
+    # modulus scatters into the top bytes of the complex table, so beside
+    # it only O(BLOCK) temporaries, no int32 class table (4(h+1) bytes)
     q = 1000003
     chi = build_modulus(q).character(1)
     assert chi.order > BLOCK
@@ -457,7 +464,7 @@ def test_full_order_prefix_build_holds_no_root_table():
         tracemalloc.stop()
     h = (q - 1) // 2
     assert table.sums.nbytes == 16 * (h + 1)
-    assert peak <= table.sums.nbytes + 4 * (h + 1) + 48 * BLOCK
+    assert peak <= table.sums.nbytes + 48 * BLOCK
 
 
 # q = 1 and q = 3 (mod 4); 1008 = 16 * 63 and 1062 = 2 * 9 * 59, so the

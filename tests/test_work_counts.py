@@ -12,7 +12,8 @@ import pytest
 from burgess import acceptance, bounds, chars, cli, congruence, moments, sieve
 from burgess.bounds import holder_chain, max_window_spread, pv_ratio_scan
 from burgess.chars import build_modulus, interval_sum
-from burgess.moments import moment_check
+from burgess.errors import WindowTooLarge
+from burgess.moments import moment_check, moment_sum
 
 COUNTED = ("mark_squares", "prefix_table", "prefix_slices",
            "find_primitive_root", "enumerate_rough")
@@ -59,10 +60,10 @@ def distributions(monkeypatch):
 
 
 @pytest.mark.parametrize("order, pinned", [
-    (2, {"enumerate_rough": 1, "prefix_table": 1, "classes": 1,
-         "mark_squares": 1}),
-    (3, {"enumerate_rough": 1, "prefix_table": 1, "classes": 1,
-         "find_primitive_root": 1}),
+    (2, {"enumerate_rough": 1, "prefix_table": 1, "prefix_slices": 1,
+         "classes": 1, "mark_squares": 1}),
+    (3, {"enumerate_rough": 1, "prefix_table": 1, "prefix_slices": 1,
+         "classes": 1, "find_primitive_root": 1}),
 ])
 def test_holder_chain_counts(counts, order, pinned):
     # five windows under one character: one rough set, table and moment
@@ -79,6 +80,18 @@ def test_holder_chain_counts(counts, order, pinned):
 def test_moment_check_counts(counts, order, pinned):
     assert moment_check(Q, (Q - 1) // order).passed
     assert counts == pinned
+
+
+@pytest.mark.parametrize("V", [0, -1, -5, Q + 1])
+def test_moment_refuses_a_window_before_any_table(counts, capsys, V):
+    # V < 1 and V > q are refused before a class table is built, and the
+    # CLI exits 2 on them
+    chi = build_modulus(Q).character((Q - 1) // 3)
+    with pytest.raises(WindowTooLarge if V > Q else ValueError):
+        moment_sum(chi, V, 2)
+    assert cli.main(["moments", "--q", str(Q), "--V", str(V)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert counts == {}  # no class table, primitive root or prefix sum
 
 
 def test_long_interval_sum_counts(counts):
@@ -111,9 +124,10 @@ def test_spread_counts(counts):
 
 
 @pytest.mark.parametrize("cmd, pinned", [
-    ("holder", {"enumerate_rough": 1, "prefix_table": 1, "classes": 1,
-                "find_primitive_root": 1}),
-    ("scan", {"prefix_table": 1, "classes": 1, "find_primitive_root": 1}),
+    ("holder", {"enumerate_rough": 1, "prefix_table": 1, "prefix_slices": 1,
+                "classes": 1, "find_primitive_root": 1}),
+    ("scan", {"prefix_table": 1, "prefix_slices": 1, "classes": 1,
+              "find_primitive_root": 1}),
     # moments streams one class table for each r; the modulus is shared
     ("moments", {"prefix_slices": 2, "classes": 2,
                  "find_primitive_root": 1}),
