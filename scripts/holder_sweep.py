@@ -2,13 +2,15 @@
 """Sweep the averaging inequality chain over window lengths.
 
 For a fixed prime and r, runs the chain at N = floor(q^a) for a grid of
-exponents a, printing how much slack the inequality leaves (rhs/lhs) and how
-the doubly averaged sum W compares to the refined shape value.  Emits JSON
+exponents a, printing how much slack the inequality leaves (log10 of
+rhs/lhs, from the exact integers, so it is finite at any r) and how the
+doubly averaged sum W compares to the refined shape value.  Emits JSON
 lines with --jsonl for downstream analysis.
 """
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -39,8 +41,8 @@ def main() -> int:
     except (ValueError, BurgessError) as exc:
         ap.error(str(exc))  # exit 2
     rows = []
-    print(f"{'a':>5} {'N':>6} {'U':>5} {'V':>5} {'z':>7} "
-          f"{'max W':>8} {'slack':>10} {'W/(|U|V)':>9} {'refined':>9}")
+    print(f"{'a':>5} {'N':>6} {'U':>5} {'V':>5} {'z':>7} {'max W':>8} "
+          f"{'min_slack_log10':>15} {'W/(|U|V)':>9} {'refined':>9}")
     for a_str, a in exponents:
         n = max(1, int(args.q ** a))
         params = resolve_params(n, args.q, args.r)
@@ -58,14 +60,16 @@ def main() -> int:
                 return 1
             worst_w = max(worst_w, rep.W)
             if rep.holder_lhs > 0:
-                min_slack = min(min_slack, rep.holder_rhs / rep.holder_lhs)
+                min_slack = min(min_slack, math.log10(rep.holder_rhs)
+                                - math.log10(rep.holder_lhs))
         refined = bound_value("refined_14r", n, args.q, r=args.r)
         avg = worst_w / (rep.rough_count * params.V)
         rows.append({"a": a, "N": n, "U": params.U, "V": params.V,
-                     "z": params.z, "max_W": worst_w, "min_slack": min_slack,
-                     "normalized_avg": avg, "refined_shape": refined})
+                     "z": params.z, "max_W": worst_w,
+                     "min_slack_log10": min_slack, "normalized_avg": avg,
+                     "refined_shape": refined})
         print(f"{a:>5.2f} {n:>6} {params.U:>5} {params.V:>5} {params.z:>7.3f} "
-              f"{worst_w:>8} {min_slack:>10.3g} {avg:>9.3f} {refined:>9.1f}")
+              f"{worst_w:>8} {min_slack:>15.3f} {avg:>9.3f} {refined:>9.1f}")
     if not rows:
         print("no exponent gave a non-degenerate cell; no row produced",
               file=sys.stderr)

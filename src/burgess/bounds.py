@@ -31,7 +31,7 @@ from .chars import (
 )
 from .congruence import CollisionInstance, collision_distribution
 from .errors import DegenerateParams, UnknownVariant
-from .moments import auto_window, moment_sum
+from .moments import auto_window, leq, moment_sum
 from .sieve import check_limit, enumerate_rough, primes_below
 
 VARIANTS = ("polya_vinogradov", "grh", "mv_loglog", "burgess_classic",
@@ -268,6 +268,8 @@ def _exp(x: float) -> float:
 
 # Fractional bits of the certificate for W^{2r} <= rhs on the rank-2 path.
 CERT_BITS = 20
+# The float path's relative slack: W^{2r} <= rhs (1 + 1e-9), exactly.
+FLOAT_SLACK = Fraction(1 + 1e-9)
 
 
 @dataclass
@@ -276,14 +278,15 @@ class HolderChainReport:
 
     W is the doubly averaged absolute window sum; the chain asserts
     W^{2r} <= (sum I)^{2r-2} * (sum I^2) * (moment sum).  path says how the
-    verdict was reached.  On the quadratic path all six quantities are
-    integers and the comparison is exact ("exact").  For characters of
-    order 3, 4 and 6 the moment and rhs are exact integers and W, a sum of
-    square roots of integer norms, is a float; the verdict is certified in
-    integers from an upper bound on W ("certified") and falls back to the
-    float comparison only when that is inconclusive ("float"), as it always
-    does for characters of other orders; there a moment past the double
-    range is an exact Fraction (moments.moment_sum), and so is rhs.
+    verdict was reached, each by moments.leq: on the quadratic path all six
+    quantities are integers and W^{2r} <= rhs is exact ("exact").  For
+    characters of order 3, 4 and 6 the moment and rhs are exact integers
+    and W, a sum of square roots of integer norms, is a float; the chain
+    passes as W+^{2r} <= rhs for an upper bound W+ on W (_w_upper,
+    "certified"), and else, as for characters of other orders, as
+    W^{2r} <= rhs FLOAT_SLACK with W read as its exact rational ("float");
+    there a moment past the double range is an exact Fraction
+    (moments.moment_sum), and so is rhs.
     """
 
     params: BurgessParams
@@ -346,11 +349,14 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
     except OverflowError:  # a float moment times an int past the range
         rhs = math.inf
     if table.rank == 1:
-        passed, path = lhs <= rhs, "exact"
-    elif table.rank == 2 and _certified(norm, dist.counts, r, rhs):
+        passed, path = leq(lhs, rhs), "exact"
+    elif (table.rank == 2 and (up := _w_upper(norm, dist.counts)) is not None
+          and leq(up ** (2 * r), rhs)):
         passed, path = True, "certified"
     else:
-        passed, path = _float_leq(W, r, base, moment), "float"
+        passed = leq(Fraction(W) ** (2 * r),
+                     base * Fraction(moment) * FLOAT_SLACK)
+        path = "float"
     return HolderChainReport(
         params=params, char_index=chi.index, M=M, N=N, r=r,
         rough_count=rough.count, W=W, first_moment=dist.first_moment,
@@ -366,33 +372,18 @@ def _weighted_sum(x: np.ndarray, counts: np.ndarray) -> float:
     return float(x.sum())
 
 
-def _float_leq(W: float, r: int, base: int,
-               moment: int | float | Fraction) -> bool:
-    """W^{2r} <= base moment (1 + 1e-9) in doubles; where a double would
-    overflow (W^{2r}, or an int or a moment past the double range), the
-    same comparison in exact rationals, an inf moment admitting any W."""
-    try:
-        return W ** (2 * r) <= base * moment * (1 + 1e-9)
-    except OverflowError:
-        if moment == math.inf:
-            return True
-        return (Fraction(W) ** (2 * r)
-                <= base * Fraction(moment) * Fraction(1 + 1e-9))
-
-
-def _certified(norm: np.ndarray, counts: np.ndarray, r: int,
-               rhs: int) -> bool:
-    """Whether W^{2r} <= rhs follows, in integers, from the upper bound
-    2^k W+ = sum c ceil(2^k sqrt(norm)) >= 2^k W with k = CERT_BITS, summed
-    in int64 GATHER norms at a time; False when inconclusive, including
-    when int64 would not hold it."""
+def _w_upper(norm: np.ndarray, counts: np.ndarray) -> Fraction | None:
+    """The upper bound W+ = sum c ceil(2^k sqrt(norm)) / 2^k >= W, k =
+    CERT_BITS, its numerator summed in int64 GATHER norms at a time; None
+    where int64 would not hold it."""
     k = CERT_BITS
-    if norm.size == 0 or int(norm.max()) >= 1 << (62 - 2 * k):
-        return False
-    top = int(norm.max()) << 2 * k
+    top = int(norm.max(initial=0))
+    if top >= 1 << (62 - 2 * k):
+        return None
+    top <<= 2 * k
     top = math.isqrt(top - 1) + 1 if top else 0  # the largest ceil below
     if int(counts.sum(dtype=np.int64)) * top >= 1 << 63:
-        return False
+        return None
     total = 0
     for lo in range(0, norm.size, GATHER):
         # below 2^62, so every square below stays in int64
@@ -402,7 +393,7 @@ def _certified(norm: np.ndarray, counts: np.ndarray, r: int,
         x += (x + 1) * (x + 1) <= m
         x += x * x < m  # ceil(sqrt(m))
         total += int(x @ counts[lo:lo + GATHER])
-    return total ** (2 * r) <= rhs << (2 * r * k)
+    return Fraction(total, 1 << k)
 
 
 @dataclass

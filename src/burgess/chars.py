@@ -532,8 +532,9 @@ def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
     """S_0 .. S_h of a nontrivial chi in BLOCK slices laid out as
     PrefixTable.sums, serving windows up to span (sum_dtype): the one loop
     that sums classes into prefix sums.  Each slice casts the int8
-    quadratic values or gathers its classes' packed values or roots (from
-    its classes when d > BLOCK: no d-entry table), adds the running total
+    quadratic values or, POWER_BLOCK classes at a time, gathers their
+    packed values or roots (taken from the classes when d > BLOCK: no
+    d-entry table, and O(POWER_BLOCK) temporaries), adds the running total
     to its first entry and is summed in place: bit for bit one sequential
     cumsum.
 
@@ -542,10 +543,11 @@ def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
     bytes, from byte (w-c) n on (PrimeModulus.classes).  Entries [lo, lo+m)
     are written below byte w (lo+m), and no class not yet read sits below
     byte (w-c) n + c (lo+m), so no write reaches one while lo + m <= n.
-    The last slices overlap their own classes: each gather reads an intp
-    copy of them, and the order-2 cast runs forward, reading each value
-    before it writes its entry.  So a table's random scatter has a c n-byte
-    target, not w n, and no class table is held beside it."""
+    The last slices overlap their own classes: each gather or root step
+    reads an integer copy of them, and the order-2 cast runs forward,
+    reading each value before it writes its entry.  So a table's random
+    scatter has a c n-byte target, not w n, and no class table is held
+    beside it."""
     q, d = chi.q, chi.order
     h = (q - 1) // 2
     dtype = sum_dtype(d, span)
@@ -568,15 +570,17 @@ def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
         block = src[lo:lo + BLOCK]
         s = (np.empty(len(block), dtype) if out is None
              else out[lo:lo + len(block)])
-        if pay is not None:
-            for a in range(0, len(block), POWER_BLOCK):
-                # every class of n >= 1 is in [0, d): "clip" skips the check
-                np.take(pay, block[a:a + POWER_BLOCK].astype(np.intp),
-                        out=s[a:a + POWER_BLOCK], mode="clip")
-        elif d == 2:
+        if d == 2:
             s[...] = block
         else:
-            s[...] = chi._roots(chi._class_of(block.astype(np.int64)))
+            for a in range(0, len(block), POWER_BLOCK):
+                part = block[a:a + POWER_BLOCK]
+                if pay is None:
+                    s[a:a + POWER_BLOCK] = chi._roots(
+                        chi._class_of(part.astype(np.int64)))
+                else:  # every class of n >= 1 is in [0, d): no bounds check
+                    np.take(pay, part.astype(np.intp),
+                            out=s[a:a + POWER_BLOCK], mode="clip")
         if total is None:
             s[0] = 0  # S_0: n = 0 has no class
         else:  # none on the first slice: no int8 add for one-slice tables

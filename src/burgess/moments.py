@@ -74,11 +74,13 @@ def weil_terms(r: int, V: int, q: int) -> tuple[int, int]:
     return (2 * r) ** r * V ** r * q, 2 * r * V ** (2 * r)
 
 
-def _leq_root(x: int | float | Fraction, a: int, b: int, q: int) -> bool:
-    """x <= a + b sqrt(q), decided exactly as x - a <= 0 or (x - a)^2 <=
-    b^2 q; a float x is read as its exact rational."""
-    x = Fraction(x) if isinstance(x, float) else x
-    return x - a <= 0 or (x - a) ** 2 <= b * b * q
+def leq(x: int | float | Fraction, a: int | float | Fraction, b: int = 0,
+        q: int = 0) -> bool:
+    """x <= a + b sqrt(q) for b >= 0, decided exactly as x - a <= 0 or
+    (x - a)^2 <= b^2 q; a float x or a is read as its exact rational.  The
+    one comparison behind every moment and Hölder chain verdict."""
+    d = Fraction(x) - Fraction(a)
+    return d <= 0 or d * d <= b * b * q
 
 
 def _power_sum(keys: np.ndarray, counts: np.ndarray, p: int) -> int:
@@ -160,7 +162,7 @@ def moment_sum(chi: Character, V: int, r: int) -> MomentReport:
                 *np.unique(lattice_norm(chi, w), return_counts=True), power)
                 for weight, w in blocks())
     bound = weil_bound(r, V, q)
-    passed = _leq_root(moment, *weil_terms(r, V, q), q)
+    passed = leq(moment, *weil_terms(r, V, q), q)
     # a float moment past the double range enters as its inf total
     margin = (bound - (moment if exact else total) if math.isfinite(bound)
               else math.inf)
@@ -237,6 +239,6 @@ def moment_check(q_or_char: int | Character, char_index: int | None = None,
         except OverflowError:  # c past the double range
             spec_bound = math.inf
         report.specialized_bound = spec_bound
-        report.specialized_passed = _leq_root(report.moment, 0, c * q, q)
+        report.specialized_passed = leq(report.moment, 0, c * q, q)
         report.passed = report.passed and report.specialized_passed
     return report

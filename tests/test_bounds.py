@@ -50,7 +50,7 @@ from burgess.errors import (
     TableLimitExceeded,
     UnknownVariant,
 )
-from burgess.moments import auto_window, moment_check, moment_sum
+from burgess.moments import auto_window, leq, moment_check, moment_sum
 from burgess.sieve import SIEVE_LIMIT, primes_below
 from oracles import direct_w, legendre_full
 
@@ -321,6 +321,41 @@ def test_holder_chain_complex_character(mod101):
     assert abs(rep.W - direct) <= 1e-9 * direct
 
 
+def chain_verdict(rep):
+    """rep's verdict recomputed in Fractions from its W and moments: W^{2r}
+    <= rhs, exactly on the exact and certified paths, within a relative
+    1e-9 on the float path."""
+    r = rep.r
+    rhs = (rep.first_moment ** (2 * r - 2) * rep.second_moment
+           * Fraction(rep.moment2r))
+    slack = Fraction(1 + 1e-9) if rep.path == "float" else 1
+    return Fraction(rep.W) ** (2 * r) <= rhs * slack
+
+
+def test_holder_verdicts_pinned_by_order():
+    # every order 2-12 dividing q - 1 at r = 2 and 3, five seeded starts
+    # each, and cells whose W^{2r} or moment passes the double range: the
+    # path is fixed by the order, and every chain passes as recomputed
+    def path(d):
+        return ("exact" if d == 2 else "certified" if d in (3, 4, 6)
+                else "float")
+
+    for q, r, n, m_values in holder_cells((421, 2521, 3361, 10009),
+                                          m_count=5):
+        mod = build_modulus(q)
+        for d in [d for d in range(2, 13) if (q - 1) % d == 0]:
+            chi = mod.character((q - 1) // d)
+            for m in m_values:
+                rep = holder_chain(chi, m, n, r)
+                assert rep.path == path(d), (q, d, r, m)
+                assert rep.passed and chain_verdict(rep), (q, d, r, m)
+    for q, index, r in ((10009, 3336, 100), (10007, 5, 100), (10007, 5, 150)):
+        chi = build_modulus(q).character(index)
+        rep = holder_chain(chi, 1, 39, r)
+        assert rep.path == path(chi.order), (q, index, r)
+        assert rep.passed and chain_verdict(rep), (q, index, r)
+
+
 def test_certificate_concludes_on_order_3_chain_cells():
     # criterion 4's cells with the order-3 character (3 | q - 1)
     for q, r, n, m_values in holder_cells(primes=(1009, 10009)):
@@ -334,20 +369,32 @@ def test_certificate_concludes_on_order_3_chain_cells():
             assert abs(rep.W - direct) <= 1e-9 * direct
 
 
+def certified(norm, counts, r, rhs):
+    """holder_chain's certificate: W+^{2r} <= rhs, False where _w_upper
+    cannot bound W in int64."""
+    up = bounds._w_upper(norm, counts)
+    return up is not None and leq(up ** (2 * r), rhs)
+
+
 def test_certificate_rounds_up():
     # perfect-square norms: W = 1*3 + 2*2 + 3*1 + 12*2 = 34 exactly
     norm = np.array([0, 1, 4, 9, 144], dtype=np.int64)
     counts = np.array([5, 3, 2, 1, 2], dtype=np.int64)
+    assert bounds._w_upper(norm, counts) == 34
     for r in (2, 3):
-        assert bounds._certified(norm, counts, r, 34 ** (2 * r))
-        assert not bounds._certified(norm, counts, r, 34 ** (2 * r) - 1)
+        assert certified(norm, counts, r, 34 ** (2 * r))
+        assert not certified(norm, counts, r, 34 ** (2 * r) - 1)
     # W = sqrt(2): the upper bound exceeds it, so W^4 = 4 is not certified
     two, one = np.array([2], dtype=np.int64), np.array([1], dtype=np.int64)
-    assert not bounds._certified(two, one, 2, 4)
-    assert bounds._certified(two, one, 2, 5)
+    k = bounds.CERT_BITS
+    up = bounds._w_upper(two, one)
+    assert up == Fraction(math.isqrt(2 << 2 * k) + 1, 1 << k) and up ** 2 > 2
+    assert not certified(two, one, 2, 4)
+    assert certified(two, one, 2, 5)
     # a norm whose shifted square would leave int64: inconclusive
-    assert not bounds._certified(np.array([1 << 22], dtype=np.int64), one,
-                                 2, 10 ** 100)
+    assert bounds._w_upper(np.array([1 << 22], dtype=np.int64), one) is None
+    assert not certified(np.array([1 << 22], dtype=np.int64), one, 2,
+                         10 ** 100)
 
 
 def test_exact_W_is_the_python_int_sum(monkeypatch):
@@ -372,33 +419,34 @@ def test_exact_W_is_the_python_int_sum(monkeypatch):
 
 
 def test_holder_chain_falls_back_to_float(monkeypatch):
-    monkeypatch.setattr(bounds, "_certified", lambda *a: False)
+    monkeypatch.setattr(bounds, "_w_upper", lambda *a: None)
     chi = build_modulus(1009).character(336)
     rep = holder_chain(chi, 5, 15, 2)
     assert rep.passed and rep.path == "float"
 
 
 def test_certificate_widens_int32_norms(monkeypatch):
-    # holder_chain hands _certified the int32 norms of its windows (2V^2 <
+    # holder_chain hands _w_upper the int32 norms of its windows (2V^2 <
     # 2^31); shifted left by 2 CERT_BITS they would wrap in int32, so each
-    # block is widened to int64: the least rhs certified at r = 2 is the
-    # exact ceil(W+^4 / 2^4k), W+ summed here in Python ints
+    # block is widened to int64: W+ is the ceil sum taken here in Python
+    # ints, and the least rhs certified at r = 2 is ceil(W+^4)
     k = bounds.CERT_BITS
     norm = np.array([2, 5, 1 << 21], dtype=np.int32)
     counts = np.array([1, 2, 3], dtype=np.int32)
     plus = sum(c * (math.isqrt((x << 2 * k) - 1) + 1)
                for x, c in zip(norm.tolist(), counts.tolist()))
+    assert bounds._w_upper(norm, counts) == Fraction(plus, 1 << k)
     rhs = (plus ** 4 + (1 << 4 * k) - 1) >> 4 * k
-    assert bounds._certified(norm, counts, 2, rhs)
-    assert not bounds._certified(norm, counts, 2, rhs - 1)
+    assert certified(norm, counts, 2, rhs)
+    assert not certified(norm, counts, 2, rhs - 1)
     seen = []
 
     def spy(norm, *a):
         seen.append(norm.dtype)
         return real(norm, *a)
 
-    real = bounds._certified
-    monkeypatch.setattr(bounds, "_certified", spy)
+    real = bounds._w_upper
+    monkeypatch.setattr(bounds, "_w_upper", spy)
     rep = holder_chain(build_modulus(1009).character(336), 5, 15, 2)
     assert rep.path == "certified" and seen == [np.int32]
 
@@ -409,11 +457,14 @@ def test_certificate_overflow_guard_is_the_top_ceil():
     # above the top ceil would call this inconclusive
     s = (1 << 43) - 1
     norm, counts = np.array([1]), np.array([s])
-    assert bounds._certified(norm, counts, 2, s ** 4)
-    assert not bounds._certified(norm, counts, 2, s ** 4 - 1)
-    assert not bounds._certified(norm, counts + 1, 2, (s + 1) ** 4)
+    assert bounds._w_upper(norm, counts) == s
+    assert certified(norm, counts, 2, s ** 4)
+    assert not certified(norm, counts, 2, s ** 4 - 1)
+    assert bounds._w_upper(norm, counts + 1) is None
+    assert not certified(norm, counts + 1, 2, (s + 1) ** 4)
     # windows that all sum to 0: W+ = 0, certified against rhs 0
-    assert bounds._certified(norm - 1, counts, 2, 0)
+    assert bounds._w_upper(norm - 1, counts) == 0
+    assert certified(norm - 1, counts, 2, 0)
 
 
 def test_certificate_across_gather_blocks():
@@ -426,25 +477,27 @@ def test_certificate_across_gather_blocks():
         roots = rng.integers(0, 113, n)
         counts = rng.integers(1, 6, n)
         w = int(roots @ counts)  # perfect squares: W+ = W exactly
+        assert bounds._w_upper(roots * roots, counts) == w
         for r in (2, 3):
-            assert bounds._certified(roots * roots, counts, r, w ** (2 * r))
-            assert not bounds._certified(roots * roots, counts, r,
-                                         w ** (2 * r) - 1)
+            assert certified(roots * roots, counts, r, w ** (2 * r))
+            assert not certified(roots * roots, counts, r, w ** (2 * r) - 1)
         norm = rng.integers(0, 112 * 112, n).astype(np.int32)
         plus = sum(c * (math.isqrt((x << 2 * k) - 1) + 1 if x else 0)
                    for x, c in zip(norm.tolist(), counts.tolist()))
+        assert bounds._w_upper(norm, counts) == Fraction(plus, 1 << k)
         rhs = (plus ** 4 + (1 << 4 * k) - 1) >> 4 * k
-        assert bounds._certified(norm, counts, 2, rhs)
-        assert not bounds._certified(norm, counts, 2, rhs - 1)
+        assert certified(norm, counts, 2, rhs)
+        assert not certified(norm, counts, 2, rhs - 1)
     # the overflow guard's edge, its 2^43 - 1 counts spread over two blocks
     s = (1 << 43) - 1
     counts = np.full(GATHER + 1, s // (GATHER + 1))
     counts[-1] += s - int(counts.sum())
     norm = np.ones(GATHER + 1, dtype=np.int32)
-    assert bounds._certified(norm, counts, 2, s ** 4)
-    assert not bounds._certified(norm, counts, 2, s ** 4 - 1)
+    assert certified(norm, counts, 2, s ** 4)
+    assert not certified(norm, counts, 2, s ** 4 - 1)
     counts[0] += 1
-    assert not bounds._certified(norm, counts, 2, (s + 1) ** 4)
+    assert bounds._w_upper(norm, counts) is None
+    assert not certified(norm, counts, 2, (s + 1) ** 4)
 
 
 def test_certificate_holds_a_gather_block():
@@ -453,9 +506,8 @@ def test_certificate_holds_a_gather_block():
     rng = np.random.default_rng(1)
     norm = rng.integers(0, 112 * 112, 82000).astype(np.int32)
     counts = rng.integers(1, 5, 82000)
-    bounds._certified(norm, counts, 2, 10 ** 40)
-    assert traced_peak(bounds._certified, norm, counts, 2, 10 ** 40) <= (
-        48 * GATHER)
+    bounds._w_upper(norm, counts)
+    assert traced_peak(bounds._w_upper, norm, counts) <= 48 * GATHER
 
 
 def test_extremal_scan_lattice_norms():
@@ -585,9 +637,12 @@ def test_holder_chain_past_the_double_range():
     rep = holder_chain(build_modulus(10007).character(5), 1, 39, 150)
     assert isinstance(rep.moment2r, Fraction) and rep.moment2r > 10 ** 400
     assert rep.passed and Fraction(rep.W) ** 300 <= rep.holder_rhs
-    assert bounds._float_leq(1e100, 2, 10 ** 400, 1.0)  # within 1e-9
-    assert not bounds._float_leq(1e100, 2, 10 ** 399, 1.0)
-    assert bounds._float_leq(1e100, 2, 10 ** 399, math.inf)  # as lhs <= inf
+    # the float path's comparison, W^{2r} <= base moment FLOAT_SLACK, past
+    # the double range: (1e100)^4 is within 1e-9 of 10^400, not of 10^399
+    lhs = Fraction(1e100) ** 4
+    assert leq(lhs, 10 ** 400 * Fraction(1.0) * bounds.FLOAT_SLACK)
+    assert not leq(lhs, 10 ** 399 * Fraction(1.0) * bounds.FLOAT_SLACK)
+    assert lhs > 10 ** 400 and not leq(lhs, 10 ** 400)
 
 
 def test_bound_value_past_the_double_range():

@@ -21,6 +21,7 @@ from burgess.errors import TrivialCharacter, WindowTooLarge
 from burgess.moments import (
     _scaled_power_sum,
     auto_window,
+    leq,
     moment_check,
     moment_sum,
     weil_bound,
@@ -386,6 +387,24 @@ def test_verdict_exact_where_weil_bound_overflows(mod101):
         rep = moment_sum(chi, v, 4 * r)
     assert isinstance(rep.moment, Fraction) and rep.passed
     assert sys.float_info.max < rep.moment <= q * v ** (8 * r)
+
+
+def test_leq_decides_ties_exactly():
+    # x <= a + b sqrt(q): equality passes, one step past it fails
+    for x in (7, Fraction(7), 10 ** 400):
+        assert leq(x, x) and not leq(x + 1, x)
+        assert leq(x, x - 1, 1, 1) and not leq(x + 1, x - 1, 1, 1)
+    assert not leq(Fraction(7) + Fraction(1, 10 ** 40), 7)
+    # at a square q, (x - a)^2 == b^2 q is a tie: 2 + 3 sqrt(9) = 11
+    assert leq(11, 2, 3, 9) and leq(Fraction(22, 2), Fraction(2), 3, 9)
+    assert not leq(11 + Fraction(1, 10 ** 40), 2, 3, 9)
+    assert leq(-5, 2, 3, 9)  # x - a <= 0 decides without a square
+    # a non-square q has no rational tie: 1 + sqrt(2) lies between these
+    assert leq(Fraction(24142, 10 ** 4), 1, 1, 2)
+    assert not leq(Fraction(24143, 10 ** 4), 1, 1, 2)
+    # a float is read as its exact rational: 0.1 is above 1/10
+    assert not leq(0.1, Fraction(1, 10)) and leq(Fraction(1, 10), 0.1)
+    assert leq(0.1, 0.1) and leq(1e300, 10 ** 400)
 
 
 def test_errors(mod101):

@@ -2,6 +2,8 @@
 nothing to report, with exit 2 and no traceback, before any scan or chain
 runs."""
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -85,3 +87,15 @@ def test_holder_sweep_without_rows_exits_2():
     assert proc.returncode == 2
     assert "degenerate, skipped" in proc.stdout
     assert "no row produced" in proc.stderr
+
+
+def test_holder_sweep_slack_past_the_double_range(tmp_path):
+    # at r = 300 rhs/lhs passes the double range; its log10 is taken from
+    # the exact integers, so the chain's pass exits 0 with a finite slack
+    out = tmp_path / "rows.jsonl"
+    proc = run_script("holder_sweep.py", "--q", "10007", "--r", "300",
+                      "--windows", "1", "--exponents", "0.4",
+                      "--jsonl", str(out))
+    assert proc.returncode == 0, proc.stderr
+    (row,) = [json.loads(line) for line in out.read_text().splitlines()]
+    assert 308 < row["min_slack_log10"] < math.inf
