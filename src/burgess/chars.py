@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -536,7 +537,7 @@ def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
     packed values or roots (taken from the classes when d > BLOCK: no
     d-entry table, and O(POWER_BLOCK) temporaries), adds the running total
     to its first entry and is summed in place: bit for bit one sequential
-    cumsum.
+    cumsum (a word at a time for narrow entries, below).
 
     Slices are fresh arrays, or views of out when given: n = h+2 entries of
     w bytes, into whose top bytes the modulus scatters its n classes of c
@@ -547,7 +548,31 @@ def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
     reads an integer copy of them, and the order-2 cast runs forward,
     reading each value before it writes its entry.  So a table's random
     scatter has a c n-byte target, not w n, and no class table is held
-    beside it."""
+    beside it.
+
+    A full BLOCK slice of 1- or 2-byte entries (order 2 in 8- or 16-bit
+    lanes, orders 3, 4 and 6 packed in 16 bits) is summed a word at a time
+    instead (SWAR: Lamport, CACM 18(8), 1975), p = 8/w entries to an int64
+    word, every step mod 2^(8w) per entry, so the bits are cumsum's:
+    - bias: each entry gets b = 1 added, or b = 257 to a packed pair, so
+      each of its bytes holds 0, 1 or 2;
+    - lanes: a word times 0x0101..01 (p ones, w bytes apart) holds the
+      inclusive prefix sums of its entries, each byte at most 2p <= 16 <
+      2^8, so no lane carries into the next;
+    - carry: the words' top lanes, their totals, are summed exclusively
+      from the last sum before them less b; each word's carry mod 2^(8w),
+      times the same multiplier, is added to its entries;
+    - ramp: -b j is added to entry j, from a ramp of POWER_BLOCK entries
+      whose next one, the step -b POWER_BLOCK between periods, goes into
+      the carries.
+    A word's top bit is clear, so its arithmetic shift is exact, and the
+    shifted totals are summed in the low lane of their words, in the entry
+    dtype, their other bytes staying clear (NumPy accumulates int8 over
+    that strided view twice as fast as over contiguous entries).  So the
+    kernel runs only int64 and entry-dtype loops, whose code pages the
+    other passes fault in too.  A slice is summed BLOCK bytes at a time:
+    beside the slices this holds BLOCK + 8 bytes of carry words and a
+    (POWER_BLOCK + 1) w-byte ramp, allocated once per call."""
     q, d = chi.q, chi.order
     h = (q - 1) // 2
     dtype = sum_dtype(d, span)
@@ -565,6 +590,17 @@ def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
             pay = _packed(chi, dtype)
         elif d <= BLOCK:  # entry j: chi(g^j)
             pay = chi._roots(chi._class_of(np.arange(d, dtype=np.int64)))
+    w = dtype.itemsize
+    swar = w <= 2 and h + 1 >= BLOCK and sys.byteorder == "little"
+    if swar:
+        bias = 257 if d > 2 else 1
+        lanes = sum(1 << 8 * w * k for k in range(8 // w))
+        mask = (1 << 8 * w) - 1
+        carry = np.empty(BLOCK // 8 + 1, np.int64)
+        low = carry.view(dtype)[::8 // w]  # each word's low lane
+        spread = carry[:-1]
+        group = POWER_BLOCK * w // 8  # the words of one ramp period
+        ramp = np.arange(0, -bias * (POWER_BLOCK + 1), -bias).astype(dtype)
     total = None
     for lo in range(0, h + 1, BLOCK):
         block = src[lo:lo + BLOCK]
@@ -583,9 +619,25 @@ def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
                             out=s[a:a + POWER_BLOCK], mode="clip")
         if total is None:
             s[0] = 0  # S_0: n = 0 has no class
-        else:  # none on the first slice: no int8 add for one-slice tables
-            s[:1] += total
-        np.cumsum(s, dtype=dtype, out=s)
+        if swar and len(s) == BLOCK:
+            s += bias
+            prev = 0 if total is None else int(total)
+            for part in s.reshape(w, -1):  # BLOCK bytes each
+                words = part.view(np.int64)
+                words *= lanes
+                carry[0] = prev - bias & mask
+                np.right_shift(words, 64 - 8 * w, out=carry[1:])
+                low[group::group] += ramp[-1]
+                np.cumsum(low, dtype=dtype, out=low)
+                spread *= lanes
+                part += spread.view(dtype)
+                periods = part.reshape(-1, POWER_BLOCK)
+                periods += ramp[:-1]
+                prev = int(part[-1])
+        else:
+            if total is not None:  # no int8 add for one-slice tables
+                s[:1] += total
+            np.cumsum(s, dtype=dtype, out=s)
         total = s[-1]
         yield s
 
@@ -674,7 +726,8 @@ def interval_sum(chi: Character, m: int, n: int
     complex number.  The L = n mod q terms past full periods read the half
     class table (_mirror_blocks) or, if L (isqrt(d-1)+1) <= isqrt(q), the
     O(sqrt(d)) Euler criterion per term (_dlog_class).  LATTICE orders
-    count each block's classes; others sum the L roots in order, once."""
+    count each block's classes; others sum each block's roots and add the
+    block sums in order, so beside the class table O(POWER_BLOCK) roots."""
     if n < 0:
         raise ValueError("interval length must be >= 0")
     q, d, h = chi.q, chi.order, chi.q // 2
@@ -685,36 +738,33 @@ def interval_sum(chi: Character, m: int, n: int
     if n * (math.isqrt(d - 1) + 1) <= math.isqrt(q):
         j = [chi._dlog_class(k) for k in range(m + 1, m + n + 1)]
         z = j.index(None) if None in j else n  # the one multiple of q
-        blocks = [(p, np.array(j[p:e], dtype=np.int64), False)
+        blocks = [(np.array(j[p:e], dtype=np.int64), False)
                   for p, e in ((0, z), (z + 1, n))]
     else:
         blocks = _mirror_blocks(chi.modulus.classes(d), m, n)
     if d in LATTICE:  # column c of LATTICE counted once per chi(k) = e(c/d)
         counts = np.zeros(d, dtype=np.int64)
-        for _, j, up in blocks:
+        for j, up in blocks:
             counts[chi._class_of(np.arange(d) + up * h)] += np.bincount(
                 j, minlength=d)
         coords = np.array(LATTICE[d]) @ counts
         return int(coords[0]) if d == 2 else tuple(map(int, coords))
-    vals = np.zeros(n, dtype=np.complex128)
-    for pos, j, up in blocks:
-        vals[pos:pos + len(j)] = chi._roots(
-            chi._class_of(j.astype(np.int64) + up * h))
-    return complex(vals.sum())
+    return sum((complex(chi._roots(chi._class_of(j.astype(np.int64) + up * h)
+                                   ).sum()) for j, up in blocks), 0j)
 
 
 def _mirror_blocks(half: np.ndarray, m: int, n: int) -> Iterator[tuple]:
-    """(pos, j, up): j views up to BLOCK classes of the residues k of m+1 ..
-    m+n (n < q) from the pos-th on: half[k], or (up) half[q-k] past h, as
-    dlog(k) = dlog(q-k) + h; multiples of q skipped."""
+    """(j, up): j views up to POWER_BLOCK classes of the residues k of m+1 ..
+    m+n (n < q), in order: half[k], or (up) half[q-k] past h, as dlog(k) =
+    dlog(q-k) + h; multiples of q skipped."""
     h, pos = len(half) - 1, 0
     q = 2 * h + 1
     while pos < n:
         k = (m + 1 + pos) % q
-        run = min(q - k if k > h else h + 1 - k, n - pos, BLOCK)
+        run = min(q - k if k > h else h + 1 - k, n - pos, POWER_BLOCK)
         if k:
             j = half[q - k:q - k - run:-1] if k > h else half[k:k + run]
-            yield pos, j, k > h
+            yield j, k > h
         pos += run if k else 1
 
 

@@ -276,7 +276,10 @@ def test_moment_reads_a_built_table_only_within_its_span():
 
 def test_streamed_moment_holds_class_table_and_blocks():
     # beside the int8 half class table (h+1 bytes) only O(BLOCK) slices and
-    # window blocks: the 8(h+1)-byte prefix table is never built
+    # window blocks: the 8(h+1)-byte prefix table is never built.  The
+    # slices are int16, summed by the word kernel, whose carry words and
+    # ramp add 1.27 BLOCK to the 18.74 measured without it: within 2 BLOCK w
+    # of that, w = 2
     q = 1000003
     chi = build_modulus(q).character((q - 1) // 3)
     tracemalloc.start()
@@ -286,7 +289,7 @@ def test_streamed_moment_holds_class_table_and_blocks():
     finally:
         tracemalloc.stop()
     assert rep.exact and rep.passed and "prefix" not in vars(chi)
-    assert peak <= (q + 1) // 2 + 48 * BLOCK
+    assert peak <= (q + 1) // 2 + 22 * BLOCK
 
 
 def test_scaled_power_sum_matches_float_sum(mod101):
