@@ -1,0 +1,218 @@
+#!/usr/bin/env python3
+"""Check, or re-record, the recorded values in tests/recorded_values.json.
+
+The file is a list of groups, each of one cell kind.  A cell holds the
+inputs of one computation and, under "want", the values it gave when it
+was recorded.  By default every cell is computed again and compared; the
+script exits 1 naming each cell whose values moved or that overran its
+time limit.  --record computes every cell the same way and rewrites the
+values that moved, printing each.
+
+Values are stored as JSON: ints as ints, or as decimal strings past 2^53;
+a Fraction past the double range as a decimal string with 17 significant
+digits.  Every value is compared bit for bit (the same JSON text), except
+the float or Fraction fields named in ROUGH, held to FLOAT_RTOL.  A
+group's "limit_s" bounds the seconds of all its cells, "cell_limit_s"
+those of each cell, both timed around the computation alone.
+
+  PYTHONPATH=src python scripts/recorded_values.py            # check every cell
+  PYTHONPATH=src python scripts/recorded_values.py --record   # rewrite what moved
+"""
+
+import argparse
+import hashlib
+import json
+import math
+import os
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+from burgess.bounds import holder_chain, max_window_spread, pv_ratio_scan
+from burgess.chars import build_modulus, interval_sum, prefix_table
+from burgess.cli import run_subcommand
+from burgess.moments import moment_sum
+from burgess.sieve import primes_below
+
+RECORDED = Path(__file__).resolve().parents[1] / "tests" / "recorded_values.json"
+FLOAT_RTOL = 1e-9  # the relative tolerance of perfbench/workloads.py
+
+
+def scan(q, index, N, M_spec, r):
+    """The `burgess scan` run: its exit code and max |sum|."""
+    code, records = run_subcommand([
+        "scan", "--q", str(q), "--index", str(index), "--N", str(N),
+        "--M-spec", M_spec, "--r", str(r), "--output", os.devnull])
+    return {"code": code, "max_abs_sum": records[0]["outputs"]["max_abs_sum"]}
+
+
+def long_sum(q, index, m, n):
+    """interval_sum over (m, m+n]: an int, or a pair of ints."""
+    return {"sum": interval_sum(build_modulus(q).character(index), m, n)}
+
+
+def prefix_digest(q, index, span=None):
+    """sha256 of the prefix table's sums, as its bytes lie."""
+    sums = prefix_table(build_modulus(q).character(index), span).sums
+    return {"sha256": hashlib.sha256(sums.tobytes()).hexdigest()}
+
+
+def spread(route, limit):
+    """The exhaustive Polya-Vinogradov spreads of every odd prime up to
+    limit, summed, through max_window_spread or through pv_ratio_scan."""
+    primes = primes_below(limit + 1)[1:]
+    if route == "max_window_spread":
+        return {"checksum": sum(int(max_window_spread(q)) for q in primes)}
+    _, _, ratios = pv_ratio_scan(limit)
+    return {"primes_match": [q for q, _ in ratios] == primes,
+            "checksum": sum(round(x * math.sqrt(q) * math.log(q))
+                            for q, x in ratios)}
+
+
+def bounds(q, r, N_pow10=None):
+    """The `burgess bounds` run at N = 10^N_pow10 (default N = q^0.5)."""
+    argv = ["bounds", "--q", str(q), "--r", str(r), "--output", os.devnull]
+    if N_pow10 is not None:
+        argv += ["--N", str(10 ** N_pow10)]
+    code, records = run_subcommand(argv)
+    out = records[0]["outputs"]
+    return {"code": code, "V": out["V"], "U": out["U"],
+            "in_refined_range": out["in_refined_range"]}
+
+
+def holder(q, index, r, N, M):
+    """One Hölder chain on a fresh modulus: its path, verdict and W."""
+    rep = holder_chain(build_modulus(q).character(index), M, N, r)
+    return {"path": rep.path, "passed": rep.passed, "W": rep.W}
+
+
+def moment(q, index, V, r, table):
+    """The complete moment, read from a built prefix table if table is set,
+    else streamed, and its verdict."""
+    chi = build_modulus(q).character(index)
+    if table:
+        chi.prefix_for(V)
+    rep = moment_sum(chi, V, r)
+    return {"moment": rep.moment, "passed": rep.passed}
+
+
+COMPUTE = {f.__name__: f for f in (scan, long_sum, prefix_digest, spread,
+                                   bounds, holder, moment)}
+ROUGH = {"holder": {"W"}, "moment": {"moment"}}
+
+
+def encode(x):
+    """A computed value in its stored form."""
+    if isinstance(x, (bool, str, float)):
+        return x
+    if isinstance(x, int):
+        return x if abs(x) <= 2 ** 53 else str(x)
+    if isinstance(x, tuple):
+        return [encode(v) for v in x]
+    if isinstance(x, Fraction) and x >= 1:  # a float sum past the range
+        e = len(str(x.numerator // x.denominator)) - 1
+        return f"{float(x / 10 ** e)!r}e{e}"
+    raise TypeError(f"no stored form for {type(x).__name__} {x!r}")
+
+
+def _approximate(v) -> bool:
+    """A stored float, or a Fraction's decimal string (not an int's)."""
+    return isinstance(v, float) or (
+        isinstance(v, str) and not v.lstrip("-").isdigit())
+
+
+def agrees(got, want, rough: bool = False) -> bool:
+    """got (encoded) is want: the same JSON text, or for two approximate
+    values in a rough field, within FLOAT_RTOL of want."""
+    if rough and _approximate(got) and _approximate(want):
+        got, want = Fraction(got), Fraction(want)
+        return abs(got - want) <= Fraction(FLOAT_RTOL) * abs(want)
+    return json.dumps(got) == json.dumps(want)
+
+
+def inputs(cell: dict) -> dict:
+    return {k: v for k, v in cell.items() if k != "want"}
+
+
+def cell_name(kind: str, cell: dict) -> str:
+    return kind + " " + " ".join(f"{k}={v}" for k, v in inputs(cell).items())
+
+
+def run(groups: list, select=None, record: bool = False) -> list[str]:
+    """Compute every cell that select(kind, inputs) keeps (all by default),
+    and return one line per moved value or overrun time limit.  With
+    record, the moved values are written into the cells instead, and the
+    lines name them; time limits are not checked."""
+    problems = []
+    for group in groups:
+        kind, total = group["kind"], 0.0
+        for cell in group["cells"]:
+            if select is not None and not select(kind, inputs(cell)):
+                continue
+            name = cell_name(kind, cell)
+            t0 = time.perf_counter()
+            try:
+                got = {k: encode(v)
+                       for k, v in COMPUTE[kind](**inputs(cell)).items()}
+            except Exception as exc:  # a cell that fails names itself
+                if record:
+                    raise
+                problems.append(f"{name}: {type(exc).__name__}: {exc}")
+                continue
+            took = time.perf_counter() - t0
+            total += took
+            want = cell.get("want", {})
+            moved = [k for k in sorted(set(got) | set(want))
+                     if k not in got or k not in want
+                     or not agrees(got[k], want[k], k in ROUGH.get(kind, ()))]
+            problems += [f"{name}: {k} {want.get(k, '(none)')} -> "
+                         f"{got.get(k, '(none)')}" for k in moved]
+            if record:
+                cell["want"] = {k: want[k] if k in want and k not in moved
+                                else v for k, v in got.items()}
+            elif took > group.get("cell_limit_s", math.inf):
+                problems.append(f"{name}: {took:.2f} s, over its "
+                                f"{group['cell_limit_s']} s limit")
+        if not record and total > group.get("limit_s", math.inf):
+            problems.append(f"{kind} group: {total:.2f} s, over its "
+                            f"{group['limit_s']} s limit")
+    return problems
+
+
+def dumps(groups: list) -> str:
+    """The file's text: one group head per line, then one cell per line."""
+    parts = []
+    for group in groups:
+        head = json.dumps({k: v for k, v in group.items() if k != "cells"},
+                          ensure_ascii=False)
+        cells = ",\n  ".join(json.dumps(c, ensure_ascii=False, allow_nan=False)
+                             for c in group["cells"])
+        parts.append(f'{head[:-1]}, "cells": [\n  {cells}]}}')
+    return "[\n" + ",\n".join(parts) + "\n]\n"
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(
+        description="check the recorded values, or re-record them")
+    ap.add_argument("--record", action="store_true",
+                    help="rewrite the values that moved instead of failing")
+    args = ap.parse_args(argv)
+    groups = json.loads(RECORDED.read_text())
+    t0 = time.perf_counter()
+    problems = run(groups, record=args.record)
+    cells = sum(len(g["cells"]) for g in groups)
+    if args.record:
+        RECORDED.write_text(dumps(groups))
+        for line in problems:
+            print(f"recorded {line}")
+        print(f"{cells} cells, {len(problems)} values moved")
+        return 0
+    for line in problems:
+        print(line, file=sys.stderr)
+    print(f"{cells} cells in {time.perf_counter() - t0:.1f} s, "
+          f"{len(problems)} problems")
+    return 1 if problems else 0
+
+if __name__ == "__main__":
+    sys.exit(main())

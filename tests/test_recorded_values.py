@@ -1,0 +1,136 @@
+"""The recorded values of tests/recorded_values.json, read by
+scripts/recorded_values.py.  Every cell that takes one modulus q is checked
+here (about 2 s); the two spread cells, each a pass over every prime up
+to a limit (about 2.5 s each), are checked by the script in CI.  A
+perturbed file fails and names the cell that moved."""
+
+import importlib.util
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "recorded_values.py"
+_spec = importlib.util.spec_from_file_location("recorded_values", SCRIPT)
+rv = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(rv)
+
+
+def one_modulus(kind, inputs):
+    return "q" in inputs
+
+
+def groups():
+    return json.loads(rv.RECORDED.read_text())
+
+
+def cells(kind):
+    return next(g for g in groups() if g["kind"] == kind)["cells"]
+
+
+def test_every_cell_of_one_modulus_agrees():
+    recorded = groups()
+    kept = {g["kind"] for g in recorded
+            for c in g["cells"] if one_modulus(g["kind"], rv.inputs(c))}
+    assert kept == set(rv.COMPUTE) - {"spread"}
+    assert rv.run(recorded, one_modulus) == []
+
+
+def test_the_file_is_as_the_recorder_writes_it():
+    text = rv.RECORDED.read_text()
+    assert rv.dumps(json.loads(text)) == text
+
+
+def test_the_cells_cover_each_path():
+    counts = {g["kind"]: len(g["cells"]) for g in groups()}
+    assert counts == {"scan": 16, "long_sum": 6, "prefix_digest": 22,
+                      "spread": 2, "bounds": 4, "holder": 44, "moment": 23}
+    chains = cells("holder")
+    assert {c["want"]["path"] for c in chains} == {"exact", "certified",
+                                                    "float"}
+    assert {(c["q"] - 1) // c["index"] for c in chains} == set(range(2, 13))
+    moments = cells("moment")
+    assert {c["table"] for c in moments} == {False, True}
+    assert any(c["V"] ** 2 > c["q"] for c in moments)  # by np.unique
+    assert any(isinstance(c["want"]["moment"], str) for c in moments)
+
+
+def flip(digest):
+    return ("0" if digest[0] != "0" else "1") + digest[1:]
+
+
+@pytest.mark.parametrize("kind, pick, field, perturb", [
+    ("prefix_digest", lambda c: c["q"] == 131071, "sha256", flip),
+    ("long_sum", lambda c: isinstance(c["want"]["sum"], int), "sum",
+     lambda x: x + 1),
+    ("scan", lambda c: c["q"] == 1000003, "max_abs_sum",
+     lambda x: math.nextafter(x, math.inf)),
+])
+def test_a_perturbed_value_names_its_cell(kind, pick, field, perturb):
+    chosen = [c for c in cells(kind) if pick(c)][:2]
+    chosen[0]["want"][field] = perturb(chosen[0]["want"][field])
+    problems = rv.run([{"kind": kind, "cells": chosen}])
+    assert len(problems) == 1
+    assert problems[0].startswith(rv.cell_name(kind, chosen[0]) + ": " + field)
+
+
+def test_a_rough_field_is_held_to_float_rtol():
+    chain = next(c for c in cells("holder") if c["want"]["path"] == "float")
+    W = chain["want"]["W"]
+    assert rv.agrees(W * (1 + 1e-12), W, rough=True)
+    assert not rv.agrees(W * (1 + 1e-8), W, rough=True)
+    assert not rv.agrees(W, W * (1 + 1e-12))  # elsewhere bit for bit
+    exact = next(c for c in cells("holder") if c["want"]["path"] == "exact")
+    assert not rv.agrees(float(exact["want"]["W"]), exact["want"]["W"],
+                         rough=True)  # an int W stays an int
+    past = next(c["want"]["moment"] for c in cells("moment")
+                if isinstance(c["want"]["moment"], str))
+    assert rv.agrees(rv.encode(Fraction(past) * (1 + Fraction(1, 10 ** 12))),
+                     past, rough=True)
+    assert not rv.agrees(rv.encode(Fraction(past) * 2), past, rough=True)
+
+
+def test_stored_forms():
+    assert rv.encode(2 ** 53) == 2 ** 53
+    assert rv.encode(2 ** 53 + 1) == str(2 ** 53 + 1)
+    assert rv.encode((1, -2)) == [1, -2]
+    assert not rv.agrees(rv.encode((1.0, -2.0)), [1, -2])
+    with pytest.raises(TypeError):
+        rv.encode(np.int64(3))  # a NumPy scalar is not a recorded int
+
+
+def test_a_time_limit_is_asserted():
+    cell = cells("bounds")[0]
+    problems = rv.run([{"kind": "bounds", "cell_limit_s": 0, "limit_s": 0,
+                        "cells": [cell]}])
+    assert [p.split(":")[0] for p in problems] == [
+        rv.cell_name("bounds", cell), "bounds group"]
+
+
+def test_the_script_exits_1_naming_the_cell(tmp_path, monkeypatch, capsys):
+    chosen = [c for c in cells("prefix_digest") if c["q"] == 131071]
+    digest = chosen[1]["want"]["sha256"]
+    chosen[1]["want"]["sha256"] = flip(digest)
+    path = tmp_path / "values.json"
+    path.write_text(rv.dumps([{"kind": "prefix_digest", "cells": chosen}]))
+    monkeypatch.setattr(rv, "RECORDED", path)
+    assert rv.main([]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{rv.cell_name('prefix_digest', chosen[1])}: sha256 "
+        f"{flip(digest)} -> {digest}"]
+
+
+def test_record_rewrites_only_what_moved(tmp_path, monkeypatch):
+    chosen = [c for c in cells("holder") if c["q"] == 55441][:4]
+    recorded = rv.dumps([{"kind": "holder", "cells": chosen}])
+    chosen[2]["want"]["W"] += 1
+    del chosen[3]["want"]
+    path = tmp_path / "values.json"
+    path.write_text(rv.dumps([{"kind": "holder", "cells": chosen}]))
+    monkeypatch.setattr(rv, "RECORDED", path)
+    assert rv.main(["--record"]) == 0
+    assert path.read_text() == recorded
