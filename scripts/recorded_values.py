@@ -9,11 +9,12 @@ time limit.  --record computes every cell the same way and rewrites the
 values that moved, printing each.
 
 Values are stored as JSON: ints as ints, or as decimal strings past 2^53;
-a Fraction past the double range as a decimal string with 17 significant
-digits.  Every value is compared bit for bit (the same JSON text), except
-the float or Fraction fields named in ROUGH, held to FLOAT_RTOL.  A
-group's "limit_s" bounds the seconds of all its cells, "cell_limit_s"
-those of each cell, both timed around the computation alone.
+a complex number as [re, im]; a Fraction past the double range as a
+decimal string with 17 significant digits.  Every value is compared bit
+for bit (the same JSON text), except the float or Fraction fields named
+in ROUGH, held to FLOAT_RTOL.  A group's "limit_s" bounds the seconds of
+all its cells, "cell_limit_s" those of each cell, both timed around the
+computation alone.
 
   PYTHONPATH=src python scripts/recorded_values.py            # check every cell
   PYTHONPATH=src python scripts/recorded_values.py --record   # rewrite what moved
@@ -24,16 +25,22 @@ import hashlib
 import json
 import math
 import os
+import random
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from burgess.bounds import holder_chain, max_window_spread, pv_ratio_scan
-from burgess.chars import build_modulus, interval_sum, prefix_table
+from burgess import chars
+from burgess.acceptance import holder_cells
+from burgess.bounds import (bound_value, holder_chain, max_window_spread,
+                            pv_ratio_scan)
+from burgess.chars import build_modulus, prefix_table
 from burgess.cli import run_subcommand
+from burgess.congruence import pair_collision_count
 from burgess.moments import moment_sum
-from burgess.sieve import primes_below
+from burgess.sieve import (count_rough_divisible, enumerate_rough,
+                           mertens_product, primes_below, primorial)
 
 RECORDED = Path(__file__).resolve().parents[1] / "tests" / "recorded_values.json"
 FLOAT_RTOL = 1e-9  # the relative tolerance of perfbench/workloads.py
@@ -47,9 +54,10 @@ def scan(q, index, N, M_spec, r):
     return {"code": code, "max_abs_sum": records[0]["outputs"]["max_abs_sum"]}
 
 
-def long_sum(q, index, m, n):
-    """interval_sum over (m, m+n]: an int, or a pair of ints."""
-    return {"sum": interval_sum(build_modulus(q).character(index), m, n)}
+def interval_sum(q, index, m, n):
+    """chars.interval_sum over (m, m+n]: an int, a pair of ints or a
+    complex number."""
+    return {"sum": chars.interval_sum(build_modulus(q).character(index), m, n)}
 
 
 def prefix_digest(q, index, span=None):
@@ -97,8 +105,67 @@ def moment(q, index, V, r, table):
     return {"moment": rep.moment, "passed": rep.passed}
 
 
-COMPUTE = {f.__name__: f for f in (scan, long_sum, prefix_digest, spread,
-                                   bounds, holder, moment)}
+def nonresidue(q):
+    """The `burgess nonresidue` run, and its longest run of residues over
+    ceil(q^(1/4) log q)."""
+    code, records = run_subcommand(["nonresidue", "--q", str(q),
+                                    "--output", os.devnull])
+    out = records[0]["outputs"]
+    return {"code": code, "least": out["least"], "max_gap": out["max_gap"],
+            "gap_start": out["gap_start"],
+            "constant": out["max_gap"] / math.ceil(q ** 0.25 * math.log(q))}
+
+
+def holder_c0(primes, m_count):
+    """The stand-in for the inductive step's constant: the largest
+    W / (|rough| V) over the criterion-4 cells, each divided by its
+    refined shape value."""
+    worst = -math.inf
+    for q, r, n, m_values in holder_cells(primes, m_count):
+        chi = build_modulus(q).legendre()
+        refined = bound_value("refined_14r", n, q, r=r)
+        for m in m_values:
+            rep = holder_chain(chi, m, n, r)
+            worst = max(worst, rep.W / (rep.rough_count * rep.params.V)
+                        / refined)
+    return {"constant": worst}
+
+
+def divisible_count(A, z, U, t):
+    """The divisibility-count constant: the largest count * t / (U V(z))
+    over the z-rough sets of [1, U], V(z) the Mertens product, for each t
+    coprime to the primes below z with z < (U/t)^A."""
+    worst = 0.0
+    for zi in z:
+        block = primorial(zi)
+        for u_cap in U:
+            rough = enumerate_rough(zi, u_cap)
+            vz = mertens_product(zi).value
+            for ti in t:
+                if math.gcd(ti, block) == 1 and zi < (u_cap / ti) ** A:
+                    worst = max(worst, count_rough_divisible(rough, ti)
+                                * ti / (u_cap * vz))
+    return {"constant": worst}
+
+
+def pair_collision(q, seed, draws):
+    """The pairwise collision constant: the largest (J(u1, u2) - 1) u2 /
+    (N gcd(u1, u2)) over seeded draws of u1 < u2, N and M with U N <= q."""
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(draws):
+        n = rng.randint(2, 60)
+        u2 = rng.randint(2, max(2, min(60, q // n)))
+        u1 = rng.randint(1, u2 - 1)
+        m = rng.randint(-q, q)
+        j = pair_collision_count(u1, u2, m, n, q)
+        worst = max(worst, (j - 1) * u2 / (n * math.gcd(u1, u2)))
+    return {"constant": worst}
+
+
+COMPUTE = {f.__name__: f for f in (
+    scan, interval_sum, prefix_digest, spread, bounds, holder, moment,
+    nonresidue, holder_c0, divisible_count, pair_collision)}
 ROUGH = {"holder": {"W"}, "moment": {"moment"}}
 
 
@@ -110,6 +177,8 @@ def encode(x):
         return x if abs(x) <= 2 ** 53 else str(x)
     if isinstance(x, tuple):
         return [encode(v) for v in x]
+    if isinstance(x, complex):
+        return [x.real, x.imag]
     if isinstance(x, Fraction) and x >= 1:  # a float sum past the range
         e = len(str(x.numerator // x.denominator)) - 1
         return f"{float(x / 10 ** e)!r}e{e}"

@@ -865,13 +865,6 @@ def test_nonresidue_gap_examples():
     assert nonresidue_max_gap(3) == (1, 1)
 
 
-def test_nonresidue_gap_baseline_q10007():
-    gap, start = nonresidue_max_gap(10007)
-    assert gap == baselines.NONRESIDUE_GAP_Q10007
-    cap = math.ceil(10007 ** 0.25 * math.log(10007))
-    assert gap <= cap * baselines.NONRESIDUE_GAP_CONSTANT + 1e-9
-
-
 def test_nonresidue_gap_matches_full_table():
     # the half table's mirror against the longest run of the whole period
     for q in [q for q in range(3, 3000, 2) if is_prime(q)] + [10007, 10009]:
@@ -886,11 +879,6 @@ def test_least_nonresidue_within_first_gap():
     for q in (3, 7, 11, 101, 1009, 10007):
         gap, start = nonresidue_max_gap(q)
         assert least_nonresidue(q) <= start + gap
-
-
-def test_holder_c0_standin_stable():
-    measured = baselines.measure_holder_c0_standin()
-    assert abs(measured - baselines.HOLDER_C0_STANDIN) < 1e-12
 
 
 @given(st.integers(1, 10 ** 5), st.sampled_from([101, 1009, 10007]),

@@ -1,7 +1,7 @@
 """The recorded values of tests/recorded_values.json, read by
-scripts/recorded_values.py.  Every cell that takes one modulus q is checked
-here (about 2 s); the two spread cells, each a pass over every prime up
-to a limit (about 2.5 s each), are checked by the script in CI.  A
+scripts/recorded_values.py.  Every cell but the two spread cells is
+checked here (about 3 s); those two, each a pass over every prime up to
+a limit (about 2.5 s each), are checked by the script in CI.  A
 perturbed file fails and names the cell that moved."""
 
 import importlib.util
@@ -20,8 +20,8 @@ rv = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(rv)
 
 
-def one_modulus(kind, inputs):
-    return "q" in inputs
+def but_the_spreads(kind, inputs):
+    return kind != "spread"
 
 
 def groups():
@@ -32,12 +32,10 @@ def cells(kind):
     return next(g for g in groups() if g["kind"] == kind)["cells"]
 
 
-def test_every_cell_of_one_modulus_agrees():
+def test_every_cell_but_the_spreads_agrees():
     recorded = groups()
-    kept = {g["kind"] for g in recorded
-            for c in g["cells"] if one_modulus(g["kind"], rv.inputs(c))}
-    assert kept == set(rv.COMPUTE) - {"spread"}
-    assert rv.run(recorded, one_modulus) == []
+    assert [g["kind"] for g in recorded] == list(rv.COMPUTE)
+    assert rv.run(recorded, but_the_spreads) == []
 
 
 def test_the_file_is_as_the_recorder_writes_it():
@@ -47,8 +45,10 @@ def test_the_file_is_as_the_recorder_writes_it():
 
 def test_the_cells_cover_each_path():
     counts = {g["kind"]: len(g["cells"]) for g in groups()}
-    assert counts == {"scan": 16, "long_sum": 6, "prefix_digest": 22,
-                      "spread": 2, "bounds": 4, "holder": 44, "moment": 23}
+    assert counts == {"scan": 16, "interval_sum": 39, "prefix_digest": 22,
+                      "spread": 2, "bounds": 4, "holder": 44, "moment": 23,
+                      "nonresidue": 4, "holder_c0": 1, "divisible_count": 1,
+                      "pair_collision": 1}
     chains = cells("holder")
     assert {c["want"]["path"] for c in chains} == {"exact", "certified",
                                                     "float"}
@@ -57,6 +57,16 @@ def test_the_cells_cover_each_path():
     assert {c["table"] for c in moments} == {False, True}
     assert any(c["V"] ** 2 > c["q"] for c in moments)  # by np.unique
     assert any(isinstance(c["want"]["moment"], str) for c in moments)
+    sums = cells("interval_sum")
+    short = {}  # (q, order) -> whether its sums read the Euler criterion
+    for c in sums:
+        q, d = c["q"], (c["q"] - 1) // c["index"]
+        short.setdefault((q, d), set()).add(
+            c["n"] % q * (math.isqrt(d - 1) + 1) <= math.isqrt(q))
+    assert sum(s == {True, False} for s in short.values()) == 6
+    assert {(c["q"] - 1) // c["index"] for c in sums if c["n"] > c["q"] // 2
+            and isinstance(c["want"]["sum"], list)
+            and isinstance(c["want"]["sum"][0], float)} == {5, 10, 1000080}
 
 
 def flip(digest):
@@ -65,7 +75,7 @@ def flip(digest):
 
 @pytest.mark.parametrize("kind, pick, field, perturb", [
     ("prefix_digest", lambda c: c["q"] == 131071, "sha256", flip),
-    ("long_sum", lambda c: isinstance(c["want"]["sum"], int), "sum",
+    ("interval_sum", lambda c: isinstance(c["want"]["sum"], int), "sum",
      lambda x: x + 1),
     ("scan", lambda c: c["q"] == 1000003, "max_abs_sum",
      lambda x: math.nextafter(x, math.inf)),
@@ -99,6 +109,8 @@ def test_stored_forms():
     assert rv.encode(2 ** 53 + 1) == str(2 ** 53 + 1)
     assert rv.encode((1, -2)) == [1, -2]
     assert not rv.agrees(rv.encode((1.0, -2.0)), [1, -2])
+    assert rv.encode(complex(1, -2)) == [1.0, -2.0]
+    assert not rv.agrees(rv.encode(complex(1, -2)), [1, -2])
     with pytest.raises(TypeError):
         rv.encode(np.int64(3))  # a NumPy scalar is not a recorded int
 

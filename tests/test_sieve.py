@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burgess import baselines
 from burgess.chars import is_prime
 from burgess.errors import GuardViolated, LimitTooLarge
 from burgess.sieve import (
@@ -206,11 +205,6 @@ def test_density_ratio_guard_refuses_nan():
 
 def test_density_ratio_small_U_bracket():
     assert 0.3 <= rough_density_ratio(10, 10 ** 3, C=3.0) <= 3.0
-
-
-def test_divisible_count_constant_stable():
-    measured = baselines.measure_divisible_count_constant()
-    assert abs(measured - baselines.DIVISIBLE_COUNT_CONSTANT) < 1e-12
 
 
 @given(st.floats(min_value=1.5, max_value=20), st.integers(1, 2000))
