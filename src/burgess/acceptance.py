@@ -270,7 +270,7 @@ def criterion_6() -> CriterionResult:
                         and inst.M == inst2.M)
         ok = (rep1.ratio <= baselines.COLLISION_RATIO_ENVELOPE
               and rep1.I_value == baselines.COLLISION_I_VALUE
-              and abs(rep1.ratio - baselines.COLLISION_RATIO) < 1e-12
+              and rep1.ratio == baselines.COLLISION_RATIO
               and reproducible)
         return ok, {"M": inst.M, "N": inst.N, "U": params.U, "z": params.z,
                     "I_value": rep1.I_value, "ratio": rep1.ratio,
@@ -285,7 +285,7 @@ def criterion_7(limit=10 ** 4) -> CriterionResult:
         ok = worst < 1.0
         if limit == 10 ** 4:
             ok = ok and worst_q == baselines.PV_WORST_PRIME
-            ok = ok and abs(worst - baselines.PV_WORST_RATIO) < 1e-12
+            ok = ok and worst == baselines.PV_WORST_RATIO
         return ok, {"worst_ratio": worst, "worst_prime": worst_q}
     return _timed(7, "Polya-Vinogradov empirical check", run,
                   limit_s=60.0)
@@ -326,7 +326,7 @@ def criterion_9(primes=(101, 1009, 10007), m_count=20) -> CriterionResult:
         stable = worst1 == worst2
         ok = (math.isfinite(worst1) and stable and ord1 and ord2)
         if primes == (101, 1009, 10007) and m_count == 20:
-            ok = ok and abs(worst1 - baselines.REFINED_WORST_RATIO) < 1e-12
+            ok = ok and worst1 == baselines.REFINED_WORST_RATIO
         return ok, {"worst_ratio": worst1, "stable": stable,
                     "ordering": ord1}
     return _timed(9, "refined-shape scan regression", run)

@@ -537,7 +537,12 @@ def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
     packed values or roots (taken from the classes when d > BLOCK: no
     d-entry table, and O(POWER_BLOCK) temporaries), adds the running total
     to its first entry and is summed in place: bit for bit one sequential
-    cumsum (a word at a time for narrow entries, below).
+    cumsum (a word at a time for narrow entries, below).  Other integer
+    slices are summed from the end, as suffix sums U_k over a reversed
+    view, then S_k = U_0 - U_{k+1}: mod 2^(8w) the same entries, and NumPy
+    (2.4) accumulates int8, int32 and int64 two to four times as fast over
+    a reversed view as over contiguous entries (int16 at the same speed).
+    Complex slices keep np.cumsum.
 
     Slices are fresh arrays, or views of out when given: n = h+2 entries of
     w bytes, into whose top bytes the modulus scatters its n classes of c
@@ -637,7 +642,14 @@ def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
         else:
             if total is not None:  # no int8 add for one-slice tables
                 s[:1] += total
-            np.cumsum(s, dtype=dtype, out=s)
+            if s.dtype.kind == "c":
+                np.cumsum(s, out=s)
+            else:  # suffix sums U_k, then S_k = U_0 - U_{k+1}
+                back = s[::-1]
+                np.cumsum(back, dtype=dtype, out=back)
+                last = s[0]
+                np.subtract(last, s[1:], out=s[:-1])
+                s[-1] = last
         total = s[-1]
         yield s
 

@@ -16,10 +16,12 @@ sums are lattice points with an exact integer norm of at most V^rank
 (chars.lattice_norm, in int32 on the 16-bit lanes that serve V < 2^15), so
 the moment reduces to a bincount of the norms followed by an exact
 big-integer combination; that is what makes the inequality margin a
-zero-tolerance check.  Characters of other orders sum |w|^{2r} in double
-precision block by block; a sum past the double range is taken again in
-exact rationals, each block scaled by its largest |w|^2, so its verdict is
-still decided.
+zero-tolerance check.  Order-2 windows in 8-bit lanes (V < 2^7) are
+counted two to a bincount key, |w_2i| + 256 |w_2i+1| read as uint16, and
+the key counts are folded into counts of |w| once per moment.  Characters
+of other orders sum |w|^{2r} in double precision block by block; a sum past
+the double range is taken again in exact rationals, each block scaled by
+its largest |w|^2, so its verdict is still decided.
 """
 
 from __future__ import annotations
@@ -88,6 +90,22 @@ def _power_sum(keys: np.ndarray, counts: np.ndarray, p: int) -> int:
     return sum(c * k ** p for k, c in zip(keys.tolist(), counts.tolist()))
 
 
+def _count_pairs(w: np.ndarray, weight: int, pairs: np.ndarray,
+                 counts: np.ndarray) -> None:
+    """Count an int8 block of order-2 window sums (|w| <= V < 128), two
+    windows to a key: |w| in place, read as uint16 keys |w_2i| + 256
+    |w_2i+1| (bytes swapped on a big-endian host: moment_sum folds both
+    bytes alike), bincounted into pairs, which is indexed by key; an odd
+    block's last |w| goes into counts.  Each count is weighted."""
+    np.abs(w, out=w)
+    n = len(w) & ~1
+    c = np.bincount(w[:n].view(np.uint16))
+    c *= weight
+    pairs[:len(c)] += c
+    if n < len(w):
+        counts[w[-1]] += weight
+
+
 def _scaled_power_sum(w: np.ndarray, r: int) -> Fraction:
     """sum |w|^(2r) over a complex block as m^r sum (|w|^2 / m)^r, m the
     block's largest |w|^2, in the exact rationals of the float sum and of
@@ -107,7 +125,8 @@ def moment_sum(chi: Character, V: int, r: int) -> MomentReport:
     window blocks are read from chi's prefix table when one serving V
     is built or V >= h, otherwise from the streamed prefix sums
     (_streamed_blocks).  An exact table gives a Python int: the bincount of
-    the lattice norms when their V^rank + 1 bins fit in q + 1, otherwise (a
+    the lattice norms (of 8-bit order-2 blocks two windows a key,
+    _count_pairs) when their V^rank + 1 bins fit in q + 1, otherwise (a
     caller-given V with V^2 > q) each block's distinct norms by np.unique.
     A float moment past the double range is summed again block by block in
     exact rationals (_scaled_power_sum), so its verdict is decided without
@@ -152,9 +171,19 @@ def moment_sum(chi: Character, V: int, r: int) -> MomentReport:
         if V ** rank <= q:
             # zeroed pages that no norm reaches are never touched
             counts = np.zeros(V ** rank + 1, dtype=np.int64)
+            # 8-bit order-2 blocks are counted two windows a key
+            pairs = (np.zeros((V + 1) * 256, dtype=np.int64)
+                     if d == 2 and V < 1 << 7 else None)
             for weight, w in blocks():
-                c = np.bincount(lattice_norm(chi, w))
-                counts[:len(c)] += weight * c
+                if pairs is not None and w.dtype == np.int8:
+                    _count_pairs(w, weight, pairs, counts)
+                else:
+                    c = np.bincount(lattice_norm(chi, w))
+                    counts[:len(c)] += weight * c
+            if pairs is not None:  # each key's two windows, by byte
+                pairs = pairs.reshape(V + 1, 256)
+                counts += pairs.sum(axis=1)
+                counts += pairs[:, :V + 1].sum(axis=0)
             keys = np.flatnonzero(counts)
             moment = _power_sum(keys, counts[keys], power)
         else:

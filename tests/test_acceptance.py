@@ -4,9 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion; the same checks back the CLI's `verify --suite full`.
 """
 
+import math
+
 import pytest
 
-from burgess import acceptance
+from burgess import acceptance, baselines
 
 
 def _gate(result):
@@ -73,6 +75,17 @@ def test_criterion_8_moment_performance():
 def test_criterion_9_refined_scan():
     res = _gate(acceptance.criterion_9())
     assert res.details["stable"] and res.details["ordering"]
+
+
+@pytest.mark.parametrize("criterion, name", [
+    (acceptance.criterion_6, "COLLISION_RATIO"),
+    (acceptance.criterion_7, "PV_WORST_RATIO"),
+    (acceptance.criterion_9, "REFINED_WORST_RATIO"),
+])
+def test_a_frozen_ratio_one_ulp_off_fails(criterion, name, monkeypatch):
+    value = getattr(baselines, name)
+    monkeypatch.setattr(baselines, name, math.nextafter(value, math.inf))
+    assert not criterion().passed
 
 
 @pytest.mark.parametrize("suite", ["small"])

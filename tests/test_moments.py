@@ -217,6 +217,29 @@ def test_blocks_match_one_shot_above_block():
                     assert abs(got - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("v", [1, 2, 63, 126, 127, 128])
+def test_paired_counts_match_every_start(v):
+    # Order 2 over three blocks.  Below V = 128 a block in 8-bit lanes is
+    # counted two windows a key; V = 128 takes 16-bit lanes, one a key, and
+    # so does every V read from the 32-bit full table.  The tail block of
+    # the first span (h - V - BLOCK or h - V starts) and the edge spans (V -
+    # 1 and V + 2 starts) are odd at some V here and even at others.
+    q = 131101
+    assert 2 * BLOCK < q < 3 * BLOCK
+    mod = build_modulus(q)
+    wide = mod.legendre()
+    keys, counts = np.unique(np.abs(window_array(wide.prefix, v)),
+                             return_counts=True)  # every start
+    for r in (2, 3):
+        want = sum(int(c) * int(k) ** (2 * r) for k, c in zip(keys, counts))
+        streamed, narrow = mod.legendre(), mod.legendre()
+        lanes = narrow.prefix_for(v).sums.dtype
+        assert lanes == (np.int8 if v < 128 else np.int16)
+        for chi in (streamed, narrow, wide):
+            assert moment_sum(chi, v, r).moment == want, (v, r, chi)
+        assert "prefix" not in vars(streamed)
+
+
 def test_wide_window_allocates_no_square_bins():
     # V^2 > q: each block's norms are counted by np.unique, so none of the
     # V^2 + 1 bins (8 MB here) is allocated
@@ -290,6 +313,24 @@ def test_streamed_moment_holds_class_table_and_blocks():
         tracemalloc.stop()
     assert rep.exact and rep.passed and "prefix" not in vars(chi)
     assert peak <= (q + 1) // 2 + 22 * BLOCK
+
+
+def test_streamed_quadratic_moment_holds_class_table_and_blocks():
+    # Order 2 at the auto V = 63: int8 slices and window blocks, whose |w|
+    # are counted two to a uint16 key into (V + 1) 256 int64 pair counts.
+    # Those fit in the space of the 8 BLOCK intp cast of a bincount over
+    # one |w| a key: the bound is the 13.25 BLOCK measured with that cast.
+    q = 1000003
+    chi = build_modulus(q).legendre()
+    tracemalloc.start()
+    try:
+        rep = moment_check(chi, r=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.V == 63 and rep.exact and rep.passed
+    assert "prefix" not in vars(chi)
+    assert peak <= (q + 1) // 2 + 53 * BLOCK // 4
 
 
 def test_scaled_power_sum_matches_float_sum(mod101):

@@ -46,7 +46,7 @@ def test_the_file_is_as_the_recorder_writes_it():
 def test_the_cells_cover_each_path():
     counts = {g["kind"]: len(g["cells"]) for g in groups()}
     assert counts == {"scan": 16, "interval_sum": 39, "prefix_digest": 22,
-                      "spread": 2, "bounds": 4, "holder": 44, "moment": 23,
+                      "spread": 2, "bounds": 4, "holder": 44, "moment": 31,
                       "nonresidue": 4, "holder_c0": 1, "divisible_count": 1,
                       "pair_collision": 1}
     chains = cells("holder")
@@ -56,6 +56,10 @@ def test_the_cells_cover_each_path():
     moments = cells("moment")
     assert {c["table"] for c in moments} == {False, True}
     assert any(c["V"] ** 2 > c["q"] for c in moments)  # by np.unique
+    # order 2 at q = 3 (mod 4), in 8-bit lanes (two windows a key) and not
+    assert {(c["V"], c["table"]) for c in moments if c["q"] % 4 == 3
+            and 2 * c["index"] == c["q"] - 1} == {
+        (v, t) for v in (1, 127, 128) for t in (False, True)}
     assert any(isinstance(c["want"]["moment"], str) for c in moments)
     sums = cells("interval_sum")
     short = {}  # (q, order) -> whether its sums read the Euler criterion
