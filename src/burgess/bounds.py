@@ -508,10 +508,11 @@ def least_nonresidue(q: int) -> int:
     return n
 
 
-def nonresidue_max_gap(q: int) -> tuple[int, int]:
-    """Longest run of consecutive n in [1, q-1] avoiding nonresidues, and
-    where it starts.  The half value table gives the nonresidues n <= h;
-    n > h is one exactly when chi(q-n) = -chi(-1)."""
+def nonresidue_max_gap(q: int) -> tuple[int, int, int]:
+    """Longest run of consecutive n in [1, q-1] avoiding nonresidues, where
+    it starts, and the least nonresidue (the first run's end).  The half
+    value table gives the nonresidues n <= h; n > h is one exactly when
+    chi(q-n) = -chi(-1)."""
     vals = legendre_value_array(q)
     h = len(vals) - 1
     low = np.flatnonzero(vals == -1)
@@ -519,4 +520,4 @@ def nonresidue_max_gap(q: int) -> tuple[int, int]:
     edges = np.concatenate([[0], low, high, [q]])
     runs = np.diff(edges) - 1
     best = int(runs.argmax())
-    return int(runs[best]), int(edges[best]) + 1
+    return int(runs[best]), int(edges[best]) + 1, int(edges[1])

@@ -98,10 +98,9 @@ def collision_distribution(inst: CollisionInstance) -> CollisionDistribution:
 
 @dataclass
 class CongruenceReport:
-    """The collision distribution's first moment (N times the rough-set
-    size) and second moment I_value, the exact collision count."""
+    """The exact collision count I_value, the second moment of the collision
+    distribution, beside its diagonal N * |rough| (the first moment)."""
 
-    first_moment: int
     I_value: int
     diagonal: int
     bound: float
@@ -123,8 +122,7 @@ def congruence_count(inst: CollisionInstance) -> CongruenceReport:
     bound = collision_count_bound(inst.N, inst.rough.count,
                                   inst.rough.U, inst.rough.z)
     ratio = dist.second_moment / bound if bound not in (0, math.inf) else 0.0
-    return CongruenceReport(first_moment=dist.first_moment,
-                            I_value=dist.second_moment,
+    return CongruenceReport(I_value=dist.second_moment,
                             diagonal=diagonal, bound=bound, ratio=ratio,
                             in_hypothesis=inst.in_hypothesis)
 

@@ -834,7 +834,7 @@ def test_spread_and_gap_across_square_dtypes(q):
     edges = np.concatenate([[0], np.flatnonzero(full == -1), [q]])
     runs = np.diff(edges) - 1
     best = int(runs.argmax())
-    assert nonresidue_max_gap(q) == (runs[best], edges[best] + 1)
+    assert nonresidue_max_gap(q) == (runs[best], edges[best] + 1, edges[1])
 
 
 def test_least_nonresidue_examples():
@@ -861,8 +861,8 @@ def test_modulus_below_3_refused_alike(q):
 
 
 def test_nonresidue_gap_examples():
-    assert nonresidue_max_gap(7) == (2, 1)
-    assert nonresidue_max_gap(3) == (1, 1)
+    assert nonresidue_max_gap(7) == (2, 1, 3)
+    assert nonresidue_max_gap(3) == (1, 1, 2)
 
 
 def test_nonresidue_gap_matches_full_table():
@@ -872,13 +872,14 @@ def test_nonresidue_gap_matches_full_table():
             [[0], np.flatnonzero(legendre_full(q) == -1), [q]])
         runs = np.diff(edges) - 1
         best = int(runs.argmax())
-        assert nonresidue_max_gap(q) == (runs[best], edges[best] + 1), q
+        assert nonresidue_max_gap(q) == (
+            runs[best], edges[best] + 1, edges[1]), q
 
 
-def test_least_nonresidue_within_first_gap():
-    for q in (3, 7, 11, 101, 1009, 10007):
-        gap, start = nonresidue_max_gap(q)
-        assert least_nonresidue(q) <= start + gap
+def test_least_nonresidue_by_two_routes():
+    # Euler's criterion against the first nonresidue of the squares table
+    for q in [q for q in range(3, 3000, 2) if is_prime(q)] + [1000003]:
+        assert least_nonresidue(q) == nonresidue_max_gap(q)[2], q
 
 
 @given(st.integers(1, 10 ** 5), st.sampled_from([101, 1009, 10007]),

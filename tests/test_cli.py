@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -55,6 +56,8 @@ def test_moments_subcommand_passes(capsys):
 @pytest.mark.parametrize("argv, message", [
     ("rough --z 10 --U 10000 --ratio --C nan", "exceeds U"),
     ("bounds --q 10007 --grh-delta nan", "grh_delta must be finite"),
+    ("bounds --q -7 --N q^0.4 --r 3", "-7 is not an odd prime"),
+    ("bounds --q 0", "0 is not an odd prime"),
     ("nonresidue --q 2", "2 is not an odd prime"),
     ("sum --q 2", "2 is not an odd prime"),
     ("congruence --q 4", "4 is not prime"),
@@ -75,6 +78,12 @@ def test_invalid_input_exit_2():
 
 
 BIG_M = 10 ** 20  # a window start beyond int64
+# the digits of each int that prints null beside its <key>_log10
+PAST_STR_DIGITS = {
+    "sieve --z 11000": {"primorial": 4724},
+    "holder --q 10007 --legendre --r 600 --M-spec 1": {"holder_lhs": 4704,
+                                                       "holder_rhs": 5242},
+}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -91,11 +100,20 @@ BIG_M = 10 ** 20  # a window start beyond int64
     ("holder --q 10007 --index 5 --r 100 --M-spec 1", 0),  # complex: rhs too
     (f"bounds --q 10007 --N {10 ** 400}", 0),
     (f"scan --q 10007 --N {10 ** 400} --M-spec 1", 0),
+    # an exact int past str()'s digit limit is reported as null too
+    ("sieve --z 11000", 0),
+    ("holder --q 10007 --legendre --r 600 --M-spec 1", 0),
 ])
 def test_large_inputs_exit_code(argv, code, capsys):
-    # huge r, an infinite z, starts past int64 and N past the double range
-    # are results or refusals
+    # huge r, an infinite z, starts past int64, N past the double range and
+    # ints past the digit limit are results or refusals
     assert cli.main(argv.split()) == code
+    digits = PAST_STR_DIGITS.get(argv, {})
+    if digits and getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        rec = json.loads(capsys.readouterr().out)
+        for key, n in digits.items():
+            assert rec["outputs"][key] is None
+            assert n - 1 < rec["outputs"][f"{key}_log10"] < n, key
 
 
 @pytest.mark.parametrize("argv, verdict", [
@@ -216,10 +234,11 @@ def test_subcommand_smoke(name, capsys):
 
 
 def test_determinism_modulo_timings(capsys):
-    # holder and moments sweeps too: two r values per character share the
-    # moment cache in holder; 1020 = 4 * 3 * 5 * 17, so index 204 is order 5
-    # (float tables, mirrored complex entries) and 340 order 3 (lattice)
-    sweeps = [["scan", "--q", "101", "--N", "q^0.4", "--M-spec", "random:6"]]
+    # every subcommand, and holder and moments sweeps: two r values per
+    # character share the moment cache in holder; 1020 = 4 * 3 * 5 * 17, so
+    # index 204 is order 5 (float tables, mirrored complex entries) and 340
+    # order 3 (lattice)
+    sweeps = [[name] + SMOKE_ARGV[name] for name in sorted(SMOKE_ARGV)]
     for index in ("204", "340"):
         sweeps.append(["holder", "--q", "1021", "--index", index,
                        "--N", "q^0.6", "--M-spec", "random:3"])
@@ -544,6 +563,14 @@ def test_crash_exit_3_keeps_streamed_records(tmp_path, monkeypatch, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["inputs"]["M"] == 1
+
+
+def test_nonresidue_routes_disagreeing_exit_1(monkeypatch, capsys):
+    # 2 is a nonresidue mod 1000003, so an Euler route answering 3 fails
+    monkeypatch.setattr(bounds, "least_nonresidue", lambda q: 3)
+    assert cli.main(["nonresidue", "--q", "1000003"]) == 1
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["passes"] == {"least_by_squares": False}
 
 
 def test_output_file(tmp_path, capsys):
