@@ -8,9 +8,14 @@ script exits 1 naming each cell whose values moved or that overran its
 time limit.  --record computes every cell the same way and rewrites the
 values that moved, printing each.
 
+A cell of the "cli" kind is one `burgess` argv, run in-process through
+cli.main; its values are the exit code, the stdout records and, for exit
+2, the error line.
+
 Values are stored as JSON: ints as ints, or as decimal strings past 2^53;
 a complex number as [re, im]; a Fraction past the double range as a
-decimal string with 17 significant digits.  Every value is compared bit
+decimal string with 17 significant digits; lists and dicts (a CLI
+record) item by item, None as null.  Every value is compared bit
 for bit (the same JSON text), except the float or Fraction fields named
 in ROUGH, held to FLOAT_RTOL.  A group's "limit_s" bounds the seconds of
 all its cells, "cell_limit_s" those of each cell, both timed around the
@@ -22,12 +27,14 @@ computation alone.
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
 import random
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +43,7 @@ from burgess.acceptance import holder_cells
 from burgess.bounds import (bound_value, holder_chain, max_window_spread,
                             pv_ratio_scan)
 from burgess.chars import build_modulus, prefix_table
-from burgess.cli import run_subcommand
+from burgess.cli import main as burgess_main, run_subcommand
 from burgess.congruence import pair_collision_count
 from burgess.moments import moment_sum
 from burgess.sieve import (count_rough_divisible, enumerate_rough,
@@ -46,12 +53,25 @@ RECORDED = Path(__file__).resolve().parents[1] / "tests" / "recorded_values.json
 FLOAT_RTOL = 1e-9  # the relative tolerance of perfbench/workloads.py
 
 
-def scan(q, index, N, M_spec, r):
-    """The `burgess scan` run: its exit code and max |sum|."""
-    code, records = run_subcommand([
-        "scan", "--q", str(q), "--index", str(index), "--N", str(N),
-        "--M-spec", M_spec, "--r", str(r), "--output", os.devnull])
-    return {"code": code, "max_abs_sum": records[0]["outputs"]["max_abs_sum"]}
+def _strict(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def cli(argv):
+    """The `burgess` run of argv, in-process: its exit code, its stdout
+    records parsed as strict JSON without their timings, and for exit 2
+    its error line (the last on stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = burgess_main(argv)
+    records = [json.loads(line, parse_constant=_strict)
+               for line in out.getvalue().splitlines()]
+    for rec in records:
+        del rec["timings"]
+    values = {"code": code, "records": records}
+    if code == 2:
+        values["error"] = err.getvalue().splitlines()[-1]
+    return values
 
 
 def interval_sum(q, index, m, n):
@@ -76,17 +96,6 @@ def spread(route, limit):
     return {"primes_match": [q for q, _ in ratios] == primes,
             "checksum": sum(round(x * math.sqrt(q) * math.log(q))
                             for q, x in ratios)}
-
-
-def bounds(q, r, N_pow10=None):
-    """The `burgess bounds` run at N = 10^N_pow10 (default N = q^0.5)."""
-    argv = ["bounds", "--q", str(q), "--r", str(r), "--output", os.devnull]
-    if N_pow10 is not None:
-        argv += ["--N", str(10 ** N_pow10)]
-    code, records = run_subcommand(argv)
-    out = records[0]["outputs"]
-    return {"code": code, "V": out["V"], "U": out["U"],
-            "in_refined_range": out["in_refined_range"]}
 
 
 def holder(q, index, r, N, M):
@@ -164,19 +173,21 @@ def pair_collision(q, seed, draws):
 
 
 COMPUTE = {f.__name__: f for f in (
-    scan, interval_sum, prefix_digest, spread, bounds, holder, moment,
-    nonresidue, holder_c0, divisible_count, pair_collision)}
+    cli, interval_sum, prefix_digest, spread, holder, moment, nonresidue,
+    holder_c0, divisible_count, pair_collision)}
 ROUGH = {"holder": {"W"}, "moment": {"moment"}}
 
 
 def encode(x):
     """A computed value in its stored form."""
-    if isinstance(x, (bool, str, float)):
+    if x is None or isinstance(x, (bool, str, float)):
         return x
     if isinstance(x, int):
         return x if abs(x) <= 2 ** 53 else str(x)
-    if isinstance(x, tuple):
+    if isinstance(x, (tuple, list)):
         return [encode(v) for v in x]
+    if isinstance(x, dict):
+        return {k: encode(v) for k, v in x.items()}
     if isinstance(x, complex):
         return [x.real, x.imag]
     if isinstance(x, Fraction) and x >= 1:  # a float sum past the range

@@ -9,7 +9,8 @@ Sweeps run in canonical (q, char index, r, M) order, one character serving
 every r and M of its index.  Identical config + seed gives byte-identical
 output apart from ``timings.elapsed_s``, the seconds spent producing that
 record.  Exit codes: 0 success, 1 an inequality or invariant check failed,
-2 invalid input, 3 unexpected error (traceback on stderr).
+2 invalid input, 3 unexpected error (traceback on stderr); a run whose
+reader closes its pipe exits with the code of the records produced so far.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -94,10 +96,18 @@ def parse_primes_spec(text: str) -> list[int]:
 
 
 def parse_n_spec(text: str, q: int) -> int:
-    """Absolute count, or a q-power expression like q^0.4."""
+    """Absolute count, or a q-power expression like q^0.4 whose exponent is
+    finite and whose power is a double."""
     text = text.strip()
     if text.startswith("q^"):
-        return max(1, int(q ** float(text[2:])))
+        exponent = float(text[2:])
+        try:
+            if math.isfinite(exponent):
+                return max(1, int(q ** exponent))
+        except OverflowError:  # q^exponent past the double range
+            pass
+        raise ValueError(f"N = {text} is not a finite double; "
+                         "give N as an integer")
     return int(text)
 
 
@@ -549,7 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_subcommand(argv: list[str]) -> tuple[int, list[dict]]:
-    """Run one subcommand, streaming its records; return (code, records)."""
+    """Run one subcommand, streaming its records; return (code, records).
+    A write to a closed pipe (stdout, stderr or --output) ends the run with
+    the records produced so far."""
     args = build_parser().parse_args(argv)
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
@@ -574,6 +586,14 @@ def run_subcommand(argv: list[str]) -> tuple[int, list[dict]]:
                              "window starts")
         if args.format == "csv":
             write_csv(records, out)
+            out.flush()
+    except BrokenPipeError:
+        # a reader is gone: the records so far stand, and what is still
+        # buffered goes to os.devnull when flushed at close or exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        for stream in {sys.stdout, sys.stderr, out} - {None}:
+            os.dup2(devnull, stream.fileno())
+        os.close(devnull)
     finally:
         if out not in (None, sys.stdout):
             out.close()

@@ -4,6 +4,7 @@ checked here (about 3 s); those two, each a pass over every prime up to
 a limit (about 2.5 s each), are checked by the script in CI.  A
 perturbed file fails and names the cell that moved."""
 
+import argparse
 import importlib.util
 import json
 import math
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from burgess.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "recorded_values.py"
@@ -45,10 +48,17 @@ def test_the_file_is_as_the_recorder_writes_it():
 
 def test_the_cells_cover_each_path():
     counts = {g["kind"]: len(g["cells"]) for g in groups()}
-    assert counts == {"scan": 16, "interval_sum": 39, "prefix_digest": 22,
-                      "spread": 2, "bounds": 4, "holder": 44, "moment": 31,
+    assert counts == {"cli": 73, "interval_sum": 39, "prefix_digest": 22,
+                      "spread": 2, "holder": 44, "moment": 31,
                       "nonresidue": 4, "holder_c0": 1, "divisible_count": 1,
                       "pair_collision": 1}
+    runs = cells("cli")
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert {c["argv"][0] for c in runs} == set(subparsers.choices)
+    assert {c["want"]["code"] for c in runs} == {0, 1, 2}
+    assert all(("error" in c["want"]) == (c["want"]["code"] == 2)
+               for c in runs)
     chains = cells("holder")
     assert {c["want"]["path"] for c in chains} == {"exact", "certified",
                                                     "float"}
@@ -77,12 +87,18 @@ def flip(digest):
     return ("0" if digest[0] != "0" else "1") + digest[1:]
 
 
+def max_ulp_up(records):
+    out = records[0]["outputs"]
+    out["max_abs_sum"] = math.nextafter(out["max_abs_sum"], math.inf)
+    return records
+
+
 @pytest.mark.parametrize("kind, pick, field, perturb", [
     ("prefix_digest", lambda c: c["q"] == 131071, "sha256", flip),
     ("interval_sum", lambda c: isinstance(c["want"]["sum"], int), "sum",
      lambda x: x + 1),
-    ("scan", lambda c: c["q"] == 1000003, "max_abs_sum",
-     lambda x: math.nextafter(x, math.inf)),
+    ("cli", lambda c: c["argv"][:3] == ["scan", "--q", "1000003"], "records",
+     max_ulp_up),
 ])
 def test_a_perturbed_value_names_its_cell(kind, pick, field, perturb):
     chosen = [c for c in cells(kind) if pick(c)][:2]
@@ -90,6 +106,17 @@ def test_a_perturbed_value_names_its_cell(kind, pick, field, perturb):
     problems = rv.run([{"kind": kind, "cells": chosen}])
     assert len(problems) == 1
     assert problems[0].startswith(rv.cell_name(kind, chosen[0]) + ": " + field)
+
+
+def test_a_cli_record_must_be_strict_json(monkeypatch):
+    def nan_out(argv):
+        print('{"outputs": {"moment": NaN}, "timings": {}}')
+        return 0
+
+    monkeypatch.setattr(rv, "burgess_main", nan_out)
+    cell = {"argv": ["moments", "--q", "101"]}
+    assert rv.run([{"kind": "cli", "cells": [cell]}]) == [
+        f"{rv.cell_name('cli', cell)}: ValueError: NaN is not strict JSON"]
 
 
 def test_a_rough_field_is_held_to_float_rtol():
@@ -112,6 +139,8 @@ def test_stored_forms():
     assert rv.encode(2 ** 53) == 2 ** 53
     assert rv.encode(2 ** 53 + 1) == str(2 ** 53 + 1)
     assert rv.encode((1, -2)) == [1, -2]
+    assert rv.encode([{"U": 2 ** 53 + 1, "W": None}]) == [
+        {"U": str(2 ** 53 + 1), "W": None}]  # a CLI record
     assert not rv.agrees(rv.encode((1.0, -2.0)), [1, -2])
     assert rv.encode(complex(1, -2)) == [1.0, -2.0]
     assert not rv.agrees(rv.encode(complex(1, -2)), [1, -2])
@@ -120,11 +149,11 @@ def test_stored_forms():
 
 
 def test_a_time_limit_is_asserted():
-    cell = cells("bounds")[0]
-    problems = rv.run([{"kind": "bounds", "cell_limit_s": 0, "limit_s": 0,
+    cell = cells("cli")[0]
+    problems = rv.run([{"kind": "cli", "cell_limit_s": 0, "limit_s": 0,
                         "cells": [cell]}])
-    assert [p.split(":")[0] for p in problems] == [
-        rv.cell_name("bounds", cell), "bounds group"]
+    assert [p.split(": ")[0] for p in problems] == [
+        rv.cell_name("cli", cell), "cli group"]
 
 
 def test_the_script_exits_1_naming_the_cell(tmp_path, monkeypatch, capsys):
