@@ -2,9 +2,9 @@
 
 Each criterion function is self-contained, seeds its own randomness from
 SUITE_SEED, and returns a result object with the measured details, so the
-CLI `verify` subcommand and the pytest gate share one implementation.  The
-"small" suite runs reduced-scale versions for a quick smoke signal; the
-"full" suite is the gate.
+CLI `verify` subcommand and the pytest gate share one implementation.  Each
+runs at one stated scale, and criteria 6, 7 and 9 compare what they measure
+with the frozen numbers in baselines.
 """
 
 from __future__ import annotations
@@ -113,13 +113,13 @@ def _char_algebra_ok(chi: Character, pairs: int,
                 and np.array_equal(c[2], (c[0] + c[1]) % d))
 
 
-def criterion_1(primes=(101, 1009, 10007)) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     """Character algebra: multiplicativity, order, full-period orthogonality."""
     def run():
         rng = random.Random(SUITE_SEED + 1)
         details = {"checked": 0}
         ok = True
-        for q in primes:
+        for q in (101, 1009, 10007):
             mod = build_modulus(q)
             starts = [0, 1, q // 2, q - 1, -3]
             if q == 101:
@@ -144,12 +144,12 @@ def criterion_1(primes=(101, 1009, 10007)) -> CriterionResult:
     return _timed(1, "character algebra suite", run, limit_s=5.0)
 
 
-def criterion_2(primes=(101, 1009, 10007)) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Complete-moment inequality, exact margin >= 0 in every configuration."""
     def run():
         ok = True
         cells = []
-        for q in primes:
+        for q in (101, 1009, 10007):
             mod = build_modulus(q)
             chis = [mod.legendre()]
             if (q - 1) % 3 == 0:
@@ -180,14 +180,14 @@ def _random_instances(count: int, rng: random.Random):
         yield CollisionInstance(q=q, M=m, N=n, rough=rough)
 
 
-def criterion_3(count=200) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """Collision-count oracle equivalence: the second moment against the
     quadruple loop."""
     def run():
         rng = random.Random(SUITE_SEED + 3)
         matches = [congruence_count(inst).I_value
                    == brute_force_congruence_count(inst)
-                   for inst in _random_instances(count, rng)]
+                   for inst in _random_instances(200, rng)]
         return all(matches), {"instances": len(matches)}
     return _timed(3, "congruence oracle equivalence", run)
 
@@ -203,12 +203,12 @@ def holder_cells(primes=(101, 1009, 10007), m_count=20):
     return cells
 
 
-def criterion_4(primes=(101, 1009, 10007), m_count=20) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     """Averaging-chain inequality, exact on the quadratic path, every cell."""
     def run():
         ok = True
         rows = []
-        for q, r, n, m_values in holder_cells(primes, m_count=m_count):
+        for q, r, n, m_values in holder_cells():
             mod = build_modulus(q)
             chi = mod.legendre()
             for m in m_values:
@@ -222,7 +222,7 @@ def criterion_4(primes=(101, 1009, 10007), m_count=20) -> CriterionResult:
     return _timed(4, "averaging chain inequality", run, limit_s=30.0)
 
 
-def criterion_5(U_values=(10 ** 4, 10 ** 5, 10 ** 6)) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """Rough-set density ratio at z=10 inside the [0.3, 3] bracket.
 
     The default guard C=10 would reject z=10 at U=10^4 (10^10 > 10^4), so
@@ -233,7 +233,7 @@ def criterion_5(U_values=(10 ** 4, 10 ** 5, 10 ** 6)) -> CriterionResult:
         ok = True
         rows = []
         expected = float(mertens_product(10).value) * math.log(10)
-        for u in U_values:
+        for u in (10 ** 4, 10 ** 5, 10 ** 6):
             ratio = rough_density_ratio(10.0, u, C=4.0)
             rows.append({"U": u, "ratio": ratio})
             ok = ok and 0.3 <= ratio <= 3.0
@@ -267,14 +267,13 @@ def criterion_6() -> CriterionResult:
     return _timed(6, "collision-count ratio regression", run)
 
 
-def criterion_7(limit=10 ** 4) -> CriterionResult:
-    """Exhaustive max-sum over all windows for all odd primes up to limit."""
+def criterion_7() -> CriterionResult:
+    """Exhaustive max-sum over all windows for all odd primes up to 10^4,
+    the worst ratio and its prime equal to their recorded values."""
     def run():
-        worst, worst_q, _ = pv_ratio_scan(limit)
-        ok = worst < 1.0
-        if limit == 10 ** 4:
-            ok = ok and worst_q == baselines.PV_WORST_PRIME
-            ok = ok and worst == baselines.PV_WORST_RATIO
+        worst, worst_q, _ = pv_ratio_scan(10 ** 4)
+        ok = (worst < 1.0 and worst_q == baselines.PV_WORST_PRIME
+              and worst == baselines.PV_WORST_RATIO)
         return ok, {"worst_ratio": worst, "worst_prime": worst_q}
     return _timed(7, "Polya-Vinogradov empirical check", run,
                   limit_s=60.0)
@@ -295,36 +294,24 @@ def criterion_8() -> CriterionResult:
     return _timed(8, "moment scan at scale", run)
 
 
-def criterion_9(primes=(101, 1009, 10007), m_count=20) -> CriterionResult:
-    """Refined-shape worst ratio finite, and at the recorded scale equal to
-    its recorded value; variant ordering holds."""
+def criterion_9() -> CriterionResult:
+    """Refined-shape worst ratio over the criterion-4 cells equal to its
+    recorded value; variant ordering holds."""
     def run():
         worst = -math.inf
         ordering = True
-        for q, r, n, m_values in holder_cells(primes, m_count=m_count):
+        for q, r, n, m_values in holder_cells():
             res = extremal_scan(q, (q - 1) // 2, n, m_values, r=r)
             worst = max(worst, res.worst_ratio["refined_14r"])
             vals = [bound_value(v, n, q, r=r) for v in REFINEMENT_ORDER]
             ordering &= all(a <= b for a, b in zip(vals, vals[1:]))
-        ok = math.isfinite(worst) and ordering
-        if primes == (101, 1009, 10007) and m_count == 20:
-            ok = ok and worst == baselines.REFINED_WORST_RATIO
+        ok = worst == baselines.REFINED_WORST_RATIO and ordering
         return ok, {"worst_ratio": worst, "ordering": ordering}
     return _timed(9, "refined-shape scan regression", run)
 
 
-def run_suite(suite: str = "full"):
+def run_suite():
     """Yield each criterion's result as soon as it finishes."""
-    if suite == "small":
-        yield criterion_1(primes=(101,))
-        yield criterion_2(primes=(101,))
-        yield criterion_3(count=40)
-        yield criterion_4(primes=(101,), m_count=5)
-        yield criterion_5(U_values=(10 ** 4,))
-        yield criterion_6()
-        yield criterion_7(limit=500)
-        yield criterion_9(primes=(101,), m_count=5)
-        return
     yield criterion_1()
     yield criterion_2()
     yield criterion_3()

@@ -1,7 +1,7 @@
 """Recorded regression baselines that the acceptance suite reads.
 
 Every number here was measured once on a fixed family with fixed seeds
-and then frozen; `burgess verify --suite full` measures each again and
+and then frozen; `burgess verify` measures each again and
 prints it in the details of criteria 6, 7 and 9, which fail if it moved.
 None of them is a claim from the literature, only a record of what this
 code produced on these instances.  The values that only tests read live

@@ -321,10 +321,12 @@ def run_sieve(args, cfg):
            "primorial": sieve.primorial(args.z),
            "mertens": mv.value,
            "mertens_exact": str(mv.exact) if mv.exact is not None else None}
-    if args.spf is not None:
-        table = sieve.build_spf(max(args.spf, 2))
+    if args.spf is not None:  # trial division: a table holds n + 1 entries
+        if args.spf < 2:
+            raise ValueError(f"spf({args.spf}): n must be at least 2")
+        sieve.check_limit(args.spf)
         out["spf_n"] = args.spf
-        out["spf"] = table.smallest_factor(args.spf)
+        out["spf"] = min(chars.factorize(args.spf))
     yield {"z": args.z}, out, {}
 
 
@@ -441,9 +443,9 @@ def run_nonresidue(args, cfg):
 
 def run_verify(args, cfg):
     from . import acceptance
-    for res in acceptance.run_suite(args.suite):
+    for res in acceptance.run_suite():
         print(acceptance.format_line(res), file=sys.stderr)
-        yield ({"suite": args.suite, "criterion": res.cid},
+        yield ({"criterion": res.cid},
                {"name": res.name, "details": res.details},
                {"criterion": res.passed})
 
@@ -512,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="primorial primes and Mertens product")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--spf", type=int, default=None,
-                   help="also build an spf table and report spf(n)")
+                   help="also report spf(n), the smallest prime factor")
 
     p = add_parser("rough", run_rough, help="z-rough set over [1, U]")
     p.add_argument("--z", type=float, required=True)
@@ -553,8 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="least nonresidue and longest run")
     p.add_argument("--q", type=int, required=True)
 
-    p = add_parser("verify", run_verify, help="run the acceptance suite")
-    p.add_argument("--suite", choices=("small", "full"), default="small")
+    add_parser("verify", run_verify, help="run the acceptance suite")
     return ap
 
 

@@ -5,7 +5,7 @@ segment [lo, hi], struck by the primes up to sqrt(hi), which it lists by
 the same sieve.  Everything else reads its primes from it: the primes
 below z, the z-rough set over [1, U] (a byte mask of [1, U] struck by the
 primes below z, which is how the set is defined), and the
-smallest-prime-factor table, which only `burgess sieve --spf` reads.
+smallest-prime-factor table, which no subcommand builds.
 Each refuses more than SIEVE_LIMIT numbers before allocating.
 """
 

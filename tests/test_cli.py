@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ SMOKE_ARGV = {
                "--M-spec", "random:3"],
     "bounds": ["--q", "1009", "--N", "500", "--r", "2"],
     "nonresidue": ["--q", "1009"],
-    "verify": ["--suite", "small"],
+    "verify": [],
 }
 
 
@@ -60,11 +61,26 @@ def test_sum_orthogonality_exit_zero(capsys):
     ("congruence --q 4", "4 is not prime"),
     ("congruence --q 4 --u1 1 --u2 3 --N 5", "4 is not prime"),
     ("congruence --q 15 --u1 1 --u2 2 --N 5", "15 is not prime"),
+    ("sieve --z 11 --spf 1", "n must be at least 2"),
+    ("sieve --z 11 --spf 134217729", "above cap 134217728"),
 ])
 def test_soft_inputs_exit_2(argv, message, capsys):
     assert cli.main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
+
+
+def test_spf_builds_no_table(capsys):
+    # spf(2^27 - 1 = 7 * 73 * 262657) by trial division, not from an
+    # (n + 1)-entry int64 table
+    tracemalloc.start()
+    try:
+        assert cli.main(["sieve", "--z", "11", "--spf", str(2 ** 27 - 1)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["outputs"]["spf"] == 7
+    assert peak < 2 ** 20
 
 
 BIG_M = 10 ** 20  # a window start beyond int64
@@ -104,21 +120,6 @@ def test_large_inputs_exit_code(argv, code, capsys):
         for key, n in digits.items():
             assert rec["outputs"][key] is None
             assert n - 1 < rec["outputs"][f"{key}_log10"] < n, key
-
-
-@pytest.mark.parametrize("argv, verdict", [
-    ("moments --q 10007 --index 5 --r 150", "moment_le_bound"),
-    ("holder --q 10007 --index 5 --r 150 --M-spec 1", "holder"),
-])
-def test_float_moment_past_the_double_range_decided(argv, verdict, capsys):
-    # |w| <= V makes both inequalities true; the moment, past the double
-    # range, is printed as null beside its log10 but decided in exact
-    # rationals
-    code, (rec,), _ = run(argv.split(), capsys)
-    assert code == 0 and rec["passes"][verdict] is True
-    key = "moment" if verdict == "moment_le_bound" else "moment2r"
-    assert rec["outputs"][key] is None
-    assert 308 < rec["outputs"][f"{key}_log10"] < 1000
 
 
 def reject_constant(name):
@@ -191,7 +192,7 @@ def test_verify_streams_records_before_a_crash(tmp_path, monkeypatch,
 
     monkeypatch.setattr(acceptance, "criterion_2", boom)
     out = tmp_path / "verify.jsonl"
-    assert cli.main(["verify", "--suite", "small", "--output", str(out)]) == 3
+    assert cli.main(["verify", "--output", str(out)]) == 3
     assert "RuntimeError: planted failure" in capsys.readouterr().err
     lines = out.read_text().splitlines()
     assert [json.loads(line)["inputs"]["criterion"] for line in lines] == [1]
@@ -485,8 +486,8 @@ def test_failed_check_maps_to_exit_1(monkeypatch, capsys):
     from burgess import acceptance
     fake = acceptance.CriterionResult(cid=1, name="forced failure",
                                       passed=False, elapsed=0.0)
-    monkeypatch.setattr(acceptance, "run_suite", lambda suite: [fake])
-    code, records = cli.run_subcommand(["verify", "--suite", "small"])
+    monkeypatch.setattr(acceptance, "run_suite", lambda: [fake])
+    code, records = cli.run_subcommand(["verify"])
     capsys.readouterr()
     assert code == 1
     assert records[0]["passes"]["criterion"] is False
@@ -561,9 +562,9 @@ def test_a_closed_stdout_ends_the_run_quietly(argv, lines_read):
 
 
 def test_a_closed_stderr_ends_the_run_quietly():
-    # verify --suite small 2>&1 >/dev/null | head -1: the reader of the
-    # progress lines goes after criterion 1's
-    proc = burgess_process("verify --suite small", stdout=subprocess.DEVNULL,
+    # verify 2>&1 >/dev/null | head -1: the reader of the progress lines
+    # goes after criterion 1's
+    proc = burgess_process("verify", stdout=subprocess.DEVNULL,
                            stderr=subprocess.PIPE)
     assert proc.stderr.readline().startswith(b"PASS criterion 1")
     proc.stderr.close()
