@@ -336,7 +336,7 @@ def holder_chain(chi: Character, M: int, N: int, r: int,
         W: int | float = int(lattice_norm(table, w) @ dist.counts)
     elif table.rank == 2:
         norm = lattice_norm(table, w)
-        W = _weighted_sum(np.sqrt(norm), dist.counts)
+        W = _weighted_sum(np.sqrt(norm, dtype=np.float64), dist.counts)
     else:
         W = _weighted_sum(np.abs(w), dist.counts)
     base = dist.first_moment ** (2 * r - 2) * dist.second_moment

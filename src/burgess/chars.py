@@ -9,8 +9,9 @@ or 2 (LATTICE): their prefix tables hold integer coordinates, and a window
 or interval sum is an integer or an integer pair with an exact integer
 norm, so every inequality involving them is checkable with zero tolerance.
 A table read only for windows up to a span v keeps its sums in the
-narrowest integer lanes serving v (PrefixTable).  Only other orders use
-complex128.
+narrowest integer lanes serving v (PrefixTable), a pair packed in one
+entry, and its window sums and their norms stay in that dtype
+(lattice_norm).  Only other orders use complex128.
 
 Every table covers half the period.  As g^h = -1 for h = (q-1)/2, n and
 q - n have dlogs h apart, so chi(q - n) = chi(-1) chi(n), and for a
@@ -397,9 +398,10 @@ class PrefixTable:
     The lattice coordinates of a LATTICE order are kept mod 2^w in w-bit
     lanes (sum_dtype), rank 2's pair (A, B) packed as A + 2^w B.  Every
     LATTICE entry is -1, 0 or 1, so each coordinate of a window sum of
-    length v lies in [-v, v], and S_b - S_a taken in the table's dtype
-    gives it exactly (unpack) for v <= span; a wrapped S_k is read only
-    through such a difference.  Other orders get complex128 sums, serving
+    length v lies in [-v, v], and S_b - S_a taken in the table's dtype is
+    the window sum for v <= span, packed as the table's entries (unpack
+    reads its lanes); a wrapped S_k is read only through such a
+    difference.  Other orders get complex128 sums, serving
     every window.  The rest of the period mirrors the stored half: S_k =
     sign * S_{q-1-k} for h < k <= q-1, with sign = -chi(-1), and S_q = S_0
     = 0, so window sums wrap around the period with at most two reads.
@@ -433,9 +435,10 @@ class PrefixTable:
 
     @property
     def span(self) -> int:
-        """The longest window read exactly: 2^(w-1) - 1 for w-bit lanes, at
-        least q for 32-bit lanes and complex sums."""
-        return (np.iinfo(f"i{self.sums.itemsize // self.rank}").max
+        """The longest window read exactly: 2^(w-1) - 1 for w-bit lanes, w
+        from the entry width and the rank, at least q for 32-bit lanes and
+        complex sums."""
+        return ((1 << 8 * self.sums.itemsize // self.rank - 1) - 1
                 if self.exact else self.q)
 
     def at(self, k):
@@ -510,22 +513,6 @@ def _packed(chi: Character, dtype: np.dtype) -> np.ndarray:
     k = chi._class_of(np.arange(chi.order, dtype=np.int64))
     a, b = np.array(LATTICE[chi.order], dtype=np.int64)[:, k]
     return (a + (b << 4 * dtype.itemsize)).astype(dtype)
-
-
-def unpack(p, order: int):
-    """Window sums from differences p of an order-d table: at rank 2 the
-    w-bit pairs (a, b), shape (2,) + p's, of p = a + 2^w b mod 2^(2w), exact
-    for |a|, |b| < 2^(w-1); else p.  a is p's low lane (a wrapping cast)
-    and b = (p + 2^(w-1)) >> w, in ufuncs, which wrap without warning."""
-    if len(LATTICE.get(order, ())) != 2:
-        return p
-    p = np.asarray(p)
-    w = 4 * p.itemsize
-    out = np.empty((2,) + p.shape, dtype=f"i{w // 8}")
-    out[0] = p
-    b = np.add(p, 1 << w - 1, out=np.empty_like(p))
-    out[1] = np.right_shift(b, w, out=b)
-    return out
 
 
 def prefix_slices(chi: Character, span: int, out: np.ndarray | None = None
@@ -675,22 +662,19 @@ def _differences(table: PrefixTable, lam, v: int):
 
 def window_sum(table: PrefixTable, lam, v: int):
     """sum_{1<=j<=v} chi(lam + j) for an int or an integer array of starts,
-    unpacked from _differences: shaped like lam, with a leading axis of 2
-    at rank 2.  Starts are read in int64, GATHER at a time into one result
-    array."""
+    as _differences gives it: shaped like lam, in the table's dtype, packed
+    at rank 2 (lattice_norm reads it).  Starts are read in int64, GATHER at
+    a time into one result array."""
     _check_window(table, v)
     if np.ndim(lam) == 0:
-        return unpack(_differences(table, int(lam), v), table.order)
+        return _differences(table, int(lam), v)
     lam = np.asarray(lam)
     flat = lam.reshape(-1)
-    dtype = table.sums.dtype
-    out = (np.empty((2, len(flat)), f"i{dtype.itemsize // 2}")
-           if table.rank == 2 else np.empty(len(flat), dtype))
+    out = np.empty(len(flat), table.sums.dtype)
     for lo in range(0, len(flat), GATHER):
         block = flat[lo:lo + GATHER].astype(np.int64, copy=False)
-        out[..., lo:lo + GATHER] = unpack(_differences(table, block, v),
-                                          table.order)
-    return out.reshape(out.shape[:-1] + lam.shape)
+        out[lo:lo + GATHER] = _differences(table, block, v)
+    return out.reshape(lam.shape)
 
 
 def window_array(table: PrefixTable, v: int, lo: int = 0,
@@ -709,20 +693,34 @@ def window_array(table: PrefixTable, v: int, lo: int = 0,
     if cut < hi:
         p[cut - lo:] = _differences(
             table, np.arange(cut + 1, hi + 1, dtype=np.int64), v)
-    return unpack(p, table.order)
+    return p
 
 
-def lattice_norm(table: PrefixTable | Character, w: np.ndarray) -> np.ndarray:
-    """The integer that exact paths key window sums w on: |w| at rank 1,
-    in w's dtype (|w| <= span); |w|^2 at rank 2 (LATTICE), squared in place
-    in widened copies of w's rows beside one product (none at order 4): in
-    int32 for 8- and 16-bit lanes, whose coordinates are at most a span of
-    2^15 - 1 and 2 (2^15 - 1)^2 < 2^31, else int64.  For windows of length
-    V it is at most V^rank, and |w|^(2r) is its power 2r / rank."""
+def unpack(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lanes (a, b) of packed rank-2 window sums p = a + 2^w b mod
+    2^(2w), new arrays in p's dtype, exact for |a|, |b| < 2^(w-1): a = (p <<
+    w) >> w and b = (p + 2^(w-1)) >> w, by ufuncs, which wrap without
+    warning."""
+    w = 4 * p.itemsize
+    a = np.left_shift(p, w)
+    np.right_shift(a, w, out=a)
+    b = np.add(p, 1 << w - 1)
+    np.right_shift(b, w, out=b)
+    return a, b
+
+
+def lattice_norm(table: PrefixTable | Character, p: np.ndarray) -> np.ndarray:
+    """The integer that exact paths key window sums p on, in p's dtype: |p|
+    at rank 1 (|p| <= span); at rank 2 (LATTICE) the squared norm of the
+    unpacked lanes, a^2 - ab + b^2 (a^2 + b^2 at order 4), squared in place
+    beside one product (none at order 4).  It is exact with no widening: a
+    window of length V <= span < 2^(w-1) has |a|, |b| <= V and norm at most
+    V^2, so a^2 + b^2 < 2^(2w-1): int16 norms for 8-bit lanes, int32 for
+    16, int64 for 32.  A window's 2r-th power is its norm's power 2r /
+    rank."""
     if table.order == 2:
-        return np.abs(w)
-    lane = np.int32 if w.itemsize <= 2 else np.int64
-    a, b = (x.astype(lane) for x in w)
+        return np.abs(p)
+    a, b = unpack(p)
     ab = a * b if table.order != 4 else 0
     a *= a
     b *= b

@@ -13,7 +13,8 @@ of them are held at a time, plus S_0 .. S_{2V+1} and S_{h-2V-1} .. S_h for
 the 2V+1 edge starts, so no q-sized table is built and the moment is bit
 for bit the table's.  For characters of order 2, 3, 4 and 6 the window
 sums are lattice points with an exact integer norm of at most V^rank
-(chars.lattice_norm, in int32 on the 16-bit lanes that serve V < 2^15), so
+(chars.lattice_norm, read off the packed sums in their own dtype: int16 on
+the 8-bit lanes that serve V < 2^7, int32 on 16-bit lanes), so
 the moment reduces to a bincount of the norms followed by an exact
 big-integer combination; that is what makes the inequality margin a
 zero-tolerance check.  Order-2 windows in 8-bit lanes (V < 2^7) are
@@ -39,7 +40,6 @@ from .chars import (
     PrefixEnds,
     lattice_norm,
     prefix_slices,
-    unpack,
     window_array,
 )
 from .errors import TrivialCharacter, WindowTooLarge
@@ -124,8 +124,9 @@ def moment_sum(chi: Character, V: int, r: int) -> MomentReport:
     V must lie in [1, q], and is refused before any table is built.  The
     window blocks are read from chi's prefix table when one serving V
     is built or V >= h, otherwise from the streamed prefix sums
-    (_streamed_blocks).  An exact table gives a Python int: the bincount of
-    the lattice norms (of 8-bit order-2 blocks two windows a key,
+    (_streamed_blocks), one entry per start in the table's dtype, packed at
+    rank 2.  An exact table gives a Python int: the bincount of the lattice
+    norms, taken in that dtype (of 8-bit order-2 blocks two windows a key,
     _count_pairs) when their V^rank + 1 bins fit in q + 1, otherwise (a
     caller-given V with V^2 > q) each block's distinct norms by np.unique.
     A float moment past the double range is summed again block by block in
@@ -205,7 +206,7 @@ def _streamed_blocks(chi: Character, V: int, spans: list):
     prefix table.
 
     The twice-counted starts (0, h-V] are slice differences S_{lam+V} -
-    S_lam over the slices still read, unpacked as a table's are; a slice is
+    S_lam over the slices still read, packed as a table's are; a slice is
     dropped once every later block starts past it, so beside the source
     table only about V + 2 BLOCK sums are held.  The ends S_0 .. S_{2V+1}
     and S_{h-2V-1} .. S_h are kept as a PrefixEnds, which window_array
@@ -229,7 +230,7 @@ def _streamed_blocks(chi: Character, V: int, spans: list):
     (weight, lo, hi), *edges = spans
     for a in range(lo, hi, BLOCK):
         n = min(a + BLOCK, hi) - a
-        yield weight, unpack(read(a + 1 + V, n) - read(a + 1, n), chi.order)
+        yield weight, read(a + 1 + V, n) - read(a + 1, n)
         keep = min(a + 1 + BLOCK, tail_lo)  # the next block reads from here
         for j in [j for j in held if (j + 1) * BLOCK <= keep]:
             del held[j]

@@ -107,3 +107,32 @@ def brute_moment(chi, v, r):
         power = 2 * r // (1 if d == 2 else 2)
         return sum(n ** power for n in lattice_norm_of(d, w))
     return float(np.sum(np.abs(w) ** (2 * r)))
+
+
+def packed(coords, dtype):
+    """LATTICE pairs (a, b), shape (2, ...), packed as a rank-2 table packs
+    them: a + 2^w b mod 2^(2w) read signed, in dtype of 2w bits, in Python
+    ints."""
+    w = 4 * np.dtype(dtype).itemsize
+    a, b = (np.asarray(x).ravel().tolist() for x in coords)
+    top = 1 << 2 * w
+    out = [(x + (y << w)) % top for x, y in zip(a, b)]
+    out = [x - top if x >= top >> 1 else x for x in out]
+    return np.array(out, dtype=dtype).reshape(np.shape(coords)[1:])
+
+
+def unpacked(p, order):
+    """The int64 LATTICE coordinates of an order-d table's entries or window
+    sums p, in Python ints: at rank 2 the pairs (a, b), shape (2,) + p's,
+    of p = a + 2^w b mod 2^(2w), a the low w bits read signed; p itself at
+    rank 1 and for complex tables."""
+    if len(LATTICE.get(order, ())) != 2:
+        return p
+    p = np.asarray(p)
+    w = 4 * p.itemsize
+    pairs = []
+    for x in p.ravel().tolist():
+        a = (x + (1 << w - 1)) % (1 << w) - (1 << w - 1)
+        pairs.append((a, (x - a) >> w))
+    return np.moveaxis(np.array(pairs, np.int64).reshape(p.shape + (2,)),
+                       -1, 0)

@@ -426,19 +426,21 @@ def test_holder_chain_falls_back_to_float(monkeypatch):
 
 
 def test_certificate_widens_int32_norms(monkeypatch):
-    # holder_chain hands _w_upper the int32 norms of its windows (2V^2 <
-    # 2^31); shifted left by 2 CERT_BITS they would wrap in int32, so each
-    # block is widened to int64: W+ is the ceil sum taken here in Python
-    # ints, and the least rhs certified at r = 2 is ceil(W+^4)
+    # holder_chain hands _w_upper the norms of its windows in the packed
+    # width (int16 for 8-bit lanes, V^2 < 2^15; int32 for 16-bit ones, V^2
+    # < 2^31); shifted left by 2 CERT_BITS they would wrap, so each block is
+    # widened to int64: W+ is the ceil sum taken here in Python ints, and
+    # the least rhs certified at r = 2 is ceil(W+^4)
     k = bounds.CERT_BITS
-    norm = np.array([2, 5, 1 << 21], dtype=np.int32)
-    counts = np.array([1, 2, 3], dtype=np.int32)
-    plus = sum(c * (math.isqrt((x << 2 * k) - 1) + 1)
-               for x, c in zip(norm.tolist(), counts.tolist()))
-    assert bounds._w_upper(norm, counts) == Fraction(plus, 1 << k)
-    rhs = (plus ** 4 + (1 << 4 * k) - 1) >> 4 * k
-    assert certified(norm, counts, 2, rhs)
-    assert not certified(norm, counts, 2, rhs - 1)
+    for norm in (np.array([2, 5, 127 ** 2], dtype=np.int16),
+                 np.array([2, 5, 1 << 21], dtype=np.int32)):
+        counts = np.array([1, 2, 3], dtype=np.int32)
+        plus = sum(c * (math.isqrt((x << 2 * k) - 1) + 1)
+                   for x, c in zip(norm.tolist(), counts.tolist()))
+        assert bounds._w_upper(norm, counts) == Fraction(plus, 1 << k)
+        rhs = (plus ** 4 + (1 << 4 * k) - 1) >> 4 * k
+        assert certified(norm, counts, 2, rhs)
+        assert not certified(norm, counts, 2, rhs - 1)
     seen = []
 
     def spy(norm, *a):
@@ -448,7 +450,8 @@ def test_certificate_widens_int32_norms(monkeypatch):
     real = bounds._w_upper
     monkeypatch.setattr(bounds, "_w_upper", spy)
     rep = holder_chain(build_modulus(1009).character(336), 5, 15, 2)
-    assert rep.path == "certified" and seen == [np.int32]
+    assert rep.params.V < 1 << 7
+    assert rep.path == "certified" and seen == [np.int16]
 
 
 def test_certificate_overflow_guard_is_the_top_ceil():
@@ -782,14 +785,15 @@ def test_order_3_chain_holds_table_and_buckets():
 @pytest.mark.parametrize("order", [2, 3])
 def test_window_sum_holds_result_and_a_block(order):
     # 2*10^5 scattered starts at q = 1000003 read GATHER at a time: the
-    # int32 result (two rows at rank 2) and one block's int64 index
-    # temporaries, measured 298,524 and 403,992 bytes beside the result
-    # (6.4 and 8.2 MB with the whole read in int64 at once)
+    # result in the table's dtype (int32, or int64 packing two 32-bit lanes
+    # at rank 2) and one block's int64 index temporaries, measured 296,080
+    # and 404,008 bytes beside the result (6.4 and 8.2 MB with the whole
+    # read in int64 at once)
     q = 1000003
     table = prefix_table(build_modulus(q).character((q - 1) // order))
     starts = np.random.default_rng(1).integers(-2 * q, 2 * q, 2 * 10 ** 5)
     w = window_sum(table, starts, 5000)
-    assert w.shape == ((2,) if order == 3 else ()) + starts.shape
+    assert w.shape == starts.shape and w.dtype == table.sums.dtype
     peak = traced_peak(window_sum, table, starts, 5000)
     assert peak <= w.nbytes + 64 * GATHER
 

@@ -46,6 +46,7 @@ from oracles import (
     full_prefix,
     legendre_full,
     scatter_classes,
+    unpacked,
     value_table,
 )
 
@@ -227,12 +228,13 @@ def test_values_dtype_picks_exact_path(mod101, mod1009):
     assert prefix_table(mod101.legendre()).exact
     assert not prefix_table(mod101.character(5)).exact
     # orders 3, 4 and 6: coordinate pairs in 16-bit lanes as every window of
-    # q = 1009 is below 2^15, packed in one int32, 4 bytes per residue
+    # q = 1009 is below 2^15, packed in one int32, 4 bytes per residue, and
+    # so are the window sums
     for d in (3, 4, 6):
         table = prefix_table(mod1009.character(1008 // d))
         assert table.exact and table.rank == 2
         assert table.sums.dtype == np.int32 and table.sums.shape == (505,)
-        assert window_array(table, 1).dtype == np.int16
+        assert window_array(table, 1).dtype == np.int32
     assert prefix_table(mod101.legendre()).sums.shape == (51,)
 
 
@@ -286,11 +288,12 @@ def test_blocked_prefix_bit_identical(q):
     h = (q - 1) // 2
     for m in [(q - 1) // d for d in orders] + [2, 7]:
         chi = mod.character(m)
-        got = chars_module.unpack(prefix_table(chi).sums, chi.order)
+        sums = prefix_table(chi).sums
+        got = unpacked(sums, chi.order)
         want = full_prefix(chi)[..., :h + 1]
-        assert got.dtype == (np.int16 if chi.order in LATTICE and q < 1 << 15
-                             else np.int32 if chi.order in LATTICE
-                             else np.complex128)
+        assert sums.dtype == (np.int32 if chi.order in LATTICE and q < 1 << 15
+                              else np.int64 if chi.order in LATTICE
+                              else np.complex128)
         assert got.shape == want.shape
         if chi.order in LATTICE:
             assert np.array_equal(got, want), m
@@ -498,14 +501,14 @@ def test_mirrored_accessor_matches_full_oracle(q, orders):
         want = full_prefix(chi)
         assert table.sign == -chi(-1).as_complex().real
         signs.add(table.sign)
-        got = chars_module.unpack(table.at(np.arange(q + 1, dtype=np.int64)),
-                                  d)
+        got = unpacked(table.at(np.arange(q + 1, dtype=np.int64)), d)
         assert got.shape == want.shape
-        assert [chars_module.unpack(table.at(k), d).tolist()
+        assert [unpacked(table.at(k), d).tolist()
                 for k in (0, h, h + 1, q - 1, q)] == [
             got[..., k].tolist() for k in (0, h, h + 1, q - 1, q)]
-        if table.exact:
-            assert got.dtype == np.int16 and np.array_equal(got, want), d
+        if table.exact:  # 16-bit lanes, one or two to an entry
+            assert table.sums.dtype == np.dtype(f"i{2 * table.rank}")
+            assert np.array_equal(got, want), d
         else:  # the stored half bit for bit, the mirrored half to rounding
             assert np.array_equal(bits(got[:h + 1]), bits(want[:h + 1]))
             assert np.abs(got - want).max() <= 1e-12 * q, d
@@ -524,11 +527,11 @@ def test_window_sum_straddling_h_and_q(q, orders):
             want = all_windows(full, v)
             lams = np.array([s + t for s in (0, h - v, h, q - v, q, 2 * q)
                              for t in range(-3, 4)], dtype=np.int64)
-            got = window_sum(table, lams, v)
+            got = unpacked(window_sum(table, lams, v), d)
             ref = want[..., lams % q]
             if table.exact:
                 assert np.array_equal(got, ref), (d, v)
-                assert [window_sum(table, int(m), v).tolist()
+                assert [unpacked(window_sum(table, int(m), v), d).tolist()
                         for m in lams] == ref.T.tolist()
             else:
                 assert np.abs(got - ref).max() <= 1e-12 * q, (d, v)
@@ -720,7 +723,7 @@ def test_short_interval_sum_builds_no_table(monkeypatch, d):
     table = chi.prefix
     want = []
     for m, n in cells:  # the table path, before tables are forbidden
-        w = (window_sum(table, m, n % q) if n % q
+        w = (unpacked(window_sum(table, m, n % q), d) if n % q
              else np.zeros((2,) * (table.rank == 2), dtype=np.int32))
         want.append(int(w) if d == 2 else tuple(map(int, w)))
     forbid_tables(monkeypatch)
@@ -1103,22 +1106,23 @@ def test_narrow_tables_read_every_window_exactly():
                     len(LATTICE[d]) * np.dtype(dtype).itemsize)
                 want = np.roll(all_windows(full, v), -1, axis=-1)  # 1 .. q
                 got = window_array(table, v)
-                assert got.dtype == dtype
-                assert np.array_equal(got, want), (q, d, v)
+                assert got.dtype == table.sums.dtype
+                assert np.array_equal(unpacked(got, d), want), (q, d, v)
                 lams = np.arange(-q, 2 * q, 11, dtype=np.int64)
-                assert np.array_equal(window_sum(table, lams, v),
+                assert np.array_equal(unpacked(window_sum(table, lams, v), d),
                                       want[..., (lams - 1) % q])
                 for lam in (1, h - v, h, h + 1, q - v, q - 1, q, 5 * q + 3):
-                    assert np.array_equal(window_sum(table, lam, v),
-                                          want[..., (lam - 1) % q]), lam
+                    assert np.array_equal(
+                        unpacked(window_sum(table, lam, v), d),
+                        want[..., (lam - 1) % q]), lam
     assert parities == {2: {-1, 1}, 3: {1}, 4: {-1, 1}, 6: {-1, 1}}
 
 
 @pytest.mark.parametrize("w", [8, 16, 32])
 def test_unpack_recovers_every_lane_pair(w):
     # a difference of packed sums is a + 2^w b mod 2^(2w); unpack gives (a, b)
-    # back in w-bit lanes for |a|, |b| < 2^(w-1): every pair at 8 bits, the
-    # extremes and random pairs at 16 and 32, as arrays and as scalars
+    # back in the packed width for |a|, |b| < 2^(w-1), without a warning:
+    # every pair at 8 bits, the extremes and random pairs at 16 and 32
     top = (1 << (w - 1)) - 1
     if w == 8:
         a, b = (x.ravel() for x in np.mgrid[-top:top + 1, -top:top + 1])
@@ -1129,15 +1133,31 @@ def test_unpack_recovers_every_lane_pair(w):
         a = np.concatenate([a, rng.integers(-top, top + 1, 4096)])
         b = np.concatenate([b, rng.integers(-top, top + 1, 4096)])
     packed = (a + (b << w)).astype(f"i{w // 4}")  # wraps mod 2^(2w)
-    for order in (3, 4, 6):
-        got = chars_module.unpack(packed, order)
-        assert got.dtype == np.dtype(f"i{w // 8}") and got.shape == (2, len(a))
-        assert np.array_equal(got[0], a) and np.array_equal(got[1], b)
+    before = packed.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for i in range(0, len(a), max(len(a) // 64, 1)):
-            assert chars_module.unpack(packed[i], 3).tolist() == [a[i], b[i]]
-    assert chars_module.unpack(packed, 2) is packed
+        got = chars_module.unpack(packed)
+    for lane, want in zip(got, (a, b)):
+        assert lane.dtype == packed.dtype and lane.shape == (len(a),)
+        assert np.array_equal(lane, want)
+    assert np.array_equal(packed, before)
+
+
+def test_span_is_the_lane_maximum():
+    # span comes from the entry width and the rank, as np.iinfo of the lane
+    # gives it, for every dtype sum_dtype returns; q for a complex table
+    seen = set()
+    for d in (2, 3, 4, 6, 5):
+        for v in (1, 127, 128, 2 ** 15 - 1, 2 ** 15, 10 ** 6):
+            dtype = chars_module.sum_dtype(d, v)
+            table = chars_module.PrefixTable(np.zeros(3, dtype), d)
+            seen.add((table.rank, dtype))
+            if table.exact:
+                lane = np.iinfo(f"i{dtype.itemsize // table.rank}")
+                assert table.span == lane.max >= v, (d, v)
+            else:
+                assert table.span == table.q == 5
+    assert len(seen) == 7
 
 
 def test_narrow_table_refuses_a_longer_window(mod1009):

@@ -128,10 +128,7 @@ def reject_constant(name):
 
 @pytest.mark.parametrize("argv", [" ".join([name] + SMOKE_ARGV[name])
                                   for name in sorted(SMOKE_ARGV)] + [
-    "moments --q 10007 --index 5 --r 150",
     "moments --q 10007 --legendre --r 100",
-    "holder --q 10007 --index 5 --r 150 --M-spec 1",
-    "holder --q 10009 --index 3336 --r 100",
     "holder --q 10007 --index 5 --r 100 --M-spec 1",
     f"bounds --q 10007 --N {10 ** 400}",
     f"scan --q 10007 --N {10 ** 400} --M-spec 1",

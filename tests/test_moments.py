@@ -26,7 +26,7 @@ from burgess.moments import (
     moment_sum,
     weil_bound,
 )
-from oracles import brute_moment, value_table
+from oracles import brute_moment, packed, unpacked, value_table
 
 # e(1/d) in Z[omega] (omega = e(1/3); d = 3, 6) or in Z[i] (d = 4), as the
 # pair (a, b) for a + b*beta, and beta itself as a complex number
@@ -93,11 +93,12 @@ def test_lattice_path_matches_integer_oracle(d):
                 terms = [vals[(lam + j) % q] for j in range(1, v + 1)]
                 windows.append((sum(t[0] for t in terms),
                                 sum(t[1] for t in terms)))
-            got = window_array(table, v)
-            assert got.dtype == np.int16 and got.shape == (2, q)
-            assert list(zip(*got.tolist())) == windows
+            got = window_array(table, v)  # one packed entry a start
+            assert got.dtype == np.int32 and got.shape == (q,)
+            assert list(zip(*unpacked(got, d).tolist())) == windows
             lams = np.arange(-q, 2 * q, 13, dtype=np.int64)
-            assert list(zip(*window_sum(table, lams, v).tolist())) == [
+            w = unpacked(window_sum(table, lams, v), d)
+            assert list(zip(*w.tolist())) == [
                 windows[(lam - 1) % q] for lam in lams.tolist()]
             norms = [oracle_norm(d, a, b) for a, b in windows]
             assert all(round(abs(a + b * BETA[d]) ** 2) == n
@@ -112,22 +113,22 @@ def test_lattice_path_matches_integer_oracle(d):
 @pytest.mark.parametrize("d", [3, 4, 6])
 def test_lattice_norm_int32_guard(d):
     # window sums of v values, from the class counts of v terms: 2v^2 < 2^31
-    # holds at v = 32767, the longest window of 16-bit lanes (int32 norms),
-    # and fails at v = 32768, in 32-bit lanes (int64), where the
-    # all-omega^2 window (-v, -v) of order 3 gives a^2 + b^2 = 2^31
+    # holds at v = 32767, the longest window of 16-bit lanes packed in int32
+    # (int32 norms), and fails at v = 32768, in 32-bit lanes packed in int64
+    # (int64 norms), where the all-omega^2 window (-v, -v) of order 3 gives
+    # a^2 + b^2 = 2^31
     chi = build_modulus(1009).character(1008 // d)
     table = prefix_table(chi)
     cols = np.array(LATTICE[d], dtype=np.int64)
     rng = np.random.default_rng(d)
-    for v, lane, dtype in ((32767, np.int16, np.int32),
-                           (32768, np.int32, np.int64)):
+    for v, dtype in ((32767, np.int32), (32768, np.int64)):
         counts = np.concatenate([
             v * np.eye(d, dtype=np.int64),  # every term in one class
             rng.multinomial(v, [1 / (d + 1)] * (d + 1), 500)[:, :d]])
         w = cols @ counts.T
         assert np.abs(w).max() <= v
         want = [oracle_norm(d, a, b) for a, b in zip(*w.tolist())]
-        got = lattice_norm(table, w.astype(lane))
+        got = lattice_norm(table, packed(w, dtype))
         assert got.dtype == dtype and got.tolist() == want, v
         if v == 32768 and d != 4:  # the int32 form would wrap here
             a, b = w.astype(np.int32)
@@ -149,24 +150,49 @@ def lattice_windows(d, v, n, seed):
     (np.int32, 10 ** 6)])
 def test_lattice_norm_across_lanes(d, lane, v):
     # the norms squared in place equal a^2 - ab + b^2 (a^2 + b^2 at order
-    # 4) in Python ints on every lane of window sums: int32 on 8- and 16-bit
-    # lanes, int64 on 32-bit ones; w is left as it was
+    # 4) in Python ints on every lane width of packed window sums, in the
+    # packed width: int16 on 8-bit lanes, int32 on 16-bit ones and int64 on
+    # 32-bit ones; w is left as it was
     chi = build_modulus(1009).character(1008 // d)
-    w = lattice_windows(d, v, 3000, v).astype(lane)
+    coords = lattice_windows(d, v, 3000, v)
+    w = packed(coords, f"i{2 * np.dtype(lane).itemsize}")
     before = w.copy()
-    want = [oracle_norm(d, a, b) for a, b in zip(*w.tolist())]
+    want = [oracle_norm(d, a, b) for a, b in zip(*coords.tolist())]
     got = lattice_norm(chi, w)
-    assert got.dtype == (np.int64 if lane == np.int32 else np.int32)
+    assert got.dtype == w.dtype
     assert got.shape == (len(want),) and got.tolist() == want
     assert np.array_equal(w, before)
 
 
+@pytest.mark.parametrize("w", [8, 16, 32])
+def test_lattice_norm_at_lane_corners(w):
+    # packed windows at the lane corners a = b = +-span and a = -b = span,
+    # span = 2^(w-1) - 1, give the Python-int norm in the packed width, but
+    # not at a = -b for orders 3 and 6: there the norm 3 span^2 is past
+    # 2^(2w-1), and no window of length at most span has those lanes, as
+    # |a - b| <= V there.  The same norm taken in w-bit lanes wraps.
+    span = (1 << w - 1) - 1
+    corners = np.array([[span, -span, span], [span, -span, -span]])
+    for d in (3, 4, 6):
+        chi = build_modulus(1009).character(1008 // d)
+        want = [oracle_norm(d, a, b) for a, b in zip(*corners.tolist())]
+        got = lattice_norm(chi, packed(corners, f"i{w // 4}")).tolist()
+        fits = [n < 1 << 2 * w - 1 for n in want]
+        assert fits == [True, True, d == 4]
+        assert [g for g, f in zip(got, fits) if f] == [
+            n for n, f in zip(want, fits) if f], d
+        a, b = corners.astype(f"i{w // 8}")
+        narrow = a * a + b * b - (0 if d == 4 else a * b)
+        assert all(n != x for n, x in zip(want, narrow.tolist())), d
+
+
 def test_lattice_norm_holds_one_widened_pair():
-    # one (2, BLOCK) int8 block of order-3 windows of length 112: the int32
-    # widened pair and one product, measured 786,760 bytes (1,049,056 with
-    # the squares and their sum taken as new arrays)
+    # one BLOCK of order-3 windows of length 112 in 8-bit lanes packed in
+    # int16: the two lanes and one product, int16 arrays of BLOCK entries
+    # each, measured 393,504 bytes, 96 bytes of array object each beside
+    # the data (786,760 with int32 lanes widened from an int8 pair)
     chi = build_modulus(1009).character(336)
-    w = lattice_windows(3, 112, BLOCK - 3, 1).astype(np.int8)
+    w = packed(lattice_windows(3, 112, BLOCK - 3, 1), np.int16)
     lattice_norm(chi, w)
     tracemalloc.start()
     try:
@@ -174,7 +200,7 @@ def test_lattice_norm_holds_one_widened_pair():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 13 * BLOCK
+    assert peak <= 3 * (BLOCK * 2 + 128)
 
 
 def test_moment_is_int_for_lattice_orders():

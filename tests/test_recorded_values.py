@@ -48,7 +48,7 @@ def test_the_file_is_as_the_recorder_writes_it():
 
 def test_the_cells_cover_each_path():
     counts = {g["kind"]: len(g["cells"]) for g in groups()}
-    assert counts == {"cli": 74, "interval_sum": 39, "prefix_digest": 22,
+    assert counts == {"cli": 78, "interval_sum": 39, "prefix_digest": 22,
                       "spread": 2, "holder": 44, "moment": 31,
                       "nonresidue": 4, "holder_c0": 1, "divisible_count": 1,
                       "pair_collision": 1}
