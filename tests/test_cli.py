@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -49,25 +48,6 @@ def test_sum_orthogonality_exit_zero(capsys):
     parsed = json.loads(out.strip())
     assert parsed["schema"] == 1
     assert parsed == records[0]  # serialization round-trips losslessly
-
-
-@pytest.mark.parametrize("argv, message", [
-    ("rough --z 10 --U 10000 --ratio --C nan", "exceeds U"),
-    ("bounds --q 10007 --grh-delta nan", "grh_delta must be finite"),
-    ("bounds --q -7 --N q^0.4 --r 3", "-7 is not an odd prime"),
-    ("bounds --q 0", "0 is not an odd prime"),
-    ("nonresidue --q 2", "2 is not an odd prime"),
-    ("sum --q 2", "2 is not an odd prime"),
-    ("congruence --q 4", "4 is not prime"),
-    ("congruence --q 4 --u1 1 --u2 3 --N 5", "4 is not prime"),
-    ("congruence --q 15 --u1 1 --u2 2 --N 5", "15 is not prime"),
-    ("sieve --z 11 --spf 1", "n must be at least 2"),
-    ("sieve --z 11 --spf 134217729", "above cap 134217728"),
-])
-def test_soft_inputs_exit_2(argv, message, capsys):
-    assert cli.main(argv.split()) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and message in err
 
 
 def test_spf_builds_no_table(capsys):
@@ -120,31 +100,6 @@ def test_large_inputs_exit_code(argv, code, capsys):
         for key, n in digits.items():
             assert rec["outputs"][key] is None
             assert n - 1 < rec["outputs"][f"{key}_log10"] < n, key
-
-
-def reject_constant(name):
-    raise ValueError(f"{name} is not JSON")
-
-
-@pytest.mark.parametrize("argv", [" ".join([name] + SMOKE_ARGV[name])
-                                  for name in sorted(SMOKE_ARGV)] + [
-    "moments --q 10007 --legendre --r 100",
-    "holder --q 10007 --index 5 --r 100 --M-spec 1",
-    f"bounds --q 10007 --N {10 ** 400}",
-    f"scan --q 10007 --N {10 ** 400} --M-spec 1",
-])
-def test_records_are_strict_json(argv, capsys):
-    # RFC 8259 has no Infinity or NaN: a value past the double range prints
-    # null, and where the record holds it exactly a <field>_log10 beside it
-    assert cli.main(argv.split()) in (0, 1)
-    lines = capsys.readouterr().out.splitlines()
-    assert lines
-    for line in lines:
-        rec = json.loads(line, parse_constant=reject_constant)
-        for key, val in rec["outputs"].items():
-            if key.endswith("_log10"):
-                assert rec["outputs"][key[:-6]] is None
-                assert math.isfinite(val) and val > 300, (argv, key)
 
 
 @pytest.mark.parametrize("argv", [
@@ -482,12 +437,25 @@ def test_char_indices_spec():
 def test_failed_check_maps_to_exit_1(monkeypatch, capsys):
     from burgess import acceptance
     fake = acceptance.CriterionResult(cid=1, name="forced failure",
-                                      passed=False, elapsed=0.0)
+                                      passed=False, details={})
     monkeypatch.setattr(acceptance, "run_suite", lambda: [fake])
     code, records = cli.run_subcommand(["verify"])
     capsys.readouterr()
     assert code == 1
     assert records[0]["passes"]["criterion"] is False
+
+
+def test_verify_reads_no_clock(monkeypatch, capsys):
+    # every read of the clock jumps 1,000 s: seconds show in the timings
+    # alone, and each criterion still passes on its numbers
+    clock = iter(range(0, 10 ** 9, 1000))
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(clock)))
+    assert cli.main(["verify"]) == 0
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    assert [rec["inputs"]["criterion"] for rec in records] == [*range(1, 10)]
+    assert all(rec["passes"]["criterion"] is True for rec in records)
+    assert all(rec["timings"]["elapsed_s"] >= 1000 for rec in records)
 
 
 def test_crash_exit_3_keeps_streamed_records(tmp_path, monkeypatch, capsys):
